@@ -4,10 +4,10 @@ Everything is integer arithmetic on packed monomials: the variables are
 x1..x8, y1..y8, z1..z8, the deformation scalar b and the quantum
 parameters q1..q7.  The classical families come from divided-difference
 towers over a product of linear forms, the quantum ones from towers over
-a product of tridiagonal determinants.
+a product of tridiagonal determinants.  All term arithmetic runs through
+the five functions of the pure-Python kernel in _termkernel_py.
 """
 
-from ._backend import kernel_name
 from ._packing import N_MAX, Var
 from .classical import (
     CLASSICAL_CHECKS,
@@ -58,7 +58,6 @@ __all__ = [
     "grothendieck",
     "grothendieck_double",
     "identity",
-    "kernel_name",
     "longest",
     "monk_expansion",
     "quantize",

@@ -1,10 +1,9 @@
-"""Pure-Python term kernel.
+"""Term kernel: the package's only term-map implementation.
 
 The five functions below are the only hot loops in the package; everything
 else is orchestration.  A polynomial is a dict mapping packed monomials
-(see _packing) to nonzero int coefficients.  The compiled twin in
-_termkernel_c.pyx implements the same contract bit for bit; callers pick
-one through _backend and must never see a behavioural difference.
+(see _packing) to nonzero int coefficients.  Callers reach these functions
+through this module object (``from . import _termkernel_py as kernel``).
 
 All functions treat their inputs as read-only except ``addmul``, which
 accumulates into its first argument and may leave explicit zeros behind

@@ -18,7 +18,7 @@ import random
 import time
 from typing import Sequence
 
-from ._backend import kernel
+from . import _termkernel_py as kernel
 from ._packing import BETA, FIELD_MASK, Var, mono_divides, pack, shift, unit
 from .divdiff import DEL, PI_PLUS, apply_op, apply_perm
 from .perms import (

@@ -63,11 +63,12 @@ def _family_table(token: str, n: int) -> dict[Permutation, MultiPoly]:
 
 
 def _parse_word(text: str, n: int) -> Permutation:
-    if text == "":
-        return from_word([], n)
-    if not text.isdigit():
+    if text and not text.isdigit():
         raise CliError(f"word must be digits 1..{n - 1}, got {text!r}")
-    return from_word([int(c) for c in text], n)
+    w = from_word([int(c) for c in text], n)
+    if w.length() != len(text):
+        raise CliError(f"word {text!r} is not reduced")
+    return w
 
 
 def _parse_perm(text: str, n: int) -> Permutation:
@@ -108,16 +109,22 @@ def _word_label(w: Permutation) -> str:
     return "".join(str(a) for a in word) if word else "id"
 
 
+def _check_rank(args: argparse.Namespace) -> None:
+    """Rank bounds shared by compute and table."""
+    if args.n < 1:
+        raise CliError(f"rank must be at least 1, got {args.n}")
+    if _FAMILIES[args.family][0] == "quantum" and args.n > 4:
+        raise CliError("quantum families are capped at n=4")
+    if args.n > 5 and not args.force_n:
+        raise CliError("n above 5 needs --force-n")
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     if args.family not in _FAMILIES:
         raise CliError(f"unknown family {args.family!r}")
     if (args.word is None) == (args.perm is None):
         raise CliError("exactly one of --word / --perm is required")
-    kind = _FAMILIES[args.family][0]
-    if kind == "quantum" and args.n > 4:
-        raise CliError("quantum families are capped at n=4")
-    if args.n > 5 and not args.force_n:
-        raise CliError("n above 5 needs --force-n")
+    _check_rank(args)
     w = _parse_word(args.word, args.n) if args.word is not None else _parse_perm(args.perm, args.n)
     p = _family_table(args.family, args.n)[w]
     if args.ideal is not None:
@@ -130,11 +137,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family not in _FAMILIES:
         raise CliError(f"unknown family {args.family!r}")
-    kind = _FAMILIES[args.family][0]
-    if kind == "quantum" and args.n > 4:
-        raise CliError("quantum families are capped at n=4")
-    if args.n > 5 and not args.force_n:
-        raise CliError("n above 5 needs --force-n")
+    _check_rank(args)
     table = _family_table(args.family, args.n)
     symbol = _FAMILIES[args.family][2]
     for w in by_length(args.n):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from . import _backend
+from . import _termkernel_py as kernel
 from ._packing import BETA, Var, adjacent_pair, unit
 from .perms import Permutation, bruhat_lower, first_reduced_word
 from .poly import MultiPoly
@@ -39,13 +39,13 @@ _B_UNIT = unit(BETA)
 def transpose(i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
     """Swap the i-th and (i+1)-st variables of one alphabet."""
     sh_i, sh_j, ui, uj = adjacent_pair(alphabet, i)
-    return MultiPoly._raw(_backend.kernel.swap(f._t, sh_i, sh_j, ui, uj))
+    return MultiPoly._raw(kernel.swap(f._t, sh_i, sh_j, ui, uj))
 
 
 def divdiff(i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
     """(f - transpose(i, f)) / (v_i - v_{i+1}), computed exactly."""
     sh_i, sh_j, ui, uj = adjacent_pair(alphabet, i)
-    return MultiPoly._raw(_backend.kernel.divdiff(f._t, sh_i, sh_j, ui, uj))
+    return MultiPoly._raw(kernel.divdiff(f._t, sh_i, sh_j, ui, uj))
 
 
 def isobaric(i: int, f: MultiPoly, alphabet: str = "x", sign: int = 1) -> MultiPoly:
@@ -56,8 +56,8 @@ def isobaric(i: int, f: MultiPoly, alphabet: str = "x", sign: int = 1) -> MultiP
     d = divdiff(i, f, alphabet)
     d2 = divdiff(i, shifted, alphabet)
     acc = dict(d._t)
-    _backend.kernel.addmul(acc, d2._t, _B_UNIT, sign)
-    return MultiPoly._raw(_backend.kernel.prune(acc))
+    kernel.addmul(acc, d2._t, _B_UNIT, sign)
+    return MultiPoly._raw(kernel.prune(acc))
 
 
 def apply_op(kind: str, i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:

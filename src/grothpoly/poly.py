@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Mapping
 
-from . import _backend
+from . import _termkernel_py as kernel
 from ._packing import (
     BETA,
     FIELD_MASK,
@@ -139,8 +139,8 @@ class MultiPoly:
             return NotImplemented
         big, small = (self._t, other._t) if len(self._t) >= len(other._t) else (other._t, self._t)
         out = dict(big)
-        _backend.kernel.addmul(out, small, 0, 1)
-        return MultiPoly._raw(_backend.kernel.prune(out))
+        kernel.addmul(out, small, 0, 1)
+        return MultiPoly._raw(kernel.prune(out))
 
     __radd__ = __add__
 
@@ -149,8 +149,8 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._t)
-        _backend.kernel.addmul(out, other._t, 0, -1)
-        return MultiPoly._raw(_backend.kernel.prune(out))
+        kernel.addmul(out, other._t, 0, -1)
+        return MultiPoly._raw(kernel.prune(out))
 
     def __rsub__(self, other) -> "MultiPoly":
         return _coerce(other).__sub__(self)
@@ -164,7 +164,7 @@ class MultiPoly:
                 return MultiPoly._raw({})
             return MultiPoly._raw({m: c * other for m, c in self._t.items()})
         if isinstance(other, MultiPoly):
-            return MultiPoly._raw(_backend.kernel.mul(self._t, other._t))
+            return MultiPoly._raw(kernel.mul(self._t, other._t))
         return NotImplemented
 
     __rmul__ = __mul__

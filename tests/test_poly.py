@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grothpoly._packing import Var
+from grothpoly import _termkernel_py as kernel
+from grothpoly._packing import Var, adjacent_pair, pack
 from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,47 @@ def test_integer_evaluation_homomorphism(f, g):
 
     assert ev(f + g) == ev(f) + ev(g)
     assert ev(f * g) == ev(f) * ev(g)
+
+
+# ---------------------------------------------------------------------------
+# the term kernel, called directly
+# ---------------------------------------------------------------------------
+
+X1 = pack({Var("x", 1): 1})
+X1_SQ = pack({Var("x", 1): 2})
+
+
+def test_kernel_mul_edge_cases():
+    a = {X1: 1, 0: 1}
+    b = {X1: 1, 0: -1}  # (x1 + 1)(x1 - 1): the x1 cross terms cancel
+    assert kernel.mul(a, b) == {X1_SQ: 1, 0: -1}
+    assert kernel.mul({}, a) == kernel.mul(a, {}) == {}
+    big = 10**50  # Python ints: no truncation at 2^64
+    assert kernel.mul({X1: big}, {X1: -big}) == {X1_SQ: -big * big}
+
+
+def test_kernel_addmul_zero_coef_is_noop():
+    acc = {0: 3}
+    kernel.addmul(acc, {0: 5, X1: 1}, X1, 0)
+    assert acc == {0: 3}
+
+
+@settings(max_examples=100)
+@given(f=polys(), g=polys())
+def test_kernel_prune_leaves_no_zeros(f, g):
+    acc = dict(f._t)
+    kernel.addmul(acc, g._t, 0, -1)
+    kernel.addmul(acc, f._t, 0, -1)  # acc is -g now, with explicit zeros where terms cancelled
+    pruned = kernel.prune(acc)
+    assert 0 not in pruned.values()
+    assert pruned == {m: -c for m, c in g._t.items()}
+
+
+@settings(max_examples=100)
+@given(f=polys(), alphabet=st.sampled_from("xy"), i=st.integers(1, 3))
+def test_kernel_swap_twice_is_identity(f, alphabet, i):
+    pair = adjacent_pair(alphabet, i)
+    assert kernel.swap(kernel.swap(f._t, *pair), *pair) == f._t
 
 
 def test_power_and_unary():
