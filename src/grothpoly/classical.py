@@ -16,10 +16,11 @@ import heapq
 import itertools
 import random
 import time
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import _termkernel_py as kernel
-from ._packing import BETA, FIELD_MASK, Var, mono_divides, pack, shift, unit
+from ._packing import BETA, FIELD_MASK, MASK_X, XDEG_SHIFT, Var, mono_divides, pack, shift, unit
 from .divdiff import DEL, PI_PLUS, apply_op, apply_perm
 from .perms import (
     Permutation,
@@ -113,14 +114,15 @@ def _descent_tower(seed: MultiPoly, op_kind: str, alphabet: str, n: int) -> dict
     return table
 
 
-_TABLE_CACHE: dict[tuple[int, str], dict[Permutation, MultiPoly]] = {}
+_TABLE_CACHE: dict[tuple[int, str], Mapping[Permutation, MultiPoly]] = {}
 
 
-def family_table(n: int, family: str) -> dict[Permutation, MultiPoly]:
+def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     """All members of one family at rank n, keyed by permutation.
 
     family is "G" (Grothendieck), "H" (dual Grothendieck) or "S" (Schubert),
     each in the two alphabets x and y; append "x" for the y=0 specialisation.
+    The result is a read-only view of the cached table.
     """
     key = (n, family)
     cached = _TABLE_CACHE.get(key)
@@ -149,8 +151,8 @@ def family_table(n: int, family: str) -> dict[Permutation, MultiPoly]:
             table[w] = MultiPoly._raw(kernel.prune(acc))
     else:
         raise ValueError(f"unknown family {family!r}")
-    _TABLE_CACHE[key] = table
-    return table
+    _TABLE_CACHE[key] = MappingProxyType(table)
+    return _TABLE_CACHE[key]
 
 
 def grothendieck_double(w: Permutation) -> MultiPoly:
@@ -240,6 +242,7 @@ def expand_dual_basis(f: MultiPoly, n: int) -> dict[Permutation, MultiPoly]:
 # ---------------------------------------------------------------------------
 
 IDEALS = ("x", "signed", "unsigned")
+_XPART = MASK_X | FIELD_MASK << XDEG_SHIFT  # the x exponents and x-degree of a monomial
 
 
 def staircase_monomials(n: int) -> list[MultiPoly]:
@@ -263,8 +266,15 @@ class NormalFormContext:
     ideal="signed":   generated by e_i(x) - (-1)^i e_i(y).
 
     Each choice admits a Groebner-style rewriting system whose i-th rule has
-    leading monomial x_i^{n-i+1}, so normal forms are supported on the
-    staircase exponents e_i <= n-i in x (coefficients may involve y and beta).
+    the monic, pure-x leading monomial x_i^{n-i+1}, so normal forms are
+    supported on the staircase exponents e_i <= n-i in x (coefficients may
+    involve y and beta).
+
+    Reduction is linear over Z[y, beta], so only x-monomials are ever
+    reduced.  Each x-monomial's normal form is found once per context by a
+    heap over x-parts, every x-part carrying its whole Z[y, beta]
+    coefficient, and kept in a per-instance memo; ``reduce`` then adds up
+    memo entries scaled by the non-x part of each term.
     """
 
     def __init__(self, n: int, ideal: str = "x"):
@@ -273,9 +283,22 @@ class NormalFormContext:
         self.n = n
         self.ideal = ideal
         self._gens = self._build_rules()
+        # rule i-1: (shift of x_i, lead exponent, packed lead x_i^e, tail),
+        # the tail being g_i minus its lead, grouped by x-part
+        self._rules = []
+        for i, g in enumerate(self._gens, start=1):
+            e = n - i + 1
+            lead = e * unit(Var("x", i))
+            tail: dict[int, list[tuple[int, int]]] = {}
+            for m, c in g._t.items():
+                if m != lead:
+                    xp = m & _XPART
+                    tail.setdefault(xp, []).append((m - xp, c))
+            self._rules.append((shift(Var("x", i)), e, lead, sorted(tail.items())))
+        self._nf: dict[int, dict[int, int]] = {}
 
-    def _build_rules(self) -> list[tuple[int, list[tuple[int, int]]]]:
-        """(lead exponent, term list) of each rewriting rule, indexed by i."""
+    def _build_rules(self) -> list[MultiPoly]:
+        """The i-th rewriting rule, monic with lead x_i^{n-i+1}, i = 1..n."""
         n = self.n
         rules = []
         for i in range(1, n + 1):
@@ -290,12 +313,12 @@ class NormalFormContext:
                         elementary(b, _xvars(i + 1, n)) * complete_h(m - b, ys) * sign
                     )
                 g = g - tail
-            rules.append((m, sorted(g._t.items())))
+            rules.append(g)
         return rules
 
     def generators(self) -> list[MultiPoly]:
         """The rewriting rules as polynomials, for inspection and tests."""
-        return [MultiPoly._raw(dict(items)) for _, items in self._gens]
+        return [MultiPoly._raw(dict(g._t)) for g in self._gens]
 
     def original_generators(self) -> list[MultiPoly]:
         """e_i(x) minus the matching y-side, i = 1..n (just e_i(x) for ideal x)."""
@@ -310,40 +333,54 @@ class NormalFormContext:
             out.append(g)
         return out
 
-    def _reducer_for(self, m: int) -> int | None:
-        n = self.n
-        for i in range(1, n + 1):
-            if (m >> shift(Var("x", i))) & FIELD_MASK >= n - i + 1:
+    def _reducer_for(self, xpart: int) -> int | None:
+        """Index into _rules of the first rule whose lead divides xpart."""
+        for i, (sh, e, _, _) in enumerate(self._rules):
+            if (xpart >> sh) & FIELD_MASK >= e:
                 return i
         return None
 
+    def _x_normal_form(self, xmono: int) -> dict[int, int]:
+        """Normal form of one x-monomial, by a heap over x-parts."""
+        coefs = {xmono: {0: 1}}  # x-part -> its Z[y, beta] coefficient
+        heap = [-xmono]
+        out: dict[int, int] = {}
+        while heap:
+            xp = -heapq.heappop(heap)
+            coef = kernel.prune(coefs.pop(xp))
+            if not coef:
+                continue
+            i = self._reducer_for(xp)
+            if i is None:
+                # The packed order (x-degree, then x8..x1) is additive, so
+                # every rule's tail sorts strictly below its lead, also after
+                # multiplying by xp / lead: a popped x-part never comes back,
+                # and a staircase one is final.
+                kernel.addmul(out, coef, xp, 1)
+                continue
+            _, _, lead, tail = self._rules[i]
+            cof = xp - lead
+            for gx, gterms in tail:
+                k = gx + cof
+                acc = coefs.get(k)
+                if acc is None:
+                    acc = coefs[k] = {}
+                    heapq.heappush(heap, -k)
+                for rest, gc in gterms:
+                    kernel.addmul(acc, coef, rest, -gc)
+        return out
+
     def reduce(self, f: MultiPoly) -> MultiPoly:
         """Normal form of f: no x_i appears with exponent above n - i."""
-        terms = dict(f._t)
-        heap = [-m for m in terms]
-        heapq.heapify(heap)
-        while heap:
-            m = -heapq.heappop(heap)
-            c = terms.get(m, 0)
-            if c == 0:
-                terms.pop(m, None)
-                continue
-            i = self._reducer_for(m)
-            if i is None:
-                continue
-            lead, items = self._gens[i - 1]
-            cof = m - lead * unit(Var("x", i))
-            for gm, gc in items:
-                k = gm + cof
-                old = terms.get(k)
-                v = (old or 0) - c * gc
-                if v:
-                    if old is None:
-                        heapq.heappush(heap, -k)
-                    terms[k] = v
-                else:
-                    terms.pop(k, None)
-        return MultiPoly._raw({m: c for m, c in terms.items() if c})
+        nf = self._nf
+        acc: dict[int, int] = {}
+        for m, c in f._t.items():
+            xp = m & _XPART
+            r = nf.get(xp)
+            if r is None:
+                r = nf[xp] = self._x_normal_form(xp)
+            kernel.addmul(acc, r, m - xp, c)
+        return MultiPoly._raw(kernel.prune(acc))
 
     def contains(self, f: MultiPoly) -> bool:
         return self.reduce(f).is_zero()

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Mapping
 
 from . import classical, quantum
 from .perms import Permutation, by_length, first_reduced_word, from_word
@@ -55,7 +56,7 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _family_table(token: str, n: int) -> dict[Permutation, MultiPoly]:
+def _family_table(token: str, n: int) -> Mapping[Permutation, MultiPoly]:
     kind, name, _ = _FAMILIES[token]
     if kind == "classical":
         return classical.family_table(n, name)
@@ -115,6 +116,8 @@ def _check_rank(args: argparse.Namespace) -> None:
         raise CliError(f"rank must be at least 1, got {args.n}")
     if _FAMILIES[args.family][0] == "quantum" and args.n > 4:
         raise CliError("quantum families are capped at n=4")
+    if args.n > 6:
+        raise CliError("classical families are capped at n=6")
     if args.n > 5 and not args.force_n:
         raise CliError("n above 5 needs --force-n")
 

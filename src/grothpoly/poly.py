@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Mapping
 from . import _termkernel_py as kernel
 from ._packing import (
     BETA,
+    FIELD_BITS,
     FIELD_MASK,
     MASK_B,
     MASK_Q,
@@ -172,6 +173,14 @@ class MultiPoly:
     def __pow__(self, e: int) -> "MultiPoly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative int")
+        if e > 1:
+            # every field of the result is at most e times the base's largest
+            cap = FIELD_MASK // e
+            for m in self._t:
+                while m:
+                    if m & FIELD_MASK > cap:
+                        raise ValueError(f"power {e} would push an exponent past {FIELD_MASK}")
+                    m >>= FIELD_BITS
         result = MultiPoly.constant(1)
         base = self
         while e:
@@ -186,6 +195,16 @@ class MultiPoly:
         """Fast multiply by a single monomial var^exp."""
         if exp == 0:
             return self
+        if exp < 0:
+            raise ValueError("exponent must be a nonnegative int")
+        if var.kind == "x":
+            # x_i <= x-degree, and the x-degree field leads the packed order
+            top = max(self._t, default=0) >> XDEG_SHIFT
+        else:
+            sh = shift(var)
+            top = max(map((FIELD_MASK << sh).__and__, self._t), default=0) >> sh
+        if top + exp > FIELD_MASK:
+            raise ValueError(f"{var.name()}^{exp} would push an exponent past {FIELD_MASK}")
         mono = exp * unit(var)
         return MultiPoly._raw({m + mono: c for m, c in self._t.items()})
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from ._packing import FIELD_MASK, Var, shift
 from .classical import (
@@ -61,7 +63,7 @@ class QuantumContext:
         self.n = n
         self._etilde: dict[tuple[int, int], MultiPoly] = {}
         self._xpow1: dict[tuple[int, ...], MultiPoly] = {}
-        self._tables: dict[str, dict[Permutation, MultiPoly]] = {}
+        self._tables: dict[str, Mapping[Permutation, MultiPoly]] = {}
 
     def q_factor(self, i: int, j: int) -> MultiPoly:
         """q_{ij} = q_i q_{i+1} ... q_{j-1}, for i < j."""
@@ -271,12 +273,13 @@ def quantize(f: MultiPoly, ctx: QuantumContext) -> tuple[OperatorPoly, MultiPoly
 # ---------------------------------------------------------------------------
 
 
-def quantum_table(n: int, family: str) -> dict[Permutation, MultiPoly]:
+def quantum_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     """All members of one quantum family at rank n.
 
     qS / qH / qG are the quantum double Schubert, dual Grothendieck and
     Grothendieck families; bG / bH the two built from the beta-form
-    determinant product.  Append "x" for the y=0 specialisation.
+    determinant product.  Append "x" for the y=0 specialisation.  The
+    result is a read-only view of the cached table.
     """
     ctx = quantum_context(n)
     table = ctx._tables.get(family)
@@ -316,8 +319,8 @@ def quantum_table(n: int, family: str) -> dict[Permutation, MultiPoly]:
             table[w] = acc
     else:
         raise ValueError(f"unknown quantum family {family!r}")
-    ctx._tables[family] = table
-    return table
+    ctx._tables[family] = MappingProxyType(table)
+    return ctx._tables[family]
 
 
 def quantum_schubert_double(w: Permutation) -> MultiPoly:

@@ -4,12 +4,16 @@ at small rank."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grothpoly.classical import (
     CLASSICAL_CHECKS,
+    IDEALS,
     NormalFormContext,
     complete_h,
     dual_grothendieck,
@@ -30,7 +34,7 @@ from grothpoly.classical import (
     top_class,
     verify_classical,
 )
-from grothpoly._packing import FIELD_MASK, Var
+from grothpoly._packing import FIELD_MASK, Var, exponent, pack, unit
 from grothpoly.divdiff import PI_PLUS, apply_perm
 from grothpoly.perms import (
     all_perms,
@@ -113,6 +117,12 @@ class TestGoldenTables:
         assert dual_grothendieck_double(identity(2)) == one() + beta() * xvar(1)
         assert schubert_double(identity(2)) == one()
 
+    def test_tables_are_read_only(self):
+        true_id = family_table(2, "G")[identity(2)]
+        with pytest.raises(TypeError):
+            family_table(2, "G")[identity(2)] = zero()
+        assert family_table(2, "G")[identity(2)] == true_id == one() - beta() * yvar(1)
+
     def test_g_tower_recurrence(self):
         # each non-top member arises from a longer one by a single pi+ step
         gt = family_table(3, "G")
@@ -175,6 +185,84 @@ class TestNormalForms:
     def test_staircase_monomials_listing(self):
         texts = sorted(m.text() for m in staircase_monomials(3))
         assert texts == sorted(["1", "x1", "x1^2", "x1*x2", "x1^2*x2", "x2"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("ideal", IDEALS)
+    def test_reduce_matches_full_monomial_heap(self, ideal, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        fs = data.draw(st.lists(_xyb_polys(n), min_size=1, max_size=3), label="fs")
+        ctx = NormalFormContext(n, ideal)
+        want = [_oracle_reduce(ctx, f) for f in fs]
+        for f, r in zip(fs, want):
+            assert ctx.reduce(f) == r
+        # a second pass over the same context answers from its memo
+        for f, r in zip(fs, want):
+            assert ctx.reduce(f) == r
+
+    @pytest.mark.parametrize("ideal", IDEALS)
+    def test_returned_normal_form_does_not_alias_the_memo(self, ideal):
+        ctx = NormalFormContext(3, ideal)
+        f = xvar(2) ** 2  # one term: its normal form is one memo entry, scaled by 1
+        r = ctx.reduce(f)
+        want = dict(r._t)
+        assert want
+        r._t.clear()
+        r._t[0] = 99
+        assert ctx.reduce(f)._t == want
+        assert ctx.reduce(f * yvar(2)) == _oracle_reduce(ctx, f * yvar(2))
+
+
+def _oracle_reduce(ctx: NormalFormContext, f: MultiPoly) -> MultiPoly:
+    """Reduction by a heap over full packed monomials, one term at a time:
+    the algorithm NormalFormContext.reduce had before it reduced each
+    x-monomial once.  Kept here as a slow, independent oracle."""
+    n = ctx.n
+    gens = [sorted(g._t.items()) for g in ctx.generators()]
+    terms = dict(f._t)
+    heap = [-m for m in terms]
+    heapq.heapify(heap)
+    while heap:
+        m = -heapq.heappop(heap)
+        c = terms.get(m, 0)
+        if c == 0:
+            terms.pop(m, None)
+            continue
+        i = next((i for i in range(1, n + 1) if exponent(m, Var("x", i)) >= n - i + 1), None)
+        if i is None:
+            continue
+        cof = m - (n - i + 1) * unit(Var("x", i))
+        for gm, gc in gens[i - 1]:
+            k = gm + cof
+            old = terms.get(k)
+            v = (old or 0) - c * gc
+            if v:
+                if old is None:
+                    heapq.heappush(heap, -k)
+                terms[k] = v
+            else:
+                terms.pop(k, None)
+    return MultiPoly._raw({m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def _xyb_polys(draw, n: int) -> MultiPoly:
+    """Random polynomials in x, y and beta at rank n.  Each x_i may go two
+    or more past its staircase bound n - i; the total x-degree is capped
+    a little above the staircase top so the oracle stays fast."""
+    cap = n * (n - 1) // 2 + 2
+    terms: dict[int, int] = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps, budget = {}, cap
+        for i in draw(st.permutations(range(1, n + 1))):
+            exps[Var("x", i)] = e = draw(st.integers(0, min(n + 1, budget)))
+            budget -= e
+        ys = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        exps.update({Var("y", i + 1): e for i, e in enumerate(ys)})
+        exps[Var("b", 0)] = draw(st.integers(0, 2))
+        m = pack({v: e for v, e in exps.items() if e})
+        terms[m] = terms.get(m, 0) + draw(st.integers(-5, 5).filter(bool))
+    return MultiPoly._raw({m: c for m, c in terms.items() if c})
 
 
 def _random_xy_poly(rng, n, terms=5):

@@ -17,6 +17,9 @@ def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
     import os
 
     full_env = dict(os.environ)
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    full_env["PYTHONPATH"] = os.pathsep.join(p for p in (src, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -215,3 +218,19 @@ class TestArgparse:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"].startswith("rank must be at least 1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--family", "G", "--n", "9", "--force-n"],
+            ["table", "--family", "Sd", "--n", "7", "--force-n"],
+            ["compute", "--family", "Hx", "--word", "", "--n", "7", "--force-n"],
+        ],
+    )
+    def test_classical_hard_cap_holds_with_force_n(self, argv, capsys):
+        # refused before any table is built, so this returns at once
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "classical families are capped at n=6"}

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly._packing import Var, adjacent_pair, pack
+from grothpoly._packing import BETA, Var, adjacent_pair, pack
 from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,33 @@ def test_power_and_unary():
     assert -f == f * -1
     with pytest.raises(ValueError):
         f ** -1
+
+
+@pytest.mark.parametrize("base", [xvar(8), beta(), qvar(7)], ids=["x8", "b", "q7"])
+def test_power_past_the_field_is_refused(base):
+    # 65536 = FIELD_MASK + 1 used to wrap into the next field, silently
+    with pytest.raises(ValueError):
+        base ** 65536
+    assert (base ** 65535).text() == base.text() + "^65535"
+
+
+def test_power_checks_every_field_of_every_term():
+    f = one() + xvar(1) ** 3 * yvar(2) ** 30000
+    with pytest.raises(ValueError):
+        f ** 3
+    with pytest.raises(ValueError):
+        (xvar(1) ** 20000 * xvar(2) ** 20000) ** 2  # x1 and x2 fit; the x-degree does not
+    assert (f ** 2).max_exponent(Var("y", 2)) == 60000
+
+
+def test_times_var_past_the_field_is_refused():
+    with pytest.raises(ValueError):
+        (one() + yvar(3) ** 65535).times_var(Var("y", 3))
+    with pytest.raises(ValueError):
+        (xvar(1) ** 40000).times_var(Var("x", 2), 30000)  # overflows the x-degree
+    with pytest.raises(ValueError):
+        xvar(1).times_var(Var("x", 2), -1)  # used to borrow from every field above
+    assert beta().times_var(BETA, 65534) == beta() ** 65535
 
 
 def test_triple_binomial_expansion():

@@ -196,6 +196,12 @@ class TestGoldenQuantumTables:
         for w in all_perms(3):
             assert t[w].text() == GOLDEN_QG[word_key(w)]
 
+    def test_tables_are_read_only(self):
+        true_id = quantum_table(2, "qS")[identity(2)]
+        with pytest.raises(TypeError):
+            quantum_table(2, "qS")[identity(2)] = zero()
+        assert quantum_table(2, "qS")[identity(2)] == true_id == one()
+
     def test_variant_rows_differ_by_recorded_amount(self):
         t = quantum_table(3, "qG")
         s1 = from_word((1,), 3)
