@@ -114,6 +114,8 @@ def pack(exps: dict[Var, int]) -> int:
         if e > FIELD_MASK:
             raise ValueError(f"exponent too large for {var.name()}: {e}")
         m += e * unit(var)
+    if m >> XDEG_SHIFT > FIELD_MASK:
+        raise ValueError(f"x-degree {m >> XDEG_SHIFT} too large")
     return m
 
 

@@ -21,11 +21,10 @@ from typing import Mapping, Sequence
 
 from . import _termkernel_py as kernel
 from ._packing import BETA, FIELD_MASK, MASK_X, XDEG_SHIFT, Var, mono_divides, pack, shift, unit
-from .divdiff import DEL, PI_PLUS, apply_op, apply_perm
+from .divdiff import DEL, PI_PLUS, PSI_PLUS, apply_op, apply_perm
 from .perms import (
     Permutation,
     all_perms,
-    bruhat_lower,
     bruhat_upper,
     by_length,
     identity,
@@ -115,6 +114,8 @@ def _descent_tower(seed: MultiPoly, op_kind: str, alphabet: str, n: int) -> dict
 
 
 _TABLE_CACHE: dict[tuple[int, str], Mapping[Permutation, MultiPoly]] = {}
+# H_w = psi+_u(top) = sum_{v<=u} b^(l(u)-l(v)) G-tower_v, u = w^-1 w0
+_FAMILY_OPS = {"S": DEL, "G": PI_PLUS, "H": PSI_PLUS}
 
 
 def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
@@ -128,29 +129,17 @@ def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    if family.endswith("x"):
-        full = family_table(n, family[:-1])
-        table = {w: p.set_zero("y") for w, p in full.items()}
-    elif family == "S":
-        tower = _descent_tower(top_class(n), DEL, "x", n)
-        w0 = longest(n)
-        table = {w: tower[(w.inverse() * w0)] for w in all_perms(n)}
-    elif family == "G":
-        tower = _descent_tower(top_class(n), PI_PLUS, "x", n)
-        w0 = longest(n)
-        table = {w: tower[(w.inverse() * w0)] for w in all_perms(n)}
-    elif family == "H":
-        tower = _descent_tower(top_class(n), PI_PLUS, "x", n)
-        w0 = longest(n)
-        table = {}
-        for w in all_perms(n):
-            u = w.inverse() * w0
-            acc: dict[int, int] = {}
-            for v in bruhat_lower(u):
-                kernel.addmul(acc, tower[v]._t, (u.length() - v.length()) * unit(BETA), 1)
-            table[w] = MultiPoly._raw(kernel.prune(acc))
-    else:
+    base = family[:-1] if family.endswith("x") else family
+    op_kind = _FAMILY_OPS.get(base)
+    if op_kind is None:
         raise ValueError(f"unknown family {family!r}")
+    seed = top_class(n)
+    if base != family:
+        # the x-operators treat y as scalars, so peel the y=0 seed directly
+        seed = seed.set_zero("y")
+    tower = _descent_tower(seed, op_kind, "x", n)
+    w0 = longest(n)
+    table = {w: tower[(w.inverse() * w0)] for w in all_perms(n)}
     _TABLE_CACHE[key] = MappingProxyType(table)
     return _TABLE_CACHE[key]
 

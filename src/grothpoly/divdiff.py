@@ -11,6 +11,12 @@ Conventions, pinned by the printed rank-3 tables and enforced by tests:
   word of its operator agree.
 * ``isobaric`` with sign +1 sends 1 to -b and x_1 to 1; the squares obey
   pi+^2 = -b pi+ and pi-^2 = +b pi- (measured, and asserted in tests).
+* ``psi+`` = pi+ + b and ``psi-`` = pi- - b obey psi+^2 = b psi+ and
+  psi-^2 = -b psi-.  Along a reduced word of u their products are the
+  Bruhat-interval sums sum_{v<=u} b^(l(u)-l(v)) pi+_v and
+  sum_{v<=u} (-b)^(l(u)-l(v)) pi-_v: with T_i = -pi+_i / b idempotent,
+  psi+_i = b (1 - T_i), and in the 0-Hecke algebra the product of the
+  1 - T_i along a reduced word of u is sum_{v<=u} (-1)^l(v) T_v.
 
 >>> from .poly import xvar, one
 >>> print(divdiff(1, xvar(1) ** 2))
@@ -25,13 +31,15 @@ from typing import Iterable
 
 from . import _termkernel_py as kernel
 from ._packing import BETA, Var, adjacent_pair, unit
-from .perms import Permutation, bruhat_lower, first_reduced_word
+from .perms import Permutation, first_reduced_word
 from .poly import MultiPoly
 
 DEL = "del"
 PI_PLUS = "pi+"
 PI_MINUS = "pi-"
-OPERATOR_KINDS = (DEL, PI_PLUS, PI_MINUS)
+PSI_PLUS = "psi+"
+PSI_MINUS = "psi-"
+OPERATOR_KINDS = (DEL, PI_PLUS, PI_MINUS, PSI_PLUS, PSI_MINUS)
 
 _B_UNIT = unit(BETA)
 
@@ -60,6 +68,13 @@ def isobaric(i: int, f: MultiPoly, alphabet: str = "x", sign: int = 1) -> MultiP
     return MultiPoly._raw(kernel.prune(acc))
 
 
+def _psi(i: int, f: MultiPoly, alphabet: str, sign: int) -> MultiPoly:
+    """isobaric(i, f, sign) + sign * b * f."""
+    acc = isobaric(i, f, alphabet, sign)._t  # a fresh map, never shared
+    kernel.addmul(acc, f._t, _B_UNIT, sign)
+    return MultiPoly._raw(kernel.prune(acc))
+
+
 def apply_op(kind: str, i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
     if kind == DEL:
         return divdiff(i, f, alphabet)
@@ -67,6 +82,10 @@ def apply_op(kind: str, i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
         return isobaric(i, f, alphabet, 1)
     if kind == PI_MINUS:
         return isobaric(i, f, alphabet, -1)
+    if kind == PSI_PLUS:
+        return _psi(i, f, alphabet, 1)
+    if kind == PSI_MINUS:
+        return _psi(i, f, alphabet, -1)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -96,9 +115,4 @@ def apply_psi(w: Permutation, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
     >>> apply_psi(from_word([1], 2), one()).is_zero()
     True
     """
-    lw = w.length()
-    b = MultiPoly.variable(BETA)
-    total = MultiPoly.constant(0)
-    for v in bruhat_lower(w):
-        total = total + b ** (lw - v.length()) * apply_perm(PI_PLUS, v, f, alphabet)
-    return total
+    return apply_perm(PSI_PLUS, w, f, alphabet)

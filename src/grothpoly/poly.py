@@ -21,6 +21,8 @@ True
 from __future__ import annotations
 
 import json
+import operator
+from functools import reduce
 from typing import Iterable, Iterator, Mapping
 
 from . import _termkernel_py as kernel
@@ -34,6 +36,7 @@ from ._packing import (
     MASK_Y,
     MASK_Z,
     N_MAX,
+    NUM_SLOTS,
     XDEG_SHIFT,
     Var,
     display_sort_key,
@@ -50,6 +53,28 @@ from ._packing import (
 
 _B_UNIT = unit(BETA)
 _B_SHIFT = shift(BETA)
+_TOP_BITS = sum(1 << (s * FIELD_BITS + FIELD_BITS - 1) for s in range(NUM_SLOTS))
+
+
+def _field_maxima(t: dict[int, int]) -> list[int]:
+    return [max((m >> (s * FIELD_BITS)) & FIELD_MASK for m in t) for s in range(NUM_SLOTS)]
+
+
+def _check_product_fields(ta: dict[int, int], tb: dict[int, int]) -> None:
+    """Raise ValueError if some product of a term of ta and one of tb would
+    carry a field past FIELD_MASK.
+
+    Fields below 1 << 15 cannot carry when added, so one OR over each
+    operand's monomials settles the common case; only if a top bit is set
+    are the exact per-field maxima compared.
+    """
+    if not ta or not tb:
+        return
+    if not (reduce(operator.or_, ta, 0) | reduce(operator.or_, tb, 0)) & _TOP_BITS:
+        return
+    for a, b in zip(_field_maxima(ta), _field_maxima(tb)):
+        if a + b > FIELD_MASK:
+            raise ValueError(f"product would push an exponent past {FIELD_MASK}")
 
 
 class MultiPoly:
@@ -165,6 +190,7 @@ class MultiPoly:
                 return MultiPoly._raw({})
             return MultiPoly._raw({m: c * other for m, c in self._t.items()})
         if isinstance(other, MultiPoly):
+            _check_product_fields(self._t, other._t)
             return MultiPoly._raw(kernel.mul(self._t, other._t))
         return NotImplemented
 

@@ -30,12 +30,10 @@ from .classical import (
     family_table,
     top_class,
 )
-from .divdiff import DEL, PI_MINUS, PI_PLUS, apply_perm, apply_word
+from .divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_perm, apply_word
 from .perms import (
     Permutation,
     all_perms,
-    bruhat_lower,
-    bruhat_upper,
     identity,
     longest,
 )
@@ -273,6 +271,21 @@ def quantize(f: MultiPoly, ctx: QuantumContext) -> tuple[OperatorPoly, MultiPoly
 # ---------------------------------------------------------------------------
 
 
+# family -> (seed, operator) of its y-alphabet tower; member w is tower[w w0].
+# The psi towers are Bruhat-interval sums of their pi siblings (v >= w iff
+# v w0 <= w w0): qG_w = sum_{v>=w} (-b)^(l(v)-l(w)) qH_v, and bH_w is the
+# b-weighted sum of the bG tower below w w0.  bH is a psi+ tower, not a pi-
+# one: on the bold seed the two genuinely differ, and only psi+ matches the
+# y=0 slices.
+_QUANTUM_TOWERS = {
+    "qS": (quantum_top, DEL),
+    "qH": (quantum_top, PI_MINUS),
+    "qG": (quantum_top, PSI_MINUS),
+    "bG": (bold_top, PI_PLUS),
+    "bH": (bold_top, PSI_PLUS),
+}
+
+
 def quantum_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     """All members of one quantum family at rank n.
 
@@ -285,38 +298,15 @@ def quantum_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     table = ctx._tables.get(family)
     if table is not None:
         return table
-    w0 = longest(n)
     if family.endswith("x"):
+        # the towers act on y, so the y=0 tables are slices of the full ones
         full = quantum_table(n, family[:-1])
         table = {w: p.set_zero("y") for w, p in full.items()}
-    elif family == "qS":
-        tower = _descent_tower(quantum_top(ctx), DEL, "y", n)
+    elif family in _QUANTUM_TOWERS:
+        seed, op_kind = _QUANTUM_TOWERS[family]
+        tower = _descent_tower(seed(ctx), op_kind, "y", n)
+        w0 = longest(n)
         table = {w: tower[w * w0] for w in all_perms(n)}
-    elif family == "qH":
-        tower = _descent_tower(quantum_top(ctx), PI_MINUS, "y", n)
-        table = {w: tower[w * w0] for w in all_perms(n)}
-    elif family == "qG":
-        ht = quantum_table(n, "qH")
-        table = {}
-        for w in all_perms(n):
-            acc = zero()
-            for v in bruhat_upper(w):
-                acc = acc + ht[v] * ((beta() * -1) ** (v.length() - w.length()))
-            table[w] = acc
-    elif family == "bG":
-        tower = _descent_tower(bold_top(ctx), PI_PLUS, "y", n)
-        table = {w: tower[w * w0] for w in all_perms(n)}
-    elif family == "bH":
-        # the psi of the interval-sum kind, not a pi- tower: on this seed
-        # the two genuinely differ, and only the sum matches the y=0 slices
-        tower = _descent_tower(bold_top(ctx), PI_PLUS, "y", n)
-        table = {}
-        for w in all_perms(n):
-            u = w * w0
-            acc = zero()
-            for v in bruhat_lower(u):
-                acc = acc + tower[v] * (beta() ** (u.length() - v.length()))
-            table[w] = acc
     else:
         raise ValueError(f"unknown quantum family {family!r}")
     ctx._tables[family] = MappingProxyType(table)

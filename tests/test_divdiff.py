@@ -10,6 +10,8 @@ from grothpoly.divdiff import (
     DEL,
     PI_MINUS,
     PI_PLUS,
+    PSI_MINUS,
+    PSI_PLUS,
     apply_op,
     apply_perm,
     apply_psi,
@@ -21,7 +23,7 @@ from grothpoly.divdiff import (
 from grothpoly.perms import all_perms, bruhat_lower, from_word, reduced_words
 from grothpoly.poly import MultiPoly, beta, one, xvar, yvar, zero
 
-ALL_KINDS = (DEL, PI_PLUS, PI_MINUS)
+ALL_KINDS = (DEL, PI_PLUS, PI_MINUS, PSI_PLUS, PSI_MINUS)
 
 
 def random_poly(rng: random.Random, n: int = 4, terms: int = 6) -> MultiPoly:
@@ -71,6 +73,18 @@ class TestSingleOperators:
             minus = isobaric(i, f, sign=-1)
             assert isobaric(i, plus, sign=1) == -(beta() * plus)
             assert isobaric(i, minus, sign=-1) == beta() * minus
+
+    def test_psi_squares(self, rng):
+        # psi+ = pi+ + beta squares to +beta psi+, psi- = pi- - beta to -beta psi-
+        for _ in range(40):
+            f = random_poly(rng)
+            i = rng.randint(1, 3)
+            plus = apply_op(PSI_PLUS, i, f)
+            minus = apply_op(PSI_MINUS, i, f)
+            assert plus == isobaric(i, f, sign=1) + beta() * f
+            assert minus == isobaric(i, f, sign=-1) - beta() * f
+            assert apply_op(PSI_PLUS, i, plus) == beta() * plus
+            assert apply_op(PSI_MINUS, i, minus) == -(beta() * minus)
 
     def test_isobaric_on_invariants(self, rng):
         # an s_i-invariant g is an eigenvector: pi+ g = -beta g and
@@ -143,6 +157,8 @@ class TestRelations:
         assert apply_op(DEL, 2, f) == divdiff(2, f)
         assert apply_op(PI_PLUS, 2, f) == isobaric(2, f, sign=1)
         assert apply_op(PI_MINUS, 2, f) == isobaric(2, f, sign=-1)
+        assert apply_op(PSI_PLUS, 2, f) == isobaric(2, f, sign=1) + beta() * f
+        assert apply_op(PSI_MINUS, 2, f) == isobaric(2, f, sign=-1) - beta() * f
 
 
 class TestIntervalSums:

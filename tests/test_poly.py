@@ -191,6 +191,38 @@ def test_times_var_past_the_field_is_refused():
     assert beta().times_var(BETA, 65534) == beta() ** 65535
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (yvar(1) ** 40000, yvar(1) ** 30000),  # printed y1^4464*y2
+        (beta() ** 40000, beta() ** 30000),  # printed b^4464*z1
+        (xvar(1) ** 40000, xvar(2) ** 30000),  # x1, x2 fit; the x-degree carried
+        (one() + zvar(2) ** 65535, one() + zvar(2)),  # the top field, not the top bit
+    ],
+    ids=["y1", "b", "xdeg", "z2"],
+)
+def test_product_past_the_field_is_refused(a, b):
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        b * a
+
+
+def test_product_up_to_the_field_is_exact():
+    assert yvar(1) ** 40000 * yvar(1) ** 25535 == yvar(1) ** 65535
+    big = (one() + beta() ** 40000) * (xvar(1) ** 30000 + yvar(2) ** 40000)
+    assert big * (one() + beta() ** 25535) == big + big * beta() ** 25535
+
+
+def test_pack_refuses_x_degree_past_the_field():
+    with pytest.raises(ValueError):
+        pack({Var("x", 1): 40000, Var("x", 2): 30000})
+    with pytest.raises(ValueError):
+        MultiPoly({Var("x", 1): 40000, Var("x", 2): 30000})
+    m = pack({Var("x", 1): 40000, Var("x", 2): 25535})  # x-degree exactly FIELD_MASK
+    assert MultiPoly._raw({m: 1}) == xvar(1) ** 40000 * xvar(2) ** 25535
+
+
 def test_triple_binomial_expansion():
     # three binomial factors: 2*2*2 = 8 raw coefficient products, and all
     # eight stay distinct after collection

@@ -1,0 +1,110 @@
+"""The psi-operator towers behind H, qG and bH, and the y=0 seeded classical
+tables, against the Bruhat-interval sums they replace.
+
+The oracle below is the construction the tables used to be built with:
+pi+/pi- towers summed over lower or upper Bruhat intervals, and the y=0
+tables sliced out of the two-alphabet ones.  A last test makes sure no
+table build goes back to scanning Bruhat intervals.
+"""
+
+from __future__ import annotations
+
+import functools
+import sys
+
+import pytest
+
+from grothpoly import _termkernel_py as kernel
+from grothpoly import classical, quantum
+from grothpoly._packing import BETA, unit
+from grothpoly.classical import _descent_tower, family_table, top_class
+from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS
+from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, longest
+from grothpoly.poly import MultiPoly
+from grothpoly.quantum import bold_top, quantum_context, quantum_table, quantum_top
+
+_B = unit(BETA)
+
+
+def _interval_sum(tower, interval, ref_len, sign):
+    """sum over v in interval of (sign*b)^|l(v) - ref_len| * tower[v]."""
+    acc: dict[int, int] = {}
+    for v in interval:
+        d = abs(v.length() - ref_len)
+        kernel.addmul(acc, tower[v]._t, d * _B, sign**d)
+    return MultiPoly._raw(kernel.prune(acc))
+
+
+@functools.cache
+def _oracle_classical(n: int, family: str) -> dict:
+    """The two-alphabet table of "G", "H" or "S"."""
+    w0 = longest(n)
+    tower = _descent_tower(top_class(n), DEL if family == "S" else PI_PLUS, "x", n)
+    table = {}
+    for w in all_perms(n):
+        u = w.inverse() * w0
+        if family == "H":
+            table[w] = _interval_sum(tower, bruhat_lower(u), u.length(), 1)
+        else:
+            table[w] = tower[u]
+    return table
+
+
+def _oracle_quantum(n: int, family: str) -> dict:
+    ctx = quantum_context(n)
+    w0 = longest(n)
+    if family.startswith("qG"):
+        # qG_w = sum_{v >= w} (-b)^(l(v)-l(w)) qH_v
+        tower = _descent_tower(quantum_top(ctx), PI_MINUS, "y", n)
+        qh = {w: tower[w * w0] for w in all_perms(n)}
+        table = {w: _interval_sum(qh, bruhat_upper(w), w.length(), -1) for w in all_perms(n)}
+    else:
+        # bH_w = sum_{v <= w w0} b^(l(w w0)-l(v)) pi+_v(bold top)
+        tower = _descent_tower(bold_top(ctx), PI_PLUS, "y", n)
+        table = {}
+        for w in all_perms(n):
+            u = w * w0
+            table[w] = _interval_sum(tower, bruhat_lower(u), u.length(), 1)
+    if family.endswith("x"):
+        table = {w: p.set_zero("y") for w, p in table.items()}
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["H", "Hx", "Gx", "Sx"])
+def test_classical_tables_match_interval_sums(family, n):
+    table = family_table(n, family)
+    oracle = _oracle_classical(n, family.rstrip("x"))
+    if family.endswith("x"):
+        oracle = {w: p.set_zero("y") for w, p in oracle.items()}
+    assert set(table) == set(oracle)
+    for w, p in oracle.items():
+        assert table[w] == p, (family, w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", ["bH", "qG", "qGx"])
+def test_quantum_tables_match_interval_sums(family, n):
+    table = quantum_table(n, family)
+    oracle = _oracle_quantum(n, family)
+    assert set(table) == set(oracle)
+    for w, p in oracle.items():
+        assert table[w] == p, (family, w)
+
+
+def test_table_builds_never_scan_bruhat_intervals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table build scanned a Bruhat interval")
+
+    for name, module in list(sys.modules.items()):
+        if name == "grothpoly" or name.startswith("grothpoly."):
+            for fn in ("bruhat_lower", "bruhat_upper", "bruhat_leq"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    monkeypatch.setattr(quantum, "_CTX_CACHE", {})
+    for family in ("G", "H", "S", "Gx", "Hx", "Sx"):
+        assert len(family_table(4, family)) == 24
+    for family in ("qS", "qH", "qG", "bG", "bH"):
+        for name in (family, family + "x"):
+            assert len(quantum_table(3, name)) == 6
