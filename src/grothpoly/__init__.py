@@ -10,7 +10,6 @@ the five functions of the pure-Python kernel in _termkernel_py.
 
 from ._packing import N_MAX, Var
 from .classical import (
-    CLASSICAL_CHECKS,
     NormalFormContext,
     dual_grothendieck,
     dual_grothendieck_double,
@@ -21,12 +20,10 @@ from .classical import (
     schubert,
     schubert_double,
     top_class,
-    verify_classical,
 )
 from .perms import Permutation, all_perms, from_word, identity, longest
 from .poly import MultiPoly, beta, qvar, xvar, yvar, zvar
 from .quantum import (
-    QUANTUM_CHECKS,
     bold_family,
     quantize,
     quantum_dual_grothendieck,
@@ -35,18 +32,17 @@ from .quantum import (
     quantum_grothendieck_double,
     quantum_schubert,
     quantum_schubert_double,
-    verify_quantum,
 )
+from .report import CHECKS, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLASSICAL_CHECKS",
+    "CHECKS",
     "MultiPoly",
     "N_MAX",
     "NormalFormContext",
     "Permutation",
-    "QUANTUM_CHECKS",
     "Var",
     "all_perms",
     "beta",
@@ -71,8 +67,7 @@ __all__ = [
     "schubert",
     "schubert_double",
     "top_class",
-    "verify_classical",
-    "verify_quantum",
+    "verify",
     "xvar",
     "yvar",
     "zvar",

@@ -20,7 +20,7 @@ Eight indices per alphabet is deliberate headroom; the verification
 routines cap the rank well below that.
 """
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1

@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import time
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -32,7 +31,7 @@ from .perms import (
     transposition,
 )
 from .poly import MultiPoly, beta, const, den_poly, ominus, one, xvar, yvar, zero
-from .report import VerificationReport
+from .report import check
 
 # ---------------------------------------------------------------------------
 # symmetric-function helpers
@@ -514,15 +513,21 @@ def _recast_yz(f: MultiPoly) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _poly_json(p: MultiPoly) -> list:
-    return p.json_obj()
+def _cauchy_product(n: int) -> MultiPoly:
+    """prod_{i+j <= n} (x_i + y_j + b x_i y_j), the classical Cauchy right-hand side."""
+    p = one()
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            p = p * (xvar(i) + yvar(j) + beta() * xvar(i) * yvar(j))
+    return p
 
 
-def _check_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _cauchy_sum(n: int, ht: Mapping[Permutation, MultiPoly]) -> tuple[MultiPoly, dict[Var, int]]:
+    """The paired sum over w of h_w(x, y ominus z) * G_{w w0}(y, z) for an
+    H-type table ht, lifted over the common denominator, and that
+    denominator's exponents."""
     gt = family_table(n, "G")
-    ht = family_table(n, "H")
     w0 = longest(n)
-
     dens: dict[Var, int] = {}
     for h in ht.values():
         for i in range(1, n + 1):
@@ -531,23 +536,23 @@ def _check_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict |
             if d > dens.get(zi, 0):
                 dens[zi] = d
     bindings = {Var("y", i): ominus("z", i) for i in range(1, n + 1)}
-
     acc = zero()
     for w in all_perms(n):
-        r = ht[w].substitute(bindings)
-        num = r.lifted_num(dens)
+        num = ht[w].substitute(bindings).lifted_num(dens)
         acc = acc + num * _recast_yz(gt[w * w0])
+    return acc, dens
 
-    rhs = one()
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            rhs = rhs * (xvar(i) + yvar(j) + beta() * xvar(i) * yvar(j))
-    rhs = rhs * den_poly(dens)
+
+@check("cauchy")
+def _check_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+    acc, dens = _cauchy_sum(n, family_table(n, "H"))
+    rhs = _cauchy_product(n) * den_poly(dens)
     if acc == rhs:
         return True, None, None
-    return False, {"lhs": _poly_json(acc), "rhs": _poly_json(rhs)}, None
+    return False, {"lhs": acc.json_obj(), "rhs": rhs.json_obj()}, None
 
 
+@check("orthogonality")
 def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "Gx")
     ht = family_table(n, "Hx")
@@ -562,7 +567,7 @@ def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None,
             if val != expect:
                 return (
                     False,
-                    {"u": list(u.oneline), "v": list(v.oneline), "value": _poly_json(val)},
+                    {"u": list(u.oneline), "v": list(v.oneline), "value": val.json_obj()},
                     None,
                 )
             row.append(val.text())
@@ -573,6 +578,7 @@ def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None,
     return True, None, detail
 
 
+@check("pieri_simple")
 def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "Gx")
     ctx = NormalFormContext(n, "x")
@@ -590,14 +596,15 @@ def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, 
                     {
                         "w": list(w.oneline),
                         "k": k,
-                        "lhs": _poly_json(lhs),
-                        "rhs": _poly_json(rhs),
+                        "lhs": lhs.json_obj(),
+                        "rhs": rhs.json_obj(),
                     },
                     None,
                 )
     return True, None, {"chains": "saturated"}
 
 
+@check("pieri_double")
 def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
     last_fail: dict | None = None
@@ -618,7 +625,7 @@ def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, 
                         "ideal": ideal,
                         "w": list(w.oneline),
                         "k": k,
-                        "difference": _poly_json(lhs - rhs),
+                        "difference": (lhs - rhs).json_obj(),
                     }
                     break
             if not ok:
@@ -644,6 +651,7 @@ def _random_quotient_poly(n: int, rng: random.Random) -> MultiPoly:
     return MultiPoly._raw(terms)
 
 
+@check("interpolation")
 def _check_interpolation(n: int, rng: random.Random, samples: int | None = None) -> tuple[bool, dict | None, dict | None]:
     if samples is None:
         samples = 50 if n <= 3 else 12
@@ -661,12 +669,13 @@ def _check_interpolation(n: int, rng: random.Random, samples: int | None = None)
         if lhs != rhs:
             return (
                 False,
-                {"trial": trial, "f": _poly_json(f), "difference": _poly_json(lhs - rhs)},
+                {"trial": trial, "f": f.json_obj(), "difference": (lhs - rhs).json_obj()},
                 None,
             )
     return True, None, {"samples": samples}
 
 
+@check("involution")
 def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
     ht = family_table(n, "H")
@@ -685,7 +694,7 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
                 last_fail = {
                     "ideal": ideal,
                     "v": list(v.oneline),
-                    "difference": _poly_json(ctx.reduce(lhs - rhs)),
+                    "difference": ctx.reduce(lhs - rhs).json_obj(),
                 }
                 break
         if ok:
@@ -693,6 +702,7 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     return False, last_fail, None
 
 
+@check("moebius")
 def _check_moebius(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
     ht = family_table(n, "H")
@@ -702,15 +712,16 @@ def _check_moebius(n: int, rng: random.Random) -> tuple[bool, dict | None, dict 
         got = apply_perm(PI_PLUS, w0, ht[w], "x")
         expect = gid if w == w0 else zero()
         if got != expect:
-            return False, {"family": "H", "w": list(w.oneline), "value": _poly_json(got)}, None
+            return False, {"family": "H", "w": list(w.oneline), "value": got.json_obj()}, None
     for w in all_perms(n):
         got = apply_perm(PI_PLUS, w0, gt[w], "x")
         expect = gid * ((beta() * -1) ** (w0 * w).length())
         if got != expect:
-            return False, {"family": "G", "w": list(w.oneline), "value": _poly_json(got)}, None
+            return False, {"family": "G", "w": list(w.oneline), "value": got.json_obj()}, None
     return True, None, None
 
 
+@check("closed_forms")
 def _check_closed_forms(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gid = family_table(n, "G")[identity(n)]
     hid = family_table(n, "H")[identity(n)]
@@ -720,12 +731,13 @@ def _check_closed_forms(n: int, rng: random.Random) -> tuple[bool, dict | None, 
         gexp = gexp * (one() - beta() * yvar(k)) ** (n - k)
         hexp = hexp * (one() + beta() * xvar(k)) ** (n - k)
     if gid != gexp:
-        return False, {"family": "G", "difference": _poly_json(gid - gexp)}, None
+        return False, {"family": "G", "difference": (gid - gexp).json_obj()}, None
     if hid != hexp:
-        return False, {"family": "H", "difference": _poly_json(hid - hexp)}, None
+        return False, {"family": "H", "difference": (hid - hexp).json_obj()}, None
     return True, None, None
 
 
+@check("dominant")
 def _check_dominant(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
     gid = gt[identity(n)]
@@ -742,10 +754,11 @@ def _check_dominant(n: int, rng: random.Random) -> tuple[bool, dict | None, dict
                 lhs = lhs * (one() - beta() * yvar(i))
                 rhs = rhs * (xvar(k) + yvar(i))
         if lhs != rhs:
-            return False, {"w": list(w.oneline), "difference": _poly_json(lhs - rhs)}, None
+            return False, {"w": list(w.oneline), "difference": (lhs - rhs).json_obj()}, None
     return True, None, {"dominant_count": count}
 
 
+@check("duality")
 def _check_duality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
     ht = family_table(n, "H")
@@ -754,12 +767,13 @@ def _check_duality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict 
         if ht[w] != expect:
             return (
                 False,
-                {"w": list(w.oneline), "difference": _poly_json(ht[w] - expect)},
+                {"w": list(w.oneline), "difference": (ht[w] - expect).json_obj()},
                 None,
             )
     return True, None, None
 
 
+@check("inversion")
 def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
     ht = family_table(n, "H")
@@ -778,6 +792,7 @@ def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     return True, None, None
 
 
+@check("stability")
 def _check_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     """Embedding into rank n+1 fixes each family up to its identity-member
     normalisation: the quotient P_w / P_id is what embeds on the nose.  The
@@ -807,6 +822,7 @@ def _check_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     }
 
 
+@check("basis", soft=3, hard=4)
 def _check_basis(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "Gx")
     stair = _staircase_packed(n)
@@ -827,9 +843,10 @@ def _check_basis(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | 
     det = det_bareiss(rows)
     if det == one() or det == const(-1):
         return True, None, {"det": det.text()}
-    return False, {"det": _poly_json(det)}, None
+    return False, {"det": det.json_obj()}, None
 
 
+@check("free_module", soft=3, hard=4)
 def _check_free_module(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     st = family_table(n, "Sx")
     ctx = NormalFormContext(n, "unsigned")
@@ -838,7 +855,7 @@ def _check_free_module(n: int, rng: random.Random) -> tuple[bool, dict | None, d
     rows = []
     for w in by_length(n):
         reduced = ctx.reduce(st[w])
-        row = [0] * len(stair)
+        row = [zero()] * len(stair)
         for part, coeff in reduced.split_by_kinds(("x",)).items():
             j = index.get(part)
             if j is None:
@@ -847,89 +864,9 @@ def _check_free_module(n: int, rng: random.Random) -> tuple[bool, dict | None, d
                     {"w": list(w.oneline), "reason": "support outside staircase"},
                     None,
                 )
-            row[j] = coeff.set_zero("y").constant_term()
+            row[j] = const(coeff.set_zero("y").constant_term())
         rows.append(row)
-    det = _int_det(rows)
+    det = det_bareiss(rows).constant_term()
     if det != 0:
         return True, None, {"det_at_y0": det}
     return False, {"reason": "determinant vanished at y=0"}, None
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    size = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1]
-
-
-CLASSICAL_CHECKS = {
-    "cauchy": _check_cauchy,
-    "orthogonality": _check_orthogonality,
-    "pieri_simple": _check_pieri_simple,
-    "pieri_double": _check_pieri_double,
-    "interpolation": _check_interpolation,
-    "involution": _check_involution,
-    "moebius": _check_moebius,
-    "closed_forms": _check_closed_forms,
-    "dominant": _check_dominant,
-    "duality": _check_duality,
-    "inversion": _check_inversion,
-    "stability": _check_stability,
-    "basis": _check_basis,
-    "free_module": _check_free_module,
-}
-
-# ranks above these need force=True; hard caps are never crossed
-_DEFAULT_N = {"basis": 3, "free_module": 3}
-_HARD_N = {"basis": 4, "free_module": 4}
-_DEFAULT_N_ANY = 4
-_HARD_N_ANY = 5
-
-
-def rank_caps(check_id: str) -> tuple[int, int]:
-    """(default cap, forced cap) for one checker id."""
-    if check_id not in CLASSICAL_CHECKS:
-        raise KeyError(f"unknown check {check_id!r}")
-    return (
-        _DEFAULT_N.get(check_id, _DEFAULT_N_ANY),
-        _HARD_N.get(check_id, _HARD_N_ANY),
-    )
-
-
-def verify_classical(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
-    if check_id not in CLASSICAL_CHECKS:
-        raise KeyError(f"unknown check {check_id!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    soft = _DEFAULT_N.get(check_id, _DEFAULT_N_ANY)
-    hard = _HARD_N.get(check_id, _HARD_N_ANY)
-    if n > hard:
-        raise ValueError(f"{check_id} is capped at n={hard}")
-    if n > soft and not force:
-        raise ValueError(f"{check_id} above n={soft} needs force=True")
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    ok, counterexample, detail = CLASSICAL_CHECKS[check_id](n, rng)
-    ms = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        check_id=check_id,
-        n=n,
-        status="pass" if ok else "fail",
-        counterexample=counterexample,
-        ms=ms,
-        detail=detail,
-    )

@@ -26,7 +26,7 @@ from typing import Mapping
 from . import classical, quantum
 from .perms import Permutation, by_length, first_reduced_word, from_word
 from .poly import MultiPoly
-from .report import VerificationReport
+from .report import CHECKS, rank_caps, verify
 
 _FAMILIES = {
     # token -> (module kind, table name, latex symbol)
@@ -162,52 +162,36 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _catalog() -> list[tuple[str, str]]:
-    out = [("classical", cid) for cid in classical.CLASSICAL_CHECKS]
-    out += [("quantum", cid) for cid in quantum.QUANTUM_CHECKS]
-    return out
-
-
-def _run_one(task: tuple[str, str, int, int, bool]) -> VerificationReport:
-    kind, cid, n, seed, force = task
-    if kind == "classical":
-        return classical.verify_classical(cid, n, seed=seed, force=force)
-    return quantum.verify_quantum(cid, n, seed=seed, force=force)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    catalog = _catalog()
-    by_id = {cid: kind for kind, cid in catalog}
     if args.all:
         if args.ids:
             raise CliError("--all does not take explicit ids")
-        wanted = [(kind, cid) for kind, cid in catalog]
+        ids = list(CHECKS)
     else:
         if not args.ids:
             raise CliError("give identity ids or --all")
         for cid in args.ids:
-            if cid not in by_id:
+            if cid not in CHECKS:
                 raise CliError(f"unknown identity id {cid!r}")
-        wanted = [(by_id[cid], cid) for cid in args.ids]
+        ids = args.ids
 
     tasks = []
-    for kind, cid in wanted:
-        caps = classical.rank_caps(cid) if kind == "classical" else quantum.rank_caps(cid)
+    for cid in ids:
+        n = args.n
         if args.all:
             # the catalog run clamps each check to its default cap
-            n = min(args.n, caps[1] if args.force_n else caps[0])
-        else:
-            n = args.n
-        tasks.append((kind, cid, n, args.seed, args.force_n))
+            soft, hard = rank_caps(cid)
+            n = min(n, hard if args.force_n else soft)
+        tasks.append((cid, n, args.seed, args.force_n))
 
     workers = int(os.environ.get("GROTHPOLY_WORKERS", "1"))
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            reports = list(pool.imap(_run_one, tasks))
+            reports = pool.starmap(verify, tasks, chunksize=1)
     else:
-        reports = [_run_one(t) for t in tasks]
+        reports = [verify(*t) for t in tasks]
 
     failed = False
     for r in reports:

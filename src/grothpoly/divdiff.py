@@ -106,13 +106,3 @@ def apply_perm(kind: str, w: Permutation, f: MultiPoly, alphabet: str = "x") -> 
     """Operator indexed by a permutation, via any reduced word."""
     return apply_word(kind, first_reduced_word(w), f, alphabet)
 
-
-def apply_psi(w: Permutation, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
-    """sum over v <= w of b^(l(w)-l(v)) * pi+_v, applied to f.
-
-    >>> from .perms import from_word
-    >>> from .poly import one
-    >>> apply_psi(from_word([1], 2), one()).is_zero()
-    True
-    """
-    return apply_perm(PSI_PLUS, w, f, alphabet)

@@ -14,7 +14,7 @@ left to right:
 from __future__ import annotations
 
 from itertools import permutations as _itertools_perms
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Permutation:

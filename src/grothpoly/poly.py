@@ -30,17 +30,10 @@ from ._packing import (
     BETA,
     FIELD_BITS,
     FIELD_MASK,
-    MASK_B,
-    MASK_Q,
-    MASK_X,
-    MASK_Y,
-    MASK_Z,
-    N_MAX,
     NUM_SLOTS,
     XDEG_SHIFT,
     Var,
     display_sort_key,
-    exponent,
     has_kind,
     kind_degree,
     kind_mask,
@@ -75,6 +68,41 @@ def _check_product_fields(ta: dict[int, int], tb: dict[int, int]) -> None:
     for a, b in zip(_field_maxima(ta), _field_maxima(tb)):
         if a + b > FIELD_MASK:
             raise ValueError(f"product would push an exponent past {FIELD_MASK}")
+
+
+def _term_renderer(name, power: tuple[str, str], sep: str):
+    """A MultiPoly renderer: signed terms in canonical order, each factor
+    name(v), or name(v) + pre + e + post for an exponent e above 1 where
+    (pre, post) = power, factors and coefficient joined by sep.
+
+    text() and latex() are built from it rather than calling a shared
+    helper, so each stays one call with the term loop inside it.
+    """
+    pre, post = power
+
+    def render(self: "MultiPoly") -> str:
+        if not self._t:
+            return "0"
+        chunks: list[str] = []
+        for exps, c in self.monomials():
+            body = sep.join(
+                name(v) if e == 1 else f"{name(v)}{pre}{e}{post}"
+                for v, e in sorted(exps.items(), key=lambda p: display_sort_key(p[0]))
+            )
+            mag = abs(c)
+            if not body:
+                piece = str(mag)
+            elif mag == 1:
+                piece = body
+            else:
+                piece = f"{mag}{sep}{body}"
+            if not chunks:
+                chunks.append(piece if c > 0 else f"-{piece}")
+            else:
+                chunks.append(f" + {piece}" if c > 0 else f" - {piece}")
+        return "".join(chunks)
+
+    return render
 
 
 class MultiPoly:
@@ -149,13 +177,6 @@ class MultiPoly:
 
     def constant_term(self) -> int:
         return self._t.get(0, 0)
-
-    def leading(self) -> tuple[dict[Var, int], int]:
-        """(monomial, coefficient) at the maximum of the graded order."""
-        if not self._t:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self._t)
-        return unpack(m), self._t[m]
 
     # -- ring operations ----------------------------------------------
 
@@ -392,53 +413,10 @@ class MultiPoly:
 
     # -- rendering ----------------------------------------------------
 
-    def text(self) -> str:
-        if not self._t:
-            return "0"
-        chunks: list[str] = []
-        for exps, c in self.monomials():
-            body = "*".join(
-                v.name() if e == 1 else f"{v.name()}^{e}"
-                for v, e in sorted(exps.items(), key=lambda p: display_sort_key(p[0]))
-            )
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if c > 0 else f"-{piece}")
-            else:
-                chunks.append(f" + {piece}" if c > 0 else f" - {piece}")
-        return "".join(chunks)
-
-    def latex(self) -> str:
-        if not self._t:
-            return "0"
-
-        def vname(v: Var) -> str:
-            return r"\beta" if v.kind == "b" else f"{v.kind}_{{{v.index}}}"
-
-        chunks: list[str] = []
-        for exps, c in self.monomials():
-            body = " ".join(
-                vname(v) if e == 1 else f"{vname(v)}^{{{e}}}"
-                for v, e in sorted(exps.items(), key=lambda p: display_sort_key(p[0]))
-            )
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag} {body}"
-            if not chunks:
-                chunks.append(piece if c > 0 else f"-{piece}")
-            else:
-                chunks.append(f" + {piece}" if c > 0 else f" - {piece}")
-        return "".join(chunks)
+    text = _term_renderer(Var.name, ("^", ""), "*")
+    latex = _term_renderer(
+        lambda v: r"\beta" if v.kind == "b" else f"{v.kind}_{{{v.index}}}", ("^{", "}"), " "
+    )
 
     def json_obj(self) -> list[dict]:
         out = []

@@ -15,16 +15,15 @@ alphabet, exactly as in the classical module.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from ._packing import FIELD_MASK, Var, shift
 from .classical import (
+    _cauchy_product,
+    _cauchy_sum,
     _descent_tower,
-    _poly_json,
-    _recast_yz,
     elementary,
     eta,
     family_table,
@@ -41,14 +40,12 @@ from .poly import (
     MultiPoly,
     beta,
     den_poly,
-    ominus,
     one,
     qvar,
     xvar,
-    yvar,
     zero,
 )
-from .report import VerificationReport
+from .report import check
 
 
 class QuantumContext:
@@ -348,15 +345,17 @@ def bold_family(w: Permutation, kind: str) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
+@check("theorem1", hard=4)
 def _check_theorem1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     ctx = quantum_context(n)
     got = eval_at_X(quantum_top(ctx), ctx)
     expect = top_class(n)
     if got == expect:
         return True, None, None
-    return False, {"difference": _poly_json(got - expect)}, None
+    return False, {"difference": (got - expect).json_obj()}, None
 
 
+@check("corollary1", hard=4)
 def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     ctx = quantum_context(n)
     qs = quantum_table(n, "qS")
@@ -368,46 +367,29 @@ def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, di
         if got != st[w]:
             return (
                 False,
-                {"family": "qS", "w": list(w.oneline), "difference": _poly_json(got - st[w])},
+                {"family": "qS", "w": list(w.oneline), "difference": (got - st[w]).json_obj()},
                 None,
             )
         got = eval_at_X(qh[w], ctx)
         if got != ht[w]:
             return (
                 False,
-                {"family": "qH", "w": list(w.oneline), "difference": _poly_json(got - ht[w])},
+                {"family": "qH", "w": list(w.oneline), "difference": (got - ht[w]).json_obj()},
                 None,
             )
     return True, None, None
 
 
+@check("quantum_cauchy", soft=3, hard=4)
 def _check_quantum_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    ctx = quantum_context(n)
-    qh = quantum_table(n, "qH")
-    gt = family_table(n, "G")
-    w0 = longest(n)
-
-    dens: dict[Var, int] = {}
-    for h in qh.values():
-        for i in range(1, n + 1):
-            d = h.max_exponent(Var("y", i))
-            zi = Var("z", i)
-            if d > dens.get(zi, 0):
-                dens[zi] = d
-    bindings = {Var("y", i): ominus("z", i) for i in range(1, n + 1)}
-
-    acc = zero()
-    for w in all_perms(n):
-        r = qh[w].substitute(bindings)
-        num = r.lifted_num(dens)
-        acc = acc + num * _recast_yz(gt[w * w0])
-
-    rhs = bold_top(ctx) * den_poly(dens)
+    acc, dens = _cauchy_sum(n, quantum_table(n, "qH"))
+    rhs = bold_top(quantum_context(n)) * den_poly(dens)
     if acc == rhs:
         return True, None, None
-    return False, {"difference": _poly_json(acc - rhs)}, None
+    return False, {"difference": (acc - rhs).json_obj()}, None
 
 
+@check("corollary2", hard=4)
 def _check_corollary2(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     qgx = quantum_table(n, "qGx")
     qhx = quantum_table(n, "qHx")
@@ -428,12 +410,13 @@ def _check_corollary2(n: int, rng: random.Random) -> tuple[bool, dict | None, di
         if acc != qgx[w]:
             return (
                 False,
-                {"bullet": 3, "w": list(w.oneline), "difference": _poly_json(acc - qgx[w])},
+                {"bullet": 3, "w": list(w.oneline), "difference": (acc - qgx[w]).json_obj()},
                 None,
             )
     return True, None, None
 
 
+@check("remark_id", hard=4)
 def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     """The bottom of the isobaric tower against the beta-weighted top,
     plus the alphabet-swap line.
@@ -456,7 +439,7 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     elif qh_id == weighted:
         detail["weighted_member"] = "H"
     else:
-        return False, {"part": "beta_weighted", "value": _poly_json(weighted)}, None
+        return False, {"part": "beta_weighted", "value": weighted.json_obj()}, None
 
     swapped = qg_id.negate_beta().swap_kinds("x", "y")
     if qh_id == swapped:
@@ -468,7 +451,7 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
         else:
             qzero = {i: 0 for i in range(1, n)}
             if qh_id.specialize_q(qzero) != swapped.specialize_q(qzero):
-                return False, {"part": "swap at q=0", "difference": _poly_json(qh_id - swapped)}, None
+                return False, {"part": "swap at q=0", "difference": (qh_id - swapped).json_obj()}, None
             detail["swap_q"] = "fails with q (q=0 limit holds)"
     return True, None, detail
 
@@ -488,6 +471,7 @@ def _random_x_poly(n: int, rng: random.Random, max_deg: int = 4) -> MultiPoly:
     return p
 
 
+@check("quantization_props", hard=4)
 def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     ctx = quantum_context(n)
     for k in range(1, n + 1):
@@ -501,7 +485,7 @@ def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | 
         f = _random_x_poly(n, rng)
         op, _ = quantize(f, ctx)
         if op.value_at_one(ctx) != f:
-            return False, {"part": "roundtrip", "trial": trial, "f": _poly_json(f)}, None
+            return False, {"part": "roundtrip", "trial": trial, "f": f.json_obj()}, None
     for trial in range(10):
         # multiplicativity against a symmetric factor: the quantization of
         # f*g factors as the quantization of f (which lands on the e->e~
@@ -523,12 +507,13 @@ def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | 
         if fq != qs[w]:
             return (
                 False,
-                {"part": "schubert", "w": list(w.oneline), "difference": _poly_json(fq - qs[w])},
+                {"part": "schubert", "w": list(w.oneline), "difference": (fq - qs[w]).json_obj()},
                 None,
             )
     return True, None, {"roundtrips": roundtrips}
 
 
+@check("commuting", hard=4)
 def _check_commuting(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     ctx = quantum_context(n)
     trials = 0
@@ -542,12 +527,13 @@ def _check_commuting(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
                 if lhs != rhs:
                     return (
                         False,
-                        {"i": i, "j": j, "f": _poly_json(f)},
+                        {"i": i, "j": j, "f": f.json_obj()},
                         None,
                     )
     return True, None, {"assertions": trials}
 
 
+@check("classical_limit", hard=4)
 def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     ctx = quantum_context(n)
     qzero = {i: 0 for i in range(1, n)}
@@ -562,17 +548,13 @@ def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | Non
     for w in all_perms(n):
         if quantum_table(n, "qG")[w].specialize_q(qzero).specialize_beta(0) != st[w]:
             return False, {"family": "qG at beta=0", "w": list(w.oneline)}, None
-    rhs_classical = one()
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            rhs_classical = rhs_classical * (
-                xvar(i) + yvar(j) + beta() * xvar(i) * yvar(j)
-            )
-    if bold_top(ctx).specialize_q(qzero) != rhs_classical:
+    if bold_top(ctx).specialize_q(qzero) != _cauchy_product(n):
         return False, {"family": "bold top"}, None
     return True, None, None
 
 
+# embeds into rank n+1, and the quantum tables stop at 4
+@check("quantum_stability", soft=3, hard=3)
 def _check_quantum_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     m = n + 1
     detail: dict = {}
@@ -593,55 +575,3 @@ def _check_quantum_stability(n: int, rng: random.Random) -> tuple[bool, dict | N
             continue
         return False, {"family": fam, "mode": "neither exact nor ratio"}, None
     return True, None, detail
-
-
-QUANTUM_CHECKS = {
-    "theorem1": _check_theorem1,
-    "corollary1": _check_corollary1,
-    "quantum_cauchy": _check_quantum_cauchy,
-    "corollary2": _check_corollary2,
-    "remark_id": _check_remark_id,
-    "quantization_props": _check_quantization_props,
-    "commuting": _check_commuting,
-    "classical_limit": _check_classical_limit,
-    "quantum_stability": _check_quantum_stability,
-}
-
-_DEFAULT_N = {"quantum_cauchy": 3, "quantum_stability": 3}
-_DEFAULT_N_ANY = 4
-_HARD_N_ANY = 4
-
-
-def rank_caps(check_id: str) -> tuple[int, int]:
-    """(default cap, forced cap) for one checker id.
-
-    quantum_stability keeps 3 even when forced: it embeds into rank n+1
-    and the quantum tables stop at 4.
-    """
-    if check_id not in QUANTUM_CHECKS:
-        raise KeyError(f"unknown check {check_id!r}")
-    soft = _DEFAULT_N.get(check_id, _DEFAULT_N_ANY)
-    hard = 3 if check_id == "quantum_stability" else _HARD_N_ANY
-    return soft, hard
-
-
-def verify_quantum(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    soft, hard = rank_caps(check_id)
-    if n > hard:
-        raise ValueError(f"{check_id} is capped at n={hard}")
-    if n > soft and not force:
-        raise ValueError(f"{check_id} above n={soft} needs force=True")
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    ok, counterexample, detail = QUANTUM_CHECKS[check_id](n, rng)
-    ms = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        check_id=check_id,
-        n=n,
-        status="pass" if ok else "fail",
-        counterexample=counterexample,
-        ms=ms,
-        detail=detail,
-    )

@@ -1,9 +1,41 @@
-"""Verification report records shared by the identity checkers and the CLI."""
+"""The identity-check registry, the one entry point that runs a check, and
+the report record it returns.
+
+A checker is registered with ``@check(id, soft=..., hard=...)``: ``soft`` is
+the default rank cap, ``hard`` the cap that ``force`` lifts it to.  The
+catalog order is definition order, classical checks first, because the
+quantum module imports the classical one.
+"""
 
 from __future__ import annotations
 
 import json
+import random
+import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+# (ok, counterexample, detail)
+Verdict = tuple[bool, "dict | None", "dict | None"]
+
+
+class Check(NamedTuple):
+    fn: Callable[[int, random.Random], Verdict]
+    soft: int  # default rank cap
+    hard: int  # rank cap with force
+
+
+CHECKS: dict[str, Check] = {}
+
+
+def check(check_id: str, soft: int = 4, hard: int = 5):
+    """Register the decorated checker under check_id with its rank caps."""
+
+    def register(fn: Callable[[int, random.Random], Verdict]):
+        CHECKS[check_id] = Check(fn, soft, hard)
+        return fn
+
+    return register
 
 
 @dataclass
@@ -37,3 +69,34 @@ class VerificationReport:
         if self.detail:
             extra = " " + json.dumps(self.detail, separators=(",", ":"))
         return f"{mark} {self.check_id} n={self.n} ({self.ms:.1f} ms){extra}"
+
+
+def rank_caps(check_id: str) -> tuple[int, int]:
+    """(default cap, forced cap) for one check id."""
+    if check_id not in CHECKS:
+        raise KeyError(f"unknown check {check_id!r}")
+    c = CHECKS[check_id]
+    return c.soft, c.hard
+
+
+def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
+    """Run one registered check at rank n; ranks above the default cap need force."""
+    soft, hard = rank_caps(check_id)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > hard:
+        raise ValueError(f"{check_id} is capped at n={hard}")
+    if n > soft and not force:
+        raise ValueError(f"{check_id} above n={soft} needs --force-n")
+    rng = random.Random(seed)
+    start = time.perf_counter()
+    ok, counterexample, detail = CHECKS[check_id].fn(n, rng)
+    ms = (time.perf_counter() - start) * 1000.0
+    return VerificationReport(
+        check_id=check_id,
+        n=n,
+        status="pass" if ok else "fail",
+        counterexample=counterexample,
+        ms=ms,
+        detail=detail,
+    )

@@ -22,14 +22,13 @@ from grothpoly.classical import (
     elementary,
     family_table,
     staircase_monomials,
-    verify_classical,
 )
 from grothpoly.divdiff import (
     DEL,
     PI_MINUS,
     PI_PLUS,
+    PSI_PLUS,
     apply_perm,
-    apply_psi,
     apply_word,
     divdiff,
     isobaric,
@@ -44,8 +43,8 @@ from grothpoly.quantum import (
     quantum_context,
     quantum_elementary,
     quantum_table,
-    verify_quantum,
 )
+from grothpoly.report import verify
 
 SEED = 20240811
 
@@ -179,7 +178,7 @@ def test_reparse_helper_roundtrips():
 
 def test_c03_cauchy(criteria_log):
     start = time.perf_counter()
-    reps = [verify_classical("cauchy", n, seed=SEED) for n in (2, 3, 4)]
+    reps = [verify("cauchy", n, seed=SEED) for n in (2, 3, 4)]
     dt = _elapsed(start)
     ok = all(r.ok for r in reps) and dt <= 60.0
     criteria_log(
@@ -191,7 +190,7 @@ def test_c03_cauchy(criteria_log):
 
 def test_c04_quantum_cauchy(criteria_log):
     start = time.perf_counter()
-    reps = [verify_quantum("quantum_cauchy", n, seed=SEED) for n in (2, 3)]
+    reps = [verify("quantum_cauchy", n, seed=SEED) for n in (2, 3)]
     dt = _elapsed(start)
     ok = all(r.ok for r in reps) and dt <= 60.0
     criteria_log(
@@ -203,8 +202,8 @@ def test_c04_quantum_cauchy(criteria_log):
 
 def test_c05_quantization_identities(criteria_log):
     start = time.perf_counter()
-    reps = [verify_quantum("theorem1", n, seed=SEED) for n in (2, 3, 4)]
-    reps += [verify_quantum("corollary1", n, seed=SEED) for n in (2, 3)]
+    reps = [verify("theorem1", n, seed=SEED) for n in (2, 3, 4)]
+    reps += [verify("corollary1", n, seed=SEED) for n in (2, 3)]
     dt = _elapsed(start)
     ok = all(r.ok for r in reps)
     criteria_log(
@@ -216,7 +215,7 @@ def test_c05_quantization_identities(criteria_log):
 
 def test_c06_orthogonality(criteria_log):
     start = time.perf_counter()
-    reps = [verify_classical("orthogonality", n, seed=SEED) for n in (3, 4)]
+    reps = [verify("orthogonality", n, seed=SEED) for n in (3, 4)]
     dt = _elapsed(start)
     ok = all(r.ok for r in reps) and dt <= 120.0
     criteria_log(
@@ -228,8 +227,8 @@ def test_c06_orthogonality(criteria_log):
 
 def test_c07_pieri(criteria_log):
     start = time.perf_counter()
-    reps = [verify_classical("pieri_simple", n, seed=SEED) for n in (3, 4)]
-    double = verify_classical("pieri_double", 3, seed=SEED)
+    reps = [verify("pieri_simple", n, seed=SEED) for n in (3, 4)]
+    double = verify("pieri_double", 3, seed=SEED)
     reps.append(double)
     dt = _elapsed(start)
     ok = all(r.ok for r in reps)
@@ -244,8 +243,8 @@ def test_c07_pieri(criteria_log):
 
 def test_c08_interpolation(criteria_log):
     start = time.perf_counter()
-    r3 = verify_classical("interpolation", 3, seed=SEED)
-    r4 = verify_classical("interpolation", 4, seed=SEED)
+    r3 = verify("interpolation", 3, seed=SEED)
+    r4 = verify("interpolation", 4, seed=SEED)
     dt = _elapsed(start)
     s3 = (r3.detail or {}).get("samples", 0)
     s4 = (r4.detail or {}).get("samples", 0)
@@ -259,7 +258,7 @@ def test_c08_interpolation(criteria_log):
 
 def test_c09_involution_congruence(criteria_log):
     start = time.perf_counter()
-    rep = verify_classical("involution", 3, seed=SEED)
+    rep = verify("involution", 3, seed=SEED)
     dt = _elapsed(start)
     convention = (rep.detail or {}).get("ideal")
     criteria_log(
@@ -356,10 +355,10 @@ def test_c10_operator_suite(criteria_log):
                 summed = summed + apply_perm(PI_PLUS, v, f) * (
                     beta() ** (w.length() - v.length())
                 )
-            check(apply_psi(w, f) == summed)
+            check(apply_perm(PSI_PLUS, w, f) == summed)
             back = zero()
             for v in bruhat_lower(w):
-                back = back + apply_psi(v, f) * (
+                back = back + apply_perm(PSI_PLUS, v, f) * (
                     (-beta()) ** (w.length() - v.length())
                 )
             check(back == apply_perm(PI_PLUS, w, f))
@@ -446,8 +445,8 @@ def test_c12_normal_forms(criteria_log):
                         if v.kind == "x":
                             ok = ok and e <= n - v.index
 
-    reps = [verify_classical("basis", n, seed=SEED) for n in (2, 3)]
-    reps.append(verify_classical("basis", 4, seed=SEED, force=True))
+    reps = [verify("basis", n, seed=SEED) for n in (2, 3)]
+    reps.append(verify("basis", 4, seed=SEED, force=True))
     dets = [(r.detail or {}).get("det") for r in reps]
     ok = ok and all(r.ok for r in reps)
 
@@ -490,13 +489,13 @@ def test_c13_degenerations(criteria_log):
         )
 
     reps = []
-    reps += [verify_classical("closed_forms", n, seed=SEED) for n in (2, 3, 4)]
-    reps += [verify_classical("moebius", n, seed=SEED) for n in (2, 3)]
-    reps += [verify_classical("duality", n, seed=SEED) for n in (2, 3)]
-    reps.append(verify_classical("dominant", 4, seed=SEED))
-    reps += [verify_classical("stability", n, seed=SEED) for n in (2, 3)]
-    reps += [verify_quantum("classical_limit", n, seed=SEED) for n in (2, 3)]
-    reps += [verify_quantum("corollary2", n, seed=SEED) for n in (2, 3)]
+    reps += [verify("closed_forms", n, seed=SEED) for n in (2, 3, 4)]
+    reps += [verify("moebius", n, seed=SEED) for n in (2, 3)]
+    reps += [verify("duality", n, seed=SEED) for n in (2, 3)]
+    reps.append(verify("dominant", 4, seed=SEED))
+    reps += [verify("stability", n, seed=SEED) for n in (2, 3)]
+    reps += [verify("classical_limit", n, seed=SEED) for n in (2, 3)]
+    reps += [verify("corollary2", n, seed=SEED) for n in (2, 3)]
     ok = ok and all(r.ok for r in reps)
 
     dt = _elapsed(start)

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly.classical import (
-    CLASSICAL_CHECKS,
     IDEALS,
     NormalFormContext,
     complete_h,
+    det_bareiss,
     dual_grothendieck,
     dual_grothendieck_double,
     elementary,
@@ -26,13 +26,11 @@ from grothpoly.classical import (
     monk_expansion,
     pairing0,
     pieri_targets,
-    rank_caps,
     scalar_product,
     schubert,
     schubert_double,
     staircase_monomials,
     top_class,
-    verify_classical,
 )
 from grothpoly._packing import FIELD_MASK, Var, exponent, pack, unit
 from grothpoly.divdiff import PI_PLUS, apply_perm
@@ -46,7 +44,8 @@ from grothpoly.perms import (
     identity,
     longest,
 )
-from grothpoly.poly import MultiPoly, beta, one, xvar, yvar, zero
+from grothpoly.poly import MultiPoly, beta, const, one, xvar, yvar, zero
+from grothpoly.report import CHECKS, rank_caps, verify
 
 # Frozen rank-3 values, hand-checked against the reference table the
 # families were calibrated on.  Keys are reduced words ("" = identity).
@@ -365,31 +364,52 @@ class TestPieri:
                         assert bruhat_leq(w, v)
 
 
-CHECK_BUDGET_N = {"basis": 3, "free_module": 3}
+def _leibniz_det(rows: list[list[int]]) -> int:
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_bareiss_on_integer_matrices(rng):
+    # free_module takes its integer determinant through det_bareiss; sparse
+    # entries force the row swaps and the vanishing-column exit
+    for _ in range(60):
+        size = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(size)] for _ in range(size)]
+        got = det_bareiss([[const(c) for c in row] for row in rows])
+        assert got == const(_leibniz_det(rows))
+
+
+CLASSICAL_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.classical"]
 
 
 class TestCheckerCatalog:
-    @pytest.mark.parametrize("check_id", sorted(CLASSICAL_CHECKS))
+    @pytest.mark.parametrize("check_id", sorted(CLASSICAL_IDS))
     @pytest.mark.parametrize("n", [2, 3])
     def test_catalog_passes(self, check_id, n):
         n = min(n, rank_caps(check_id)[0])
-        rep = verify_classical(check_id, n, seed=1)
+        rep = verify(check_id, n, seed=1)
         assert rep.ok, (check_id, rep.counterexample)
         assert rep.counterexample is None
         assert rep.n == n
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError):
-            verify_classical("no_such_check", 3)
+            verify("no_such_check", 3)
         with pytest.raises(KeyError):
             rank_caps("no_such_check")
 
     def test_rank_cap_enforced(self):
         with pytest.raises(ValueError):
-            verify_classical("basis", 5)
+            verify("basis", 5)
 
     def test_report_shape(self):
-        rep = verify_classical("cauchy", 2)
+        rep = verify("cauchy", 2)
         line = rep.json_line()
         import json
 

@@ -6,11 +6,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from grothpoly import classical, cli
-from grothpoly.report import VerificationReport
+from grothpoly import cli
+from grothpoly.report import CHECKS, Check
 
 
 def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -164,12 +165,18 @@ class TestVerify:
         r = run_cli("verify", "basis", "--n", "5")
         assert r.returncode == 2
 
+    def test_above_default_cap_names_the_flag(self):
+        r = run_cli("verify", "quantum_cauchy", "--n", "4")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {"error": "quantum_cauchy above n=3 needs --force-n"}
+
     def test_all_catalog_order_and_clamp(self):
         r = run_cli("verify", "--all", "--n", "2", env={"GROTHPOLY_WORKERS": "2"})
         assert r.returncode == 0
         rows = [json.loads(line) for line in r.stdout.splitlines()]
         ids = [row["id"] for row in rows]
-        assert ids == [cid for _, cid in cli._catalog()]
+        assert ids == list(CHECKS)
         assert all(row["status"] == "pass" for row in rows)
 
     def test_all_conflicts_with_ids(self):
@@ -180,13 +187,25 @@ class TestVerify:
         def broken(n, rng):
             return False, {"w": [1, 2]}, None
 
-        monkeypatch.setitem(classical.CLASSICAL_CHECKS, "always_red", broken)
+        monkeypatch.setitem(CHECKS, "always_red", Check(broken, 4, 5))
         code = cli.main(["verify", "always_red", "--n", "2"])
         out = capsys.readouterr().out
         assert code == 1
         obj = json.loads(out.strip())
         assert obj["status"] == "fail"
         assert obj["counterexample"] == {"w": [1, 2]}
+
+    def test_readme_catalog_matches_registry(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("### Verification catalog", 1)[1]
+        rows = []
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| `"):
+                rows.append((cells[0].strip("`"), int(cells[1]), int(cells[2])))
+            elif rows:
+                break
+        assert rows == [(cid, c.soft, c.hard) for cid, c in CHECKS.items()]
 
     def test_text_format(self):
         r = run_cli("verify", "orthogonality", "--n", "2", "--format", "text")

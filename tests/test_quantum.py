@@ -19,7 +19,6 @@ from grothpoly.perms import (
 )
 from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero
 from grothpoly.quantum import (
-    QUANTUM_CHECKS,
     apply_X,
     bold_family,
     bold_top,
@@ -31,9 +30,8 @@ from grothpoly.quantum import (
     quantum_grothendieck_double,
     quantum_table,
     quantum_top,
-    rank_caps,
-    verify_quantum,
 )
+from grothpoly.report import CHECKS, rank_caps, verify
 
 
 def naive_det(mat: list[list[MultiPoly]]) -> MultiPoly:
@@ -344,23 +342,26 @@ class TestQuantization:
             assert fq == st[w]
 
 
+QUANTUM_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.quantum"]
+
+
 class TestQuantumCheckers:
-    @pytest.mark.parametrize("check_id", sorted(QUANTUM_CHECKS))
+    @pytest.mark.parametrize("check_id", sorted(QUANTUM_IDS))
     @pytest.mark.parametrize("n", [2, 3])
     def test_catalog_passes(self, check_id, n):
         n = min(n, rank_caps(check_id)[0])
-        rep = verify_quantum(check_id, n, seed=1)
+        rep = verify(check_id, n, seed=1)
         assert rep.ok, (check_id, rep.counterexample)
         assert rep.counterexample is None
 
     def test_remark_detail(self):
-        rep = verify_quantum("remark_id", 3)
+        rep = verify("remark_id", 3)
         assert rep.ok
         assert rep.detail["weighted_member"] == "H"
         assert "swap_q" in rep.detail
 
     def test_stability_modes(self):
-        rep = verify_quantum("quantum_stability", 3)
+        rep = verify("quantum_stability", 3)
         assert rep.ok
         assert rep.detail["qS"] == "exact"
         assert rep.detail["qG"] == "ratio"
@@ -368,6 +369,6 @@ class TestQuantumCheckers:
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):
-            verify_quantum("quantum_cauchy", 4)
-        rep = verify_quantum("quantum_cauchy", 4, force=True)
+            verify("quantum_cauchy", 4)
+        rep = verify("quantum_cauchy", 4, force=True)
         assert rep.ok
