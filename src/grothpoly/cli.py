@@ -184,8 +184,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             n = min(n, hard if args.force_n else soft)
         tasks.append((cid, n, args.seed, args.force_n))
 
-    workers = int(os.environ.get("GROTHPOLY_WORKERS", "1"))
-    if workers > 1 and len(tasks) > 1:
+    raw = os.environ.get("GROTHPOLY_WORKERS", "1")
+    try:
+        workers = min(int(raw), len(tasks))
+    except ValueError:
+        raise CliError(f"GROTHPOLY_WORKERS must be an integer, got {raw!r}")
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:

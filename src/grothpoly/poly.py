@@ -6,11 +6,6 @@ x1..x8, y1..y8, z1..z8 (alphabets), b (the deformation parameter) and
 q1..q7 (deformation coordinates).  Coefficients are arbitrary-precision
 ints, never floats.
 
-RatExpr is the small rational layer needed by a handful of identities:
-a numerator polynomial over a tracked denominator prod (1 - b*v)^e where
-every v is a y or z variable.  Equality is decided by cross-multiplying,
-so no gcd machinery is needed.
-
 >>> f = (xvar(1) + yvar(1)) * (xvar(2) + yvar(1))
 >>> print(f)
 y1^2 + x1*y1 + x2*y1 + x1*x2
@@ -368,32 +363,6 @@ class MultiPoly:
             groups.setdefault(key, {})[m - key] = c
         return {k: MultiPoly._raw(t) for k, t in groups.items()}
 
-    def substitute(self, bindings: Mapping[Var, "RatExpr | MultiPoly | int"]) -> "RatExpr":
-        """Simultaneous substitution; the result is a tracked-denominator ratio."""
-        binds: dict[Var, RatExpr] = {v: RatExpr.lift(r) for v, r in bindings.items()}
-        bvars = sorted(binds, key=display_sort_key)
-        shifts = [shift(v) for v in bvars]
-        units = [unit(v) for v in bvars]
-        groups: dict[tuple[int, ...], dict[int, int]] = {}
-        for m, c in self._t.items():
-            key = tuple((m >> sh) & FIELD_MASK for sh in shifts)
-            stripped = m - sum(e * u for e, u in zip(key, units))
-            groups.setdefault(key, {})[stripped] = c
-        total = RatExpr.lift(0)
-        pow_cache: dict[tuple[int, int], RatExpr] = {}
-        for key, terms in sorted(groups.items()):
-            factor = RatExpr.lift(1)
-            for idx, e in enumerate(key):
-                if not e:
-                    continue
-                p = pow_cache.get((idx, e))
-                if p is None:
-                    p = binds[bvars[idx]] ** e
-                    pow_cache[(idx, e)] = p
-                factor = factor * p
-            total = total + factor * MultiPoly._raw(terms)
-        return total
-
     def beta_weighted(self, cap: int, kind: str = "y") -> "MultiPoly":
         """Substitute 1/b for each variable of one alphabet and clear with b^cap.
 
@@ -498,133 +467,3 @@ def one() -> MultiPoly:
 def zero() -> MultiPoly:
     return MultiPoly.constant(0)
 
-
-# -- rational layer ---------------------------------------------------
-
-_DEN_POW_CACHE: dict[tuple[Var, int], MultiPoly] = {}
-
-
-def _den_factor(var: Var, e: int) -> MultiPoly:
-    """(1 - b*var)^e, cached."""
-    got = _DEN_POW_CACHE.get((var, e))
-    if got is None:
-        got = (one() - beta() * MultiPoly.variable(var)) ** e
-        _DEN_POW_CACHE[(var, e)] = got
-    return got
-
-
-def den_poly(den: Mapping[Var, int]) -> MultiPoly:
-    p = one()
-    for var in sorted(den, key=display_sort_key):
-        e = den[var]
-        if e:
-            p = p * _den_factor(var, e)
-    return p
-
-
-class RatExpr:
-    """num / prod (1 - b*v)^e, with every v a y or z variable."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: Mapping[Var, int] | None = None):
-        self.num = num
-        clean: dict[Var, int] = {}
-        for var, e in (den or {}).items():
-            if e < 0:
-                raise ValueError("denominator exponents must be >= 0")
-            if var.kind not in ("y", "z"):
-                raise ValueError("denominator factors track y/z variables only")
-            if e:
-                clean[var] = e
-        self.den = clean
-
-    @classmethod
-    def lift(cls, v: "RatExpr | MultiPoly | int") -> "RatExpr":
-        if isinstance(v, RatExpr):
-            return v
-        if isinstance(v, MultiPoly):
-            return cls(v)
-        return cls(MultiPoly.constant(v))
-
-    def den_poly(self) -> MultiPoly:
-        return den_poly(self.den)
-
-    def is_polynomial(self) -> bool:
-        return not self.den
-
-    def as_poly(self) -> MultiPoly:
-        if self.den:
-            raise ValueError("nontrivial tracked denominator")
-        return self.num
-
-    def lifted_num(self, den: Mapping[Var, int]) -> MultiPoly:
-        """Numerator after rescaling to a denominator that dominates ours."""
-        extra: dict[Var, int] = {}
-        for var, e in den.items():
-            gap = e - self.den.get(var, 0)
-            if gap < 0:
-                raise ValueError("target denominator does not dominate")
-            if gap:
-                extra[var] = gap
-        for var in self.den:
-            if var not in den:
-                raise ValueError("target denominator does not dominate")
-        return self.num * den_poly(extra)
-
-    def __add__(self, other) -> "RatExpr":
-        other = RatExpr.lift(other)
-        den = dict(self.den)
-        for var, e in other.den.items():
-            den[var] = max(den.get(var, 0), e)
-        return RatExpr(self.lifted_num(den) + other.lifted_num(den), den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatExpr":
-        return self + (-RatExpr.lift(other))
-
-    def __rsub__(self, other) -> "RatExpr":
-        return RatExpr.lift(other) - self
-
-    def __neg__(self) -> "RatExpr":
-        return RatExpr(-self.num, self.den)
-
-    def __mul__(self, other) -> "RatExpr":
-        other = RatExpr.lift(other)
-        den = dict(self.den)
-        for var, e in other.den.items():
-            den[var] = den.get(var, 0) + e
-        return RatExpr(self.num * other.num, den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "RatExpr":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        return RatExpr(self.num**e, {v: k * e for v, k in self.den.items()})
-
-    def __eq__(self, other) -> bool:
-        """Cross-multiplied equality; exact, no cancellation attempted."""
-        if isinstance(other, (MultiPoly, int)):
-            other = RatExpr.lift(other)
-        if not isinstance(other, RatExpr):
-            return NotImplemented
-        return self.num * other.den_poly() == other.num * self.den_poly()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        if not self.den:
-            return f"RatExpr({self.num.text()})"
-        ds = " * ".join(
-            f"(1 - b*{v.name()})^{e}" if e != 1 else f"(1 - b*{v.name()})"
-            for v, e in sorted(self.den.items(), key=lambda p: display_sort_key(p[0]))
-        )
-        return f"RatExpr(({self.num.text()}) / ({ds}))"
-
-
-def ominus(kind: str, i: int) -> RatExpr:
-    """-v / (1 - b*v): the formal inverse of v in the b-deformed group law."""
-    v = Var(kind, i)
-    return RatExpr(-MultiPoly.variable(v), {v: 1})

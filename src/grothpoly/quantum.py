@@ -39,7 +39,6 @@ from .perms import (
 from .poly import (
     MultiPoly,
     beta,
-    den_poly,
     one,
     qvar,
     xvar,
@@ -227,11 +226,6 @@ class OperatorPoly:
             acc = acc + coeff * mono
         return acc
 
-    def at_q_zero(self) -> MultiPoly:
-        return self.as_polynomial().specialize_q(
-            {i: 0 for i in range(1, self.n)}
-        )
-
 
 def quantize(f: MultiPoly, ctx: QuantumContext) -> tuple[OperatorPoly, MultiPoly]:
     """The unique F with F(X_1..X_n)(1) = f, by triangular elimination.
@@ -382,8 +376,8 @@ def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, di
 
 @check("quantum_cauchy", soft=3, hard=4)
 def _check_quantum_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    acc, dens = _cauchy_sum(n, quantum_table(n, "qH"))
-    rhs = bold_top(quantum_context(n)) * den_poly(dens)
+    acc, den = _cauchy_sum(n, quantum_table(n, "qH"))
+    rhs = bold_top(quantum_context(n)) * den
     if acc == rhs:
         return True, None, None
     return False, {"difference": (acc - rhs).json_obj()}, None

@@ -171,6 +171,46 @@ class TestVerify:
         assert r.stdout == ""
         assert json.loads(r.stderr) == {"error": "quantum_cauchy above n=3 needs --force-n"}
 
+    def test_cauchy_is_capped_at_4(self):
+        r = run_cli("verify", "cauchy", "--n", "5", "--force-n")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert json.loads(r.stderr) == {"error": "cauchy is capped at n=4"}
+
+    def test_worker_pool_is_sized_by_the_tasks(self, monkeypatch, capsys):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks, chunksize=1):
+                return [fn(*t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setenv("GROTHPOLY_WORKERS", "1000")
+        code = cli.main(["verify", "cauchy", "duality", "--n", "2"])
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert sizes == [2]
+        assert [row["id"] for row in rows] == ["cauchy", "duality"]
+
+        monkeypatch.setenv("GROTHPOLY_WORKERS", "abc")
+        code = cli.main(["verify", "cauchy", "duality", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "GROTHPOLY_WORKERS must be an integer, got 'abc'"}
+        assert sizes == [2]
+
     def test_all_catalog_order_and_clamp(self):
         r = run_cli("verify", "--all", "--n", "2", env={"GROTHPOLY_WORKERS": "2"})
         assert r.returncode == 0

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a library module imports is used by it.
+"""Source hygiene: every name a library module imports is used by it, and
+every function the library defines is called from the library.
 
-``__init__.py`` is skipped, since its imports are the package's re-exports.
+``__init__.py`` is skipped by the import scan, since its imports are the
+package's re-exports.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _annotations(tree: ast.Module):
 
 def _used(tree: ast.Module) -> set[str]:
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # quoted annotations such as -> "RatExpr | MultiPoly" name things too
+    # quoted annotations such as -> "MultiPoly" or "dict | None" name things too
     for ann in _annotations(tree):
         for node in ast.walk(ann) if ann is not None else ():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -51,3 +53,43 @@ def _used(tree: ast.Module) -> set[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     assert sorted(_imported(tree) - _used(tree)) == []
+
+
+# Defined in src/ for the tests only: public API the tests exercise, and the
+# reference oracles they compare the fast paths against.
+KEPT_FOR_TESTS = {
+    "exponent",
+    "scalar_product",
+    "staircase_monomials",
+    "pieri_targets",
+    "generators",
+    "original_generators",
+    "transpose",
+    "bruhat_lower",
+    "from_monomials",
+}
+
+
+def _is_check(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "check"
+        for d in node.decorator_list
+    )
+
+
+def test_every_function_has_a_caller():
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    referenced = set(_imported(ast.parse((SRC / "__init__.py").read_text())))
+    defined = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and not _is_check(node):
+                    defined.add(name)
+    assert sorted(KEPT_FOR_TESTS - defined) == []
+    assert sorted(defined - referenced - KEPT_FOR_TESTS) == []

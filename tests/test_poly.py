@@ -34,6 +34,17 @@ def naive_from(p: MultiPoly) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _evaluate(p: MultiPoly, point: dict) -> int | fractions.Fraction:
+    """p at a point mapping each of its variables to an int or a Fraction."""
+    total = 0
+    for exps, c in p.monomials():
+        v = c
+        for var, e in exps.items():
+            v *= point[var] ** e
+        total += v
+    return total
+
+
 def naive_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
@@ -102,13 +113,7 @@ def test_integer_evaluation_homomorphism(f, g):
     point = {v: (i % 5) - 2 for i, v in enumerate(VARS)}
 
     def ev(p: MultiPoly) -> int:
-        total = 0
-        for exps, c in p.monomials():
-            val = c
-            for v, e in exps.items():
-                val *= point[v] ** e
-            total += val
-        return total
+        return _evaluate(p, point)
 
     assert ev(f + g) == ev(f) + ev(g)
     assert ev(f * g) == ev(f) * ev(g)
@@ -236,40 +241,50 @@ def test_triple_binomial_expansion():
 
 
 def test_substitute_is_a_homomorphism():
-    from grothpoly.poly import ominus
+    """Clearing y1 -> -z1/(1 - b z1) is multiplicative: clearing powers add."""
+    from grothpoly.classical import _cauchy_numerator
 
     f = (xvar(1) + yvar(1)) * (one() + beta() * yvar(1))
     g = yvar(1) * yvar(1) - xvar(2)
-    bind = {Var("y", 1): ominus("z", 1)}
-    lhs = (f * g).substitute(bind)
-    rhs = f.substitute(bind) * g.substitute(bind)
-    den = {Var("z", 1): 4}
-    assert lhs.lifted_num(den) == rhs.lifted_num(den)
+    lhs = _cauchy_numerator(f * g, [4])
+    rhs = _cauchy_numerator(f, [2]) * _cauchy_numerator(g, [2])
+    assert lhs == rhs
 
 
 def test_ominus_against_fractions():
-    """ominus really is -z/(1-b z): check by rational evaluation."""
-    from grothpoly.poly import ominus
+    """The cleared numerator is f(x, -z/(1 - b z)) * prod (1 - b z_i)^(d_i):
+    checked by rational evaluation, so every term's clearing power is pinned."""
+    from grothpoly.classical import _cauchy_numerator
 
-    expr = (xvar(1) + yvar(1)).substitute({Var("y", 1): ominus("z", 1)})
-    num = expr.lifted_num({Var("z", 1): 1})
-    for zval in (2, 3, -1):
-        for bval in (0, 1, 2):
-            for xval in (1, -2):
-                point = {Var("z", 1): zval, Var("b", 0): bval, Var("x", 1): xval}
+    two = (xvar(1) + yvar(1)) * (xvar(2) - yvar(2) ** 2) + beta() * yvar(1) * yvar(2)
+    cases = [
+        (xvar(1) + yvar(1), [1]),
+        (xvar(1) + yvar(1), [3]),
+        ((xvar(1) + yvar(1)) * (one() + beta() * yvar(1)) * (yvar(1) ** 2 - xvar(2)), [4]),
+        (two, [1, 2]),
+        (two, [2, 3]),
+    ]
+    for f, dens in cases:
+        num = _cauchy_numerator(f, dens)
+        assert not num.uses_kind("y")
+        for zvals in ((2, -1), (3, 2), (-1, 3)):
+            for bval in (0, 1, 2):
+                for xval in (1, -2):
+                    point = {Var("b", 0): bval, Var("x", 1): xval, Var("x", 2): xval + 5}
+                    want = fractions.Fraction(1)
+                    for i, d in enumerate(dens, start=1):
+                        zval = zvals[i - 1]
+                        point[Var("z", i)] = zval
+                        point[Var("y", i)] = fractions.Fraction(-zval, 1 - bval * zval)
+                        want *= (1 - bval * zval) ** d
+                    assert _evaluate(num, point) == _evaluate(f, point) * want
 
-                def ev(p):
-                    total = 0
-                    for exps, c in p.monomials():
-                        v = c
-                        for var, e in exps.items():
-                            v *= point[var] ** e
-                        total += v
-                    return total
 
-                want = fractions.Fraction(xval) + fractions.Fraction(-zval, 1 - bval * zval)
-                got = fractions.Fraction(ev(num), 1 - bval * zval)
-                assert got == want
+def test_cauchy_numerator_refuses_a_short_clearing_power():
+    from grothpoly.classical import _cauchy_numerator
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        _cauchy_numerator(yvar(1) ** 2, [1])
 
 
 def test_beta_weighted_matches_manual_substitution():
