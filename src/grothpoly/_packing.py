@@ -82,6 +82,8 @@ def _slot(var: Var) -> int:
             raise ValueError(f"z index out of range: {i}")
         return _Z_SLOT0 + (i - 1)
     if kind == "b":
+        if i != 0:
+            raise ValueError(f"b index out of range: {i}")
         return _B_SLOT
     if kind == "q":
         if not 1 <= i <= N_MAX - 1:
@@ -120,7 +122,8 @@ def pack(exps: dict[Var, int]) -> int:
 
 
 def unpack(mono: int) -> dict[Var, int]:
-    """Nonzero exponents, keyed by Var, in display order (x<y<z<b<q)."""
+    """Nonzero exponents, keyed by Var, in slot order x, y, z, b, q (the
+    renderers sort them into display order b, q, x, y, z)."""
     out: dict[Var, int] = {}
     for var in VARS_DISPLAY:
         e = (mono >> shift(var)) & FIELD_MASK

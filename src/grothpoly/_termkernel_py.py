@@ -1,6 +1,6 @@
 """Term kernel: the package's only term-map implementation.
 
-The five functions below are the only hot loops in the package; everything
+The four functions below are the only hot loops in the package; everything
 else is orchestration.  A polynomial is a dict mapping packed monomials
 (see _packing) to nonzero int coefficients.  Callers reach these functions
 through this module object (``from . import _termkernel_py as kernel``).
@@ -52,7 +52,8 @@ def divdiff(f: dict, sh_i: int, sh_j: int, ui: int, uj: int) -> dict:
       a > b:  + sum_{t=0}^{a-b-1} v_i^(a-1-t) v_j^(b+t) * r
       a < b:  - sum_{t=0}^{b-a-1} v_i^(a+t) v_j^(b-1-t) * r
       a == b: 0
-    which is (f - swap(f)) / (v_i - v_j) computed without the division.
+    which is (f - s_ij f) / (v_i - v_j), s_ij exchanging v_i and v_j, computed
+    without the division.
     """
     out: dict = {}
     get = out.get
@@ -73,15 +74,3 @@ def divdiff(f: dict, sh_i: int, sh_j: int, ui: int, uj: int) -> dict:
                 v = get(k)
                 out[k] = -c if v is None else v - c
     return {k: v for k, v in out.items() if v}
-
-
-def swap(f: dict, sh_i: int, sh_j: int, ui: int, uj: int) -> dict:
-    """Exchange the exponents at an adjacent pair of variables."""
-    out: dict = {}
-    for m, c in f.items():
-        a = (m >> sh_i) & FIELD_MASK
-        b = (m >> sh_j) & FIELD_MASK
-        if a != b:
-            m += (b - a) * ui + (a - b) * uj
-        out[m] = c
-    return out

@@ -6,8 +6,10 @@ Every family is produced the same way: start from the top polynomial
     prod_{i+j <= n} (x_i + y_j)
 
 and peel it down with divided-difference operators indexed by reduced words.
-Tables are cached per rank, so asking for one member builds the whole family
-once and answers later queries from the cache.
+family_table builds these and the quantum families alike, from the seeds
+and operators in TOWERS.  Tables are cached per rank, so asking for one
+member builds the whole family once and answers later queries from the
+cache.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import heapq
 import itertools
 import random
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import _termkernel_py as kernel
 from ._packing import BETA, FIELD_MASK, MASK_X, XDEG_SHIFT, Var, mono_divides, pack, shift, unit
@@ -113,32 +115,45 @@ def _descent_tower(seed: MultiPoly, op_kind: str, alphabet: str, n: int) -> dict
 
 
 _TABLE_CACHE: dict[tuple[int, str], Mapping[Permutation, MultiPoly]] = {}
+
+# base family -> (seed at rank n, operator kind, alphabet) of its descent
+# tower; the quantum module adds its families at import.
 # H_w = psi+_u(top) = sum_{v<=u} b^(l(u)-l(v)) G-tower_v, u = w^-1 w0
-_FAMILY_OPS = {"S": DEL, "G": PI_PLUS, "H": PSI_PLUS}
+TOWERS: dict[str, tuple[Callable[[int], MultiPoly], str, str]] = {
+    "S": (top_class, DEL, "x"),
+    "G": (top_class, PI_PLUS, "x"),
+    "H": (top_class, PSI_PLUS, "x"),
+}
 
 
 def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     """All members of one family at rank n, keyed by permutation.
 
-    family is "G" (Grothendieck), "H" (dual Grothendieck) or "S" (Schubert),
-    each in the two alphabets x and y; append "x" for the y=0 specialisation.
-    The result is a read-only view of the cached table.
+    family is a key of TOWERS, or one with "x" appended for the y=0
+    specialisation.  An x-alphabet tower keys member w by w^-1 w0 and peels
+    its y=0 table from the y=0 seed, since the x-operators treat y as
+    scalars; a y-alphabet tower keys w by w w0, and its y=0 table is the
+    full one with y set to 0.  The result is a read-only view of the cached
+    table.
     """
     key = (n, family)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
     base = family[:-1] if family.endswith("x") else family
-    op_kind = _FAMILY_OPS.get(base)
-    if op_kind is None:
+    if base not in TOWERS:
         raise ValueError(f"unknown family {family!r}")
-    seed = top_class(n)
-    if base != family:
-        # the x-operators treat y as scalars, so peel the y=0 seed directly
-        seed = seed.set_zero("y")
-    tower = _descent_tower(seed, op_kind, "x", n)
-    w0 = longest(n)
-    table = {w: tower[(w.inverse() * w0)] for w in all_perms(n)}
+    seed, op_kind, alphabet = TOWERS[base]
+    if alphabet == "y" and base != family:
+        table = {w: p.set_zero("y") for w, p in family_table(n, base).items()}
+    else:
+        top = seed(n) if base == family else seed(n).set_zero("y")
+        tower = _descent_tower(top, op_kind, alphabet, n)
+        w0 = longest(n)
+        if alphabet == "x":
+            table = {w: tower[w.inverse() * w0] for w in all_perms(n)}
+        else:
+            table = {w: tower[w * w0] for w in all_perms(n)}
     _TABLE_CACHE[key] = MappingProxyType(table)
     return _TABLE_CACHE[key]
 
@@ -784,7 +799,7 @@ def _check_duality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict 
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     for w in all_perms(n):
-        expect = gt[w.inverse()].negate_beta().swap_kinds("x", "y")
+        expect = gt[w.inverse()].negate_vars("b").swap_kinds("x", "y")
         if ht[w] != expect:
             return (
                 False,
@@ -813,6 +828,24 @@ def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     return True, None, None
 
 
+def _embedding_failure(family: str, n: int, mode: str) -> Permutation | None:
+    """The first w in S_n whose member does not embed into rank n+1: on the
+    nose for mode "exact", up to the identity members for mode "ratio"."""
+    m = n + 1
+    small = family_table(n, family)
+    big = family_table(m, family)
+    small_id = small[identity(n)]
+    big_id = big[identity(m)]
+    for w in all_perms(n):
+        if mode == "exact":
+            ok = big[w.embed(m)] == small[w]
+        else:
+            ok = small[w] * big_id == big[w.embed(m)] * small_id
+        if not ok:
+            return w
+    return None
+
+
 @check("stability")
 def _check_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     """Embedding into rank n+1 fixes each family up to its identity-member
@@ -821,26 +854,13 @@ def _check_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     G at y=0; H_id carries (1 + beta x) factors that survive y=0, so the
     single H goes through the ratio form along with both doubles.
     """
-    m = n + 1
-    for fam in ("Gx", "Sx", "S"):
-        small = family_table(n, fam)
-        big = family_table(m, fam)
-        for w in all_perms(n):
-            if big[w.embed(m)] != small[w]:
-                return False, {"family": fam, "w": list(w.oneline), "mode": "exact"}, None
-    for fam in ("G", "H", "Hx"):
-        small = family_table(n, fam)
-        big = family_table(m, fam)
-        small_id = small[identity(n)]
-        big_id = big[identity(m)]
-        for w in all_perms(n):
-            if small[w] * big_id != big[w.embed(m)] * small_id:
-                return False, {"family": fam, "w": list(w.oneline), "mode": "ratio"}, None
-    return True, None, {
-        "embedded_into": m,
-        "exact": ["Gx", "Sx", "S"],
-        "ratio": ["G", "H", "Hx"],
-    }
+    exact, ratio = ["Gx", "Sx", "S"], ["G", "H", "Hx"]
+    for mode, families in (("exact", exact), ("ratio", ratio)):
+        for fam in families:
+            w = _embedding_failure(fam, n, mode)
+            if w is not None:
+                return False, {"family": fam, "w": list(w.oneline), "mode": mode}, None
+    return True, None, {"embedded_into": n + 1, "exact": exact, "ratio": ratio}
 
 
 @check("basis", soft=3, hard=4)

@@ -21,15 +21,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Mapping
 
-from . import classical, quantum
+from . import classical
 from .perms import Permutation, by_length, first_reduced_word, from_word
 from .poly import MultiPoly
 from .report import CHECKS, rank_caps, verify
 
 _FAMILIES = {
-    # token -> (module kind, table name, latex symbol)
+    # token -> (kind for the rank caps, table name, latex symbol)
     "G": ("classical", "G", "G"),
     "H": ("classical", "H", "H"),
     "Sd": ("classical", "S", r"\mathfrak{S}"),
@@ -54,13 +53,6 @@ class CliError(Exception):
 def _fail(msg: str) -> int:
     print(json.dumps({"error": msg}), file=sys.stderr)
     return 2
-
-
-def _family_table(token: str, n: int) -> Mapping[Permutation, MultiPoly]:
-    kind, name, _ = _FAMILIES[token]
-    if kind == "classical":
-        return classical.family_table(n, name)
-    return quantum.quantum_table(n, name)
 
 
 def _parse_word(text: str, n: int) -> Permutation:
@@ -129,7 +121,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         raise CliError("exactly one of --word / --perm is required")
     _check_rank(args)
     w = _parse_word(args.word, args.n) if args.word is not None else _parse_perm(args.perm, args.n)
-    p = _family_table(args.family, args.n)[w]
+    p = classical.family_table(args.n, _FAMILIES[args.family][1])[w]
     if args.ideal is not None:
         p = classical.NormalFormContext(args.n, args.ideal).reduce(p)
     p = _specialize(p, args)
@@ -141,7 +133,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.family not in _FAMILIES:
         raise CliError(f"unknown family {args.family!r}")
     _check_rank(args)
-    table = _family_table(args.family, args.n)
+    table = classical.family_table(args.n, _FAMILIES[args.family][1])
     symbol = _FAMILIES[args.family][2]
     for w in by_length(args.n):
         p = _specialize(table[w], args)

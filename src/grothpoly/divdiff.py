@@ -44,14 +44,9 @@ OPERATOR_KINDS = (DEL, PI_PLUS, PI_MINUS, PSI_PLUS, PSI_MINUS)
 _B_UNIT = unit(BETA)
 
 
-def transpose(i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
-    """Swap the i-th and (i+1)-st variables of one alphabet."""
-    sh_i, sh_j, ui, uj = adjacent_pair(alphabet, i)
-    return MultiPoly._raw(kernel.swap(f._t, sh_i, sh_j, ui, uj))
-
-
 def divdiff(i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
-    """(f - transpose(i, f)) / (v_i - v_{i+1}), computed exactly."""
+    """(f - s_i f) / (v_i - v_{i+1}), computed exactly, where s_i swaps v_i
+    and v_{i+1}."""
     sh_i, sh_j, ui, uj = adjacent_pair(alphabet, i)
     return MultiPoly._raw(kernel.divdiff(f._t, sh_i, sh_j, ui, uj))
 

@@ -108,10 +108,10 @@ class MultiPoly:
     def __init__(self, terms: Mapping[Var, int] | None = None):
         # Public construction is from a {Var: exponent} monomial; use the
         # variable constructors plus arithmetic for anything bigger.
-        if terms:
-            self._t = {pack(dict(terms)): 1}
-        else:
+        if terms is None:
             self._t = {}
+        else:
+            self._t = {pack(dict(terms)): 1}
 
     # -- raw plumbing -------------------------------------------------
 
@@ -298,12 +298,6 @@ class MultiPoly:
             if c:
                 out[m] = out.get(m, 0) + c
         return MultiPoly._raw({k: v for k, v in out.items() if v})
-
-    def negate_beta(self) -> "MultiPoly":
-        """b -> -b."""
-        return MultiPoly._raw(
-            {m: (-c if ((m >> _B_SHIFT) & 1) else c) for m, c in self._t.items()}
-        )
 
     def negate_vars(self, kind: str) -> "MultiPoly":
         """v -> -v for every variable of one kind (sign by total degree)."""

@@ -9,21 +9,20 @@ The q-deformation enters through one recurrence,
                      + q_{k-1} e~_{i-2}(x_1..x_{k-2}),
 
 everything else is towers of divided-difference operators over the y
-alphabet, exactly as in the classical module.
+alphabet, registered in classical.TOWERS and built by family_table.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from ._packing import FIELD_MASK, Var, shift
 from .classical import (
+    TOWERS,
     _cauchy_product,
     _cauchy_sum,
-    _descent_tower,
+    _embedding_failure,
     elementary,
     eta,
     family_table,
@@ -57,7 +56,6 @@ class QuantumContext:
         self.n = n
         self._etilde: dict[tuple[int, int], MultiPoly] = {}
         self._xpow1: dict[tuple[int, ...], MultiPoly] = {}
-        self._tables: dict[str, Mapping[Permutation, MultiPoly]] = {}
 
     def q_factor(self, i: int, j: int) -> MultiPoly:
         """q_{ij} = q_i q_{i+1} ... q_{j-1}, for i < j."""
@@ -262,76 +260,57 @@ def quantize(f: MultiPoly, ctx: QuantumContext) -> tuple[OperatorPoly, MultiPoly
 # ---------------------------------------------------------------------------
 
 
-# family -> (seed, operator) of its y-alphabet tower; member w is tower[w w0].
-# The psi towers are Bruhat-interval sums of their pi siblings (v >= w iff
-# v w0 <= w w0): qG_w = sum_{v>=w} (-b)^(l(v)-l(w)) qH_v, and bH_w is the
-# b-weighted sum of the bG tower below w w0.  bH is a psi+ tower, not a pi-
-# one: on the bold seed the two genuinely differ, and only psi+ matches the
-# y=0 slices.
-_QUANTUM_TOWERS = {
-    "qS": (quantum_top, DEL),
-    "qH": (quantum_top, PI_MINUS),
-    "qG": (quantum_top, PSI_MINUS),
-    "bG": (bold_top, PI_PLUS),
-    "bH": (bold_top, PSI_PLUS),
-}
+def _quantum_seed(n: int) -> MultiPoly:
+    return quantum_top(quantum_context(n))
 
 
-def quantum_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
-    """All members of one quantum family at rank n.
+def _bold_seed(n: int) -> MultiPoly:
+    return bold_top(quantum_context(n))
 
-    qS / qH / qG are the quantum double Schubert, dual Grothendieck and
-    Grothendieck families; bG / bH the two built from the beta-form
-    determinant product.  Append "x" for the y=0 specialisation.  The
-    result is a read-only view of the cached table.
-    """
-    ctx = quantum_context(n)
-    table = ctx._tables.get(family)
-    if table is not None:
-        return table
-    if family.endswith("x"):
-        # the towers act on y, so the y=0 tables are slices of the full ones
-        full = quantum_table(n, family[:-1])
-        table = {w: p.set_zero("y") for w, p in full.items()}
-    elif family in _QUANTUM_TOWERS:
-        seed, op_kind = _QUANTUM_TOWERS[family]
-        tower = _descent_tower(seed(ctx), op_kind, "y", n)
-        w0 = longest(n)
-        table = {w: tower[w * w0] for w in all_perms(n)}
-    else:
-        raise ValueError(f"unknown quantum family {family!r}")
-    ctx._tables[family] = MappingProxyType(table)
-    return ctx._tables[family]
+
+# y-alphabet towers: member w is tower[w w0], and the y=0 tables are slices
+# of the full ones.  The psi towers are Bruhat-interval sums of their pi
+# siblings (v >= w iff v w0 <= w w0): qG_w = sum_{v>=w} (-b)^(l(v)-l(w)) qH_v,
+# and bH_w is the b-weighted sum of the bG tower below w w0.  bH is a psi+
+# tower, not a pi- one: on the bold seed the two genuinely differ, and only
+# psi+ matches the y=0 slices.
+TOWERS.update({
+    "qS": (_quantum_seed, DEL, "y"),
+    "qH": (_quantum_seed, PI_MINUS, "y"),
+    "qG": (_quantum_seed, PSI_MINUS, "y"),
+    "bG": (_bold_seed, PI_PLUS, "y"),
+    "bH": (_bold_seed, PSI_PLUS, "y"),
+})
 
 
 def quantum_schubert_double(w: Permutation) -> MultiPoly:
-    return quantum_table(w.n, "qS")[w]
+    return family_table(w.n, "qS")[w]
 
 
 def quantum_dual_grothendieck_double(w: Permutation) -> MultiPoly:
-    return quantum_table(w.n, "qH")[w]
+    return family_table(w.n, "qH")[w]
 
 
 def quantum_grothendieck_double(w: Permutation) -> MultiPoly:
-    return quantum_table(w.n, "qG")[w]
+    return family_table(w.n, "qG")[w]
 
 
 def quantum_schubert(w: Permutation) -> MultiPoly:
-    return quantum_table(w.n, "qSx")[w]
+    return family_table(w.n, "qSx")[w]
 
 
 def quantum_dual_grothendieck(w: Permutation) -> MultiPoly:
-    return quantum_table(w.n, "qHx")[w]
+    return family_table(w.n, "qHx")[w]
 
 
 def quantum_grothendieck(w: Permutation) -> MultiPoly:
-    return quantum_table(w.n, "qGx")[w]
+    return family_table(w.n, "qGx")[w]
 
 
 def bold_family(w: Permutation, kind: str) -> MultiPoly:
     if kind not in ("G", "H"):
         raise ValueError("kind must be G or H")
-    return quantum_table(w.n, "b" + kind)[w]
+    return family_table(w.n, "b" + kind)[w]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +331,8 @@ def _check_theorem1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict
 @check("corollary1", hard=4)
 def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     ctx = quantum_context(n)
-    qs = quantum_table(n, "qS")
-    qh = quantum_table(n, "qH")
+    qs = family_table(n, "qS")
+    qh = family_table(n, "qH")
     st = family_table(n, "S")
     ht = family_table(n, "H")
     for w in all_perms(n):
@@ -376,7 +355,7 @@ def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, di
 
 @check("quantum_cauchy", soft=3, hard=4)
 def _check_quantum_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    acc, den = _cauchy_sum(n, quantum_table(n, "qH"))
+    acc, den = _cauchy_sum(n, family_table(n, "qH"))
     rhs = bold_top(quantum_context(n)) * den
     if acc == rhs:
         return True, None, None
@@ -385,10 +364,10 @@ def _check_quantum_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None
 
 @check("corollary2", hard=4)
 def _check_corollary2(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    qgx = quantum_table(n, "qGx")
-    qhx = quantum_table(n, "qHx")
-    bg = quantum_table(n, "bG")
-    bh = quantum_table(n, "bH")
+    qgx = family_table(n, "qGx")
+    qhx = family_table(n, "qHx")
+    bg = family_table(n, "bG")
+    bh = family_table(n, "bH")
     gxt = family_table(n, "Gx")
     w0 = longest(n)
     for w in all_perms(n):
@@ -423,8 +402,8 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     the q=0 limit must still hold (the classical swap duality).
     """
     ctx = quantum_context(n)
-    qg_id = quantum_table(n, "qG")[identity(n)]
-    qh_id = quantum_table(n, "qH")[identity(n)]
+    qg_id = family_table(n, "qG")[identity(n)]
+    qh_id = family_table(n, "qH")[identity(n)]
     cap = n * (n - 1) // 2
     weighted = quantum_top(ctx).beta_weighted(cap, "y")
     detail: dict = {}
@@ -435,7 +414,7 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     else:
         return False, {"part": "beta_weighted", "value": weighted.json_obj()}, None
 
-    swapped = qg_id.negate_beta().swap_kinds("x", "y")
+    swapped = qg_id.negate_vars("b").swap_kinds("x", "y")
     if qh_id == swapped:
         detail["swap_q"] = "in place"
     else:
@@ -495,7 +474,7 @@ def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | 
         if fg_q != f_q * g_q:
             return False, {"part": "lambda_multiplicative", "trial": trial}, None
     st = family_table(n, "Sx")
-    qs = quantum_table(n, "qSx")
+    qs = family_table(n, "qSx")
     for w in all_perms(n):
         _, fq = quantize(st[w], ctx)
         if fq != qs[w]:
@@ -533,14 +512,14 @@ def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | Non
     qzero = {i: 0 for i in range(1, n)}
     pairs = [("qS", "S"), ("qH", "H"), ("qG", "G"), ("qSx", "Sx"), ("qHx", "Hx"), ("qGx", "Gx")]
     for qfam, cfam in pairs:
-        qt = quantum_table(n, qfam)
+        qt = family_table(n, qfam)
         cf = family_table(n, cfam)
         for w in all_perms(n):
             if qt[w].specialize_q(qzero) != cf[w]:
                 return False, {"family": qfam, "w": list(w.oneline)}, None
     st = family_table(n, "S")
     for w in all_perms(n):
-        if quantum_table(n, "qG")[w].specialize_q(qzero).specialize_beta(0) != st[w]:
+        if family_table(n, "qG")[w].specialize_q(qzero).specialize_beta(0) != st[w]:
             return False, {"family": "qG at beta=0", "w": list(w.oneline)}, None
     if bold_top(ctx).specialize_q(qzero) != _cauchy_product(n):
         return False, {"family": "bold top"}, None
@@ -550,22 +529,12 @@ def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | Non
 # embeds into rank n+1, and the quantum tables stop at 4
 @check("quantum_stability", soft=3, hard=3)
 def _check_quantum_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    m = n + 1
     detail: dict = {}
     for fam in ("qS", "qH", "qG", "qSx", "qHx", "qGx"):
-        small = quantum_table(n, fam)
-        big = quantum_table(m, fam)
-        exact = all(big[w.embed(m)] == small[w] for w in all_perms(n))
-        if exact:
+        if _embedding_failure(fam, n, "exact") is None:
             detail[fam] = "exact"
-            continue
-        small_id = small[identity(n)]
-        big_id = big[identity(m)]
-        ratio = all(
-            small[w] * big_id == big[w.embed(m)] * small_id for w in all_perms(n)
-        )
-        if ratio:
+        elif _embedding_failure(fam, n, "ratio") is None:
             detail[fam] = "ratio"
-            continue
-        return False, {"family": fam, "mode": "neither exact nor ratio"}, None
+        else:
+            return False, {"family": fam, "mode": "neither exact nor ratio"}, None
     return True, None, detail

@@ -14,6 +14,7 @@ import random
 import time
 
 from test_classical import GOLDEN_G, GOLDEN_H, word_key
+from test_divdiff import s_i
 from test_quantum import GOLDEN_QG, GOLDEN_QH, VARIANT_QG
 
 from grothpoly._packing import Var
@@ -32,7 +33,6 @@ from grothpoly.divdiff import (
     apply_word,
     divdiff,
     isobaric,
-    transpose,
 )
 from grothpoly.perms import all_perms, bruhat_lower, by_length, identity, longest
 from grothpoly.poly import MultiPoly, beta, one, xvar, yvar, zero
@@ -42,7 +42,6 @@ from grothpoly.quantum import (
     quantize,
     quantum_context,
     quantum_elementary,
-    quantum_table,
 )
 from grothpoly.report import verify
 
@@ -71,8 +70,8 @@ def test_c01_classical_golden_table(criteria_log):
 
 def test_c02_quantum_golden_table(criteria_log):
     start = time.perf_counter()
-    gt = quantum_table(3, "qG")
-    ht = quantum_table(3, "qH")
+    gt = family_table(3, "qG")
+    ht = family_table(3, "qH")
     printed_g = dict(GOLDEN_QG)
     printed_g.update(VARIANT_QG)
 
@@ -310,7 +309,7 @@ def test_c10_operator_suite(criteria_log):
     for _ in range(100):
         f = _random_poly(rng)
         i = rng.randint(1, 3)
-        check(divdiff(i, f) * (xvar(i) - xvar(i + 1)) == f - transpose(i, f))
+        check(divdiff(i, f) * (xvar(i) - xvar(i + 1)) == f - s_i(i, f))
 
     # braid and distant commutation for all three operator kinds
     for kind in (DEL, PI_PLUS, PI_MINUS):
@@ -327,8 +326,8 @@ def test_c10_operator_suite(criteria_log):
         g = _random_poly(rng, terms=4)
         i = rng.randint(1, 3)
         d = divdiff(i, f * g)
-        check(d == divdiff(i, f) * g + transpose(i, f) * divdiff(i, g))
-        check(d == f * divdiff(i, g) + divdiff(i, f) * transpose(i, g))
+        check(d == divdiff(i, f) * g + s_i(i, f) * divdiff(i, g))
+        check(d == f * divdiff(i, g) + divdiff(i, f) * s_i(i, g))
 
     # operator squares
     for _ in range(75):
@@ -343,8 +342,8 @@ def test_c10_operator_suite(criteria_log):
     for _ in range(50):
         f = _random_poly(rng)
         i = rng.randint(1, 3)
-        check(divdiff(i, transpose(i, f)) == -divdiff(i, f))
-        check(transpose(i, divdiff(i, f)) == divdiff(i, f))
+        check(divdiff(i, s_i(i, f)) == -divdiff(i, f))
+        check(s_i(i, divdiff(i, f)) == divdiff(i, f))
 
     # Moebius inversion between the interval sums and the pi+ towers
     for w in all_perms(3):
@@ -408,7 +407,7 @@ def test_c11_quantization(criteria_log):
 
     ctx3 = quantum_context(3)
     schubert_ok = True
-    qsx = quantum_table(3, "qSx")
+    qsx = family_table(3, "qSx")
     sx = family_table(3, "Sx")
     for w in all_perms(3):
         _, fq = quantize(sx[w], ctx3)
@@ -465,9 +464,9 @@ def test_c13_degenerations(criteria_log):
 
     # the specialization lattice over S3: all routes from the quantum
     # double families down to the plain Schubert basis commute
-    qg = quantum_table(3, "qG")
-    qh = quantum_table(3, "qH")
-    qs = quantum_table(3, "qS")
+    qg = family_table(3, "qG")
+    qh = family_table(3, "qH")
+    qs = family_table(3, "qS")
     g = family_table(3, "G")
     h = family_table(3, "H")
     sd = family_table(3, "S")

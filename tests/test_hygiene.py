@@ -64,7 +64,6 @@ KEPT_FOR_TESTS = {
     "pieri_targets",
     "generators",
     "original_generators",
-    "transpose",
     "bruhat_lower",
     "from_monomials",
 }

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly._packing import BETA, Var, adjacent_pair, pack
+from grothpoly._packing import BETA, Var, pack
 from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
@@ -153,13 +153,6 @@ def test_kernel_prune_leaves_no_zeros(f, g):
     assert pruned == {m: -c for m, c in g._t.items()}
 
 
-@settings(max_examples=100)
-@given(f=polys(), alphabet=st.sampled_from("xy"), i=st.integers(1, 3))
-def test_kernel_swap_twice_is_identity(f, alphabet, i):
-    pair = adjacent_pair(alphabet, i)
-    assert kernel.swap(kernel.swap(f._t, *pair), *pair) == f._t
-
-
 def test_power_and_unary():
     f = xvar(1) + yvar(2) * 2
     assert f ** 0 == one()
@@ -226,6 +219,21 @@ def test_pack_refuses_x_degree_past_the_field():
         MultiPoly({Var("x", 1): 40000, Var("x", 2): 30000})
     m = pack({Var("x", 1): 40000, Var("x", 2): 25535})  # x-degree exactly FIELD_MASK
     assert MultiPoly._raw({m: 1}) == xvar(1) ** 40000 * xvar(2) ** 25535
+
+
+def test_empty_monomial_is_one():
+    assert MultiPoly() == zero()
+    assert MultiPoly({}) == one()
+    assert MultiPoly({Var("x", 1): 0}) == one()
+    assert MultiPoly({Var("x", 1): 0, Var("y", 2): 3}) == yvar(2) ** 3
+
+
+@pytest.mark.parametrize("index", [-1, 1, 5])
+def test_beta_index_out_of_range_is_refused(index):
+    with pytest.raises(ValueError, match="b index out of range"):
+        MultiPoly({Var("b", index): 1})
+    with pytest.raises(ValueError, match="b index out of range"):
+        pack({Var("b", index): 1})
 
 
 def test_triple_binomial_expansion():
@@ -323,7 +331,7 @@ def test_specializations():
     p = (one() + beta() * xvar(1)) * (qvar(1) + xvar(2))
     assert p.specialize_beta(0) == qvar(1) + xvar(2)
     assert p.specialize_q({1: 0}) == (one() + beta() * xvar(1)) * xvar(2)
-    assert p.negate_beta().negate_beta() == p
+    assert p.negate_vars("b").negate_vars("b") == p
     assert p.set_zero("q") == (one() + beta() * xvar(1)) * xvar(2)
 
 

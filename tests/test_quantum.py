@@ -28,7 +28,6 @@ from grothpoly.quantum import (
     quantum_context,
     quantum_elementary,
     quantum_grothendieck_double,
-    quantum_table,
     quantum_top,
 )
 from grothpoly.report import CHECKS, rank_caps, verify
@@ -185,23 +184,23 @@ def word_key(w) -> str:
 
 class TestGoldenQuantumTables:
     def test_h_rows(self):
-        t = quantum_table(3, "qH")
+        t = family_table(3, "qH")
         for w in all_perms(3):
             assert t[w].text() == GOLDEN_QH[word_key(w)]
 
     def test_g_rows(self):
-        t = quantum_table(3, "qG")
+        t = family_table(3, "qG")
         for w in all_perms(3):
             assert t[w].text() == GOLDEN_QG[word_key(w)]
 
     def test_tables_are_read_only(self):
-        true_id = quantum_table(2, "qS")[identity(2)]
+        true_id = family_table(2, "qS")[identity(2)]
         with pytest.raises(TypeError):
-            quantum_table(2, "qS")[identity(2)] = zero()
-        assert quantum_table(2, "qS")[identity(2)] == true_id == one()
+            family_table(2, "qS")[identity(2)] = zero()
+        assert family_table(2, "qS")[identity(2)] == true_id == one()
 
     def test_variant_rows_differ_by_recorded_amount(self):
-        t = quantum_table(3, "qG")
+        t = family_table(3, "qG")
         s1 = from_word((1,), 3)
         diff_1 = qvar(1) * beta() ** 2 * (xvar(1) + yvar(1))
         diff_id = qvar(1) * beta() ** 2 * (one() - beta() * yvar(1))
@@ -215,7 +214,7 @@ class TestGoldenQuantumTables:
         # GOLDEN_QG for every w, hence cannot equal the variant rows: the
         # two disputed rows disagree with the construction that the same
         # table's own H rows force.
-        ht = quantum_table(3, "qH")
+        ht = family_table(3, "qH")
         for w in all_perms(3):
             assert ht[w].text() == GOLDEN_QH[word_key(w)]
         for w in all_perms(3):
@@ -229,7 +228,7 @@ class TestGoldenQuantumTables:
     def test_match_count_is_ten_of_twelve(self):
         # what the calibration table prints: H rows x6 and four G rows
         # match; the two variant G rows do not
-        gt = quantum_table(3, "qG")
+        gt = family_table(3, "qG")
         printed = dict(GOLDEN_QG)
         printed.update(VARIANT_QG)
         matches = sum(
@@ -237,21 +236,21 @@ class TestGoldenQuantumTables:
         ) + sum(
             1
             for w in all_perms(3)
-            if quantum_table(3, "qH")[w].text() == GOLDEN_QH[word_key(w)]
+            if family_table(3, "qH")[w].text() == GOLDEN_QH[word_key(w)]
         )
         assert matches == 10
 
     def test_qs_is_beta_zero(self):
-        st = quantum_table(3, "qS")
-        gt = quantum_table(3, "qG")
-        ht = quantum_table(3, "qH")
+        st = family_table(3, "qS")
+        gt = family_table(3, "qG")
+        ht = family_table(3, "qH")
         for w in all_perms(3):
             assert st[w] == gt[w].specialize_beta(0)
             assert st[w] == ht[w].specialize_beta(0)
 
     def test_classical_limits(self):
         for fam, cfam in (("qS", "Sd"), ("qH", "H"), ("qG", "G")):
-            qt = quantum_table(3, fam)
+            qt = family_table(3, fam)
             ct = family_table(3, {"Sd": "S"}.get(cfam, cfam))
             for w in all_perms(3):
                 assert qt[w].set_zero("q") == ct[w]
@@ -260,10 +259,10 @@ class TestGoldenQuantumTables:
         for n in (2, 3):
             ctx = quantum_context(n)
             w0 = longest(n)
-            assert quantum_table(n, "qG")[w0] == quantum_top(ctx)
-            assert quantum_table(n, "qH")[w0] == quantum_top(ctx)
-            assert quantum_table(n, "bG")[w0] == bold_top(ctx)
-            assert quantum_table(n, "bH")[w0] == bold_top(ctx)
+            assert family_table(n, "qG")[w0] == quantum_top(ctx)
+            assert family_table(n, "qH")[w0] == quantum_top(ctx)
+            assert family_table(n, "bG")[w0] == bold_top(ctx)
+            assert family_table(n, "bH")[w0] == bold_top(ctx)
 
 
 class TestBoldFamilies:
@@ -271,25 +270,25 @@ class TestBoldFamilies:
         # the y=0 slices of the bold families reproduce the one-alphabet
         # quantum families
         for n in (2, 3):
-            bg = quantum_table(n, "bG")
-            bh = quantum_table(n, "bH")
-            qgx = quantum_table(n, "qGx")
-            qhx = quantum_table(n, "qHx")
+            bg = family_table(n, "bG")
+            bh = family_table(n, "bH")
+            qgx = family_table(n, "qGx")
+            qhx = family_table(n, "qHx")
             for w in all_perms(n):
                 assert bg[w].set_zero("y") == qgx[w]
                 assert bh[w].set_zero("y") == qhx[w]
 
     def test_bold_accessor(self):
         w = from_word((1,), 3)
-        assert bold_family(w, "G") == quantum_table(3, "bG")[w]
-        assert bold_family(w, "H") == quantum_table(3, "bH")[w]
+        assert bold_family(w, "G") == family_table(3, "bG")[w]
+        assert bold_family(w, "H") == family_table(3, "bH")[w]
         with pytest.raises(ValueError):
             bold_family(w, "Z")
 
     def test_bh_is_not_a_minus_tower(self):
         # rank-2 witness that bH is the interval sum: its identity row is
         # the full bold top times nothing, i.e. (1+b x1)(1+b y1)
-        t = quantum_table(2, "bH")
+        t = family_table(2, "bH")
         want = (one() + beta() * xvar(1)) * (one() + beta() * yvar(1))
         assert t[identity(2)] == want
 
@@ -335,7 +334,7 @@ class TestQuantization:
 
     def test_quantize_schubert_gives_quantum_schubert(self):
         ctx = quantum_context(3)
-        st = quantum_table(3, "qSx")
+        st = family_table(3, "qSx")
         ct = family_table(3, "Sx")
         for w in all_perms(3):
             _, fq = quantize(ct[w], ctx)

@@ -3,8 +3,9 @@ tables, against the Bruhat-interval sums they replace.
 
 The oracle below is the construction the tables used to be built with:
 pi+/pi- towers summed over lower or upper Bruhat intervals, and the y=0
-tables sliced out of the two-alphabet ones.  A last test makes sure no
-table build goes back to scanning Bruhat intervals.
+tables sliced out of the two-alphabet ones.  Further tests make sure no
+table build goes back to scanning Bruhat intervals, and pin the one
+registry every family table is built from.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import sys
 import pytest
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly import classical, quantum
+from grothpoly import classical
 from grothpoly._packing import BETA, unit
 from grothpoly.classical import _descent_tower, family_table, top_class
 from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS
 from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, longest
 from grothpoly.poly import MultiPoly
-from grothpoly.quantum import bold_top, quantum_context, quantum_table, quantum_top
+from grothpoly.cli import _FAMILIES
+from grothpoly.quantum import bold_top, quantum_context, quantum_top
 
 _B = unit(BETA)
 
@@ -85,7 +87,7 @@ def test_classical_tables_match_interval_sums(family, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("family", ["bH", "qG", "qGx"])
 def test_quantum_tables_match_interval_sums(family, n):
-    table = quantum_table(n, family)
+    table = family_table(n, family)
     oracle = _oracle_quantum(n, family)
     assert set(table) == set(oracle)
     for w, p in oracle.items():
@@ -102,9 +104,27 @@ def test_table_builds_never_scan_bruhat_intervals(monkeypatch):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refuse)
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
-    monkeypatch.setattr(quantum, "_CTX_CACHE", {})
     for family in ("G", "H", "S", "Gx", "Hx", "Sx"):
         assert len(family_table(4, family)) == 24
     for family in ("qS", "qH", "qG", "bG", "bH"):
         for name in (family, family + "x"):
-            assert len(quantum_table(3, name)) == 6
+            assert len(family_table(3, name)) == 6
+
+
+@pytest.mark.parametrize("token", sorted(_FAMILIES))
+def test_every_cli_token_builds_through_family_table(token):
+    table = family_table(2, _FAMILIES[token][1])
+    assert set(table) == set(all_perms(2))
+
+
+@pytest.mark.parametrize("name", ["nope", "qnope", "nopex", "x", "qGxx"])
+def test_unknown_family_is_refused(name):
+    with pytest.raises(ValueError, match="unknown family"):
+        family_table(2, name)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", ["bG", "bH"])
+def test_bold_y0_tables_are_slices(family, n):
+    full = family_table(n, family)
+    assert dict(family_table(n, family + "x")) == {w: p.set_zero("y") for w, p in full.items()}
