@@ -38,8 +38,6 @@ XDEG_SHIFT = _XDEG_SLOT * FIELD_BITS
 XDEG_UNIT = 1 << XDEG_SHIFT
 
 KINDS = ("x", "y", "z", "b", "q")
-# display order inside a term: deformation parameters first, then alphabets
-_KIND_RANK = {"b": 0, "q": 1, "x": 2, "y": 3, "z": 4}
 
 
 class Var(NamedTuple):
@@ -121,33 +119,6 @@ def pack(exps: dict[Var, int]) -> int:
     return m
 
 
-def unpack(mono: int) -> dict[Var, int]:
-    """Nonzero exponents, keyed by Var, in slot order x, y, z, b, q (the
-    renderers sort them into display order b, q, x, y, z)."""
-    out: dict[Var, int] = {}
-    for var in VARS_DISPLAY:
-        e = (mono >> shift(var)) & FIELD_MASK
-        if e:
-            out[var] = e
-    return out
-
-
-def display_sort_key(var: Var) -> tuple[int, int]:
-    return (_KIND_RANK[var.kind], var.index)
-
-
-def all_vars() -> list[Var]:
-    vs = [Var("x", i) for i in range(1, N_MAX + 1)]
-    vs += [Var("y", i) for i in range(1, N_MAX + 1)]
-    vs += [Var("z", i) for i in range(1, N_MAX + 1)]
-    vs.append(BETA)
-    vs += [Var("q", i) for i in range(1, N_MAX)]
-    return vs
-
-
-VARS_DISPLAY = all_vars()
-
-
 def kind_mask(kind: str) -> int:
     """OR of the field masks of every slot holding the given kind."""
     m = 0
@@ -174,6 +145,32 @@ MASK_Z = kind_mask("z")
 MASK_B = kind_mask("b")
 MASK_Q = kind_mask("q")
 _KIND_MASKS = {"x": MASK_X, "y": MASK_Y, "z": MASK_Z, "b": MASK_B, "q": MASK_Q}
+
+# (kind mask, ((var, shift), ...)) per kind, in display order: deformation
+# parameters first, then the alphabets, each by index
+_UNPACK_PLAN = tuple(
+    (_KIND_MASKS[kind], tuple((v, shift(v)) for v in vs))
+    for kind, vs in (
+        ("b", [BETA]),
+        ("q", [Var("q", i) for i in range(1, N_MAX)]),
+        ("x", [Var("x", i) for i in range(1, N_MAX + 1)]),
+        ("y", [Var("y", i) for i in range(1, N_MAX + 1)]),
+        ("z", [Var("z", i) for i in range(1, N_MAX + 1)]),
+    )
+)
+
+
+def unpack(mono: int) -> dict[Var, int]:
+    """Nonzero exponents, keyed by Var, in display order b, q1..q7, x1..x8,
+    y1..y8, z1..z8; a kind with no nonzero exponent is skipped whole."""
+    out: dict[Var, int] = {}
+    for mask, fields in _UNPACK_PLAN:
+        if mono & mask:
+            for var, sh in fields:
+                e = (mono >> sh) & FIELD_MASK
+                if e:
+                    out[var] = e
+    return out
 
 
 def has_kind(mono: int, kind: str) -> bool:

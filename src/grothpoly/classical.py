@@ -7,9 +7,10 @@ Every family is produced the same way: start from the top polynomial
 
 and peel it down with divided-difference operators indexed by reduced words.
 family_table builds these and the quantum families alike, from the seeds
-and operators in TOWERS.  Tables are cached per rank, so asking for one
-member builds the whole family once and answers later queries from the
-cache.
+and operators in TOWERS, and caches each table per rank: a tower shares its
+prefixes across all n! members, so the identity checks read whole tables.
+family_member answers one member by one operator chain on the same seed,
+unless its table is already cached.
 """
 
 from __future__ import annotations
@@ -126,36 +127,65 @@ TOWERS: dict[str, tuple[Callable[[int], MultiPoly], str, str]] = {
 }
 
 
-def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
-    """All members of one family at rank n, keyed by permutation.
+def _tower_spec(
+    n: int, family: str
+) -> tuple[str, str, Callable[[], MultiPoly], Callable[[Permutation], Permutation], str | None]:
+    """(op kind, alphabet, top, key, sliced_from) of one family at rank n.
 
     family is a key of TOWERS, or one with "x" appended for the y=0
-    specialisation.  An x-alphabet tower keys member w by w^-1 w0 and peels
-    its y=0 table from the y=0 seed, since the x-operators treat y as
-    scalars; a y-alphabet tower keys w by w w0, and its y=0 table is the
-    full one with y set to 0.  The result is a read-only view of the cached
-    table.
+    specialisation.  Member w is op_{key(w)}(top()).  An x-alphabet tower
+    keys w by w^-1 w0 and starts its y=0 members from the y=0 seed, since
+    the x-operators treat y as scalars.  A y-alphabet tower keys w by w w0,
+    and its y=0 member is the full member with y set to 0: sliced_from then
+    names that full family, else it is None.
+    """
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
+    base = family[:-1] if family.endswith("x") else family
+    if base not in TOWERS:
+        raise ValueError(f"unknown family {family!r}")
+    seed, op_kind, alphabet = TOWERS[base]
+    w0 = longest(n)
+    if alphabet == "y":
+        sliced_from = base if base != family else None
+        return op_kind, alphabet, lambda: seed(n), lambda w: w * w0, sliced_from
+    top = (lambda: seed(n)) if base == family else (lambda: seed(n).set_zero("y"))
+    return op_kind, alphabet, top, lambda w: w.inverse() * w0, None
+
+
+def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
+    """All members of one family at rank n, keyed by permutation: one
+    descent tower read through the keying of _tower_spec.  The result is a
+    read-only view of the cached table.
     """
     key = (n, family)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    base = family[:-1] if family.endswith("x") else family
-    if base not in TOWERS:
-        raise ValueError(f"unknown family {family!r}")
-    seed, op_kind, alphabet = TOWERS[base]
-    if alphabet == "y" and base != family:
-        table = {w: p.set_zero("y") for w, p in family_table(n, base).items()}
+    op_kind, alphabet, top, tower_key, sliced_from = _tower_spec(n, family)
+    if sliced_from is not None:
+        table = {w: p.set_zero("y") for w, p in family_table(n, sliced_from).items()}
     else:
-        top = seed(n) if base == family else seed(n).set_zero("y")
-        tower = _descent_tower(top, op_kind, alphabet, n)
-        w0 = longest(n)
-        if alphabet == "x":
-            table = {w: tower[w.inverse() * w0] for w in all_perms(n)}
-        else:
-            table = {w: tower[w * w0] for w in all_perms(n)}
+        tower = _descent_tower(top(), op_kind, alphabet, n)
+        table = {w: tower[tower_key(w)] for w in all_perms(n)}
     _TABLE_CACHE[key] = MappingProxyType(table)
     return _TABLE_CACHE[key]
+
+
+def family_member(n: int, family: str, w: Permutation) -> MultiPoly:
+    """Member w of one family at rank n.
+
+    Read from the cached table if there is one; otherwise one operator
+    chain of length l(key(w)) on the family's seed, which builds and caches
+    nothing.
+    """
+    cached = _TABLE_CACHE.get((n, family))
+    if cached is not None:
+        return cached[w]
+    op_kind, alphabet, top, tower_key, sliced_from = _tower_spec(n, family)
+    if sliced_from is not None:
+        return family_member(n, sliced_from, w).set_zero("y")
+    return apply_perm(op_kind, tower_key(w), top(), alphabet)
 
 
 def grothendieck_double(w: Permutation) -> MultiPoly:

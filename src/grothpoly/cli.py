@@ -102,16 +102,23 @@ def _word_label(w: Permutation) -> str:
     return "".join(str(a) for a in word) if word else "id"
 
 
-def _check_rank(args: argparse.Namespace) -> None:
-    """Rank bounds shared by compute and table."""
+# rank caps per family kind: (default, hard cap, table hard cap); --force-n
+# lifts the default up to the hard caps
+_RANK_CAPS = {"classical": (5, 6, 6), "quantum": (4, 5, 4)}
+
+
+def _check_rank(args: argparse.Namespace, command: str) -> None:
+    """Rank bounds of compute and table."""
     if args.n < 1:
         raise CliError(f"rank must be at least 1, got {args.n}")
-    if _FAMILIES[args.family][0] == "quantum" and args.n > 4:
-        raise CliError("quantum families are capped at n=4")
-    if args.n > 6:
-        raise CliError("classical families are capped at n=6")
-    if args.n > 5 and not args.force_n:
-        raise CliError("n above 5 needs --force-n")
+    kind = _FAMILIES[args.family][0]
+    default, hard, table_hard = _RANK_CAPS[kind]
+    if args.n > hard:
+        raise CliError(f"{kind} families are capped at n={hard}")
+    if command == "table" and args.n > table_hard:
+        raise CliError(f"{kind} table is capped at n={table_hard}")
+    if args.n > default and not args.force_n:
+        raise CliError(f"{kind} families above n={default} need --force-n")
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -119,9 +126,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         raise CliError(f"unknown family {args.family!r}")
     if (args.word is None) == (args.perm is None):
         raise CliError("exactly one of --word / --perm is required")
-    _check_rank(args)
+    _check_rank(args, "compute")
     w = _parse_word(args.word, args.n) if args.word is not None else _parse_perm(args.perm, args.n)
-    p = classical.family_table(args.n, _FAMILIES[args.family][1])[w]
+    p = classical.family_member(args.n, _FAMILIES[args.family][1], w)
     if args.ideal is not None:
         p = classical.NormalFormContext(args.n, args.ideal).reduce(p)
     p = _specialize(p, args)
@@ -132,7 +139,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.family not in _FAMILIES:
         raise CliError(f"unknown family {args.family!r}")
-    _check_rank(args)
+    _check_rank(args, "table")
     table = classical.family_table(args.n, _FAMILIES[args.family][1])
     symbol = _FAMILIES[args.family][2]
     for w in by_length(args.n):

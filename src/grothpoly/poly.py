@@ -28,7 +28,6 @@ from ._packing import (
     NUM_SLOTS,
     XDEG_SHIFT,
     Var,
-    display_sort_key,
     has_kind,
     kind_degree,
     kind_mask,
@@ -81,8 +80,7 @@ def _term_renderer(name, power: tuple[str, str], sep: str):
         chunks: list[str] = []
         for exps, c in self.monomials():
             body = sep.join(
-                name(v) if e == 1 else f"{name(v)}{pre}{e}{post}"
-                for v, e in sorted(exps.items(), key=lambda p: display_sort_key(p[0]))
+                name(v) if e == 1 else f"{name(v)}{pre}{e}{post}" for v, e in exps.items()
             )
             mag = abs(c)
             if not body:
@@ -384,11 +382,7 @@ class MultiPoly:
     def json_obj(self) -> list[dict]:
         out = []
         for exps, c in self.monomials():
-            mono = {
-                v.name(): e
-                for v, e in sorted(exps.items(), key=lambda p: display_sort_key(p[0]))
-            }
-            out.append({"coef": str(c), "monomial": mono})
+            out.append({"coef": str(c), "monomial": {v.name(): e for v, e in exps.items()}})
         return out
 
     def dumps(self) -> str:

@@ -293,3 +293,36 @@ class TestArgparse:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "classical families are capped at n=6"}
+
+
+class TestQuantumRankCaps:
+    """Quantum compute reaches n=5 behind --force-n; quantum table stops at 4."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["compute", "--family", "qG", "--word", "1", "--n", "5"],
+             "quantum families above n=4 need --force-n"),
+            (["compute", "--family", "qHx", "--perm", "1,2,3,4,5,6", "--n", "6", "--force-n"],
+             "quantum families are capped at n=5"),
+            (["table", "--family", "qS", "--n", "5", "--force-n"],
+             "quantum table is capped at n=4"),
+            (["table", "--family", "bH", "--n", "5"],
+             "quantum table is capped at n=4"),
+        ],
+    )
+    def test_refusals(self, argv, error, capsys):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": error}
+
+    def test_rank5_compute_with_force_n_matches_table(self, capsys):
+        from grothpoly.classical import family_table
+        from grothpoly.perms import from_word
+
+        code = cli.main(["compute", "--family", "qG", "--word", "213", "--n", "5", "--force-n"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert out == family_table(5, "qG")[from_word([2, 1, 3], 5)].text() + "\n"

@@ -4,8 +4,9 @@ tables, against the Bruhat-interval sums they replace.
 The oracle below is the construction the tables used to be built with:
 pi+/pi- towers summed over lower or upper Bruhat intervals, and the y=0
 tables sliced out of the two-alphabet ones.  Further tests make sure no
-table build goes back to scanning Bruhat intervals, and pin the one
-registry every family table is built from.
+table build goes back to scanning Bruhat intervals, pin the one registry
+every family table is built from, and check the single-member operator
+chains against the tables and against the tower keying written out here.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import sys
 import pytest
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly import classical
+from grothpoly import classical, cli
 from grothpoly._packing import BETA, unit
-from grothpoly.classical import _descent_tower, family_table, top_class
+from grothpoly.classical import TOWERS, _descent_tower, family_member, family_table, top_class
 from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS
 from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, longest
 from grothpoly.poly import MultiPoly
@@ -128,3 +129,79 @@ def test_unknown_family_is_refused(name):
 def test_bold_y0_tables_are_slices(family, n):
     full = family_table(n, family)
     assert dict(family_table(n, family + "x")) == {w: p.set_zero("y") for w, p in full.items()}
+
+
+# every table name: the TOWERS keys and their y=0 specialisations
+TABLE_NAMES = sorted(name for base in TOWERS for name in (base, base + "x"))
+
+
+@functools.cache
+def _keyed_tower(n: int, family: str) -> dict:
+    """The table as its descent tower keyed by hand.  Member w of an
+    x-alphabet tower is tower[w^-1 w0], the y=0 tokens peeling the y=0
+    seed; member w of a y-alphabet tower is tower[w w0], the y=0 tokens
+    setting y to 0 afterwards."""
+    base = family[:-1] if family.endswith("x") else family
+    seed, op_kind, alphabet = TOWERS[base]
+    top = seed(n)
+    if alphabet == "x" and base != family:
+        top = top.set_zero("y")
+    tower = _descent_tower(top, op_kind, alphabet, n)
+    w0 = longest(n)
+    if alphabet == "x":
+        return {w: tower[w.inverse() * w0] for w in all_perms(n)}
+    table = {w: tower[w * w0] for w in all_perms(n)}
+    if base != family:
+        table = {w: p.set_zero("y") for w, p in table.items()}
+    return table
+
+
+def test_table_names_cover_every_tower():
+    assert len(TABLE_NAMES) == 16
+    assert {_FAMILIES[t][1] for t in _FAMILIES} <= set(TABLE_NAMES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", TABLE_NAMES)
+def test_member_chain_matches_table(family, n, monkeypatch):
+    # the chains run with no table cached, so none is read back
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    members = {w: family_member(n, family, w) for w in all_perms(n)}
+    assert classical._TABLE_CACHE == {}
+    table = family_table(n, family)
+    oracle = _keyed_tower(n, family)
+    for w in all_perms(n):
+        assert members[w] == table[w] == oracle[w], (family, w)
+
+
+def test_member_reads_a_cached_table(monkeypatch):
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    table = family_table(3, "H")
+    w = all_perms(3)[2]
+    assert family_member(3, "H", w) is table[w]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--family", "G", "--n", "6", "--word", "1", "--force-n"],
+        ["compute", "--family", "Hx", "--n", "5", "--perm", "2,1,3,5,4"],
+        ["compute", "--family", "S", "--n", "4", "--word", "", "--ideal", "x"],
+        ["compute", "--family", "qGx", "--n", "4", "--word", "12", "--format", "json"],
+        ["compute", "--family", "bH", "--n", "3", "--word", "", "--format", "latex", "--beta", "2"],
+    ],
+)
+def test_compute_builds_no_table(argv, monkeypatch, capsys):
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert classical._TABLE_CACHE == {}
+
+
+@pytest.mark.parametrize("family", ["G", "Hx", "qS", "bHx"])
+@pytest.mark.parametrize("n", [-1, 0])
+def test_rank_below_one_is_refused(family, n):
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        family_table(n, family)
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        family_member(n, family, all_perms(1)[0])
