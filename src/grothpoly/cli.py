@@ -149,15 +149,15 @@ def cmd_table(args: argparse.Namespace) -> int:
         elif args.format == "latex":
             print(f"{symbol}_{{{_word_label(w)}}} &= {p.latex()} \\\\")
         else:
-            record = {
-                "family": args.family,
-                "n": args.n,
-                "w": list(w.oneline),
-                "word": _word_label(w) if w.length() else "",
-                "length": w.length(),
-                "poly": p.json_obj(),
-            }
-            print(json.dumps(record, separators=(",", ":"), sort_keys=True))
+            # the record's keys in sorted order, the polynomial spliced in
+            # as p.dumps() rather than re-encoded
+            family = json.dumps(args.family)
+            oneline = json.dumps(list(w.oneline), separators=(",", ":"))
+            word = json.dumps(_word_label(w) if w.length() else "")
+            print(
+                f'{{"family":{family},"length":{w.length()},"n":{args.n},'
+                f'"poly":{p.dumps()},"w":{oneline},"word":{word}}}'
+            )
     return 0
 
 

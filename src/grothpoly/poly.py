@@ -25,6 +25,11 @@ from ._packing import (
     BETA,
     FIELD_BITS,
     FIELD_MASK,
+    MASK_B,
+    MASK_Q,
+    MASK_X,
+    MASK_Y,
+    MASK_Z,
     NUM_SLOTS,
     XDEG_SHIFT,
     Var,
@@ -64,36 +69,83 @@ def _check_product_fields(ta: dict[int, int], tb: dict[int, int]) -> None:
             raise ValueError(f"product would push an exponent past {FIELD_MASK}")
 
 
-def _term_renderer(name, power: tuple[str, str], sep: str):
-    """A MultiPoly renderer: signed terms in canonical order, each factor
-    name(v), or name(v) + pre + e + post for an exponent e above 1 where
-    (pre, post) = power, factors and coefficient joined by sep.
+# display groups of a packed monomial, in display order: the deformation
+# parameters (b, q), the x alphabet, then (y, z)
+_BQ = MASK_B | MASK_Q
+_YZ = MASK_Y | MASK_Z
 
-    text() and latex() are built from it rather than calling a shared
-    helper, so each stays one call with the term loop inside it.
+
+class _GroupStrings(dict):
+    """Memo of one output format's display-group strings.
+
+    Maps a packed monomial masked to one display group to that group's
+    factors in display order, each prefixed by the one-character sep, so
+    the three groups of a monomial concatenate to its whole factor list
+    with one leading sep.  The empty group maps to "".  Whole monomials are
+    never kept.  The memo is shared by the whole process and is emptied
+    when it reaches LIMIT entries, so rendering many unrelated polynomials
+    keeps at most LIMIT strings per format; a rank-5 table needs ~250.
     """
-    pre, post = power
+
+    __slots__ = ("factor", "sep")
+    LIMIT = 1 << 12
+
+    def __init__(self, factor, sep: str):
+        super().__init__()
+        self.factor = factor
+        self.sep = sep
+
+    def __missing__(self, group: int) -> str:
+        if len(self) >= self.LIMIT:
+            self.clear()
+        s = self[group] = "".join(self.sep + self.factor(v, e) for v, e in unpack(group).items())
+        return s
+
+    def factors(self, m: int) -> str:
+        """The factors of packed monomial m, each prefixed by sep."""
+        return self[m & _BQ] + self[m & MASK_X] + self[m & _YZ]
+
+
+def _power(name, pre: str, post: str):
+    return lambda v, e: name(v) if e == 1 else f"{name(v)}{pre}{e}{post}"
+
+
+_TEXT_GROUPS = _GroupStrings(_power(Var.name, "^", ""), "*")
+_LATEX_GROUPS = _GroupStrings(
+    _power(lambda v: r"\beta" if v.kind == "b" else f"{v.kind}_{{{v.index}}}", "^{", "}"), " "
+)
+_JSON_GROUPS = _GroupStrings(lambda v, e: f'"{v.name()}":{e}', ",")
+
+
+def _term_renderer(groups: _GroupStrings):
+    """A MultiPoly renderer: signed terms in canonical order, each the
+    coefficient's magnitude (left out when 1 and the monomial is not 1) and
+    the monomial's factors, joined by groups.sep.
+
+    Each monomial is groups.factors(m), the concatenation of its three
+    memoised display-group strings, with the leading separator dropped.
+    """
 
     def render(self: "MultiPoly") -> str:
-        if not self._t:
+        t = self._t
+        if not t:
             return "0"
         chunks: list[str] = []
-        for exps, c in self.monomials():
-            body = sep.join(
-                name(v) if e == 1 else f"{name(v)}{pre}{e}{post}" for v, e in exps.items()
-            )
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
+        append, factors_of = chunks.append, groups.factors
+        for m in sorted(t):
+            factors = factors_of(m)
+            c = t[m]
+            sign = " + " if c > 0 else " - "
+            mag = c if c > 0 else -c
+            if not factors:
+                append(f"{sign}{mag}")
             elif mag == 1:
-                piece = body
+                append(sign + factors[1:])
             else:
-                piece = f"{mag}{sep}{body}"
-            if not chunks:
-                chunks.append(piece if c > 0 else f"-{piece}")
-            else:
-                chunks.append(f" + {piece}" if c > 0 else f" - {piece}")
-        return "".join(chunks)
+                append(f"{sign}{mag}{factors}")
+        s = "".join(chunks)
+        # the first term carries a bare "-" or no sign at all
+        return s[3:] if s[1] == "+" else "-" + s[3:]
 
     return render
 
@@ -374,19 +426,22 @@ class MultiPoly:
 
     # -- rendering ----------------------------------------------------
 
-    text = _term_renderer(Var.name, ("^", ""), "*")
-    latex = _term_renderer(
-        lambda v: r"\beta" if v.kind == "b" else f"{v.kind}_{{{v.index}}}", ("^{", "}"), " "
-    )
+    text = _term_renderer(_TEXT_GROUPS)
+    latex = _term_renderer(_LATEX_GROUPS)
 
     def json_obj(self) -> list[dict]:
-        out = []
-        for exps, c in self.monomials():
-            out.append({"coef": str(c), "monomial": {v.name(): e for v, e in exps.items()}})
-        return out
+        """The terms as [{"coef": str, "monomial": {name: exponent}}], in
+        canonical order with each monomial's keys in display order."""
+        return json.loads(self.dumps())
 
     def dumps(self) -> str:
-        return json.dumps(self.json_obj(), separators=(",", ":"))
+        """Compact JSON of json_obj(), built from the json display-group
+        strings with no per-term dict."""
+        t, factors_of = self._t, _JSON_GROUPS.factors
+        terms: list[str] = []
+        for m in sorted(t):
+            terms.append(f'{{"coef":"{t[m]}","monomial":{{{factors_of(m)[1:]}}}}}')
+        return "[" + ",".join(terms) + "]"
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "MultiPoly":

@@ -15,7 +15,7 @@ alphabet, registered in classical.TOWERS and built by family_table.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._packing import FIELD_MASK, Var, shift
 from .classical import (
@@ -196,8 +196,7 @@ def eval_at_X(f: MultiPoly, ctx: QuantumContext) -> MultiPoly:
     return acc
 
 
-@dataclass
-class OperatorPoly:
+class OperatorPoly(NamedTuple):
     """A polynomial in the commuting operators X_1..X_n.
 
     terms maps an exponent tuple to its coefficient (a polynomial free of

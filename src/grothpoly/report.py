@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 # (ok, counterexample, detail)
@@ -38,8 +37,7 @@ def check(check_id: str, soft: int = 4, hard: int = 5):
     return register
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_id: str
     n: int
     status: str  # "pass" | "fail"

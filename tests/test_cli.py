@@ -326,3 +326,24 @@ class TestQuantumRankCaps:
         out, _ = capsys.readouterr()
         assert code == 0
         assert out == family_table(5, "qG")[from_word([2, 1, 3], 5)].text() + "\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every CLI process pays for its imports; dataclasses (and the inspect
+    module it pulls in) cost several ms, so the CLI path must not load them."""
+    import os
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+
+    def modules(code: str) -> set[str]:
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                           timeout=60)
+        assert r.returncode == 0, r.stderr
+        return set(r.stdout.split())
+
+    added = modules("import grothpoly.cli; " + show) - modules(show)
+    assert "grothpoly.cli" in added
+    assert not added & {"dataclasses", "inspect"}

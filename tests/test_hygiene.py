@@ -66,6 +66,7 @@ KEPT_FOR_TESTS = {
     "original_generators",
     "bruhat_lower",
     "from_monomials",
+    "monomials",
 }
 
 
