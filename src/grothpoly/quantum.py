@@ -8,16 +8,19 @@ The q-deformation enters through one recurrence,
     e~_i(x_1..x_k) = e~_i(x_1..x_{k-1}) + x_k e~_{i-1}(x_1..x_{k-1})
                      + q_{k-1} e~_{i-2}(x_1..x_{k-2}),
 
-everything else is towers of divided-difference operators over the y
+so ``quantum_elementary(k, i)`` and ``gk_determinant(k, t)`` need no rank.
+The operators do: ``apply_X(j, f, n)``, ``eval_at_X(f, n)`` and
+``quantize(f, n)`` act at rank n and refuse any x_j with j > n.
+``quantize`` returns the polynomial F with ``eval_at_X(F, n) == f``.
+Everything else is towers of divided-difference operators over the y
 alphabet, registered in classical.TOWERS and built by family_table.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
-from ._packing import FIELD_MASK, Var, shift
+from ._packing import N_MAX, Var, exponent, kind_degree, unit, unpack
 from .classical import (
     TOWERS,
     _cauchy_product,
@@ -45,97 +48,58 @@ from .poly import (
 )
 from .report import check
 
-
-class QuantumContext:
-    """Rank plus the memo tables the quantum constructions share.
-
-    Immutable from the caller's point of view; the dicts fill lazily.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._etilde: dict[tuple[int, int], MultiPoly] = {}
-        self._xpow1: dict[tuple[int, ...], MultiPoly] = {}
-
-    def q_factor(self, i: int, j: int) -> MultiPoly:
-        """q_{ij} = q_i q_{i+1} ... q_{j-1}, for i < j."""
-        p = one()
-        for t in range(i, j):
-            p = p * qvar(t)
-        return p
-
-
-_CTX_CACHE: dict[int, QuantumContext] = {}
-
-
-def quantum_context(n: int) -> QuantumContext:
-    ctx = _CTX_CACHE.get(n)
-    if ctx is None:
-        ctx = QuantumContext(n)
-        _CTX_CACHE[n] = ctx
-    return ctx
-
-
 # ---------------------------------------------------------------------------
 # quantum elementary symmetric polynomials and their generating determinant
 # ---------------------------------------------------------------------------
 
+_ETILDE_CACHE: dict[tuple[int, int], MultiPoly] = {}
 
-def quantum_elementary(k: int, i: int, ctx: QuantumContext) -> MultiPoly:
+
+def quantum_elementary(k: int, i: int) -> MultiPoly:
     """e~_i(x_1..x_k | q_1..q_{k-1}); q = 0 recovers e_i.
 
-    >>> quantum_elementary(2, 2, quantum_context(3)).text()
+    >>> quantum_elementary(2, 2).text()
     'q1 + x1*x2'
     """
     if i == 0:
         return one()
     if i < 0 or k <= 0 or i > k:
         return zero()
-    key = (k, i)
-    val = ctx._etilde.get(key)
+    val = _ETILDE_CACHE.get((k, i))
     if val is None:
-        val = quantum_elementary(k - 1, i, ctx) + xvar(k) * quantum_elementary(
-            k - 1, i - 1, ctx
-        )
+        val = quantum_elementary(k - 1, i) + xvar(k) * quantum_elementary(k - 1, i - 1)
         if k >= 2:
-            val = val + qvar(k - 1) * quantum_elementary(k - 2, i - 2, ctx)
-        ctx._etilde[key] = val
+            val = val + qvar(k - 1) * quantum_elementary(k - 2, i - 2)
+        _ETILDE_CACHE[(k, i)] = val
     return val
 
 
-def gk_determinant(k: int, t: Var, ctx: QuantumContext, beta_form: bool = False) -> MultiPoly:
+def gk_determinant(k: int, t: Var, beta_form: bool = False) -> MultiPoly:
     """The k-th tridiagonal determinant as a polynomial in t.
 
     Plain form: sum_{i=0}^k t^{k-i} e~_i(x_1..x_k).  The beta form carries
     an extra (1+beta*t)^i inside the sum, which is the denominator-cleared
     version of substituting t/(1+beta*t) and rescaling by (1+beta*t)^k.
 
-    >>> gk_determinant(1, Var("y", 1), quantum_context(2)).text()
+    >>> gk_determinant(1, Var("y", 1)).text()
     'y1 + x1'
     """
     tp = MultiPoly.variable(t)
     total = zero()
     for i in range(0, k + 1):
-        term = quantum_elementary(k, i, ctx) * tp ** (k - i)
+        term = quantum_elementary(k, i) * tp ** (k - i)
         if beta_form:
             term = term * (one() + beta() * tp) ** i
         total = total + term
     return total
 
 
-def quantum_top(ctx: QuantumContext) -> MultiPoly:
-    """S~_{w_0}(x,y) = prod_{i=1}^{n-1} Delta_i(y_{n-i} | x_1..x_i)."""
+def quantum_top(n: int, beta_form: bool = False) -> MultiPoly:
+    """S~_{w_0}(x,y) = prod_{i=1}^{n-1} Delta_i(y_{n-i} | x_1..x_i); with
+    beta_form, the same product of beta-form determinants (the bold seed)."""
     p = one()
-    for i in range(1, ctx.n):
-        p = p * gk_determinant(i, Var("y", ctx.n - i), ctx)
-    return p
-
-
-def bold_top(ctx: QuantumContext) -> MultiPoly:
-    """Same product with the beta-form determinants."""
-    p = one()
-    for i in range(1, ctx.n):
-        p = p * gk_determinant(i, Var("y", ctx.n - i), ctx, beta_form=True)
+    for i in range(1, n):
+        p = p * gk_determinant(i, Var("y", n - i), beta_form)
     return p
 
 
@@ -148,95 +112,66 @@ def _palindrome(i: int, j: int) -> list[int]:
     return list(range(i, j)) + list(range(j - 2, i - 1, -1))
 
 
-def apply_X(j: int, f: MultiPoly, ctx: QuantumContext) -> MultiPoly:
+def apply_X(j: int, f: MultiPoly, n: int) -> MultiPoly:
     """x_j f - sum_{i<j} q_{ij} d_{(ij)} f + sum_{j<k} q_{jk} d_{(jk)} f,
-    where d_{(ij)} is the divided-difference word for the transposition.
+    where q_{ij} = q_i q_{i+1} ... q_{j-1} and d_{(ij)} is the
+    divided-difference word for the transposition.
 
-    >>> apply_X(1, xvar(1), quantum_context(2)).text()
+    >>> apply_X(1, xvar(1), 2).text()
     'q1 + x1^2'
     """
-    n = ctx.n
+    if not 1 <= j <= n:
+        raise ValueError(f"X_{j} does not exist at rank {n}")
+    for k in range(n + 1, N_MAX + 1):
+        if f.max_exponent(Var("x", k)):
+            raise ValueError(f"x{k} is above the rank {n}")
     out = xvar(j) * f
     for i in range(1, j):
-        out = out - ctx.q_factor(i, j) * apply_word(DEL, _palindrome(i, j), f, "x")
+        q_ij = MultiPoly({Var("q", t): 1 for t in range(i, j)})
+        out = out - q_ij * apply_word(DEL, _palindrome(i, j), f, "x")
     for k in range(j + 1, n + 1):
-        out = out + ctx.q_factor(j, k) * apply_word(DEL, _palindrome(j, k), f, "x")
+        q_jk = MultiPoly({Var("q", t): 1 for t in range(j, k)})
+        out = out + q_jk * apply_word(DEL, _palindrome(j, k), f, "x")
     return out
 
 
-def _x_power_at_one(I: tuple[int, ...], ctx: QuantumContext) -> MultiPoly:
-    """X_1^{i_1} ... X_n^{i_n} applied to 1 (order immaterial: they commute)."""
-    val = ctx._xpow1.get(I)
-    if val is not None:
-        return val
-    j = 0
-    for pos in range(len(I) - 1, -1, -1):
-        if I[pos]:
-            j = pos + 1
-            break
-    if j == 0:
-        val = one()
-    else:
-        smaller = tuple(e - 1 if pos == j - 1 else e for pos, e in enumerate(I))
-        val = apply_X(j, _x_power_at_one(smaller, ctx), ctx)
-    ctx._xpow1[I] = val
+# X-products differ between ranks, so the memo is keyed by (n, x-part)
+_XPOW_CACHE: dict[tuple[int, int], MultiPoly] = {}
+
+
+def _x_power_at_one(xpart: int, n: int) -> MultiPoly:
+    """X^I(1) for the packed x-monomial x^I (order immaterial: the X_j
+    commute); peels one X_j off the highest x_j present, so an x_j with
+    j > n meets apply_X's rank check."""
+    val = _XPOW_CACHE.get((n, xpart))
+    if val is None:
+        j = next((j for j in range(N_MAX, 0, -1) if exponent(xpart, Var("x", j))), 0)
+        val = one() if j == 0 else apply_X(j, _x_power_at_one(xpart - unit(Var("x", j)), n), n)
+        _XPOW_CACHE[(n, xpart)] = val
     return val
 
 
-def _x_exponents(xpart: int, n: int) -> tuple[int, ...]:
-    return tuple((xpart >> shift(Var("x", i))) & FIELD_MASK for i in range(1, n + 1))
-
-
-def eval_at_X(f: MultiPoly, ctx: QuantumContext) -> MultiPoly:
+def eval_at_X(f: MultiPoly, n: int) -> MultiPoly:
     """f with every x-monomial replaced by the matching X-product, applied
     to 1.  Non-x variables ride along as scalars."""
     acc = zero()
     for xpart, coeff in f.split_by_kinds(("x",)).items():
-        acc = acc + coeff * _x_power_at_one(_x_exponents(xpart, ctx.n), ctx)
+        acc = acc + coeff * _x_power_at_one(xpart, n)
     return acc
 
 
-class OperatorPoly(NamedTuple):
-    """A polynomial in the commuting operators X_1..X_n.
-
-    terms maps an exponent tuple to its coefficient (a polynomial free of
-    x); commutativity makes the representation canonical.
-    """
-
-    n: int
-    terms: dict[tuple[int, ...], MultiPoly]
-
-    def value_at_one(self, ctx: QuantumContext) -> MultiPoly:
-        acc = zero()
-        for I, coeff in self.terms.items():
-            acc = acc + coeff * _x_power_at_one(I, ctx)
-        return acc
-
-    def as_polynomial(self) -> MultiPoly:
-        """Surrogate symbols replaced by the x variables."""
-        acc = zero()
-        for I, coeff in self.terms.items():
-            mono = one()
-            for pos, e in enumerate(I):
-                if e:
-                    mono = mono * xvar(pos + 1) ** e
-            acc = acc + coeff * mono
-        return acc
-
-
-def quantize(f: MultiPoly, ctx: QuantumContext) -> tuple[OperatorPoly, MultiPoly]:
-    """The unique F with F(X_1..X_n)(1) = f, by triangular elimination.
+def quantize(f: MultiPoly, n: int) -> MultiPoly:
+    """The unique F with eval_at_X(F, n) == f, by triangular elimination.
 
     X^I(1) = x^I plus terms of strictly smaller total x-degree, so
     repeatedly stripping the top-degree layer of the residual terminates.
-    Returns (F, F written in the x variables).
 
-    >>> quantize(xvar(1) ** 2, quantum_context(2))[1].text()
+    >>> quantize(xvar(1) ** 2, 2).text()
     '-q1 + x1^2'
     """
     if f.uses_kind("y") or f.uses_kind("z"):
         raise ValueError("quantize expects a polynomial in x, beta and q")
-    terms: dict[tuple[int, ...], MultiPoly] = {}
+    quantized = zero()
     rem = f
     prev_deg = None
     while not rem.is_zero():
@@ -245,13 +180,11 @@ def quantize(f: MultiPoly, ctx: QuantumContext) -> tuple[OperatorPoly, MultiPoly
             raise AssertionError("quantization failed to reduce degree")
         prev_deg = d
         for xpart, coeff in rem.split_by_kinds(("x",)).items():
-            I = _x_exponents(xpart, ctx.n)
-            if sum(I) != d:
+            if kind_degree(xpart, "x") != d:
                 continue
-            terms[I] = terms.get(I, zero()) + coeff
-            rem = rem - coeff * _x_power_at_one(I, ctx)
-    op = OperatorPoly(ctx.n, {I: c for I, c in terms.items() if not c.is_zero()})
-    return op, op.as_polynomial()
+            quantized = quantized + coeff * MultiPoly(unpack(xpart))
+            rem = rem - coeff * _x_power_at_one(xpart, n)
+    return quantized
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +192,8 @@ def quantize(f: MultiPoly, ctx: QuantumContext) -> tuple[OperatorPoly, MultiPoly
 # ---------------------------------------------------------------------------
 
 
-def _quantum_seed(n: int) -> MultiPoly:
-    return quantum_top(quantum_context(n))
-
-
 def _bold_seed(n: int) -> MultiPoly:
-    return bold_top(quantum_context(n))
+    return quantum_top(n, beta_form=True)
 
 
 # y-alphabet towers: member w is tower[w w0], and the y=0 tables are slices
@@ -274,9 +203,9 @@ def _bold_seed(n: int) -> MultiPoly:
 # tower, not a pi- one: on the bold seed the two genuinely differ, and only
 # psi+ matches the y=0 slices.
 TOWERS.update({
-    "qS": (_quantum_seed, DEL, "y"),
-    "qH": (_quantum_seed, PI_MINUS, "y"),
-    "qG": (_quantum_seed, PSI_MINUS, "y"),
+    "qS": (quantum_top, DEL, "y"),
+    "qH": (quantum_top, PI_MINUS, "y"),
+    "qG": (quantum_top, PSI_MINUS, "y"),
     "bG": (_bold_seed, PI_PLUS, "y"),
     "bH": (_bold_seed, PSI_PLUS, "y"),
 })
@@ -319,8 +248,7 @@ def bold_family(w: Permutation, kind: str) -> MultiPoly:
 
 @check("theorem1", hard=4)
 def _check_theorem1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    ctx = quantum_context(n)
-    got = eval_at_X(quantum_top(ctx), ctx)
+    got = eval_at_X(quantum_top(n), n)
     expect = top_class(n)
     if got == expect:
         return True, None, None
@@ -329,33 +257,24 @@ def _check_theorem1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict
 
 @check("corollary1", hard=4)
 def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    ctx = quantum_context(n)
-    qs = family_table(n, "qS")
-    qh = family_table(n, "qH")
-    st = family_table(n, "S")
-    ht = family_table(n, "H")
+    tables = {fam: family_table(n, fam) for fam in ("qS", "qH", "S", "H")}
     for w in all_perms(n):
-        got = eval_at_X(qs[w], ctx)
-        if got != st[w]:
-            return (
-                False,
-                {"family": "qS", "w": list(w.oneline), "difference": (got - st[w]).json_obj()},
-                None,
-            )
-        got = eval_at_X(qh[w], ctx)
-        if got != ht[w]:
-            return (
-                False,
-                {"family": "qH", "w": list(w.oneline), "difference": (got - ht[w]).json_obj()},
-                None,
-            )
+        for qfam, cfam in (("qS", "S"), ("qH", "H")):
+            got = eval_at_X(tables[qfam][w], n)
+            expect = tables[cfam][w]
+            if got != expect:
+                return (
+                    False,
+                    {"family": qfam, "w": list(w.oneline), "difference": (got - expect).json_obj()},
+                    None,
+                )
     return True, None, None
 
 
 @check("quantum_cauchy", soft=3, hard=4)
 def _check_quantum_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     acc, den = _cauchy_sum(n, family_table(n, "qH"))
-    rhs = bold_top(quantum_context(n)) * den
+    rhs = quantum_top(n, beta_form=True) * den
     if acc == rhs:
         return True, None, None
     return False, {"difference": (acc - rhs).json_obj()}, None
@@ -400,11 +319,10 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     reported: tried with q in place, with q reversed, and if both fail
     the q=0 limit must still hold (the classical swap duality).
     """
-    ctx = quantum_context(n)
     qg_id = family_table(n, "qG")[identity(n)]
     qh_id = family_table(n, "qH")[identity(n)]
     cap = n * (n - 1) // 2
-    weighted = quantum_top(ctx).beta_weighted(cap, "y")
+    weighted = quantum_top(n).beta_weighted(cap, "y")
     detail: dict = {}
     if qg_id == weighted:
         detail["weighted_member"] = "G"
@@ -445,18 +363,16 @@ def _random_x_poly(n: int, rng: random.Random, max_deg: int = 4) -> MultiPoly:
 
 @check("quantization_props", hard=4)
 def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    ctx = quantum_context(n)
     for k in range(1, n + 1):
         for i in range(1, k + 1):
-            got = eval_at_X(quantum_elementary(k, i, ctx), ctx)
+            got = eval_at_X(quantum_elementary(k, i), n)
             expect = elementary(i, [Var("x", t) for t in range(1, k + 1)])
             if got != expect:
                 return False, {"part": "etilde", "k": k, "i": i}, None
     roundtrips = 100 if n <= 3 else 20
     for trial in range(roundtrips):
         f = _random_x_poly(n, rng)
-        op, _ = quantize(f, ctx)
-        if op.value_at_one(ctx) != f:
+        if eval_at_X(quantize(f, n), n) != f:
             return False, {"part": "roundtrip", "trial": trial, "f": f.json_obj()}, None
     for trial in range(10):
         # multiplicativity against a symmetric factor: the quantization of
@@ -467,15 +383,12 @@ def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | 
         for i in range(1, n + 1):
             f = f + elementary(i, [Var("x", t) for t in range(1, n + 1)]) * rng.randint(-2, 2)
         f = f + rng.randint(-2, 2)
-        _, fg_q = quantize(f * g, ctx)
-        _, f_q = quantize(f, ctx)
-        _, g_q = quantize(g, ctx)
-        if fg_q != f_q * g_q:
+        if quantize(f * g, n) != quantize(f, n) * quantize(g, n):
             return False, {"part": "lambda_multiplicative", "trial": trial}, None
     st = family_table(n, "Sx")
     qs = family_table(n, "qSx")
     for w in all_perms(n):
-        _, fq = quantize(st[w], ctx)
+        fq = quantize(st[w], n)
         if fq != qs[w]:
             return (
                 False,
@@ -487,14 +400,13 @@ def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | 
 
 @check("commuting", hard=4)
 def _check_commuting(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    ctx = quantum_context(n)
     trials = 0
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for _ in range(12):
                 f = _random_x_poly(n, rng, max_deg=5)
-                lhs = apply_X(i, apply_X(j, f, ctx), ctx)
-                rhs = apply_X(j, apply_X(i, f, ctx), ctx)
+                lhs = apply_X(i, apply_X(j, f, n), n)
+                rhs = apply_X(j, apply_X(i, f, n), n)
                 trials += 1
                 if lhs != rhs:
                     return (
@@ -507,7 +419,6 @@ def _check_commuting(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
 
 @check("classical_limit", hard=4)
 def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    ctx = quantum_context(n)
     qzero = {i: 0 for i in range(1, n)}
     pairs = [("qS", "S"), ("qH", "H"), ("qG", "G"), ("qSx", "Sx"), ("qHx", "Hx"), ("qGx", "Gx")]
     for qfam, cfam in pairs:
@@ -520,7 +431,7 @@ def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | Non
     for w in all_perms(n):
         if family_table(n, "qG")[w].specialize_q(qzero).specialize_beta(0) != st[w]:
             return False, {"family": "qG at beta=0", "w": list(w.oneline)}, None
-    if bold_top(ctx).specialize_q(qzero) != _cauchy_product(n):
+    if quantum_top(n, beta_form=True).specialize_q(qzero) != _cauchy_product(n):
         return False, {"family": "bold top"}, None
     return True, None, None
 

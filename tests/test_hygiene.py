@@ -58,7 +58,6 @@ def test_no_unused_imports(path):
 # Defined in src/ for the tests only: public API the tests exercise, and the
 # reference oracles they compare the fast paths against.
 KEPT_FOR_TESTS = {
-    "exponent",
     "scalar_product",
     "staircase_monomials",
     "pieri_targets",

@@ -4,6 +4,8 @@ the alternating-sum construction), quantization, and the quantum checkers."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from grothpoly._packing import Var
@@ -21,11 +23,9 @@ from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero
 from grothpoly.quantum import (
     apply_X,
     bold_family,
-    bold_top,
     eval_at_X,
     gk_determinant,
     quantize,
-    quantum_context,
     quantum_elementary,
     quantum_grothendieck_double,
     quantum_top,
@@ -57,54 +57,46 @@ def tridiagonal(k: int, t: Var) -> list[list[MultiPoly]]:
 
 class TestQuantumElementary:
     def test_determinant_oracle(self):
-        ctx = quantum_context(4)
         t = Var("y", 1)
         for k in range(0, 5):
-            assert gk_determinant(k, t, ctx) == naive_det(tridiagonal(k, t))
+            assert gk_determinant(k, t) == naive_det(tridiagonal(k, t))
 
     def test_sum_form(self):
         # the determinant collects as sum_i t^{k-i} etilde_i
-        ctx = quantum_context(4)
         t = Var("y", 2)
         for k in range(1, 5):
             total = zero()
             for i in range(0, k + 1):
-                total = total + MultiPoly.variable(t) ** (k - i) * quantum_elementary(
-                    k, i, ctx
-                )
-            assert gk_determinant(k, t, ctx) == total
+                total = total + MultiPoly.variable(t) ** (k - i) * quantum_elementary(k, i)
+            assert gk_determinant(k, t) == total
 
     def test_recurrence(self):
-        ctx = quantum_context(5)
         for k in range(2, 6):
             for i in range(1, k + 1):
-                got = quantum_elementary(k, i, ctx)
+                got = quantum_elementary(k, i)
                 want = (
-                    quantum_elementary(k - 1, i, ctx)
-                    + xvar(k) * quantum_elementary(k - 1, i - 1, ctx)
-                    + qvar(k - 1) * quantum_elementary(k - 2, i - 2, ctx)
+                    quantum_elementary(k - 1, i)
+                    + xvar(k) * quantum_elementary(k - 1, i - 1)
+                    + qvar(k - 1) * quantum_elementary(k - 2, i - 2)
                 )
                 assert got == want
 
     def test_q_zero_is_classical_elementary(self):
-        ctx = quantum_context(4)
         for k in range(1, 5):
             xs = [Var("x", j) for j in range(1, k + 1)]
             for i in range(0, k + 1):
-                et = quantum_elementary(k, i, ctx)
+                et = quantum_elementary(k, i)
                 assert et.set_zero("q") == elementary(i, xs)
 
     def test_small_values(self):
-        ctx = quantum_context(3)
-        assert quantum_elementary(2, 2, ctx) == xvar(1) * xvar(2) + qvar(1)
+        assert quantum_elementary(2, 2) == xvar(1) * xvar(2) + qvar(1)
         assert (
-            quantum_elementary(3, 3, ctx)
+            quantum_elementary(3, 3)
             == xvar(1) * xvar(2) * xvar(3) + qvar(1) * xvar(3) + qvar(2) * xvar(1)
         )
 
     def test_beta_form_determinant(self):
         # the beta variant rescales row i by (1 + beta t)^i inside the sum
-        ctx = quantum_context(3)
         t = Var("y", 1)
         tv = MultiPoly.variable(t)
         for k in (1, 2, 3):
@@ -113,28 +105,25 @@ class TestQuantumElementary:
                 total = total + (
                     tv ** (k - i)
                     * (one() + beta() * tv) ** i
-                    * quantum_elementary(k, i, ctx)
+                    * quantum_elementary(k, i)
                 )
-            assert gk_determinant(k, t, ctx, beta_form=True) == total
+            assert gk_determinant(k, t, beta_form=True) == total
 
 
 class TestTops:
     def test_rank2(self):
-        ctx = quantum_context(2)
-        assert quantum_top(ctx) == xvar(1) + yvar(1)
-        assert bold_top(ctx) == xvar(1) + yvar(1) + beta() * xvar(1) * yvar(1)
+        assert quantum_top(2) == xvar(1) + yvar(1)
+        assert quantum_top(2, beta_form=True) == xvar(1) + yvar(1) + beta() * xvar(1) * yvar(1)
 
     def test_rank3_factored(self):
-        ctx = quantum_context(3)
         want = (xvar(1) + yvar(2)) * (
             (xvar(1) + yvar(1)) * (xvar(2) + yvar(1)) + qvar(1)
         )
-        assert quantum_top(ctx) == want
+        assert quantum_top(3) == want
 
     def test_q_zero_limits(self):
         for n in (2, 3, 4):
-            ctx = quantum_context(n)
-            assert quantum_top(ctx).set_zero("q") == top_class(n)
+            assert quantum_top(n).set_zero("q") == top_class(n)
 
 
 # Frozen rank-3 quantum tables (reduced-word keys, "" = identity).  The H
@@ -257,12 +246,11 @@ class TestGoldenQuantumTables:
 
     def test_top_rows(self):
         for n in (2, 3):
-            ctx = quantum_context(n)
             w0 = longest(n)
-            assert family_table(n, "qG")[w0] == quantum_top(ctx)
-            assert family_table(n, "qH")[w0] == quantum_top(ctx)
-            assert family_table(n, "bG")[w0] == bold_top(ctx)
-            assert family_table(n, "bH")[w0] == bold_top(ctx)
+            assert family_table(n, "qG")[w0] == quantum_top(n)
+            assert family_table(n, "qH")[w0] == quantum_top(n)
+            assert family_table(n, "bG")[w0] == quantum_top(n, beta_form=True)
+            assert family_table(n, "bH")[w0] == quantum_top(n, beta_form=True)
 
 
 class TestBoldFamilies:
@@ -295,49 +283,83 @@ class TestBoldFamilies:
 
 class TestQuantization:
     def test_x_operator_basics(self):
-        ctx = quantum_context(3)
-        f = apply_X(1, apply_X(1, one(), ctx), ctx)
+        f = apply_X(1, apply_X(1, one(), 3), 3)
         assert f == xvar(1) ** 2 + qvar(1)
-        g = apply_X(1, apply_X(2, one(), ctx), ctx)
+        g = apply_X(1, apply_X(2, one(), 3), 3)
         assert g == xvar(1) * xvar(2) - qvar(1)
 
     def test_elementary_at_X_collapses(self):
         # evaluating etilde_i at the commuting X operators and applying to 1
         # recovers the ordinary elementary function
         for n in (2, 3, 4):
-            ctx = quantum_context(n)
             xs = [Var("x", j) for j in range(1, n + 1)]
             for i in range(1, n + 1):
-                et = quantum_elementary(n, i, ctx)
-                assert eval_at_X(et, ctx) == elementary(i, xs)
+                et = quantum_elementary(n, i)
+                assert eval_at_X(et, n) == elementary(i, xs)
 
     def test_quantize_roundtrip(self):
-        ctx = quantum_context(3)
         f = xvar(1) ** 2 * xvar(2) + xvar(3) * 2 - one()
-        op, fq = quantize(f, ctx)
-        assert op.value_at_one(ctx) == f
+        fq = quantize(f, 3)
+        assert eval_at_X(fq, 3) == f
         assert fq.set_zero("q") == f
 
     def test_quantize_rejects_other_alphabets(self):
-        ctx = quantum_context(3)
         with pytest.raises(ValueError):
-            quantize(xvar(1) + yvar(1), ctx)
+            quantize(xvar(1) + yvar(1), 3)
 
     def test_quantize_e2(self):
         # the symbol of the operator writing e_2 = x1 x2 is e_2 + q1,
         # while the monomial x1^2 picks up -q1; both collapse back at q=0
-        ctx = quantum_context(2)
-        _, fq = quantize(xvar(1) * xvar(2), ctx)
+        fq = quantize(xvar(1) * xvar(2), 2)
         assert fq == xvar(1) * xvar(2) + qvar(1)
-        _, fq2 = quantize(xvar(1) ** 2, ctx)
+        fq2 = quantize(xvar(1) ** 2, 2)
         assert fq2 == xvar(1) ** 2 - qvar(1)
 
+    def test_x_above_the_rank_is_refused(self):
+        # X_3 does not exist at rank 2, so neither does an image of x3
+        with pytest.raises(ValueError):
+            eval_at_X(xvar(3), 2)
+        with pytest.raises(ValueError):
+            eval_at_X(xvar(1) ** 2 + xvar(1) * xvar(3) * qvar(1), 2)
+        with pytest.raises(ValueError):
+            quantize(xvar(3), 2)
+        with pytest.raises(ValueError):
+            quantize(xvar(1) ** 3 + xvar(3), 2)
+        with pytest.raises(ValueError):
+            apply_X(3, xvar(1), 2)
+        with pytest.raises(ValueError):
+            apply_X(0, xvar(1), 2)
+        with pytest.raises(ValueError):
+            apply_X(1, xvar(2) * xvar(3), 2)
+        # a value memoised at rank 3 is not handed out at rank 2
+        assert eval_at_X(xvar(3), 3) == xvar(3)
+        with pytest.raises(ValueError):
+            eval_at_X(xvar(3), 2)
+
+    def test_x_product_memo_is_per_rank(self):
+        # X-products differ between ranks (X_2^2(1) is x2^2 + q1 at rank 2
+        # and x2^2 + q1 + q2 at rank 3), so interleave ranks in one process
+        # and compare eval_at_X, which memoises, against X_j applied by hand
+        rng = random.Random(10)
+        for _ in range(5):
+            for n in (2, 3, 4):
+                f, want = zero(), zero()
+                for _ in range(4):
+                    coeff = rng.randint(-3, 3)
+                    mono, value = one(), one()
+                    for _ in range(rng.randint(0, 5)):
+                        j = rng.randint(1, n)
+                        mono = mono * xvar(j)
+                        value = apply_X(j, value, n)
+                    f = f + coeff * mono
+                    want = want + coeff * value
+                assert eval_at_X(f, n) == want
+
     def test_quantize_schubert_gives_quantum_schubert(self):
-        ctx = quantum_context(3)
         st = family_table(3, "qSx")
         ct = family_table(3, "Sx")
         for w in all_perms(3):
-            _, fq = quantize(ct[w], ctx)
+            fq = quantize(ct[w], 3)
             assert fq == st[w]
 
 

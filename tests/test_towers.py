@@ -24,7 +24,7 @@ from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS
 from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, longest
 from grothpoly.poly import MultiPoly
 from grothpoly.cli import _FAMILIES
-from grothpoly.quantum import bold_top, quantum_context, quantum_top
+from grothpoly.quantum import quantum_top
 
 _B = unit(BETA)
 
@@ -54,16 +54,15 @@ def _oracle_classical(n: int, family: str) -> dict:
 
 
 def _oracle_quantum(n: int, family: str) -> dict:
-    ctx = quantum_context(n)
     w0 = longest(n)
     if family.startswith("qG"):
         # qG_w = sum_{v >= w} (-b)^(l(v)-l(w)) qH_v
-        tower = _descent_tower(quantum_top(ctx), PI_MINUS, "y", n)
+        tower = _descent_tower(quantum_top(n), PI_MINUS, "y", n)
         qh = {w: tower[w * w0] for w in all_perms(n)}
         table = {w: _interval_sum(qh, bruhat_upper(w), w.length(), -1) for w in all_perms(n)}
     else:
         # bH_w = sum_{v <= w w0} b^(l(w w0)-l(v)) pi+_v(bold top)
-        tower = _descent_tower(bold_top(ctx), PI_PLUS, "y", n)
+        tower = _descent_tower(quantum_top(n, beta_form=True), PI_PLUS, "y", n)
         table = {}
         for w in all_perms(n):
             u = w * w0
