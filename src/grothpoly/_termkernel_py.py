@@ -8,6 +8,8 @@ through this module object (``from . import _termkernel_py as kernel``).
 All functions treat their inputs as read-only except ``addmul``, which
 accumulates into its first argument and may leave explicit zeros behind
 (callers prune with ``prune`` once a ladder of accumulations is done).
+``divdiff`` applies any of the five divided-difference operator kinds,
+d((1 + s*b*v_j) f) + t*b*f, in one pass and returns a pruned map.
 """
 
 FIELD_MASK = (1 << 16) - 1
@@ -45,32 +47,54 @@ def prune(acc: dict) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-def divdiff(f: dict, sh_i: int, sh_j: int, ui: int, uj: int) -> dict:
-    """Divided difference at an adjacent pair of variables.
+def divdiff(f: dict, sh_i: int, sh_j: int, ui: int, uj: int, s: int, t: int, bu: int) -> dict:
+    """d((1 + s*b*v_j) * f) + t*b*f at an adjacent pair of variables, where
+    d = (1 - s_ij) / (v_i - v_j), s_ij exchanges v_i and v_j (fields at sh_i,
+    sh_j, units ui, uj) and b has the packed unit bu.
 
-    For each monomial v_i^a v_j^b * r the image is the staircase sum
-      a > b:  + sum_{t=0}^{a-b-1} v_i^(a-1-t) v_j^(b+t) * r
-      a < b:  - sum_{t=0}^{b-a-1} v_i^(a+t) v_j^(b-1-t) * r
-      a == b: 0
-    which is (f - s_ij f) / (v_i - v_j), s_ij exchanging v_i and v_j, computed
-    without the division.
+    d sends v_i^a v_j^e * r to the staircase of v_i^p v_j^(a+e-1-p) * r over
+    min(a, e) <= p < max(a, e), signed + when a > e, so nothing is divided;
+    d(v_j * term) is the staircase of (a, e+1), so v_j * f is never formed.
+    Raises ValueError if (s, t) != (0, 0) and a term holds b^FIELD_MASK.
     """
+    shifted = s or t
+    bfull = bu * FIELD_MASK
+    step = ui - uj  # along a staircase: v_i up one, v_j down one
     out: dict = {}
     get = out.get
     for m, c in f.items():
-        a = (m >> sh_i) & FIELD_MASK
-        b = (m >> sh_j) & FIELD_MASK
-        if a == b:
+        d = ((m >> sh_i) & FIELD_MASK) - ((m >> sh_j) & FIELD_MASK)
+        if d:
+            # the staircase of (a, e) starts at m / v_j if a < e, ends there if a > e
+            k = m - uj
+            if d > 0:
+                k -= d * step
+                cc = c
+            else:
+                d, cc = -d, -c
+            for _ in range(d):
+                v = get(k)
+                out[k] = cc if v is None else v + cc
+                k += step
+        if not shifted:
             continue
-        base = m - a * ui - b * uj
-        if a > b:
-            for t in range(a - b):
-                k = base + (a - 1 - t) * ui + (b + t) * uj
+        if m & bfull == bfull:
+            raise ValueError(f"b would push an exponent past {FIELD_MASK}")
+        mb = m + bu
+        if t:
+            v = get(mb)
+            out[mb] = t * c if v is None else v + t * c
+        if s:
+            # s*b times the staircase of (a, e+1), which starts or ends at b*m
+            d = ((m >> sh_i) & FIELD_MASK) - ((m >> sh_j) & FIELD_MASK) - 1
+            k = mb
+            if d > 0:
+                k -= d * step
+                cc = s * c
+            else:
+                d, cc = -d, -s * c
+            for _ in range(d):
                 v = get(k)
-                out[k] = c if v is None else v + c
-        else:
-            for t in range(b - a):
-                k = base + (a + t) * ui + (b - 1 - t) * uj
-                v = get(k)
-                out[k] = -c if v is None else v - c
+                out[k] = cc if v is None else v + cc
+                k += step
     return {k: v for k, v in out.items() if v}

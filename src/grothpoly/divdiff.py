@@ -1,10 +1,16 @@
 """Divided differences, their isobaric deformations, and word application.
 
 All operators act on one alphabet (x by default, y on request) and are
-exact: the division by x_i - x_{i+1} is performed term by term on the
+exact: the division by v_i - v_{i+1} is performed term by term on the
 antisymmetrized input, so no rational arithmetic ever appears.
 
-Conventions, pinned by the printed rank-3 tables and enforced by tests:
+Every operator kind is one formula in the plain divided difference d_i,
+
+    op_i f = d_i((1 + s*b*v_{i+1}) * f) + t*b*f,
+
+with (s, t) = (0, 0) for del, (1, 0) for pi+, (-1, 0) for pi-, (1, 1) for
+psi+ and (-1, -1) for psi-, computed in one kernel pass.  Conventions,
+pinned by the printed rank-3 tables and enforced by tests:
 
 * ``apply_word(kind, [a1, ..., ap], f)`` applies the rightmost letter
   first (operator product order), so the word of a permutation and the
@@ -30,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import _termkernel_py as kernel
-from ._packing import BETA, Var, adjacent_pair, unit
+from ._packing import BETA, adjacent_pair, unit
 from .perms import Permutation, first_reduced_word
 from .poly import MultiPoly
 
@@ -39,49 +45,33 @@ PI_PLUS = "pi+"
 PI_MINUS = "pi-"
 PSI_PLUS = "psi+"
 PSI_MINUS = "psi-"
-OPERATOR_KINDS = (DEL, PI_PLUS, PI_MINUS, PSI_PLUS, PSI_MINUS)
+
+# kind -> (s, t) of op_i f = d_i((1 + s*b*v_{i+1}) * f) + t*b*f
+_SHIFTS = {DEL: (0, 0), PI_PLUS: (1, 0), PI_MINUS: (-1, 0), PSI_PLUS: (1, 1), PSI_MINUS: (-1, -1)}
 
 _B_UNIT = unit(BETA)
+
+
+def apply_op(kind: str, i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
+    """The operator of one kind at the adjacent pair (v_i, v_{i+1})."""
+    try:
+        s, t = _SHIFTS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown operator kind {kind!r}") from None
+    return MultiPoly._raw(kernel.divdiff(f._t, *adjacent_pair(alphabet, i), s, t, _B_UNIT))
 
 
 def divdiff(i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
     """(f - s_i f) / (v_i - v_{i+1}), computed exactly, where s_i swaps v_i
     and v_{i+1}."""
-    sh_i, sh_j, ui, uj = adjacent_pair(alphabet, i)
-    return MultiPoly._raw(kernel.divdiff(f._t, sh_i, sh_j, ui, uj))
+    return apply_op(DEL, i, f, alphabet)
 
 
 def isobaric(i: int, f: MultiPoly, alphabet: str = "x", sign: int = 1) -> MultiPoly:
     """divdiff(i, f) + sign * b * divdiff(i, v_{i+1} * f)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    shifted = f.times_var(Var(alphabet, i + 1))
-    d = divdiff(i, f, alphabet)
-    d2 = divdiff(i, shifted, alphabet)
-    acc = dict(d._t)
-    kernel.addmul(acc, d2._t, _B_UNIT, sign)
-    return MultiPoly._raw(kernel.prune(acc))
-
-
-def _psi(i: int, f: MultiPoly, alphabet: str, sign: int) -> MultiPoly:
-    """isobaric(i, f, sign) + sign * b * f."""
-    acc = isobaric(i, f, alphabet, sign)._t  # a fresh map, never shared
-    kernel.addmul(acc, f._t, _B_UNIT, sign)
-    return MultiPoly._raw(kernel.prune(acc))
-
-
-def apply_op(kind: str, i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
-    if kind == DEL:
-        return divdiff(i, f, alphabet)
-    if kind == PI_PLUS:
-        return isobaric(i, f, alphabet, 1)
-    if kind == PI_MINUS:
-        return isobaric(i, f, alphabet, -1)
-    if kind == PSI_PLUS:
-        return _psi(i, f, alphabet, 1)
-    if kind == PSI_MINUS:
-        return _psi(i, f, alphabet, -1)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    return apply_op(PI_PLUS if sign == 1 else PI_MINUS, i, f, alphabet)
 
 
 def apply_word(

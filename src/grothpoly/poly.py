@@ -283,23 +283,6 @@ class MultiPoly:
                 base = base * base
         return result
 
-    def times_var(self, var: Var, exp: int = 1) -> "MultiPoly":
-        """Fast multiply by a single monomial var^exp."""
-        if exp == 0:
-            return self
-        if exp < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        if var.kind == "x":
-            # x_i <= x-degree, and the x-degree field leads the packed order
-            top = max(self._t, default=0) >> XDEG_SHIFT
-        else:
-            sh = shift(var)
-            top = max(map((FIELD_MASK << sh).__and__, self._t), default=0) >> sh
-        if top + exp > FIELD_MASK:
-            raise ValueError(f"{var.name()}^{exp} would push an exponent past {FIELD_MASK}")
-        mono = exp * unit(var)
-        return MultiPoly._raw({m + mono: c for m, c in self._t.items()})
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self._t == ({0: other} if other else {})

@@ -27,11 +27,11 @@ from .classical import (
     _cauchy_sum,
     _embedding_failure,
     elementary,
-    eta,
+    expand_dual_basis,
     family_table,
     top_class,
 )
-from .divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_perm, apply_word
+from .divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_word
 from .perms import (
     Permutation,
     all_perms,
@@ -293,11 +293,12 @@ def _check_corollary2(n: int, rng: random.Random) -> tuple[bool, dict | None, di
             return False, {"bullet": 1, "w": list(w.oneline)}, None
         if bg[w].set_zero("y") != qgx[w]:
             return False, {"bullet": 2, "w": list(w.oneline)}, None
+    # coefs[v][u] = eta(pi+_u Gx_{v w0}), one pi+ tower per v
+    coefs = {v: expand_dual_basis(gxt[v * w0], n) for v in all_perms(n)}
     for w in all_perms(n):
         acc = zero()
         for v in all_perms(n):
-            c = eta(apply_perm(PI_PLUS, w * w0, gxt[v * w0], "x"))
-            acc = acc + c * qhx[v]
+            acc = acc + coefs[v][w * w0] * qhx[v]
         if acc != qgx[w]:
             return (
                 False,

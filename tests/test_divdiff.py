@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from grothpoly.divdiff import (
     DEL,
     PI_MINUS,
@@ -120,6 +122,27 @@ class TestSingleOperators:
         assert isobaric(1, one(), sign=1) == -beta()
         assert isobaric(1, one(), sign=-1) == beta()
 
+    def test_b_shift_past_the_field_is_refused(self):
+        # b^65535 times b used to carry into z1
+        top = beta() ** 65535
+        with pytest.raises(ValueError):
+            apply_op(PSI_PLUS, 1, top * xvar(1))
+        with pytest.raises(ValueError):
+            apply_op(PSI_MINUS, 1, top * xvar(1))
+        with pytest.raises(ValueError):
+            isobaric(1, top)
+        assert divdiff(1, top * xvar(1)) == top
+
+    def test_top_exponent_of_v_next_is_accepted(self):
+        # pi+_1 y2^n = -sum_{p<n} y1^p y2^(n-1-p) - b sum_{p<=n} y1^p y2^(n-p):
+        # v_{i+1} f is never formed, so no exponent passes the input's
+        n = 65535
+        g = apply_op(PI_PLUS, 1, yvar(2) ** n, "y")
+        assert len(g) == 2 * n + 1
+        assert set(g._t.values()) == {-1}
+        for top in (beta() * yvar(1) ** n, beta() * yvar(2) ** n, yvar(2) ** (n - 1)):
+            assert len(g + top) == 2 * n
+
 
 class TestRelations:
     def test_braid(self, rng):
@@ -156,12 +179,22 @@ class TestRelations:
         assert apply_word(DEL, (1, 2), f) == divdiff(1, divdiff(2, f))
 
     def test_apply_op_dispatch(self, rng):
-        f = random_poly(rng)
-        assert apply_op(DEL, 2, f) == divdiff(2, f)
-        assert apply_op(PI_PLUS, 2, f) == isobaric(2, f, sign=1)
-        assert apply_op(PI_MINUS, 2, f) == isobaric(2, f, sign=-1)
-        assert apply_op(PSI_PLUS, 2, f) == isobaric(2, f, sign=1) + beta() * f
-        assert apply_op(PSI_MINUS, 2, f) == isobaric(2, f, sign=-1) - beta() * f
+        # every deformed kind against its definition from del and ring
+        # operations, in both alphabets the towers act on
+        for alphabet, var in (("x", xvar), ("y", yvar)):
+            for _ in range(20):
+                f = random_poly(rng)
+                i = rng.randint(1, 3)
+                d = divdiff(i, f, alphabet)
+                shifted = beta() * divdiff(i, f * var(i + 1), alphabet)
+                assert apply_op(PI_PLUS, i, f, alphabet) == d + shifted
+                assert apply_op(PI_MINUS, i, f, alphabet) == d - shifted
+                assert apply_op(PSI_PLUS, i, f, alphabet) == d + shifted + beta() * f
+                assert apply_op(PSI_MINUS, i, f, alphabet) == d - shifted - beta() * f
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError):
+            apply_op("pi", 1, one())
 
 
 class TestIntervalSums:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly._packing import BETA, Var, pack
+from grothpoly._packing import Var, pack
 from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
@@ -177,16 +177,6 @@ def test_power_checks_every_field_of_every_term():
     with pytest.raises(ValueError):
         (xvar(1) ** 20000 * xvar(2) ** 20000) ** 2  # x1 and x2 fit; the x-degree does not
     assert (f ** 2).max_exponent(Var("y", 2)) == 60000
-
-
-def test_times_var_past_the_field_is_refused():
-    with pytest.raises(ValueError):
-        (one() + yvar(3) ** 65535).times_var(Var("y", 3))
-    with pytest.raises(ValueError):
-        (xvar(1) ** 40000).times_var(Var("x", 2), 30000)  # overflows the x-degree
-    with pytest.raises(ValueError):
-        xvar(1).times_var(Var("x", 2), -1)  # used to borrow from every field above
-    assert beta().times_var(BETA, 65534) == beta() ** 65535
 
 
 @pytest.mark.parametrize(
