@@ -16,6 +16,13 @@ consequences drive the whole design:
   term map is the leading monomial, and the leading monomial of
   h_k(x1..xi) is xi^k.
 
+The layout is one table, ``_LAYOUT``: kind -> (first slot, first index,
+count).  Variable slots (``_slot``), kind masks (``kind_mask``, ``MASK_*``)
+and the unpacking plan are all read off it.  The xdeg field takes the slot
+after x8 and belongs to the x kind: the x unit and the x mask cover it, so
+moving an exponent by a difference of units, or masking out the x part,
+keeps it right.
+
 Eight indices per alphabet is deliberate headroom; the verification
 routines cap the rank well below that.
 """
@@ -26,18 +33,19 @@ FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
 N_MAX = 8
 
-_Q_SLOT0 = 0  # q_i sits in slot i-1, i = 1..7
-_B_SLOT = 7
-_Z_SLOT0 = 8  # z_i sits in slot 7+i
-_Y_SLOT0 = 16  # y_i sits in slot 15+i
-_X_SLOT0 = 24  # x_i sits in slot 23+i
-_XDEG_SLOT = 32
-NUM_SLOTS = 33
+# kind -> (first slot, first index, count), in display order
+_LAYOUT = {
+    "b": (7, 0, 1),
+    "q": (0, 1, N_MAX - 1),
+    "x": (24, 1, N_MAX),
+    "y": (16, 1, N_MAX),
+    "z": (8, 1, N_MAX),
+}
+_XDEG_SLOT = _LAYOUT["x"][0] + N_MAX  # the slot after x8
+NUM_SLOTS = _XDEG_SLOT + 1
 
 XDEG_SHIFT = _XDEG_SLOT * FIELD_BITS
 XDEG_UNIT = 1 << XDEG_SHIFT
-
-KINDS = ("x", "y", "z", "b", "q")
 
 
 class Var(NamedTuple):
@@ -67,27 +75,13 @@ def var_from_name(name: str) -> Var:
 
 def _slot(var: Var) -> int:
     kind, i = var
-    if kind == "x":
-        if not 1 <= i <= N_MAX:
-            raise ValueError(f"x index out of range: {i}")
-        return _X_SLOT0 + (i - 1)
-    if kind == "y":
-        if not 1 <= i <= N_MAX:
-            raise ValueError(f"y index out of range: {i}")
-        return _Y_SLOT0 + (i - 1)
-    if kind == "z":
-        if not 1 <= i <= N_MAX:
-            raise ValueError(f"z index out of range: {i}")
-        return _Z_SLOT0 + (i - 1)
-    if kind == "b":
-        if i != 0:
-            raise ValueError(f"b index out of range: {i}")
-        return _B_SLOT
-    if kind == "q":
-        if not 1 <= i <= N_MAX - 1:
-            raise ValueError(f"q index out of range: {i}")
-        return _Q_SLOT0 + (i - 1)
-    raise ValueError(f"unknown variable kind: {kind!r}")
+    layout = _LAYOUT.get(kind)
+    if layout is None:
+        raise ValueError(f"unknown variable kind: {kind!r}")
+    slot0, first, count = layout
+    if not first <= i < first + count:
+        raise ValueError(f"{kind} index out of range: {i}")
+    return slot0 + i - first
 
 
 def shift(var: Var) -> int:
@@ -120,43 +114,27 @@ def pack(exps: dict[Var, int]) -> int:
 
 
 def kind_mask(kind: str) -> int:
-    """OR of the field masks of every slot holding the given kind."""
-    m = 0
-    if kind == "x":
-        slots = range(_X_SLOT0, _X_SLOT0 + N_MAX)
-    elif kind == "y":
-        slots = range(_Y_SLOT0, _Y_SLOT0 + N_MAX)
-    elif kind == "z":
-        slots = range(_Z_SLOT0, _Z_SLOT0 + N_MAX)
-    elif kind == "b":
-        slots = range(_B_SLOT, _B_SLOT + 1)
-    elif kind == "q":
-        slots = range(_Q_SLOT0, _Q_SLOT0 + N_MAX - 1)
-    else:
+    """OR of the field masks of every slot holding the given kind; the x
+    mask also covers the xdeg field."""
+    layout = _LAYOUT.get(kind)
+    if layout is None:
         raise ValueError(f"unknown variable kind: {kind!r}")
-    for s in slots:
-        m |= FIELD_MASK << (s * FIELD_BITS)
-    return m
+    slot0, _, count = layout
+    if kind == "x":
+        count += 1
+    return ((1 << count * FIELD_BITS) - 1) << slot0 * FIELD_BITS
 
 
-MASK_X = kind_mask("x")
-MASK_Y = kind_mask("y")
-MASK_Z = kind_mask("z")
-MASK_B = kind_mask("b")
-MASK_Q = kind_mask("q")
-_KIND_MASKS = {"x": MASK_X, "y": MASK_Y, "z": MASK_Z, "b": MASK_B, "q": MASK_Q}
+_KIND_MASKS = {kind: kind_mask(kind) for kind in _LAYOUT}
+MASK_B, MASK_Q, MASK_X, MASK_Y, MASK_Z = (_KIND_MASKS[k] for k in "bqxyz")
 
-# (kind mask, ((var, shift), ...)) per kind, in display order: deformation
-# parameters first, then the alphabets, each by index
+# (kind mask, ((var, shift), ...)) per kind, in display order
 _UNPACK_PLAN = tuple(
-    (_KIND_MASKS[kind], tuple((v, shift(v)) for v in vs))
-    for kind, vs in (
-        ("b", [BETA]),
-        ("q", [Var("q", i) for i in range(1, N_MAX)]),
-        ("x", [Var("x", i) for i in range(1, N_MAX + 1)]),
-        ("y", [Var("y", i) for i in range(1, N_MAX + 1)]),
-        ("z", [Var("z", i) for i in range(1, N_MAX + 1)]),
+    (
+        _KIND_MASKS[kind],
+        tuple((Var(kind, i), shift(Var(kind, i))) for i in range(first, first + count)),
     )
+    for kind, (_, first, count) in _LAYOUT.items()
 )
 
 

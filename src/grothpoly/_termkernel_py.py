@@ -12,7 +12,7 @@ accumulates into its first argument and may leave explicit zeros behind
 d((1 + s*b*v_j) f) + t*b*f, in one pass and returns a pruned map.
 """
 
-FIELD_MASK = (1 << 16) - 1
+from ._packing import FIELD_MASK
 
 
 def mul(fa: dict, fb: dict) -> dict:

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import _termkernel_py as kernel
-from ._packing import BETA, FIELD_MASK, MASK_X, XDEG_SHIFT, Var, mono_divides, pack, shift, unit
+from ._packing import BETA, FIELD_MASK, MASK_B, MASK_X, N_MAX, Var, mono_divides, pack, shift, unit
 from .divdiff import DEL, PI_PLUS, PSI_PLUS, apply_op, apply_perm
 from .perms import (
     Permutation,
@@ -222,12 +222,6 @@ def eta(f: MultiPoly) -> MultiPoly:
     return f.set_zero("x")
 
 
-def scalar_product(f: MultiPoly, g: MultiPoly, n: int, quotient: bool = False) -> MultiPoly:
-    """pi_{w_0}(f * g); with quotient=True, followed by eta."""
-    p = apply_perm(PI_PLUS, longest(n), f * g, "x")
-    return eta(p) if quotient else p
-
-
 _MU_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
 
@@ -235,19 +229,18 @@ def pairing0(f: MultiPoly, g: MultiPoly, n: int) -> MultiPoly:
     """Quotient pairing eta(pi_{w_0}(f*g)) for polynomials in x and beta only.
 
     Linear in each monomial of the product, so the value of the functional
-    eta . pi_{w_0} on each x-monomial is computed once and reused.  Same
-    answer as scalar_product(..., quotient=True), much faster on big tables.
+    eta . pi_{w_0} on each x-monomial is computed once and reused: much
+    faster on big tables than applying pi_{w_0} to the whole product.
     """
     for p in (f, g):
         if p.uses_kind("y") or p.uses_kind("z") or p.uses_kind("q"):
             raise ValueError("pairing0 expects polynomials in x and beta only")
     prod = f * g
-    xmask = ~((FIELD_MASK << shift(BETA)))
     acc: dict[int, int] = {}
     w0 = longest(n)
     for m, c in prod._t.items():
-        bpart = m & (FIELD_MASK << shift(BETA))
-        xpart = m & xmask
+        bpart = m & MASK_B
+        xpart = m - bpart
         mu = _MU_CACHE.get((n, xpart))
         if mu is None:
             val = eta(apply_perm(PI_PLUS, w0, MultiPoly._raw({xpart: 1}), "x"))
@@ -275,12 +268,6 @@ def expand_dual_basis(f: MultiPoly, n: int) -> dict[Permutation, MultiPoly]:
 # ---------------------------------------------------------------------------
 
 IDEALS = ("x", "signed", "unsigned")
-_XPART = MASK_X | FIELD_MASK << XDEG_SHIFT  # the x exponents and x-degree of a monomial
-
-
-def staircase_monomials(n: int) -> list[MultiPoly]:
-    """The n! monomials prod x_i^{e_i} with e_i <= n-i, in canonical order."""
-    return [MultiPoly._raw({m: 1}) for m in _staircase_packed(n)]
 
 
 def _staircase_packed(n: int) -> list[int]:
@@ -325,7 +312,7 @@ class NormalFormContext:
             tail: dict[int, list[tuple[int, int]]] = {}
             for m, c in g._t.items():
                 if m != lead:
-                    xp = m & _XPART
+                    xp = m & MASK_X
                     tail.setdefault(xp, []).append((m - xp, c))
             self._rules.append((shift(Var("x", i)), e, lead, sorted(tail.items())))
         self._nf: dict[int, dict[int, int]] = {}
@@ -408,7 +395,7 @@ class NormalFormContext:
         nf = self._nf
         acc: dict[int, int] = {}
         for m, c in f._t.items():
-            xp = m & _XPART
+            xp = m & MASK_X
             r = nf.get(xp)
             if r is None:
                 r = nf[xp] = self._x_normal_form(xp)
@@ -475,41 +462,16 @@ def det_bareiss(mat: list[list[MultiPoly]]) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def pieri_targets(w: Permutation, k: int, m: int) -> set[Permutation]:
-    """Endpoints v = w (i_1,j_1)...(i_{m+1},j_{m+1}) with every i_l <= k < j_l
-    and l(v) = l(w) + m + 1, deduplicated.
-
-    >>> sorted(v.oneline for v in pieri_targets(identity(3), 1, 0))
-    [(2, 1, 3)]
-    """
-    n = w.n
-    trans = [
-        transposition(i, j, n) for i in range(1, k + 1) for j in range(k + 1, n + 1)
-    ]
-    goal = w.length() + m + 1
-    found: set[Permutation] = set()
-
-    def rec(cur: Permutation, depth: int) -> None:
-        if depth == m + 1:
-            if cur.length() == goal:
-                found.add(cur)
-            return
-        for t in trans:
-            rec(cur * t, depth + 1)
-
-    rec(w, 0)
-    return found
-
-
 def monk_expansion(w: Permutation, k: int) -> dict[Permutation, MultiPoly]:
     """Coefficient of G_v(x) in G_{s_k}(x) * G_w(x) mod the one-alphabet ideal.
 
     Sums beta^{m} over saturated Bruhat chains of m+1 steps
     w < w t_{a_1 b_1} < ... with every a_l <= k < b_l, the pairs taken
     strictly decreasing in the order (b, -a).  Without the chain and
-    ordering constraints the endpoint set is pieri_targets, which admits
-    extra permutations whose terms do not cancel; the constrained form is
-    the one the product actually satisfies (cross-checked against
+    ordering constraints the endpoints are all length-(l(w)+m+1) products
+    w t_{a_1 b_1} ... t_{a_{m+1} b_{m+1}} with every a_l <= k < b_l, which
+    admits extra permutations whose terms do not cancel; the constrained
+    form is the one the product actually satisfies (cross-checked against
     dual-basis expansion coefficients through rank 4).
     """
     n = w.n
@@ -539,18 +501,17 @@ def monk_expansion(w: Permutation, k: int) -> dict[Permutation, MultiPoly]:
 
 def omega(f: MultiPoly, n: int) -> MultiPoly:
     """Reverse both alphabets: x_i -> x_{n+1-i} and y_i -> y_{n+1-i}."""
-    flip = {i: n + 1 - i for i in range(1, n + 1)}
-    return f.permute_indices("x", flip).permute_indices("y", flip)
+    return f.relabel({Var(k, i): Var(k, n + 1 - i) for k in "xy" for i in range(1, n + 1)})
 
 
 def permute_y(f: MultiPoly, w: Permutation) -> MultiPoly:
     """y_i -> y_{w(i)}."""
-    return f.permute_indices("y", {i: w(i) for i in range(1, w.n + 1)})
+    return f.relabel({Var("y", i): Var("y", w(i)) for i in range(1, w.n + 1)})
 
 
-def _recast_yz(f: MultiPoly) -> MultiPoly:
-    """f(x, y) -> f(y, z)."""
-    return f.swap_kinds("y", "z").swap_kinds("x", "y")
+# f(x, y) -> f(y, x), and f(x, y) -> f(y, z)
+SWAP_XY = {Var(a, i): Var(b, i) for a, b in ("xy", "yx") for i in range(1, N_MAX + 1)}
+_RECAST_YZ = {Var(a, i): Var(b, i) for a, b in ("xy", "yz", "zx") for i in range(1, N_MAX + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +566,7 @@ def _cauchy_sum(n: int, ht: Mapping[Permutation, MultiPoly]) -> tuple[MultiPoly,
     dens = [max(h.max_exponent(Var("y", i)) for h in ht.values()) for i in range(1, n + 1)]
     acc = zero()
     for w in all_perms(n):
-        acc = acc + _cauchy_numerator(ht[w], dens) * _recast_yz(gt[w * w0])
+        acc = acc + _cauchy_numerator(ht[w], dens) * gt[w * w0].relabel(_RECAST_YZ)
     return acc, _cauchy_numerator(one(), dens)
 
 
@@ -718,15 +679,14 @@ def _random_quotient_poly(n: int, rng: random.Random) -> MultiPoly:
 
 
 @check("interpolation")
-def _check_interpolation(n: int, rng: random.Random, samples: int | None = None) -> tuple[bool, dict | None, dict | None]:
-    if samples is None:
-        samples = 50 if n <= 3 else 12
+def _check_interpolation(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+    samples = 50 if n <= 3 else 12
     ht = family_table(n, "H")
     gid = family_table(n, "G")[identity(n)].negate_vars("y")
     hneg = {w: h.negate_vars("y") for w, h in ht.items()}
     for trial in range(samples):
         f = _random_quotient_poly(n, rng)
-        fy = f.swap_kinds("x", "y")
+        fy = f.relabel(SWAP_XY)
         tower = _descent_tower(fy, PI_PLUS, "y", n)
         lhs = f * gid
         rhs = zero()
@@ -829,7 +789,7 @@ def _check_duality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict 
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     for w in all_perms(n):
-        expect = gt[w.inverse()].negate_vars("b").swap_kinds("x", "y")
+        expect = gt[w.inverse()].negate_vars("b").relabel(SWAP_XY)
         if ht[w] != expect:
             return (
                 False,

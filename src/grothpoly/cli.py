@@ -23,6 +23,7 @@ import os
 import sys
 
 from . import classical
+from ._packing import BETA, Var
 from .perms import Permutation, by_length, first_reduced_word, from_word
 from .poly import MultiPoly
 from .report import CHECKS, rank_caps, verify
@@ -75,18 +76,19 @@ def _parse_perm(text: str, n: int) -> Permutation:
 
 
 def _specialize(p: MultiPoly, args: argparse.Namespace) -> MultiPoly:
+    values = {}
     if getattr(args, "beta", None) is not None:
-        p = p.specialize_beta(args.beta)
+        values[BETA] = args.beta
     qtext = getattr(args, "q", None)
     if qtext is not None:
         try:
-            values = [int(v) for v in qtext.split(",")]
+            qs = [int(v) for v in qtext.split(",")]
         except ValueError:
             raise CliError(f"--q expects comma-separated integers, got {qtext!r}")
-        if len(values) > args.n - 1:
-            raise CliError(f"--q got {len(values)} values, rank {args.n} has {args.n - 1}")
-        p = p.specialize_q({i + 1: v for i, v in enumerate(values)})
-    return p
+        if len(qs) > args.n - 1:
+            raise CliError(f"--q got {len(qs)} values, rank {args.n} has {args.n - 1}")
+        values.update({Var("q", i): v for i, v in enumerate(qs, start=1)})
+    return p.specialize(values) if values else p
 
 
 def _render(p: MultiPoly, fmt: str) -> str:

@@ -303,31 +303,16 @@ class MultiPoly:
             mask |= kind_mask(k)
         return MultiPoly._raw({m: c for m, c in self._t.items() if not m & mask})
 
-    def specialize_beta(self, value: int) -> "MultiPoly":
-        """Substitute an integer for b."""
+    def specialize(self, values: Mapping[Var, int]) -> "MultiPoly":
+        """Substitute integers for the listed variables, b and q_i say."""
+        fields = [(shift(v), unit(v), value) for v, value in values.items()]
         out: dict[int, int] = {}
         for m, c in self._t.items():
-            e = (m >> _B_SHIFT) & FIELD_MASK
-            if e:
-                c *= value**e
-                m -= e * _B_UNIT
-            if c:
-                out[m] = out.get(m, 0) + c
-        return MultiPoly._raw({k: v for k, v in out.items() if v})
-
-    def specialize_q(self, values: Mapping[int, int]) -> "MultiPoly":
-        """Substitute integers for the listed q variables."""
-        units = {i: (shift(Var("q", i)), unit(Var("q", i))) for i in values}
-        out: dict[int, int] = {}
-        for m, c in self._t.items():
-            for i, v in values.items():
-                sh, u = units[i]
+            for sh, u, value in fields:
                 e = (m >> sh) & FIELD_MASK
                 if e:
-                    c *= v**e
+                    c *= value**e
                     m -= e * u
-                    if not c:
-                        break
             if c:
                 out[m] = out.get(m, 0) + c
         return MultiPoly._raw({k: v for k, v in out.items() if v})
@@ -338,39 +323,26 @@ class MultiPoly:
             {m: (-c if (kind_degree(m, kind) & 1) else c) for m, c in self._t.items()}
         )
 
-    def permute_indices(self, kind: str, mapping: Mapping[int, int]) -> "MultiPoly":
-        """Relabel variables of one kind along a bijection of indices."""
-        img = dict(mapping)
-        if sorted(img.values()) != sorted(img):
-            raise ValueError("index relabelling must be a bijection")
-        units = {i: (shift(Var(kind, i)), unit(Var(kind, i))) for i in img}
+    def relabel(self, mapping: Mapping[Var, Var]) -> "MultiPoly":
+        """Rename variables along a permutation of the mapping's keys:
+        x_i <-> y_i, or a reordering of one alphabet's indices, say.
+
+        Each exponent e of a source moves by e * (unit(dst) - unit(src)),
+        which keeps the x-degree field right across alphabets.
+        """
+        if sorted(mapping.values()) != sorted(mapping):
+            raise ValueError("relabelling must be a permutation of its keys")
+        moves = [(shift(src), unit(dst) - unit(src)) for src, dst in mapping.items() if src != dst]
         out: dict[int, int] = {}
         for m, c in self._t.items():
-            shifted = m
-            for i, j in img.items():
-                if i == j:
-                    continue
-                sh, _ = units[i]
+            k = m
+            for sh, step in moves:
                 e = (m >> sh) & FIELD_MASK
                 if e:
-                    shifted += e * (units[j][1] - units[i][1])
-            out[shifted] = c  # bijection: no collisions
-        return MultiPoly._raw(out)
-
-    def swap_kinds(self, k1: str, k2: str) -> "MultiPoly":
-        """Exchange two alphabets index-wise (x_i <-> y_i, say)."""
-        out: dict[int, int] = {}
-        for m, c in self._t.items():
-            exps = unpack(m)
-            swapped: dict[Var, int] = {}
-            for var, e in exps.items():
-                if var.kind == k1:
-                    swapped[Var(k2, var.index)] = e
-                elif var.kind == k2:
-                    swapped[Var(k1, var.index)] = e
-                else:
-                    swapped[var] = e
-            out[pack(swapped)] = c  # bijection on monomials
+                    k += e * step
+            if k >> XDEG_SHIFT > FIELD_MASK:
+                raise ValueError(f"x-degree {k >> XDEG_SHIFT} would pass {FIELD_MASK}")
+            out[k] = c  # a bijection on monomials: no collisions
         return MultiPoly._raw(out)
 
     def split_by_kinds(self, kinds: tuple[str, ...]) -> dict[int, "MultiPoly"]:
@@ -382,8 +354,6 @@ class MultiPoly:
         mask = 0
         for k in kinds:
             mask |= kind_mask(k)
-        if "x" in kinds:
-            mask |= FIELD_MASK << XDEG_SHIFT
         groups: dict[int, dict[int, int]] = {}
         for m, c in self._t.items():
             key = m & mask
@@ -403,7 +373,10 @@ class MultiPoly:
             d = kind_degree(m, kind)
             if d > cap:
                 raise ValueError(f"{kind}-degree {d} exceeds clearing power {cap}")
-            k = (m & ~mask) + (cap - d) * _B_UNIT
+            rest = m & ~mask
+            if ((rest >> _B_SHIFT) & FIELD_MASK) + cap - d > FIELD_MASK:
+                raise ValueError(f"clearing power {cap} would push b past {FIELD_MASK}")
+            k = rest + (cap - d) * _B_UNIT
             out[k] = out.get(k, 0) + c
         return MultiPoly._raw({k: v for k, v in out.items() if v})
 

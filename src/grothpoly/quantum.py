@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import random
 
-from ._packing import N_MAX, Var, exponent, kind_degree, unit, unpack
+from ._packing import BETA, N_MAX, Var, exponent, kind_degree, unit, unpack
 from .classical import (
+    SWAP_XY,
     TOWERS,
     _cauchy_product,
     _cauchy_sum,
@@ -332,16 +333,16 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     else:
         return False, {"part": "beta_weighted", "value": weighted.json_obj()}, None
 
-    swapped = qg_id.negate_vars("b").swap_kinds("x", "y")
+    swapped = qg_id.negate_vars("b").relabel(SWAP_XY)
     if qh_id == swapped:
         detail["swap_q"] = "in place"
     else:
-        flip = {i: n - i for i in range(1, n)}
-        if qh_id == swapped.permute_indices("q", flip):
+        flip = {Var("q", i): Var("q", n - i) for i in range(1, n)}
+        if qh_id == swapped.relabel(flip):
             detail["swap_q"] = "reversed"
         else:
-            qzero = {i: 0 for i in range(1, n)}
-            if qh_id.specialize_q(qzero) != swapped.specialize_q(qzero):
+            qzero = {Var("q", i): 0 for i in range(1, n)}
+            if qh_id.specialize(qzero) != swapped.specialize(qzero):
                 return False, {"part": "swap at q=0", "difference": (qh_id - swapped).json_obj()}, None
             detail["swap_q"] = "fails with q (q=0 limit holds)"
     return True, None, detail
@@ -420,19 +421,19 @@ def _check_commuting(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
 
 @check("classical_limit", hard=4)
 def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    qzero = {i: 0 for i in range(1, n)}
+    qzero = {Var("q", i): 0 for i in range(1, n)}
     pairs = [("qS", "S"), ("qH", "H"), ("qG", "G"), ("qSx", "Sx"), ("qHx", "Hx"), ("qGx", "Gx")]
     for qfam, cfam in pairs:
         qt = family_table(n, qfam)
         cf = family_table(n, cfam)
         for w in all_perms(n):
-            if qt[w].specialize_q(qzero) != cf[w]:
+            if qt[w].specialize(qzero) != cf[w]:
                 return False, {"family": qfam, "w": list(w.oneline)}, None
     st = family_table(n, "S")
     for w in all_perms(n):
-        if family_table(n, "qG")[w].specialize_q(qzero).specialize_beta(0) != st[w]:
+        if family_table(n, "qG")[w].specialize({**qzero, BETA: 0}) != st[w]:
             return False, {"family": "qG at beta=0", "w": list(w.oneline)}, None
-    if quantum_top(n, beta_form=True).specialize_q(qzero) != _cauchy_product(n):
+    if quantum_top(n, beta_form=True).specialize(qzero) != _cauchy_product(n):
         return False, {"family": "bold top"}, None
     return True, None, None
 

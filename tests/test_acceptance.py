@@ -13,16 +13,15 @@ import json
 import random
 import time
 
-from test_classical import GOLDEN_G, GOLDEN_H, word_key
+from test_classical import GOLDEN_G, GOLDEN_H, staircase_monomials, word_key
 from test_divdiff import s_i
 from test_quantum import GOLDEN_QG, GOLDEN_QH, VARIANT_QG
 
-from grothpoly._packing import Var
+from grothpoly._packing import BETA, Var
 from grothpoly.classical import (
     NormalFormContext,
     elementary,
     family_table,
-    staircase_monomials,
 )
 from grothpoly.divdiff import (
     DEL,
@@ -469,17 +468,17 @@ def test_c13_degenerations(criteria_log):
         ok = ok and qg[w].set_zero("q") == g[w]
         ok = ok and qh[w].set_zero("q") == h[w]
         ok = ok and qs[w].set_zero("q") == sd[w]
-        ok = ok and qg[w].specialize_beta(0) == qs[w]
-        ok = ok and qh[w].specialize_beta(0) == qs[w]
-        ok = ok and g[w].specialize_beta(0) == sd[w]
-        ok = ok and h[w].specialize_beta(0) == sd[w]
+        ok = ok and qg[w].specialize({BETA: 0}) == qs[w]
+        ok = ok and qh[w].specialize({BETA: 0}) == qs[w]
+        ok = ok and g[w].specialize({BETA: 0}) == sd[w]
+        ok = ok and h[w].specialize({BETA: 0}) == sd[w]
         # y=0 commutes with both parameter specializations
         ok = ok and qg[w].set_zero("y").set_zero("q") == g[w].set_zero("y")
-        ok = ok and qg[w].set_zero("y").specialize_beta(0) == qs[w].set_zero("y")
+        ok = ok and qg[w].set_zero("y").specialize({BETA: 0}) == qs[w].set_zero("y")
         ok = (
             ok
-            and qg[w].set_zero("q").specialize_beta(0)
-            == qg[w].specialize_beta(0).set_zero("q")
+            and qg[w].set_zero("q").specialize({BETA: 0})
+            == qg[w].specialize({BETA: 0}).set_zero("q")
         )
 
     reps = []

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from grothpoly._packing import Var
 from grothpoly.divdiff import (
     DEL,
     PI_MINUS,
@@ -28,7 +29,8 @@ ALL_KINDS = (DEL, PI_PLUS, PI_MINUS, PSI_PLUS, PSI_MINUS)
 
 def s_i(i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
     """s_i f: the i-th and (i+1)-st variables of one alphabet exchanged."""
-    return f.permute_indices(alphabet, {i: i + 1, i + 1: i})
+    vi, vj = Var(alphabet, i), Var(alphabet, i + 1)
+    return f.relabel({vi: vj, vj: vi})
 
 
 def random_poly(rng: random.Random, n: int = 4, terms: int = 6) -> MultiPoly:
@@ -36,8 +38,6 @@ def random_poly(rng: random.Random, n: int = 4, terms: int = 6) -> MultiPoly:
     for _ in range(terms):
         exps = {}
         for _ in range(rng.randint(0, 3)):
-            from grothpoly._packing import Var
-
             kind = rng.choice(("x", "x", "y", "b"))
             idx = 0 if kind == "b" else rng.randint(1, n)
             v = Var(kind, idx)

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used by it, and
-every function the library defines is called from the library.
+"""Source hygiene: every name a library module imports is used by it,
+every function the library defines is called from the library, and only
+the packing module knows the field layout.
 
 ``__init__.py`` is skipped by the import scan, since its imports are the
 package's re-exports.
@@ -58,9 +59,6 @@ def test_no_unused_imports(path):
 # Defined in src/ for the tests only: public API the tests exercise, and the
 # reference oracles they compare the fast paths against.
 KEPT_FOR_TESTS = {
-    "scalar_product",
-    "staircase_monomials",
-    "pieri_targets",
     "generators",
     "original_generators",
     "bruhat_lower",
@@ -105,3 +103,30 @@ def test_every_function_has_a_caller():
                     defined.add(name)
     assert sorted(KEPT_FOR_TESTS - defined) == []
     assert sorted(defined - referenced - KEPT_FOR_TESTS) == []
+
+
+def _layout_definitions(tree: ast.Module):
+    """Line numbers that assign FIELD_BITS or FIELD_MASK, or shift
+    FIELD_MASK into a mask."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if names & {"FIELD_BITS", "FIELD_MASK"}:
+                yield node.lineno
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
+            if isinstance(node.left, ast.Name) and node.left.id == "FIELD_MASK":
+                yield node.lineno
+
+
+def test_only_packing_defines_the_field_layout():
+    """Field widths and kind masks come from _packing's one layout table;
+    a second copy elsewhere drifts (an x mask without the x-degree field)."""
+    found = [
+        f"{p.name}:{line}"
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "_packing.py"
+        for line in _layout_definitions(ast.parse(p.read_text()))
+    ]
+    assert found == []
+    assert list(_layout_definitions(ast.parse((SRC / "_packing.py").read_text())))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly._packing import Var, pack
+from grothpoly._packing import BETA, N_MAX, Var, pack
 from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
@@ -319,18 +319,57 @@ def test_beta_weighted_matches_manual_substitution():
 
 def test_specializations():
     p = (one() + beta() * xvar(1)) * (qvar(1) + xvar(2))
-    assert p.specialize_beta(0) == qvar(1) + xvar(2)
-    assert p.specialize_q({1: 0}) == (one() + beta() * xvar(1)) * xvar(2)
+    assert p.specialize({BETA: 0}) == qvar(1) + xvar(2)
+    assert p.specialize({Var("q", 1): 0}) == (one() + beta() * xvar(1)) * xvar(2)
     assert p.negate_vars("b").negate_vars("b") == p
     assert p.set_zero("q") == (one() + beta() * xvar(1)) * xvar(2)
 
 
+def _swap(k1: str, k2: str) -> dict[Var, Var]:
+    """The relabelling that exchanges two alphabets index-wise."""
+    return {Var(a, i): Var(b, i) for a, b in ((k1, k2), (k2, k1)) for i in range(1, N_MAX + 1)}
+
+
 def test_swap_and_permute_kinds():
     p = xvar(1) * yvar(2) + zvar(1) * 3
-    assert p.swap_kinds("x", "y") == yvar(1) * xvar(2) + zvar(1) * 3
-    assert p.permute_indices("x", {1: 2, 2: 1}) == xvar(2) * yvar(2) + zvar(1) * 3
+    assert p.relabel(_swap("x", "y")) == yvar(1) * xvar(2) + zvar(1) * 3
+    x1, x2 = Var("x", 1), Var("x", 2)
+    assert p.relabel({x1: x2, x2: x1}) == xvar(2) * yvar(2) + zvar(1) * 3
     with pytest.raises(ValueError):
-        p.permute_indices("x", {1: 2})
+        p.relabel({x1: x2})
+
+
+def test_relabel_keeps_the_x_degree_field():
+    # the x-degree moves with the exponents, so equality and degree agree
+    # with the same polynomial built directly
+    p = yvar(1) ** 3 * yvar(2) + xvar(1) * zvar(2)
+    assert p.relabel(_swap("x", "y")) == xvar(1) ** 3 * xvar(2) + yvar(1) * zvar(2)
+    assert p.relabel(_swap("x", "y")).degree("x") == 4
+    assert p.relabel(_swap("x", "z")).relabel(_swap("x", "z")) == p
+
+
+def test_relabel_refuses_x_degree_past_the_field():
+    with pytest.raises(ValueError):
+        (yvar(1) ** 40000 * yvar(2) ** 30000).relabel(_swap("x", "y"))
+    assert (yvar(1) ** 40000 * yvar(2) ** 25535).relabel(_swap("x", "y")) == (
+        xvar(1) ** 40000 * xvar(2) ** 25535
+    )
+
+
+def test_beta_weighted_clears_the_x_degree_field():
+    assert xvar(1).beta_weighted(1, "x") == 1
+    assert (xvar(1) * xvar(2) + yvar(1)).beta_weighted(2, "x") == one() + beta() ** 2 * yvar(1)
+
+
+@pytest.mark.parametrize(
+    "p, cap",
+    [(beta() ** 65535, 1), (yvar(1), 70000)],
+    ids=["b_full", "cap_too_large"],
+)
+def test_beta_weighted_refuses_b_past_the_field(p, cap):
+    # used to print z1 and b^4463*z1: b carried into z1
+    with pytest.raises(ValueError):
+        p.beta_weighted(cap, "y")
 
 
 def test_text_rendering_goldens():

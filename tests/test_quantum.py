@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from grothpoly._packing import Var
+from grothpoly._packing import BETA, Var
 from grothpoly.classical import elementary, family_table, top_class
 from grothpoly.perms import (
     all_perms,
@@ -234,8 +234,8 @@ class TestGoldenQuantumTables:
         gt = family_table(3, "qG")
         ht = family_table(3, "qH")
         for w in all_perms(3):
-            assert st[w] == gt[w].specialize_beta(0)
-            assert st[w] == ht[w].specialize_beta(0)
+            assert st[w] == gt[w].specialize({BETA: 0})
+            assert st[w] == ht[w].specialize({BETA: 0})
 
     def test_classical_limits(self):
         for fam, cfam in (("qS", "Sd"), ("qH", "H"), ("qG", "G")):
