@@ -127,6 +127,11 @@ TOWERS: dict[str, tuple[Callable[[int], MultiPoly], str, str]] = {
 }
 
 
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
+
+
 def _tower_spec(
     n: int, family: str
 ) -> tuple[str, str, Callable[[], MultiPoly], Callable[[Permutation], Permutation], str | None]:
@@ -139,8 +144,7 @@ def _tower_spec(
     and its y=0 member is the full member with y set to 0: sliced_from then
     names that full family, else it is None.
     """
-    if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
+    _check_rank(n)
     base = family[:-1] if family.endswith("x") else family
     if base not in TOWERS:
         raise ValueError(f"unknown family {family!r}")
@@ -189,27 +193,27 @@ def family_member(n: int, family: str, w: Permutation) -> MultiPoly:
 
 
 def grothendieck_double(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "G")[w]
+    return family_member(w.n, "G", w)
 
 
 def dual_grothendieck_double(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "H")[w]
+    return family_member(w.n, "H", w)
 
 
 def schubert_double(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "S")[w]
+    return family_member(w.n, "S", w)
 
 
 def grothendieck(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "Gx")[w]
+    return family_member(w.n, "Gx", w)
 
 
 def dual_grothendieck(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "Hx")[w]
+    return family_member(w.n, "Hx", w)
 
 
 def schubert(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "Sx")[w]
+    return family_member(w.n, "Sx", w)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +302,7 @@ class NormalFormContext:
     """
 
     def __init__(self, n: int, ideal: str = "x"):
+        _check_rank(n)
         if ideal not in IDEALS:
             raise ValueError(f"ideal must be one of {IDEALS}")
         self.n = n
@@ -401,9 +406,6 @@ class NormalFormContext:
                 r = nf[xp] = self._x_normal_form(xp)
             kernel.addmul(acc, r, m - xp, c)
         return MultiPoly._raw(kernel.prune(acc))
-
-    def contains(self, f: MultiPoly) -> bool:
-        return self.reduce(f).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -605,61 +607,58 @@ def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None,
     return True, None, detail
 
 
-@check("pieri_simple")
-def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    gt = family_table(n, "Gx")
-    ctx = NormalFormContext(n, "x")
+def _monk_mismatch(
+    gt: Mapping[Permutation, MultiPoly], ctx: NormalFormContext, n: int
+) -> tuple[Permutation, int, MultiPoly, MultiPoly] | None:
+    """First (w, k, lhs, rhs) with G_{s_k}(x; w y) G_w != G_id(x; w y)
+    sum_v c_v G_v mod ctx, the c_v from monk_expansion(w, k); else None.
+    On a y=0 table the y-permutation is the identity and G_id is 1."""
+    gid = gt[identity(n)]
     for w in all_perms(n):
         for k in range(1, n):
-            sk = identity(n).times_s(k)
-            lhs = ctx.reduce(gt[sk] * gt[w])
+            lhs = ctx.reduce(permute_y(gt[identity(n).times_s(k)], w) * gt[w])
             rhs = zero()
             for v, coef in monk_expansion(w, k).items():
                 rhs = rhs + gt[v] * coef
-            rhs = ctx.reduce(rhs)
+            rhs = ctx.reduce(permute_y(gid, w) * rhs)
             if lhs != rhs:
-                return (
-                    False,
-                    {
-                        "w": list(w.oneline),
-                        "k": k,
-                        "lhs": lhs.json_obj(),
-                        "rhs": rhs.json_obj(),
-                    },
-                    None,
-                )
-    return True, None, {"chains": "saturated"}
+                return w, k, lhs, rhs
+    return None
+
+
+def _signed_or_unsigned(
+    n: int, failure: Callable[[NormalFormContext], dict | None], **detail
+) -> tuple[bool, dict | None, dict | None]:
+    """Pass under the first of the signed and unsigned ideals where
+    failure(ctx) finds no counterexample; else fail with the unsigned one."""
+    for ideal in ("signed", "unsigned"):
+        counterexample = failure(NormalFormContext(n, ideal))
+        if counterexample is None:
+            return True, None, {"ideal": ideal, **detail}
+    return False, {"ideal": ideal, **counterexample}, None
+
+
+@check("pieri_simple")
+def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+    mismatch = _monk_mismatch(family_table(n, "Gx"), NormalFormContext(n, "x"), n)
+    if mismatch is None:
+        return True, None, {"chains": "saturated"}
+    w, k, lhs, rhs = mismatch
+    return False, {"w": list(w.oneline), "k": k, "lhs": lhs.json_obj(), "rhs": rhs.json_obj()}, None
 
 
 @check("pieri_double")
 def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
-    last_fail: dict | None = None
-    for ideal in ("signed", "unsigned"):
-        ctx = NormalFormContext(n, ideal)
-        ok = True
-        for w in all_perms(n):
-            for k in range(1, n):
-                sk = identity(n).times_s(k)
-                lhs = ctx.reduce(permute_y(gt[sk], w) * gt[w])
-                rhs = zero()
-                for v, coef in monk_expansion(w, k).items():
-                    rhs = rhs + gt[v] * coef
-                rhs = ctx.reduce(permute_y(gt[identity(n)], w) * rhs)
-                if lhs != rhs:
-                    ok = False
-                    last_fail = {
-                        "ideal": ideal,
-                        "w": list(w.oneline),
-                        "k": k,
-                        "difference": (lhs - rhs).json_obj(),
-                    }
-                    break
-            if not ok:
-                break
-        if ok:
-            return True, None, {"ideal": ideal, "chains": "saturated"}
-    return False, last_fail, None
+
+    def failure(ctx: NormalFormContext) -> dict | None:
+        mismatch = _monk_mismatch(gt, ctx, n)
+        if mismatch is None:
+            return None
+        w, k, lhs, rhs = mismatch
+        return {"w": list(w.oneline), "k": k, "difference": (lhs - rhs).json_obj()}
+
+    return _signed_or_unsigned(n, failure, chains="saturated")
 
 
 def _random_quotient_poly(n: int, rng: random.Random) -> MultiPoly:
@@ -708,24 +707,17 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     w0 = longest(n)
     hid = ht[identity(n)]
     gid_om = omega(gt[identity(n)], n)
-    last_fail: dict | None = None
-    for ideal in ("signed", "unsigned"):
-        ctx = NormalFormContext(n, ideal)
-        ok = True
+
+    def failure(ctx: NormalFormContext) -> dict | None:
         for v in all_perms(n):
             lhs = omega(gt[v], n) * hid
             rhs = ht[w0 * v * w0] * gid_om * ((-1) ** v.length())
-            if not ctx.contains(lhs - rhs):
-                ok = False
-                last_fail = {
-                    "ideal": ideal,
-                    "v": list(v.oneline),
-                    "difference": ctx.reduce(lhs - rhs).json_obj(),
-                }
-                break
-        if ok:
-            return True, None, {"ideal": ideal}
-    return False, last_fail, None
+            difference = ctx.reduce(lhs - rhs)
+            if not difference.is_zero():
+                return {"v": list(v.oneline), "difference": difference.json_obj()}
+        return None
+
+    return _signed_or_unsigned(n, failure)
 
 
 @check("moebius")
@@ -853,24 +845,29 @@ def _check_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     return True, None, {"embedded_into": n + 1, "exact": exact, "ratio": ratio}
 
 
-@check("basis", soft=3, hard=4)
-def _check_basis(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    gt = family_table(n, "Gx")
-    stair = _staircase_packed(n)
-    index = {m: j for j, m in enumerate(stair)}
+def _staircase_rows(
+    n: int, member: Callable[[Permutation], MultiPoly]
+) -> tuple[list[list[MultiPoly]], dict | None]:
+    """The coefficients of member(w) over the staircase x-monomials, one
+    row per w in by_length order, and the counterexample of the first
+    member with support outside the staircase (the rows then stop short)."""
+    index = {m: j for j, m in enumerate(_staircase_packed(n))}
     rows = []
     for w in by_length(n):
-        row = [zero()] * len(stair)
-        for part, coeff in gt[w].split_by_kinds(("x",)).items():
-            j = index.get(part)
-            if j is None:
-                return (
-                    False,
-                    {"w": list(w.oneline), "reason": "support outside staircase"},
-                    None,
-                )
-            row[j] = coeff
+        row = [zero()] * len(index)
+        for part, coeff in member(w).split_by_kinds(("x",)).items():
+            if part not in index:
+                return rows, {"w": list(w.oneline), "reason": "support outside staircase"}
+            row[index[part]] = coeff
         rows.append(row)
+    return rows, None
+
+
+@check("basis", soft=3, hard=4)
+def _check_basis(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+    rows, outside = _staircase_rows(n, family_table(n, "Gx").__getitem__)
+    if outside is not None:
+        return False, outside, None
     det = det_bareiss(rows)
     if det == one() or det == const(-1):
         return True, None, {"det": det.text()}
@@ -881,23 +878,11 @@ def _check_basis(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | 
 def _check_free_module(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     st = family_table(n, "Sx")
     ctx = NormalFormContext(n, "unsigned")
-    stair = _staircase_packed(n)
-    index = {m: j for j, m in enumerate(stair)}
-    rows = []
-    for w in by_length(n):
-        reduced = ctx.reduce(st[w])
-        row = [zero()] * len(stair)
-        for part, coeff in reduced.split_by_kinds(("x",)).items():
-            j = index.get(part)
-            if j is None:
-                return (
-                    False,
-                    {"w": list(w.oneline), "reason": "support outside staircase"},
-                    None,
-                )
-            row[j] = const(coeff.set_zero("y").constant_term())
-        rows.append(row)
-    det = det_bareiss(rows).constant_term()
+    rows, outside = _staircase_rows(n, lambda w: ctx.reduce(st[w]))
+    if outside is not None:
+        return False, outside, None
+    at_y0 = [[const(c.set_zero("y").constant_term()) for c in row] for row in rows]
+    det = det_bareiss(at_y0).constant_term()
     if det != 0:
         return True, None, {"det_at_y0": det}
     return False, {"reason": "determinant vanished at y=0"}, None

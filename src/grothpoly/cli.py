@@ -47,21 +47,12 @@ _FAMILIES = {
 }
 
 
-class CliError(Exception):
-    pass
-
-
-def _fail(msg: str) -> int:
-    print(json.dumps({"error": msg}), file=sys.stderr)
-    return 2
-
-
 def _parse_word(text: str, n: int) -> Permutation:
     if text and not text.isdigit():
-        raise CliError(f"word must be digits 1..{n - 1}, got {text!r}")
+        raise ValueError(f"word must be digits 1..{n - 1}, got {text!r}")
     w = from_word([int(c) for c in text], n)
     if w.length() != len(text):
-        raise CliError(f"word {text!r} is not reduced")
+        raise ValueError(f"word {text!r} is not reduced")
     return w
 
 
@@ -69,26 +60,24 @@ def _parse_perm(text: str, n: int) -> Permutation:
     try:
         oneline = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise CliError(f"permutation must be comma-separated integers, got {text!r}")
+        raise ValueError(f"permutation must be comma-separated integers, got {text!r}")
     if sorted(oneline) != list(range(1, n + 1)):
-        raise CliError(f"{text!r} is not a permutation of 1..{n}")
+        raise ValueError(f"{text!r} is not a permutation of 1..{n}")
     return Permutation(oneline)
 
 
-def _specialize(p: MultiPoly, args: argparse.Namespace) -> MultiPoly:
-    values = {}
-    if getattr(args, "beta", None) is not None:
-        values[BETA] = args.beta
-    qtext = getattr(args, "q", None)
-    if qtext is not None:
-        try:
-            qs = [int(v) for v in qtext.split(",")]
-        except ValueError:
-            raise CliError(f"--q expects comma-separated integers, got {qtext!r}")
-        if len(qs) > args.n - 1:
-            raise CliError(f"--q got {len(qs)} values, rank {args.n} has {args.n - 1}")
-        values.update({Var("q", i): v for i, v in enumerate(qs, start=1)})
-    return p.specialize(values) if values else p
+def _parse_q(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
+
+
+def _substitution(args: argparse.Namespace) -> dict[Var, int]:
+    """The --beta and --q values as one integer substitution."""
+    values = {} if args.beta is None else {BETA: args.beta}
+    values.update({Var("q", i): v for i, v in enumerate(args.q or (), start=1)})
+    return values
 
 
 def _render(p: MultiPoly, fmt: str) -> str:
@@ -110,42 +99,41 @@ _RANK_CAPS = {"classical": (5, 6, 6), "quantum": (4, 5, 4)}
 
 
 def _check_rank(args: argparse.Namespace, command: str) -> None:
-    """Rank bounds of compute and table."""
+    """Rank bounds of compute and table, and the --q count the rank admits."""
     if args.n < 1:
-        raise CliError(f"rank must be at least 1, got {args.n}")
+        raise ValueError(f"rank must be at least 1, got {args.n}")
     kind = _FAMILIES[args.family][0]
     default, hard, table_hard = _RANK_CAPS[kind]
     if args.n > hard:
-        raise CliError(f"{kind} families are capped at n={hard}")
+        raise ValueError(f"{kind} families are capped at n={hard}")
     if command == "table" and args.n > table_hard:
-        raise CliError(f"{kind} table is capped at n={table_hard}")
+        raise ValueError(f"{kind} table is capped at n={table_hard}")
     if args.n > default and not args.force_n:
-        raise CliError(f"{kind} families above n={default} need --force-n")
+        raise ValueError(f"{kind} families above n={default} need --force-n")
+    if args.q is not None and len(args.q) > args.n - 1:
+        raise ValueError(f"--q got {len(args.q)} values, rank {args.n} has {args.n - 1}")
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    if args.family not in _FAMILIES:
-        raise CliError(f"unknown family {args.family!r}")
-    if (args.word is None) == (args.perm is None):
-        raise CliError("exactly one of --word / --perm is required")
     _check_rank(args, "compute")
+    values = _substitution(args)
     w = _parse_word(args.word, args.n) if args.word is not None else _parse_perm(args.perm, args.n)
     p = classical.family_member(args.n, _FAMILIES[args.family][1], w)
     if args.ideal is not None:
         p = classical.NormalFormContext(args.n, args.ideal).reduce(p)
-    p = _specialize(p, args)
+    if values:
+        p = p.specialize(values)
     print(_render(p, args.format))
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.family not in _FAMILIES:
-        raise CliError(f"unknown family {args.family!r}")
     _check_rank(args, "table")
+    values = _substitution(args)
     table = classical.family_table(args.n, _FAMILIES[args.family][1])
     symbol = _FAMILIES[args.family][2]
     for w in by_length(args.n):
-        p = _specialize(table[w], args)
+        p = table[w].specialize(values) if values else table[w]
         if args.format == "text":
             print(p.text())
         elif args.format == "latex":
@@ -166,14 +154,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         if args.ids:
-            raise CliError("--all does not take explicit ids")
+            raise ValueError("--all does not take explicit ids")
         ids = list(CHECKS)
     else:
         if not args.ids:
-            raise CliError("give identity ids or --all")
+            raise ValueError("give identity ids or --all")
         for cid in args.ids:
             if cid not in CHECKS:
-                raise CliError(f"unknown identity id {cid!r}")
+                raise ValueError(f"unknown identity id {cid!r}")
         ids = args.ids
 
     tasks = []
@@ -187,9 +175,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     raw = os.environ.get("GROTHPOLY_WORKERS", "1")
     try:
-        workers = min(int(raw), len(tasks))
+        workers = int(raw)
     except ValueError:
-        raise CliError(f"GROTHPOLY_WORKERS must be an integer, got {raw!r}")
+        raise ValueError(f"GROTHPOLY_WORKERS must be an integer, got {raw!r}")
+    if workers < 1:
+        raise ValueError(f"GROTHPOLY_WORKERS must be at least 1, got {raw!r}")
+    workers = min(workers, len(tasks))
     if workers > 1:
         import multiprocessing
 
@@ -205,8 +196,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising ValueError, which main prints as the JSON line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grothpoly",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -218,21 +216,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--force-n", action="store_true", help="lift the default rank caps")
 
+    def family(p: argparse.ArgumentParser) -> None:
+        common(p, ("text", "json", "latex"))
+        p.add_argument("--family", required=True, choices=_FAMILIES, help="family token")
+        p.add_argument("--beta", type=int, help="substitute an integer for b")
+        p.add_argument("--q", type=_parse_q, help="comma-separated integers for q1,q2,...")
+
     c = sub.add_parser("compute", help="print one family member")
-    common(c, ("text", "json", "latex"))
-    c.add_argument("--family", required=True, help="family token, e.g. G, qH, S")
-    c.add_argument("--word", help="reduced word as digits, empty for the identity")
-    c.add_argument("--perm", help="one-line permutation, e.g. 2,3,1")
-    c.add_argument("--beta", type=int, help="substitute an integer for b")
-    c.add_argument("--q", help="comma-separated integers for q1,q2,...")
+    family(c)
+    member = c.add_mutually_exclusive_group(required=True)
+    member.add_argument("--word", help="reduced word as digits, empty for the identity")
+    member.add_argument("--perm", help="one-line permutation, e.g. 2,3,1")
     c.add_argument("--ideal", choices=classical.IDEALS, help="reduce mod this ideal")
     c.set_defaults(func=cmd_compute)
 
     t = sub.add_parser("table", help="print all n! members of a family")
-    common(t, ("text", "json", "latex"))
-    t.add_argument("--family", required=True)
-    t.add_argument("--beta", type=int)
-    t.add_argument("--q", help="comma-separated integers for q1,q2,...")
+    family(t)
     t.set_defaults(func=cmd_table)
 
     v = sub.add_parser("verify", help="run identity checkers")
@@ -245,13 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        return _fail(str(e))
     except (KeyError, ValueError) as e:
-        return _fail(str(e))
+        print(json.dumps({"error": str(e)}), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .classical import (
     _embedding_failure,
     elementary,
     expand_dual_basis,
+    family_member,
     family_table,
     top_class,
 )
@@ -213,33 +214,33 @@ TOWERS.update({
 
 
 def quantum_schubert_double(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "qS")[w]
+    return family_member(w.n, "qS", w)
 
 
 def quantum_dual_grothendieck_double(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "qH")[w]
+    return family_member(w.n, "qH", w)
 
 
 def quantum_grothendieck_double(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "qG")[w]
+    return family_member(w.n, "qG", w)
 
 
 def quantum_schubert(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "qSx")[w]
+    return family_member(w.n, "qSx", w)
 
 
 def quantum_dual_grothendieck(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "qHx")[w]
+    return family_member(w.n, "qHx", w)
 
 
 def quantum_grothendieck(w: Permutation) -> MultiPoly:
-    return family_table(w.n, "qGx")[w]
+    return family_member(w.n, "qGx", w)
 
 
 def bold_family(w: Permutation, kind: str) -> MultiPoly:
     if kind not in ("G", "H"):
         raise ValueError("kind must be G or H")
-    return family_table(w.n, "b" + kind)[w]
+    return family_member(w.n, "b" + kind, w)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,17 @@ def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
     )
 
 
+def assert_refused(r: subprocess.CompletedProcess) -> None:
+    """Exit 2, nothing on stdout, and one stderr line holding {"error": <str>}."""
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1
+    obj = json.loads(lines[0])
+    assert list(obj) == ["error"]
+    assert isinstance(obj["error"], str)
+
+
 class TestCompute:
     def test_double_grothendieck_by_word(self):
         r = run_cli("compute", "--family", "G", "--word", "12", "--n", "3")
@@ -53,17 +64,6 @@ class TestCompute:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_word_and_perm_conflict(self):
-        r = run_cli(
-            "compute", "--family", "G", "--word", "1", "--perm", "2,1", "--n", "2"
-        )
-        assert r.returncode == 2
-        assert "error" in json.loads(r.stderr)
-
-    def test_missing_selector(self):
-        r = run_cli("compute", "--family", "G", "--n", "2")
-        assert r.returncode == 2
-
     def test_beta_and_q_specialisation(self):
         r = run_cli(
             "compute", "--family", "qG", "--word", "1", "--n", "3",
@@ -71,11 +71,6 @@ class TestCompute:
         )
         assert r.returncode == 0
         assert r.stdout.strip() == "y1 + x1"
-
-    def test_unknown_family(self):
-        r = run_cli("compute", "--family", "Gq", "--word", "1", "--n", "2")
-        assert r.returncode == 2
-        assert "error" in json.loads(r.stderr)
 
     def test_bad_word_letter(self):
         r = run_cli("compute", "--family", "G", "--word", "3", "--n", "3")
@@ -211,6 +206,15 @@ class TestVerify:
         assert json.loads(captured.err) == {"error": "GROTHPOLY_WORKERS must be an integer, got 'abc'"}
         assert sizes == [2]
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_workers_below_one_is_exit_2(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("GROTHPOLY_WORKERS", raw)
+        code = cli.main(["verify", "cauchy", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"GROTHPOLY_WORKERS must be at least 1, got {raw!r}"}
+
     def test_all_catalog_order_and_clamp(self):
         r = run_cli("verify", "--all", "--n", "2", env={"GROTHPOLY_WORKERS": "2"})
         assert r.returncode == 0
@@ -255,12 +259,48 @@ class TestVerify:
 
 class TestArgparse:
     def test_no_command(self):
-        r = run_cli()
-        assert r.returncode == 2
+        assert_refused(run_cli())
 
     def test_missing_n(self):
-        r = run_cli("table", "--family", "G")
-        assert r.returncode == 2
+        assert_refused(run_cli("table", "--family", "G"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["compute", "--family", "G", "--n", "abc", "--word", "1"], id="n-not-int"),
+            pytest.param(["compute", "--family", "G", "--n", "3", "--word", "1", "--format", "bogus"],
+                         id="unknown-format"),
+            pytest.param(["verify", "--all", "--n", "3", "--seed", "x"], id="seed-not-int"),
+            pytest.param(["compute", "--family", "G", "--n", "3", "--word", "1", "--bogus"],
+                         id="unknown-option"),
+            pytest.param(["compute", "--family", "Gq", "--n", "3", "--word", "1"], id="unknown-family"),
+            pytest.param(["table", "--family", "Gq", "--n", "3"], id="unknown-family-table"),
+            pytest.param(["compute", "--family", "G", "--n", "3", "--word", "1", "--perm", "2,1,3"],
+                         id="word-and-perm"),
+            pytest.param(["compute", "--family", "G", "--n", "3"], id="neither-word-nor-perm"),
+            pytest.param(["compute", "--family", "G", "--n", "3", "--word", "1", "--beta", "1.5"],
+                         id="beta-not-int"),
+        ],
+    )
+    def test_parser_refusals_are_one_json_line(self, argv):
+        # the structure is pinned, not argparse's wording, which varies
+        # across Python versions
+        assert_refused(run_cli(*argv))
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"]])
+    def test_help_exits_0(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 0
+        assert r.stdout.startswith("usage: grothpoly")
+
+    def test_readme_cli_examples_run(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+        commands = [line.split() for line in block.splitlines() if line.startswith("grothpoly ")]
+        assert len(commands) >= 5
+        for argv in commands:
+            r = run_cli(*argv[1:])
+            assert r.returncode == 0, (argv, r.stderr)
 
     @pytest.mark.parametrize(
         "argv",

@@ -12,16 +12,18 @@ chains against the tables and against the tower keying written out here.
 from __future__ import annotations
 
 import functools
+import json
 import sys
 
 import pytest
 
+import grothpoly
 from grothpoly import _termkernel_py as kernel
 from grothpoly import classical, cli
 from grothpoly._packing import BETA, unit
 from grothpoly.classical import TOWERS, _descent_tower, family_member, family_table, top_class
 from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS
-from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, longest
+from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, from_word, longest
 from grothpoly.poly import MultiPoly
 from grothpoly.cli import _FAMILIES
 from grothpoly.quantum import quantum_top
@@ -195,6 +197,62 @@ def test_compute_builds_no_table(argv, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert classical._TABLE_CACHE == {}
+
+
+_PER_MEMBER = {
+    "grothendieck_double": "G",
+    "dual_grothendieck_double": "H",
+    "schubert_double": "S",
+    "grothendieck": "Gx",
+    "dual_grothendieck": "Hx",
+    "schubert": "Sx",
+    "quantum_grothendieck_double": "qG",
+    "quantum_dual_grothendieck_double": "qH",
+    "quantum_schubert_double": "qS",
+    "quantum_grothendieck": "qGx",
+    "quantum_dual_grothendieck": "qHx",
+    "quantum_schubert": "qSx",
+}
+
+
+@pytest.mark.parametrize(
+    "name, family", [*_PER_MEMBER.items(), ("bold_family", "bG"), ("bold_family", "bH")]
+)
+def test_per_member_functions_build_no_table(name, family, monkeypatch):
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    w = from_word([2, 1, 3], 4)
+    fn = getattr(grothpoly, name)
+    p = fn(w, family[1]) if name == "bold_family" else fn(w)
+    assert classical._TABLE_CACHE == {}
+    assert p == family_table(4, family)[w]
+
+
+def test_rank6_member_builds_no_table(monkeypatch):
+    # the whole rank-6 table is 720 members and tens of seconds
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    assert grothpoly.grothendieck_double(from_word([1], 6))
+    assert classical._TABLE_CACHE == {}
+
+
+@pytest.mark.parametrize("q", ["x", "1,2,3,4,5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--family", "G", "--n", "5"],
+        ["compute", "--family", "bH", "--n", "5", "--force-n", "--word", ""],
+    ],
+)
+def test_refused_q_does_no_work(argv, q, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    monkeypatch.setattr(classical, "apply_op", lambda *a: calls.append(a))
+    monkeypatch.setattr(classical, "apply_perm", lambda *a: calls.append(a))
+    assert cli.main([*argv, "--q", q]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert list(json.loads(err)) == ["error"]
+    assert classical._TABLE_CACHE == {}
+    assert calls == []
 
 
 @pytest.mark.parametrize("family", ["G", "Hx", "qS", "bHx"])
