@@ -22,7 +22,19 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import _termkernel_py as kernel
-from ._packing import BETA, FIELD_MASK, MASK_B, MASK_X, N_MAX, Var, mono_divides, pack, shift, unit
+from ._packing import (
+    BETA,
+    FIELD_MASK,
+    MASK_B,
+    MASK_X,
+    N_MAX,
+    XDEG_SHIFT,
+    Var,
+    mono_divides,
+    pack,
+    shift,
+    unit,
+)
 from .divdiff import DEL, PI_PLUS, PSI_PLUS, apply_op, apply_perm
 from .perms import (
     Permutation,
@@ -34,7 +46,7 @@ from .perms import (
     transposition,
 )
 from .poly import MultiPoly, beta, const, one, xvar, yvar, zero, zvar
-from .report import check
+from .report import check, check_rank
 
 # ---------------------------------------------------------------------------
 # symmetric-function helpers
@@ -127,11 +139,6 @@ TOWERS: dict[str, tuple[Callable[[int], MultiPoly], str, str]] = {
 }
 
 
-def _check_rank(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
-
-
 def _tower_spec(
     n: int, family: str
 ) -> tuple[str, str, Callable[[], MultiPoly], Callable[[Permutation], Permutation], str | None]:
@@ -144,7 +151,7 @@ def _tower_spec(
     and its y=0 member is the full member with y set to 0: sliced_from then
     names that full family, else it is None.
     """
-    _check_rank(n)
+    check_rank(n)
     base = family[:-1] if family.endswith("x") else family
     if base not in TOWERS:
         raise ValueError(f"unknown family {family!r}")
@@ -190,6 +197,28 @@ def family_member(n: int, family: str, w: Permutation) -> MultiPoly:
     if sliced_from is not None:
         return family_member(n, sliced_from, w).set_zero("y")
     return apply_perm(op_kind, tower_key(w), top(), alphabet)
+
+
+def _embedded_members(n: int, family: str) -> dict[Permutation, MultiPoly]:
+    """Member w.embed(n+1) of one family at rank n+1, for every w in S_n.
+
+    Read from the cached rank-(n+1) table if there is one.  Otherwise one
+    S_n tower: the rank-(n+1) key of w.embed(n+1) is x u with x the rank-n
+    key of w and u = w0(n) w0(n+1), the lengths adding, so every member is
+    op_x(op_u(top)).  A sliced y=0 family is sliced from these members of
+    its full family.
+    """
+    m = n + 1
+    cached = _TABLE_CACHE.get((m, family))
+    if cached is not None:
+        return {w: cached[w.embed(m)] for w in all_perms(n)}
+    op_kind, alphabet, top, _, sliced_from = _tower_spec(m, family)
+    if sliced_from is not None:
+        return {w: p.set_zero("y") for w, p in _embedded_members(n, sliced_from).items()}
+    u = longest(n).embed(m) * longest(m)
+    tower = _descent_tower(apply_perm(op_kind, u, top(), alphabet), op_kind, alphabet, n)
+    tower_key = _tower_spec(n, family)[3]
+    return {w: tower[tower_key(w)] for w in all_perms(n)}
 
 
 def grothendieck_double(w: Permutation) -> MultiPoly:
@@ -295,14 +324,21 @@ class NormalFormContext:
     involve y and beta).
 
     Reduction is linear over Z[y, beta], so only x-monomials are ever
-    reduced.  Each x-monomial's normal form is found once per context by a
-    heap over x-parts, every x-part carrying its whole Z[y, beta]
-    coefficient, and kept in a per-instance memo; ``reduce`` then adds up
-    memo entries scaled by the non-x part of each term.
+    reduced, each once per context into a per-instance memo; ``reduce``
+    then adds up memo entries scaled by the non-x part of each term.  An
+    x-monomial of x-degree at most n(n-1)/2 + 1 (one above the staircase
+    top) is reduced by a heap over x-parts, every x-part carrying its whole
+    Z[y, beta] coefficient.  One of higher degree is peeled: with x_j the
+    highest x in m, m - x_j NF(m / x_j) lies in the ideal, so NF(m) is the
+    reduction of x_j NF(m / x_j).  NF(m / x_j) is a memo entry (or becomes
+    one), and every term of x_j NF(m / x_j) has x-degree at most
+    n(n-1)/2 + 1, so a high-degree monomial costs one sum of memo entries
+    instead of a heap descent of its own (normal forms multiplied through
+    the quotient basis, as in FGLM).
     """
 
     def __init__(self, n: int, ideal: str = "x"):
-        _check_rank(n)
+        check_rank(n)
         if ideal not in IDEALS:
             raise ValueError(f"ideal must be one of {IDEALS}")
         self.n = n
@@ -321,6 +357,10 @@ class NormalFormContext:
                     tail.setdefault(xp, []).append((m - xp, c))
             self._rules.append((shift(Var("x", i)), e, lead, sorted(tail.items())))
         self._nf: dict[int, dict[int, int]] = {}
+        # _x_normal_form peels x-monomials above this x-degree; it finds
+        # the highest x present through (index, shift, unit), x8 first
+        self._peel_above = n * (n - 1) // 2 + 1
+        self._x_desc = [(i, shift(Var("x", i)), unit(Var("x", i))) for i in range(N_MAX, 0, -1)]
 
     def _build_rules(self) -> list[MultiPoly]:
         """The i-th rewriting rule, monic with lead x_i^{n-i+1}, i = 1..n."""
@@ -366,7 +406,28 @@ class NormalFormContext:
         return None
 
     def _x_normal_form(self, xmono: int) -> dict[int, int]:
-        """Normal form of one x-monomial, by a heap over x-parts."""
+        """Normal form of one x-monomial: peeled through the memo above
+        x-degree n(n-1)/2 + 1 (see the class docstring), else by the heap.
+        A monomial whose highest x is past x_n goes to the heap: the rules
+        never lower that variable, so peeling it would not fall in degree.
+        """
+        if xmono >> XDEG_SHIFT > self._peel_above:
+            j, xj = next((j, u) for j, sh, u in self._x_desc if (xmono >> sh) & FIELD_MASK)
+            if j <= self.n:
+                nf = self._nf
+                rest = xmono - xj
+                base = nf.get(rest)
+                if base is None:
+                    base = nf[rest] = self._x_normal_form(rest)
+                out: dict[int, int] = {}
+                for m, c in base.items():
+                    xp = m & MASK_X
+                    k = xp + xj
+                    r = nf.get(k)
+                    if r is None:
+                        r = nf[k] = self._x_normal_form(k)
+                    kernel.addmul(out, r, m - xp, c)
+                return kernel.prune(out)
         coefs = {xmono: {0: 1}}  # x-part -> its Z[y, beta] coefficient
         heap = [-xmono]
         out: dict[int, int] = {}
@@ -813,16 +874,15 @@ def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
 def _embedding_failure(family: str, n: int, mode: str) -> Permutation | None:
     """The first w in S_n whose member does not embed into rank n+1: on the
     nose for mode "exact", up to the identity members for mode "ratio"."""
-    m = n + 1
     small = family_table(n, family)
-    big = family_table(m, family)
+    big = _embedded_members(n, family)
     small_id = small[identity(n)]
-    big_id = big[identity(m)]
+    big_id = big[identity(n)]
     for w in all_perms(n):
         if mode == "exact":
-            ok = big[w.embed(m)] == small[w]
+            ok = big[w] == small[w]
         else:
-            ok = small[w] * big_id == big[w.embed(m)] * small_id
+            ok = small[w] * big_id == big[w] * small_id
         if not ok:
             return w
     return None

@@ -26,7 +26,7 @@ from . import classical
 from ._packing import BETA, Var
 from .perms import Permutation, by_length, first_reduced_word, from_word
 from .poly import MultiPoly
-from .report import CHECKS, rank_caps, verify
+from .report import CHECKS, check_rank, rank_caps, verify
 
 _FAMILIES = {
     # token -> (kind for the rank caps, table name, latex symbol)
@@ -100,8 +100,7 @@ _RANK_CAPS = {"classical": (5, 6, 6), "quantum": (4, 5, 4)}
 
 def _check_rank(args: argparse.Namespace, command: str) -> None:
     """Rank bounds of compute and table, and the --q count the rank admits."""
-    if args.n < 1:
-        raise ValueError(f"rank must be at least 1, got {args.n}")
+    check_rank(args.n)
     kind = _FAMILIES[args.family][0]
     default, hard, table_hard = _RANK_CAPS[kind]
     if args.n > hard:

@@ -69,6 +69,12 @@ class VerificationReport(NamedTuple):
         return f"{mark} {self.check_id} n={self.n} ({self.ms:.1f} ms){extra}"
 
 
+def check_rank(n: int) -> None:
+    """Refuse a rank below 1, the one wording for the library and the CLI."""
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
+
+
 def rank_caps(check_id: str) -> tuple[int, int]:
     """(default cap, forced cap) for one check id."""
     if check_id not in CHECKS:
@@ -80,8 +86,7 @@ def rank_caps(check_id: str) -> tuple[int, int]:
 def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
     """Run one registered check at rank n; ranks above the default cap need force."""
     soft, hard = rank_caps(check_id)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_rank(n)
     if n > hard:
         raise ValueError(f"{check_id} is capped at n={hard}")
     if n > soft and not force:

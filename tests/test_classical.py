@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grothpoly import _termkernel_py as kernel
 from grothpoly.classical import (
     IDEALS,
     NormalFormContext,
@@ -253,6 +255,76 @@ class TestNormalForms:
         r._t[0] = 99
         assert ctx.reduce(f)._t == want
         assert ctx.reduce(f * yvar(2)) == _oracle_reduce(ctx, f * yvar(2))
+
+
+def _heap_x_normal_form(ctx: NormalFormContext, xmono: int) -> dict[int, int]:
+    """Normal form of one x-monomial by the heap over x-parts alone, with
+    no peeling and no memo: NormalFormContext._x_normal_form before it
+    reused the memo for x_j * m.  Kept here as an oracle."""
+    coefs = {xmono: {0: 1}}
+    heap = [-xmono]
+    out: dict[int, int] = {}
+    while heap:
+        xp = -heapq.heappop(heap)
+        coef = kernel.prune(coefs.pop(xp))
+        if not coef:
+            continue
+        i = ctx._reducer_for(xp)
+        if i is None:
+            kernel.addmul(out, coef, xp, 1)
+            continue
+        _, _, lead, tail = ctx._rules[i]
+        for gx, gterms in tail:
+            k = gx + xp - lead
+            acc = coefs.get(k)
+            if acc is None:
+                acc = coefs[k] = {}
+                heapq.heappush(heap, -k)
+            for rest, gc in gterms:
+                kernel.addmul(acc, coef, rest, -gc)
+    return kernel.prune(out)
+
+
+def _x_monomials(n: int, degrees: range) -> list[int]:
+    """Every x-monomial in x_1..x_n whose degree lies in degrees."""
+    return [
+        pack({Var("x", i + 1): e for i, e in enumerate(exps) if e})
+        for exps in itertools.product(range(max(degrees) + 1), repeat=n)
+        if sum(exps) in degrees
+    ]
+
+
+class TestPeeledNormalForms:
+    """reduce peels x-monomials above x-degree n(n-1)/2 + 1 down to the
+    memo; it must agree with the heap alone, and x_j * NF(m) must reduce
+    to NF(x_j * m)."""
+
+    @staticmethod
+    def _agree(ctx: NormalFormContext, monos: list[int]) -> None:
+        n = ctx.n
+        for m in monos:
+            f = MultiPoly._raw({m: 1})
+            nf = ctx.reduce(f)
+            assert nf._t == _heap_x_normal_form(ctx, m), (ctx.ideal, m)
+            for j in range(1, n + 1):
+                assert ctx.reduce(xvar(j) * nf) == ctx.reduce(xvar(j) * f), (ctx.ideal, m, j)
+
+    @pytest.mark.parametrize("ideal", IDEALS)
+    def test_every_monomial_up_to_twice_the_staircase_at_rank3(self, ideal):
+        self._agree(NormalFormContext(3, ideal), _x_monomials(3, range(7)))
+
+    @pytest.mark.parametrize("ideal", IDEALS)
+    def test_sampled_monomials_of_degree_8_to_12_at_rank4(self, ideal):
+        monos = random.Random(14).sample(_x_monomials(4, range(8, 13)), 8)
+        self._agree(NormalFormContext(4, ideal), monos)
+
+    @pytest.mark.parametrize("ideal", IDEALS)
+    def test_an_x_past_the_rank_rides_along(self, ideal):
+        # no rule lowers x4 at rank 3, so these are never peeled on x4
+        ctx = NormalFormContext(3, ideal)
+        for exps in ({1: 3, 4: 3}, {2: 2, 3: 1, 4: 2}, {4: 6}):
+            m = pack({Var("x", i): e for i, e in exps.items()})
+            assert ctx.reduce(MultiPoly._raw({m: 1}))._t == _heap_x_normal_form(ctx, m)
 
 
 def _oracle_reduce(ctx: NormalFormContext, f: MultiPoly) -> MultiPoly:

@@ -309,6 +309,8 @@ class TestArgparse:
             ["table", "--family", "qS", "--n", "0"],
             ["compute", "--family", "G", "--word", "", "--n", "0"],
             ["compute", "--family", "S", "--perm", "1", "--n", "-1"],
+            ["verify", "--all", "--n", "0"],
+            ["verify", "cauchy", "--n", "0"],
         ],
     )
     def test_rank_below_one_is_exit_2(self, argv, capsys):

@@ -21,12 +21,20 @@ import grothpoly
 from grothpoly import _termkernel_py as kernel
 from grothpoly import classical, cli
 from grothpoly._packing import BETA, unit
-from grothpoly.classical import TOWERS, _descent_tower, family_member, family_table, top_class
+from grothpoly.classical import (
+    TOWERS,
+    _descent_tower,
+    _embedded_members,
+    family_member,
+    family_table,
+    top_class,
+)
 from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS
 from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, from_word, longest
 from grothpoly.poly import MultiPoly
 from grothpoly.cli import _FAMILIES
 from grothpoly.quantum import quantum_top
+from grothpoly.report import verify
 
 _B = unit(BETA)
 
@@ -180,6 +188,31 @@ def test_member_reads_a_cached_table(monkeypatch):
     table = family_table(3, "H")
     w = all_perms(3)[2]
     assert family_member(3, "H", w) is table[w]
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for n in (1, 2, 3) for f in TABLE_NAMES]
+    + [(f, 4) for f in ("G", "H", "S", "Gx", "Hx", "Sx")],
+)
+def test_embedded_members_match_the_next_rank(family, n, monkeypatch):
+    # one S_n coset tower with nothing cached, then read off the cached
+    # rank-(n+1) table, both against that table at w.embed(n+1)
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    members = _embedded_members(n, family)
+    assert classical._TABLE_CACHE == {}
+    big = family_table(n + 1, family)
+    assert members == {w: big[w.embed(n + 1)] for w in all_perms(n)}
+    cached = _embedded_members(n, family)
+    assert all(cached[w] is big[w.embed(n + 1)] for w in all_perms(n))
+
+
+@pytest.mark.parametrize("check_id", ["stability", "quantum_stability"])
+def test_stability_builds_no_table_of_the_next_rank(check_id, monkeypatch):
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    assert verify(check_id, 3).ok
+    assert classical._TABLE_CACHE
+    assert {n for n, _ in classical._TABLE_CACHE} == {3}
 
 
 @pytest.mark.parametrize(
