@@ -45,7 +45,7 @@ from .perms import (
     longest,
     transposition,
 )
-from .poly import MultiPoly, beta, const, one, xvar, yvar, zero, zvar
+from .poly import MultiPoly, beta, const, dot, one, xvar, yvar, zero, zvar
 from .report import check, check_rank
 
 # ---------------------------------------------------------------------------
@@ -371,13 +371,11 @@ class NormalFormContext:
             g = complete_h(m, _xvars(1, i))
             if self.ideal != "x":
                 ys = _yvars(1, n)
-                tail = zero()
-                for b in range(0, n - i + 1):
-                    sign = (-1) ** b if self.ideal == "unsigned" else (-1) ** m
-                    tail = tail + (
-                        elementary(b, _xvars(i + 1, n)) * complete_h(m - b, ys) * sign
-                    )
-                g = g - tail
+                signs = [(-1) ** (b if self.ideal == "unsigned" else m) for b in range(m)]
+                g = g - dot(
+                    (elementary(b, _xvars(i + 1, n)), complete_h(m - b, ys) * sign)
+                    for b, sign in enumerate(signs)
+                )
             rules.append(g)
         return rules
 
@@ -607,8 +605,8 @@ def _cauchy_numerator(h: MultiPoly, dens: Sequence[int]) -> MultiPoly:
         stripped = m - sum(e * u for e, u in zip(key, units))
         groups.setdefault(key, {})[stripped] = c
     factors: dict[tuple[int, int], MultiPoly] = {}
-    acc = zero()
-    for key, terms in groups.items():
+
+    def cleared(key: tuple[int, ...]) -> MultiPoly:
         p = one()
         for i, e in enumerate(key):
             f = factors.get((i, e))
@@ -616,8 +614,9 @@ def _cauchy_numerator(h: MultiPoly, dens: Sequence[int]) -> MultiPoly:
                 z = zvar(i + 1)
                 f = factors[(i, e)] = (-z) ** e * (one() - beta() * z) ** (dens[i] - e)
             p = p * f
-        acc = acc + p * MultiPoly._raw(terms)
-    return acc
+        return p
+
+    return dot((cleared(key), MultiPoly._raw(terms)) for key, terms in groups.items())
 
 
 def _cauchy_sum(n: int, ht: Mapping[Permutation, MultiPoly]) -> tuple[MultiPoly, MultiPoly]:
@@ -627,9 +626,9 @@ def _cauchy_sum(n: int, ht: Mapping[Permutation, MultiPoly]) -> tuple[MultiPoly,
     gt = family_table(n, "G")
     w0 = longest(n)
     dens = [max(h.max_exponent(Var("y", i)) for h in ht.values()) for i in range(1, n + 1)]
-    acc = zero()
-    for w in all_perms(n):
-        acc = acc + _cauchy_numerator(ht[w], dens) * gt[w * w0].relabel(_RECAST_YZ)
+    acc = dot(
+        (_cauchy_numerator(ht[w], dens), gt[w * w0].relabel(_RECAST_YZ)) for w in all_perms(n)
+    )
     return acc, _cauchy_numerator(one(), dens)
 
 
@@ -678,9 +677,7 @@ def _monk_mismatch(
     for w in all_perms(n):
         for k in range(1, n):
             lhs = ctx.reduce(permute_y(gt[identity(n).times_s(k)], w) * gt[w])
-            rhs = zero()
-            for v, coef in monk_expansion(w, k).items():
-                rhs = rhs + gt[v] * coef
+            rhs = dot((gt[v], coef) for v, coef in monk_expansion(w, k).items())
             rhs = ctx.reduce(permute_y(gid, w) * rhs)
             if lhs != rhs:
                 return w, k, lhs, rhs
@@ -749,9 +746,7 @@ def _check_interpolation(n: int, rng: random.Random) -> tuple[bool, dict | None,
         fy = f.relabel(SWAP_XY)
         tower = _descent_tower(fy, PI_PLUS, "y", n)
         lhs = f * gid
-        rhs = zero()
-        for w in all_perms(n):
-            rhs = rhs + hneg[w] * tower[w]
+        rhs = dot((hneg[w], tower[w]) for w in all_perms(n))
         if lhs != rhs:
             return (
                 False,
@@ -768,12 +763,14 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     w0 = longest(n)
     hid = ht[identity(n)]
     gid_om = omega(gt[identity(n)], n)
+    # -(-1)^l(v) * omega(G_id), by the parity of l(v)
+    neg_sign_gid_om = (-gid_om, gid_om)
 
     def failure(ctx: NormalFormContext) -> dict | None:
         for v in all_perms(n):
-            lhs = omega(gt[v], n) * hid
-            rhs = ht[w0 * v * w0] * gid_om * ((-1) ** v.length())
-            difference = ctx.reduce(lhs - rhs)
+            difference = ctx.reduce(
+                dot([(omega(gt[v], n), hid), (ht[w0 * v * w0], neg_sign_gid_om[v.length() & 1])])
+            )
             if not difference.is_zero():
                 return {"v": list(v.oneline), "difference": difference.json_obj()}
         return None
@@ -857,13 +854,9 @@ def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     for w in all_perms(n):
-        up = bruhat_upper(w)
-        hexp = zero()
-        gexp = zero()
-        for v in up:
-            d = v.length() - w.length()
-            hexp = hexp + gt[v] * (beta() ** d)
-            gexp = gexp + ht[v] * ((beta() * -1) ** d)
+        up = [(v, v.length() - w.length()) for v in bruhat_upper(w)]
+        hexp = dot((gt[v], beta() ** d) for v, d in up)
+        gexp = dot((ht[v], (beta() * -1) ** d) for v, d in up)
         if ht[w] != hexp:
             return False, {"direction": "H_from_G", "w": list(w.oneline)}, None
         if gt[w] != gexp:
@@ -878,9 +871,19 @@ def _embedding_failure(family: str, n: int, mode: str) -> Permutation | None:
     big = _embedded_members(n, family)
     small_id = small[identity(n)]
     big_id = big[identity(n)]
+    ratio = None
+    if mode == "ratio":
+        # Z[x, y, z, b, q] is a domain and small_id != 0, so comparing
+        # against the exact quotient gives the cross-multiplied verdict
+        try:
+            ratio = divexact(big_id, small_id)
+        except ArithmeticError:
+            pass
     for w in all_perms(n):
         if mode == "exact":
             ok = big[w] == small[w]
+        elif ratio is not None:
+            ok = small[w] * ratio == big[w]
         else:
             ok = small[w] * big_id == big[w] * small_id
         if not ok:

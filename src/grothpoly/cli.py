@@ -48,7 +48,8 @@ _FAMILIES = {
 
 
 def _parse_word(text: str, n: int) -> Permutation:
-    if text and not text.isdigit():
+    # str.isdigit() also admits non-ASCII digits such as "²", which int() refuses
+    if text and not (text.isascii() and text.isdigit()):
         raise ValueError(f"word must be digits 1..{n - 1}, got {text!r}")
     w = from_word([int(c) for c in text], n)
     if w.length() != len(text):
@@ -158,9 +159,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if not args.ids:
             raise ValueError("give identity ids or --all")
-        for cid in args.ids:
+        for i, cid in enumerate(args.ids):
             if cid not in CHECKS:
                 raise ValueError(f"unknown identity id {cid!r}")
+            if cid in args.ids[:i]:
+                raise ValueError(f"identity id {cid!r} is repeated")
         ids = args.ids
 
     tasks = []

@@ -432,6 +432,20 @@ def _coerce(v) -> "MultiPoly":
     return NotImplemented
 
 
+def dot(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of a * b over the pairs, built in one term map and pruned
+    once.  Each pair is field-checked as a * b is."""
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        fa, fb = a._t, b._t
+        _check_product_fields(fa, fb)
+        if len(fa) > len(fb):
+            fa, fb = fb, fa
+        for m, c in fa.items():
+            kernel.addmul(acc, fb, m, c)
+    return MultiPoly._raw(kernel.prune(acc))
+
+
 # -- variable shorthands ---------------------------------------------
 
 

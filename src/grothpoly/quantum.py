@@ -43,6 +43,7 @@ from .perms import (
 from .poly import (
     MultiPoly,
     beta,
+    dot,
     one,
     qvar,
     xvar,
@@ -87,13 +88,13 @@ def gk_determinant(k: int, t: Var, beta_form: bool = False) -> MultiPoly:
     'y1 + x1'
     """
     tp = MultiPoly.variable(t)
-    total = zero()
+    pairs = []
     for i in range(0, k + 1):
-        term = quantum_elementary(k, i) * tp ** (k - i)
+        e = quantum_elementary(k, i)
         if beta_form:
-            term = term * (one() + beta() * tp) ** i
-        total = total + term
-    return total
+            e = e * (one() + beta() * tp) ** i
+        pairs.append((e, tp ** (k - i)))
+    return dot(pairs)
 
 
 def quantum_top(n: int, beta_form: bool = False) -> MultiPoly:
@@ -127,14 +128,14 @@ def apply_X(j: int, f: MultiPoly, n: int) -> MultiPoly:
     for k in range(n + 1, N_MAX + 1):
         if f.max_exponent(Var("x", k)):
             raise ValueError(f"x{k} is above the rank {n}")
-    out = xvar(j) * f
+    pairs = [(xvar(j), f)]
     for i in range(1, j):
         q_ij = MultiPoly({Var("q", t): 1 for t in range(i, j)})
-        out = out - q_ij * apply_word(DEL, _palindrome(i, j), f, "x")
+        pairs.append((-q_ij, apply_word(DEL, _palindrome(i, j), f, "x")))
     for k in range(j + 1, n + 1):
         q_jk = MultiPoly({Var("q", t): 1 for t in range(j, k)})
-        out = out + q_jk * apply_word(DEL, _palindrome(j, k), f, "x")
-    return out
+        pairs.append((q_jk, apply_word(DEL, _palindrome(j, k), f, "x")))
+    return dot(pairs)
 
 
 # X-products differ between ranks, so the memo is keyed by (n, x-part)
@@ -156,10 +157,8 @@ def _x_power_at_one(xpart: int, n: int) -> MultiPoly:
 def eval_at_X(f: MultiPoly, n: int) -> MultiPoly:
     """f with every x-monomial replaced by the matching X-product, applied
     to 1.  Non-x variables ride along as scalars."""
-    acc = zero()
-    for xpart, coeff in f.split_by_kinds(("x",)).items():
-        acc = acc + coeff * _x_power_at_one(xpart, n)
-    return acc
+    parts = f.split_by_kinds(("x",)).items()
+    return dot((coeff, _x_power_at_one(xpart, n)) for xpart, coeff in parts)
 
 
 def quantize(f: MultiPoly, n: int) -> MultiPoly:
@@ -298,9 +297,7 @@ def _check_corollary2(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     # coefs[v][u] = eta(pi+_u Gx_{v w0}), one pi+ tower per v
     coefs = {v: expand_dual_basis(gxt[v * w0], n) for v in all_perms(n)}
     for w in all_perms(n):
-        acc = zero()
-        for v in all_perms(n):
-            acc = acc + coefs[v][w * w0] * qhx[v]
+        acc = dot((coefs[v][w * w0], qhx[v]) for v in all_perms(n))
         if acc != qgx[w]:
             return (
                 False,

@@ -13,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
+from grothpoly import classical
 from grothpoly.classical import (
     IDEALS,
     NormalFormContext,
+    _embedded_members,
+    _embedding_failure,
     _staircase_packed,
     complete_h,
     det_bareiss,
@@ -498,6 +501,34 @@ def test_det_bareiss_on_integer_matrices(rng):
         rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(size)] for _ in range(size)]
         got = det_bareiss([[const(c) for c in row] for row in rows])
         assert got == const(_leibniz_det(rows))
+
+
+@pytest.mark.parametrize("path", ["quotient", "cross-multiplied"])
+@pytest.mark.parametrize("family", ["G", "H", "Hx"])
+def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
+    # ratio mode compares small[w] * (big_id / small_id) with big[w]; when the
+    # quotient is refused it falls back to small[w] * big_id == big[w] * small_id
+    n = 3
+    exact_quotient = classical.divexact
+    divisions = []
+
+    def divexact(f, g):
+        divisions.append((f, g))
+        if path == "cross-multiplied":
+            raise ArithmeticError("forced")
+        return exact_quotient(f, g)
+
+    monkeypatch.setattr(classical, "divexact", divexact)
+    members = _embedded_members(n, family)
+    assert _embedding_failure(family, n, "ratio") is None
+    w = Permutation((2, 3, 1))
+    perturbed = {**members, w: members[w] * (one() + beta() * xvar(1))}
+    monkeypatch.setattr(classical, "_embedded_members", lambda n_, family_: perturbed)
+    assert _embedding_failure(family, n, "ratio") == w
+    # one division per call, of the big identity member by the small one
+    assert len(divisions) == 2
+    small_id = family_table(n, family)[identity(n)]
+    assert all(f == members[identity(n)] and g == small_id for f, g in divisions)
 
 
 CLASSICAL_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.classical"]

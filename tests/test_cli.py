@@ -76,6 +76,17 @@ class TestCompute:
         r = run_cli("compute", "--family", "G", "--word", "3", "--n", "3")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "word", ["a", "\u00b2", "1\u0661"], ids=["letter", "superscript-2", "arabic-indic-1"]
+    )
+    def test_word_of_non_ascii_digits_rejected(self, word, capsys):
+        # str.isdigit() admits "²" and "١", which int() then refuses
+        code = cli.main(["compute", "--family", "G", "--n", "3", "--word", word])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": f"word must be digits 1..2, got {word!r}"}
+
     def test_non_reduced_word_rejected(self):
         r = run_cli("compute", "--family", "G", "--word", "11", "--n", "3")
         assert r.returncode == 2
@@ -155,6 +166,13 @@ class TestVerify:
         r = run_cli("verify", "bogus_id", "--n", "2")
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"].startswith("unknown identity id")
+
+    def test_repeated_id_is_refused(self, capsys):
+        code = cli.main(["verify", "--n", "2", "orthogonality", "cauchy", "orthogonality"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "identity id 'orthogonality' is repeated"}
 
     def test_over_cap_rank_is_exit_2(self):
         r = run_cli("verify", "basis", "--n", "5")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
 from grothpoly._packing import BETA, N_MAX, Var, pack
-from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero, zvar
+from grothpoly.poly import MultiPoly, beta, dot, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
 # naive oracle: polynomials as {sorted((name, exp), ...): coef}
@@ -136,6 +136,24 @@ def test_kernel_mul_edge_cases():
     assert kernel.mul({X1: big}, {X1: -big}) == {X1_SQ: -big * big}
 
 
+@settings(max_examples=100)
+@given(pairs=st.lists(st.tuples(polys(), polys()), max_size=4))
+def test_dot_is_the_sum_of_products(pairs):
+    expect = zero()
+    for a, b in pairs:
+        expect = expect + a * b
+    got = dot(pairs)
+    assert got == expect
+    assert 0 not in got._t.values()
+    # every product cancels against its negation, leaving no explicit zero
+    assert dot(pairs + [(-a, b) for a, b in pairs])._t == {}
+
+
+def test_dot_of_nothing_is_zero():
+    assert dot([])._t == {}
+    assert dot(iter(())) == 0
+
+
 def test_kernel_addmul_zero_coef_is_noop():
     acc = {0: 3}
     kernel.addmul(acc, {0: 5, X1: 1}, X1, 0)
@@ -194,6 +212,11 @@ def test_product_past_the_field_is_refused(a, b):
         a * b
     with pytest.raises(ValueError):
         b * a
+    # dot checks every polynomial pair it accumulates, not only the first
+    with pytest.raises(ValueError):
+        dot([(a, b)])
+    with pytest.raises(ValueError):
+        dot([(one(), xvar(1)), (xvar(1), one() * 3), (b, a)])
 
 
 def test_product_up_to_the_field_is_exact():
