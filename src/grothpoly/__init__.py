@@ -16,6 +16,7 @@ from .classical import (
     expand_dual_basis,
     grothendieck,
     grothendieck_double,
+    localize,
     monk_expansion,
     schubert,
     schubert_double,
@@ -54,6 +55,7 @@ __all__ = [
     "grothendieck",
     "grothendieck_double",
     "identity",
+    "localize",
     "longest",
     "monk_expansion",
     "quantize",

@@ -46,6 +46,9 @@ NUM_SLOTS = _XDEG_SLOT + 1
 
 XDEG_SHIFT = _XDEG_SLOT * FIELD_BITS
 XDEG_UNIT = 1 << XDEG_SHIFT
+# the top bit of every field: a monomial free of them has every exponent
+# below 1 << 15, so adding two such fields cannot carry
+TOP_BITS = sum(1 << (s * FIELD_BITS + FIELD_BITS - 1) for s in range(NUM_SLOTS))
 
 
 class Var(NamedTuple):

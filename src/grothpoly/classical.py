@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import random
+from collections import Counter
+from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -28,6 +31,7 @@ from ._packing import (
     MASK_B,
     MASK_X,
     N_MAX,
+    TOP_BITS,
     XDEG_SHIFT,
     Var,
     mono_divides,
@@ -321,7 +325,13 @@ class NormalFormContext:
     Each choice admits a Groebner-style rewriting system whose i-th rule has
     the monic, pure-x leading monomial x_i^{n-i+1}, so normal forms are
     supported on the staircase exponents e_i <= n-i in x (coefficients may
-    involve y and beta).
+    involve y and beta).  The quotient is therefore a free Z[beta][y]-module
+    on the n! staircase monomials.  For the signed and unsigned ideals the
+    generators vanish at the n! points x_i = -+y_u(i), u in S_n, which are
+    distinct over Q(beta, y); a quotient of dimension n! with n! distinct
+    zeros is radical, so f lies in either ideal iff f vanishes at every
+    point (see localize and _signed_or_unsigned, which test membership
+    that way).  The ideal "x" has the single point x = 0 and is not radical.
 
     Reduction is linear over Z[y, beta], so only x-monomials are ever
     reduced, each once per context into a per-instance memo; ``reduce``
@@ -465,6 +475,146 @@ class NormalFormContext:
                 r = nf[xp] = self._x_normal_form(xp)
             kernel.addmul(acc, r, m - xp, c)
         return MultiPoly._raw(kernel.prune(acc))
+
+
+# ---------------------------------------------------------------------------
+# localization at the points of the signed and unsigned ideals
+# ---------------------------------------------------------------------------
+
+# the shift of x_(i+1) at index i, and the unit of y_j at index j
+_X_SHIFTS = [shift(v) for v in _xvars(1, N_MAX)]
+_Y_UNITS = [0] + [unit(v) for v in _yvars(1, N_MAX)]
+
+
+def _x_parts(f: MultiPoly) -> list[tuple[int, dict[int, int]]]:
+    """f's terms grouped by x-part, as (x-part, {rest: coefficient}).
+    Raises ValueError on an exponent of 1 << 15 or more: moved onto a y
+    field it could carry into the next one."""
+    groups: dict[int, dict[int, int]] = {}
+    seen = 0
+    for m, c in f._t.items():
+        seen |= m
+        xp = m & MASK_X
+        groups.setdefault(xp, {})[m - xp] = c
+    if seen & TOP_BITS:
+        raise ValueError("localize needs every exponent below 1 << 15")
+    return list(groups.items())
+
+
+def _at_point(
+    parts: list[tuple[int, dict[int, int]]], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
+) -> MultiPoly:
+    """The x-parts of _x_parts at the point x_i = eps * y_u(i): each x-part
+    becomes a signed y-monomial, memoised in images (one dict per point,
+    shared by every polynomial localized there), and its rest is added in
+    one addmul."""
+    out: dict[int, int] = {}
+    for xp, rest in parts:
+        image = images.get(xp)
+        if image is None:
+            exps = [((xp >> _X_SHIFTS[i]) & FIELD_MASK, _Y_UNITS[j]) for i, j in enumerate(u.oneline)]
+            xdeg = xp >> XDEG_SHIFT
+            if sum(e for e, _ in exps) != xdeg:
+                raise ValueError(f"an x past x{u.n} has no point to go to")
+            sign = -1 if eps < 0 and xdeg & 1 else 1
+            image = images[xp] = (sum(e * yu for e, yu in exps), sign)
+        kernel.addmul(out, rest, *image)
+    return MultiPoly._raw(kernel.prune(out))
+
+
+def localize(f: MultiPoly, u: Permutation, eps: int) -> MultiPoly:
+    """f at the point x_i = eps * y_u(i), i = 1..u.n: a polynomial in y and
+    beta (and any z or q f carries), the image of a ring homomorphism.
+
+    Each x-part of f becomes the y-monomial it lands on, signed by its
+    x-degree parity when eps = -1.  Raises ValueError if f holds an x past
+    x_n, or an exponent of 1 << 15 or more.
+    """
+    if eps not in (1, -1):
+        raise ValueError("eps must be 1 or -1")
+    if u.n > N_MAX:
+        raise ValueError(f"a point of rank {u.n} needs x{u.n}, past x{N_MAX}")
+    return _at_point(_x_parts(f), u, eps, {})
+
+
+_LOCAL_CACHE: dict[tuple[int, str, int], dict[Permutation, dict[Permutation, MultiPoly]]] = {}
+
+
+def _localized(n: int, family: str, eps: int) -> dict[Permutation, dict[Permutation, MultiPoly]]:
+    """localize(P_w, u, eps) for every member P_w of one family at rank n and
+    every point u, as {w: {u: value}}, built once per (n, family, eps).
+    Each member is grouped by x-part once, and each point's x-part images
+    are shared by all members."""
+    key = (n, family, eps)
+    cached = _LOCAL_CACHE.get(key)
+    if cached is None:
+        parts = {w: _x_parts(p) for w, p in family_table(n, family).items()}
+        cached = {w: {} for w in parts}
+        for u in all_perms(n):
+            images: dict[int, tuple[int, int]] = {}
+            for w, wparts in parts.items():
+                cached[w][u] = _at_point(wparts, u, eps, images)
+        _LOCAL_CACHE[key] = cached
+    return cached
+
+
+def _split_binomials(f: MultiPoly, n: int) -> tuple[Counter, MultiPoly]:
+    """(e, q) with f = q * prod (1 + c b v)^e[v, c] over v in x_1..x_n,
+    y_1..y_n and c = +-1: each binomial divided out while it divides f
+    exactly.  The zero polynomial has no binomials."""
+    e: Counter = Counter()
+    if f:
+        for v in (*_xvars(1, n), *_yvars(1, n)):
+            for c in (1, -1):
+                d = MultiPoly._raw({0: 1, unit(BETA) + unit(v): c})
+                while True:
+                    try:
+                        f = divexact(f, d)
+                    except ArithmeticError:
+                        break
+                    e[v, c] += 1
+    return e, f
+
+
+def _split_at(
+    split: tuple[Counter, MultiPoly], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
+) -> tuple[Counter, MultiPoly]:
+    """A split polynomial at the point x_i = eps * y_u(i): its binomials,
+    keyed (j, c) for 1 + c b y_j, and its localized rest (images as in
+    _at_point)."""
+    e, q = split
+    at: Counter = Counter()
+    for (v, c), k in e.items():
+        at[(u(v.index), c * eps) if v.kind == "x" else (v.index, c)] += k
+    return at, _at_point(_x_parts(q), u, eps, images)
+
+
+def _permuted(split: tuple[Counter, MultiPoly], w: Permutation) -> tuple[Counter, MultiPoly]:
+    """permute_y of a split polynomial: y_j -> y_w(j) in its binomials and
+    in its rest."""
+    e, q = split
+    ys = {Var("y", j): Var("y", w(j)) for j in range(1, w.n + 1)}
+    return Counter({(ys.get(v, v), c): k for (v, c), k in e.items()}), permute_y(q, w)
+
+
+def _same_products(left: tuple[Counter, list[MultiPoly]], right: tuple[Counter, list[MultiPoly]]) -> bool:
+    """Whether two products in Z[b][y] agree, each side (e, factors)
+    standing for prod(factors) * prod (1 + c b y_j)^e[j, c].
+
+    The binomials both sides share cancel, Z[b][y] being a domain, and the
+    others are multiplied in two terms at a time.  A side with a zero
+    factor is zero and multiplies nothing.
+    """
+    common = left[0] & right[0]
+    products = []
+    for e, factors in (left, right):
+        p = reduce(operator.mul, factors) if all(factors) else zero()
+        for (j, c), k in (e - common).items():
+            binomial = MultiPoly._raw({0: 1, unit(BETA) + _Y_UNITS[j]: c})
+            for _ in range(k):
+                p = p * binomial
+        products.append(p)
+    return products[0] == products[1]
 
 
 # ---------------------------------------------------------------------------
@@ -667,56 +817,88 @@ def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None,
     return True, None, detail
 
 
-def _monk_mismatch(
-    gt: Mapping[Permutation, MultiPoly], ctx: NormalFormContext, n: int
-) -> tuple[Permutation, int, MultiPoly, MultiPoly] | None:
-    """First (w, k, lhs, rhs) with G_{s_k}(x; w y) G_w != G_id(x; w y)
-    sum_v c_v G_v mod ctx, the c_v from monk_expansion(w, k); else None.
+def _monk_sides(
+    gt: Mapping[Permutation, MultiPoly], n: int, w: Permutation, k: int
+) -> tuple[MultiPoly, MultiPoly]:
+    """G_{s_k}(x; w y) G_w and G_id(x; w y) sum_v c_v G_v, the c_v from
+    monk_expansion(w, k): the two sides of the Monk rule, unreduced.
     On a y=0 table the y-permutation is the identity and G_id is 1."""
-    gid = gt[identity(n)]
-    for w in all_perms(n):
-        for k in range(1, n):
-            lhs = ctx.reduce(permute_y(gt[identity(n).times_s(k)], w) * gt[w])
-            rhs = dot((gt[v], coef) for v, coef in monk_expansion(w, k).items())
-            rhs = ctx.reduce(permute_y(gid, w) * rhs)
-            if lhs != rhs:
-                return w, k, lhs, rhs
-    return None
+    rhs = dot((gt[v], coef) for v, coef in monk_expansion(w, k).items())
+    return permute_y(gt[identity(n).times_s(k)], w) * gt[w], permute_y(gt[identity(n)], w) * rhs
 
 
 def _signed_or_unsigned(
-    n: int, failure: Callable[[NormalFormContext], dict | None], **detail
+    n: int,
+    first_failure: Callable[[int], object | None],
+    payload: Callable[[NormalFormContext, object], dict],
+    **detail,
 ) -> tuple[bool, dict | None, dict | None]:
     """Pass under the first of the signed and unsigned ideals where
-    failure(ctx) finds no counterexample; else fail with the unsigned one."""
-    for ideal in ("signed", "unsigned"):
-        counterexample = failure(NormalFormContext(n, ideal))
-        if counterexample is None:
+    first_failure(eps) finds no difference outside the ideal; else fail
+    with payload(ctx, failure) of the unsigned one, the one difference
+    reduced mod the unsigned NormalFormContext.
+
+    first_failure(eps) decides membership at the n! points x_i = eps *
+    y_u(i), the zero set of the ideal (eps = -1 for the signed one, +1 for
+    the unsigned one; see localize), and that is exact.  Z[b][x, y]/I is free over
+    Z[b][y] on the staircase monomials (see NormalFormContext), so f is in
+    I iff its normal form r = sum_s c_s x^s is 0, and f and r agree at
+    every point.  Over Q(b, y) the n! points are distinct and the quotient
+    has dimension n!, so I is radical there, the quotient is Q(b, y)^(n!)
+    by evaluation, and r vanishes at every point iff every c_s is 0.  So
+    the first failure is the one the reduce path finds.
+    """
+    for ideal, eps in (("signed", -1), ("unsigned", 1)):
+        failure = first_failure(eps)
+        if failure is None:
             return True, None, {"ideal": ideal, **detail}
-    return False, {"ideal": ideal, **counterexample}, None
+    return False, {"ideal": ideal, **payload(NormalFormContext(n, ideal), failure)}, None
 
 
 @check("pieri_simple")
 def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    mismatch = _monk_mismatch(family_table(n, "Gx"), NormalFormContext(n, "x"), n)
-    if mismatch is None:
-        return True, None, {"chains": "saturated"}
-    w, k, lhs, rhs = mismatch
-    return False, {"w": list(w.oneline), "k": k, "lhs": lhs.json_obj(), "rhs": rhs.json_obj()}, None
+    gt = family_table(n, "Gx")
+    ctx = NormalFormContext(n, "x")
+    for w in all_perms(n):
+        for k in range(1, n):
+            lhs, rhs = (ctx.reduce(side) for side in _monk_sides(gt, n, w, k))
+            if lhs != rhs:
+                counterexample = {"w": list(w.oneline), "k": k, "lhs": lhs.json_obj(), "rhs": rhs.json_obj()}
+                return False, counterexample, None
+    return True, None, {"chains": "saturated"}
 
 
 @check("pieri_double")
 def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
+    perms = all_perms(n)
+    gid = _split_binomials(gt[identity(n)], n)
+    gsk = {k: _split_binomials(gt[identity(n).times_s(k)], n) for k in range(1, n)}
 
-    def failure(ctx: NormalFormContext) -> dict | None:
-        mismatch = _monk_mismatch(gt, ctx, n)
-        if mismatch is None:
-            return None
-        w, k, lhs, rhs = mismatch
+    def first_failure(eps: int) -> tuple[Permutation, int] | None:
+        # the Monk sides at u; the binomials of G_id and G_{s_k} stay
+        # factored through permute_y and localize
+        lg = _localized(n, "G", eps)
+        images = {u: {} for u in perms}
+        for w in perms:
+            gid_w = _permuted(gid, w)
+            gid_at = {u: _split_at(gid_w, u, eps, images[u]) for u in perms}
+            for k in range(1, n):
+                gsk_w = _permuted(gsk[k], w)
+                expansion = monk_expansion(w, k).items()
+                for u in perms:
+                    (le, lq), (re, rq) = _split_at(gsk_w, u, eps, images[u]), gid_at[u]
+                    rhs = dot((lg[v][u], c) for v, c in expansion)
+                    if not _same_products((le, [lq, lg[w][u]]), (re, [rq, rhs])):
+                        return w, k
+        return None
+
+    def payload(ctx: NormalFormContext, failure: tuple[Permutation, int]) -> dict:
+        w, k = failure
+        lhs, rhs = (ctx.reduce(side) for side in _monk_sides(gt, n, w, k))
         return {"w": list(w.oneline), "k": k, "difference": (lhs - rhs).json_obj()}
 
-    return _signed_or_unsigned(n, failure, chains="saturated")
+    return _signed_or_unsigned(n, first_failure, payload, chains="saturated")
 
 
 def _random_quotient_poly(n: int, rng: random.Random) -> MultiPoly:
@@ -761,21 +943,34 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     w0 = longest(n)
-    hid = ht[identity(n)]
-    gid_om = omega(gt[identity(n)], n)
-    # -(-1)^l(v) * omega(G_id), by the parity of l(v)
-    neg_sign_gid_om = (-gid_om, gid_om)
+    perms = all_perms(n)
+    conj = {u: w0 * u * w0 for u in perms}
+    gid_om = _split_binomials(omega(gt[identity(n)], n), n)
+    hid = _split_binomials(ht[identity(n)], n)
 
-    def failure(ctx: NormalFormContext) -> dict | None:
-        for v in all_perms(n):
-            difference = ctx.reduce(
-                dot([(omega(gt[v], n), hid), (ht[w0 * v * w0], neg_sign_gid_om[v.length() & 1])])
-            )
-            if not difference.is_zero():
-                return {"v": list(v.oneline), "difference": difference.json_obj()}
+    def first_failure(eps: int) -> Permutation | None:
+        # omega(G_v) H_id against (-1)^l(v) H_{w0 v w0} omega(G_id) at u,
+        # where omega(f) is permute_y(f at w0 u w0, w0)
+        lg, lh = _localized(n, "G", eps), _localized(n, "H", eps)
+        hid_at = {u: _split_at(hid, u, eps, {}) for u in perms}
+        gid_om_at = {u: _split_at(gid_om, u, eps, {}) for u in perms}
+        for v in perms:
+            gv, hv = lg[v], lh[conj[v]]
+            sign = -1 if v.length() & 1 else 1
+            for u in perms:
+                (le, lq), (re, rq) = hid_at[u], gid_om_at[u]
+                lhs = (le, [permute_y(gv[conj[u]], w0), lq])
+                if not _same_products(lhs, (re, [hv[u] * sign, rq])):
+                    return v
         return None
 
-    return _signed_or_unsigned(n, failure)
+    def payload(ctx: NormalFormContext, v: Permutation) -> dict:
+        gid_om = omega(gt[identity(n)], n)
+        sign = -1 if v.length() & 1 else 1
+        pairs = [(omega(gt[v], n), ht[identity(n)]), (ht[conj[v]], gid_om * -sign)]
+        return {"v": list(v.oneline), "difference": ctx.reduce(dot(pairs)).json_obj()}
+
+    return _signed_or_unsigned(n, first_failure, payload)
 
 
 @check("moebius")

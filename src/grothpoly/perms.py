@@ -172,7 +172,6 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     if u.n != v.n:
         raise ValueError("rank mismatch")
     n = u.n
-    cu = cv = 0
     for j in range(1, n + 1):
         cu = cv = 0
         for i in range(1, n + 1):

@@ -31,6 +31,7 @@ from ._packing import (
     MASK_Y,
     MASK_Z,
     NUM_SLOTS,
+    TOP_BITS,
     XDEG_SHIFT,
     Var,
     has_kind,
@@ -45,7 +46,6 @@ from ._packing import (
 
 _B_UNIT = unit(BETA)
 _B_SHIFT = shift(BETA)
-_TOP_BITS = sum(1 << (s * FIELD_BITS + FIELD_BITS - 1) for s in range(NUM_SLOTS))
 
 
 def _field_maxima(t: dict[int, int]) -> list[int]:
@@ -62,7 +62,7 @@ def _check_product_fields(ta: dict[int, int], tb: dict[int, int]) -> None:
     """
     if not ta or not tb:
         return
-    if not (reduce(operator.or_, ta, 0) | reduce(operator.or_, tb, 0)) & _TOP_BITS:
+    if not (reduce(operator.or_, ta, 0) | reduce(operator.or_, tb, 0)) & TOP_BITS:
         return
     for a, b in zip(_field_maxima(ta), _field_maxima(tb)):
         if a + b > FIELD_MASK:

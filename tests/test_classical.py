@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from grothpoly.classical import (
     NormalFormContext,
     _embedded_members,
     _embedding_failure,
+    _monk_sides,
     _staircase_packed,
     complete_h,
     det_bareiss,
@@ -30,7 +33,9 @@ from grothpoly.classical import (
     family_table,
     grothendieck,
     grothendieck_double,
+    localize,
     monk_expansion,
+    omega,
     pairing0,
     schubert,
     schubert_double,
@@ -50,7 +55,7 @@ from grothpoly.perms import (
     longest,
     transposition,
 )
-from grothpoly.poly import MultiPoly, beta, const, one, xvar, yvar, zero
+from grothpoly.poly import MultiPoly, beta, const, dot, one, xvar, yvar, zero
 from grothpoly.report import CHECKS, rank_caps, verify
 
 
@@ -563,3 +568,187 @@ class TestCheckerCatalog:
         assert set(obj) >= {"id", "n", "status", "counterexample", "ms"}
         assert obj["status"] == "pass"
         assert obj["counterexample"] is None
+
+
+# ---------------------------------------------------------------------------
+# ideal membership by localization
+# ---------------------------------------------------------------------------
+
+EPS = {"signed": -1, "unsigned": 1}
+
+
+def _vanishes_at_every_point(f: MultiPoly, n: int, eps: int) -> bool:
+    return all(localize(f, u, eps).is_zero() for u in all_perms(n))
+
+
+def _involution_differences(n: int) -> dict[Permutation, MultiPoly]:
+    """omega(G_v) H_id - (-1)^l(v) H_{w0 v w0} omega(G_id), unreduced."""
+    gt, ht, w0 = family_table(n, "G"), family_table(n, "H"), longest(n)
+    gid_om = omega(gt[identity(n)], n)
+    return {
+        v: omega(gt[v], n) * ht[identity(n)] - ht[w0 * v * w0] * gid_om * (-1) ** v.length()
+        for v in all_perms(n)
+    }
+
+
+def _pieri_differences(n: int) -> dict[tuple[Permutation, int], MultiPoly]:
+    gt = family_table(n, "G")
+    out = {}
+    for w in all_perms(n):
+        for k in range(1, n):
+            lhs, rhs = _monk_sides(gt, n, w, k)
+            out[w, k] = lhs - rhs
+    return out
+
+
+def _oracle_signed_or_unsigned(n, failure, **detail):
+    """The reduce-only reference for the localization path: reduce every
+    difference mod the signed, then the unsigned NormalFormContext."""
+    for ideal in ("signed", "unsigned"):
+        counterexample = failure(NormalFormContext(n, ideal))
+        if counterexample is None:
+            return True, None, {"ideal": ideal, **detail}
+    return False, {"ideal": ideal, **counterexample}, None
+
+
+def _oracle_involution(n: int):
+    differences = _involution_differences(n)
+
+    def failure(ctx):
+        for v, difference in differences.items():
+            reduced = ctx.reduce(difference)
+            if not reduced.is_zero():
+                return {"v": list(v.oneline), "difference": reduced.json_obj()}
+        return None
+
+    return _oracle_signed_or_unsigned(n, failure)
+
+
+def _oracle_pieri_double(n: int):
+    gt = family_table(n, "G")
+
+    def failure(ctx):
+        for w in all_perms(n):
+            for k in range(1, n):
+                lhs, rhs = (ctx.reduce(side) for side in _monk_sides(gt, n, w, k))
+                if lhs != rhs:
+                    return {"w": list(w.oneline), "k": k, "difference": (lhs - rhs).json_obj()}
+        return None
+
+    return _oracle_signed_or_unsigned(n, failure, chains="saturated")
+
+
+def _random_monomial(rng, n: int) -> MultiPoly:
+    exps = {Var(kind, i): rng.randint(0, 3) for kind in "xy" for i in range(1, n + 1)}
+    exps[BETA] = rng.randint(0, 2)
+    return MultiPoly.from_monomials([({v: e for v, e in exps.items() if e}, rng.choice((-2, 1, 3)))])
+
+
+class TestLocalization:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [-1, 1])
+    def test_localize_is_a_ring_homomorphism(self, n, eps, rng):
+        points = all_perms(n)
+        for _ in range(15):
+            f, g = _random_xy_poly(rng, n, terms=6), _random_xy_poly(rng, n, terms=4)
+            u = rng.choice(points)
+            lf, lg = localize(f, u, eps), localize(g, u, eps)
+            assert localize(f * g, u, eps) == lf * lg
+            assert localize(f - g, u, eps) == lf - lg
+            assert not lf.uses_kind("x")
+        assert localize(const(3), points[0], eps) == const(3)
+        # x_i goes to eps * y_u(i), y and b stay
+        u = points[-1]
+        assert localize(xvar(1) * yvar(2) * beta(), u, eps) == yvar(u(1)) * yvar(2) * beta() * eps
+
+    def test_localize_refuses_what_has_no_point(self):
+        with pytest.raises(ValueError, match="past x2"):
+            localize(xvar(3), identity(2), -1)
+        with pytest.raises(ValueError, match="1 << 15"):
+            localize(xvar(1) ** 40000, identity(2), -1)
+        with pytest.raises(ValueError, match="eps"):
+            localize(xvar(1), identity(2), 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ideal", ["signed", "unsigned"])
+    def test_membership_by_localization_is_a_zero_normal_form(self, n, ideal, rng):
+        ctx = NormalFormContext(n, ideal)
+        gens = ctx.original_generators()
+        eps = EPS[ideal]
+
+        def agree(f: MultiPoly) -> bool:
+            member = ctx.reduce(f).is_zero()
+            assert _vanishes_at_every_point(f, n, eps) == member
+            return member
+
+        for _ in range(6):
+            f, g = _random_xy_poly(rng, n), _random_xy_poly(rng, n)
+            gen = rng.choice(gens)
+            assert agree(f + g * gen) == agree(f)
+            member = dot((_random_xy_poly(rng, n, terms=3), h) for h in gens)
+            assert agree(member)
+            assert not agree(member + _random_monomial(rng, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ideal", ["signed", "unsigned"])
+    def test_membership_of_the_check_differences(self, n, ideal):
+        ctx = NormalFormContext(n, ideal)
+        differences = [*_involution_differences(n).values(), *_pieri_differences(n).values()]
+        if n == 4:
+            differences = differences[::5]  # keep the reductions short
+        for f in differences:
+            assert _vanishes_at_every_point(f, n, EPS[ideal]) == ctx.reduce(f).is_zero()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["G", "H", "S"])
+    def test_members_vanish_off_their_bruhat_upper_set(self, n, family):
+        table = family_table(n, family)
+        for v in all_perms(n):
+            for u in all_perms(n):
+                assert localize(table[v], u, -1).is_zero() == (not bruhat_leq(v, u))
+
+
+@pytest.mark.parametrize(
+    "w, perturb",
+    [
+        ((1, 2, 3), lambda p, gt: p * (one() + beta() * xvar(1))),
+        ((1, 2, 3), lambda p, gt: p * (xvar(1) * yvar(2) + one())),
+        ((2, 1, 3), lambda p, gt: p * (one() + beta() * xvar(2))),
+        ((2, 3, 1), lambda p, gt: p * (xvar(2) + one())),
+        # G_{w0} vanishes at every signed point but w0, and G_(2,3,1) is
+        # neither G_id nor a G_{s_k}: the signed ideal fails at w0 alone
+        ((2, 3, 1), lambda p, gt: p + gt[longest(3)]),
+    ],
+    ids=["G_id-binomial", "G_id-times", "G_s1-binomial", "G_231-times", "G_231-plus-G_w0"],
+)
+def test_forced_failures_print_the_reduce_payloads(w, perturb, monkeypatch):
+    n = 3
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    monkeypatch.setattr(classical, "_LOCAL_CACHE", {})
+    gt = dict(family_table(n, "G"))
+    gt[Permutation(w)] = perturb(gt[Permutation(w)], gt)
+    classical._TABLE_CACHE[n, "G"] = MappingProxyType(gt)
+    for check_id, oracle in (("involution", _oracle_involution), ("pieri_double", _oracle_pieri_double)):
+        rep = verify(check_id, n)
+        ok, counterexample, detail = oracle(n)
+        assert not ok and not rep.ok, check_id
+        assert json.dumps(rep.counterexample) == json.dumps(counterexample), check_id
+        assert rep.detail == detail is None
+
+
+@pytest.mark.parametrize("check_id", ["involution", "pieri_double"])
+def test_passing_membership_checks_build_no_normal_form_context(check_id, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing membership check reduced something")
+
+    monkeypatch.setattr(classical, "NormalFormContext", refuse)
+    assert verify(check_id, 4).ok
+
+
+@pytest.mark.parametrize(
+    "check_id, oracle", [("involution", _oracle_involution), ("pieri_double", _oracle_pieri_double)]
+)
+def test_passing_checks_match_the_reduce_oracle(check_id, oracle):
+    for n in (2, 3):
+        rep = verify(check_id, n)
+        assert (rep.ok, rep.counterexample, rep.detail) == oracle(n)
