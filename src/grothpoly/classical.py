@@ -113,6 +113,7 @@ def _yvars(lo: int, hi: int) -> list[Var]:
 
 def top_class(n: int) -> MultiPoly:
     """prod_{i+j <= n} (x_i + y_j), the common seed of all three families."""
+    check_rank(n)
     p = one()
     for i in range(1, n):
         for j in range(1, n - i + 1):
@@ -292,10 +293,14 @@ def expand_dual_basis(f: MultiPoly, n: int) -> dict[Permutation, MultiPoly]:
 
     Valid on the staircase span: both Grothendieck families restrict to
     bases there, and pairing f against G_{w_0 w} reads off the coefficient
-    of H_w.
+    of H_w.  Raises ValueError if f holds an x past x_n, which the
+    operators on x_1..x_n would treat as a scalar.
     """
+    check_rank(n)
     if f.uses_kind("y") or f.uses_kind("z") or f.uses_kind("q"):
         raise ValueError("expand_dual_basis expects polynomials in x and beta only")
+    if any(f.max_exponent(Var("x", i)) for i in range(n + 1, N_MAX + 1)):
+        raise ValueError(f"an x past x{n} is outside the staircase span")
     tower = _descent_tower(f, PI_PLUS, "x", n)
     return {w: eta(tower[w]) for w in all_perms(n)}
 
@@ -327,24 +332,16 @@ class NormalFormContext:
     supported on the staircase exponents e_i <= n-i in x (coefficients may
     involve y and beta).  The quotient is therefore a free Z[beta][y]-module
     on the n! staircase monomials.  For the signed and unsigned ideals the
-    generators vanish at the n! points x_i = -+y_u(i), u in S_n, which are
-    distinct over Q(beta, y); a quotient of dimension n! with n! distinct
-    zeros is radical, so f lies in either ideal iff f vanishes at every
-    point (see localize and _signed_or_unsigned, which test membership
-    that way).  The ideal "x" has the single point x = 0 and is not radical.
+    generators vanish at the n! points x_i = -+y_u(i), u in S_n, and
+    membership in either of them is tested there (see localize and
+    _signed_or_unsigned).  The ideal "x" has the single point x = 0 and is
+    not radical, so membership in it is decided by reduction.
 
     Reduction is linear over Z[y, beta], so only x-monomials are ever
-    reduced, each once per context into a per-instance memo; ``reduce``
-    then adds up memo entries scaled by the non-x part of each term.  An
-    x-monomial of x-degree at most n(n-1)/2 + 1 (one above the staircase
-    top) is reduced by a heap over x-parts, every x-part carrying its whole
-    Z[y, beta] coefficient.  One of higher degree is peeled: with x_j the
-    highest x in m, m - x_j NF(m / x_j) lies in the ideal, so NF(m) is the
-    reduction of x_j NF(m / x_j).  NF(m / x_j) is a memo entry (or becomes
-    one), and every term of x_j NF(m / x_j) has x-degree at most
-    n(n-1)/2 + 1, so a high-degree monomial costs one sum of memo entries
-    instead of a heap descent of its own (normal forms multiplied through
-    the quotient basis, as in FGLM).
+    reduced, each once per context into a per-instance memo, by a heap over
+    x-parts, every x-part carrying its whole Z[y, beta] coefficient;
+    ``reduce`` then adds up memo entries scaled by the non-x part of each
+    term.
     """
 
     def __init__(self, n: int, ideal: str = "x"):
@@ -367,10 +364,6 @@ class NormalFormContext:
                     tail.setdefault(xp, []).append((m - xp, c))
             self._rules.append((shift(Var("x", i)), e, lead, sorted(tail.items())))
         self._nf: dict[int, dict[int, int]] = {}
-        # _x_normal_form peels x-monomials above this x-degree; it finds
-        # the highest x present through (index, shift, unit), x8 first
-        self._peel_above = n * (n - 1) // 2 + 1
-        self._x_desc = [(i, shift(Var("x", i)), unit(Var("x", i))) for i in range(N_MAX, 0, -1)]
 
     def _build_rules(self) -> list[MultiPoly]:
         """The i-th rewriting rule, monic with lead x_i^{n-i+1}, i = 1..n."""
@@ -414,28 +407,7 @@ class NormalFormContext:
         return None
 
     def _x_normal_form(self, xmono: int) -> dict[int, int]:
-        """Normal form of one x-monomial: peeled through the memo above
-        x-degree n(n-1)/2 + 1 (see the class docstring), else by the heap.
-        A monomial whose highest x is past x_n goes to the heap: the rules
-        never lower that variable, so peeling it would not fall in degree.
-        """
-        if xmono >> XDEG_SHIFT > self._peel_above:
-            j, xj = next((j, u) for j, sh, u in self._x_desc if (xmono >> sh) & FIELD_MASK)
-            if j <= self.n:
-                nf = self._nf
-                rest = xmono - xj
-                base = nf.get(rest)
-                if base is None:
-                    base = nf[rest] = self._x_normal_form(rest)
-                out: dict[int, int] = {}
-                for m, c in base.items():
-                    xp = m & MASK_X
-                    k = xp + xj
-                    r = nf.get(k)
-                    if r is None:
-                        r = nf[k] = self._x_normal_form(k)
-                    kernel.addmul(out, r, m - xp, c)
-                return kernel.prune(out)
+        """Normal form of one x-monomial, by a heap over x-parts."""
         coefs = {xmono: {0: 1}}  # x-part -> its Z[y, beta] coefficient
         heap = [-xmono]
         out: dict[int, int] = {}
@@ -683,9 +655,12 @@ def monk_expansion(w: Permutation, k: int) -> dict[Permutation, MultiPoly]:
     w t_{a_1 b_1} ... t_{a_{m+1} b_{m+1}} with every a_l <= k < b_l, which
     admits extra permutations whose terms do not cancel; the constrained
     form is the one the product actually satisfies (cross-checked against
-    dual-basis expansion coefficients through rank 4).
+    dual-basis expansion coefficients through rank 4).  Raises ValueError
+    unless 1 <= k <= n - 1.
     """
     n = w.n
+    if not 1 <= k < n:
+        raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
     pairs = sorted(
         ((b, -a) for a in range(1, k + 1) for b in range(k + 1, n + 1)), reverse=True
     )
@@ -1134,13 +1109,12 @@ def _check_basis(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | 
 
 @check("free_module", soft=3, hard=4)
 def _check_free_module(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    st = family_table(n, "Sx")
-    ctx = NormalFormContext(n, "unsigned")
-    rows, outside = _staircase_rows(n, lambda w: ctx.reduce(st[w]))
+    # each S_w(x) has staircase x-support, so it is its own normal form mod
+    # the unsigned ideal (no rule lead x_i^(n-i+1) divides its monomials)
+    rows, outside = _staircase_rows(n, family_table(n, "Sx").__getitem__)
     if outside is not None:
         return False, outside, None
-    at_y0 = [[const(c.set_zero("y").constant_term()) for c in row] for row in rows]
-    det = det_bareiss(at_y0).constant_term()
+    det = det_bareiss(rows).constant_term()
     if det != 0:
         return True, None, {"det_at_y0": det}
     return False, {"reason": "determinant vanished at y=0"}, None

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grothpoly import _termkernel_py as kernel
 from grothpoly import classical
 from grothpoly.classical import (
     IDEALS,
@@ -41,7 +40,7 @@ from grothpoly.classical import (
     schubert_double,
     top_class,
 )
-from grothpoly._packing import BETA, FIELD_MASK, Var, exponent, pack, unit
+from grothpoly._packing import BETA, Var, exponent, pack, unit
 from grothpoly.divdiff import PI_PLUS, apply_perm
 from grothpoly.perms import (
     Permutation,
@@ -265,34 +264,6 @@ class TestNormalForms:
         assert ctx.reduce(f * yvar(2)) == _oracle_reduce(ctx, f * yvar(2))
 
 
-def _heap_x_normal_form(ctx: NormalFormContext, xmono: int) -> dict[int, int]:
-    """Normal form of one x-monomial by the heap over x-parts alone, with
-    no peeling and no memo: NormalFormContext._x_normal_form before it
-    reused the memo for x_j * m.  Kept here as an oracle."""
-    coefs = {xmono: {0: 1}}
-    heap = [-xmono]
-    out: dict[int, int] = {}
-    while heap:
-        xp = -heapq.heappop(heap)
-        coef = kernel.prune(coefs.pop(xp))
-        if not coef:
-            continue
-        i = ctx._reducer_for(xp)
-        if i is None:
-            kernel.addmul(out, coef, xp, 1)
-            continue
-        _, _, lead, tail = ctx._rules[i]
-        for gx, gterms in tail:
-            k = gx + xp - lead
-            acc = coefs.get(k)
-            if acc is None:
-                acc = coefs[k] = {}
-                heapq.heappush(heap, -k)
-            for rest, gc in gterms:
-                kernel.addmul(acc, coef, rest, -gc)
-    return kernel.prune(out)
-
-
 def _x_monomials(n: int, degrees: range) -> list[int]:
     """Every x-monomial in x_1..x_n whose degree lies in degrees."""
     return [
@@ -302,10 +273,10 @@ def _x_monomials(n: int, degrees: range) -> list[int]:
     ]
 
 
-class TestPeeledNormalForms:
-    """reduce peels x-monomials above x-degree n(n-1)/2 + 1 down to the
-    memo; it must agree with the heap alone, and x_j * NF(m) must reduce
-    to NF(x_j * m)."""
+class TestMonomialReduction:
+    """Normal forms of x-monomials up to twice the staircase top: each
+    agrees with the full-monomial oracle, and x_j * NF(m) reduces to
+    NF(x_j * m)."""
 
     @staticmethod
     def _agree(ctx: NormalFormContext, monos: list[int]) -> None:
@@ -313,7 +284,7 @@ class TestPeeledNormalForms:
         for m in monos:
             f = MultiPoly._raw({m: 1})
             nf = ctx.reduce(f)
-            assert nf._t == _heap_x_normal_form(ctx, m), (ctx.ideal, m)
+            assert nf == _oracle_reduce(ctx, f), (ctx.ideal, m)
             for j in range(1, n + 1):
                 assert ctx.reduce(xvar(j) * nf) == ctx.reduce(xvar(j) * f), (ctx.ideal, m, j)
 
@@ -328,11 +299,11 @@ class TestPeeledNormalForms:
 
     @pytest.mark.parametrize("ideal", IDEALS)
     def test_an_x_past_the_rank_rides_along(self, ideal):
-        # no rule lowers x4 at rank 3, so these are never peeled on x4
+        # no rule lowers x4 at rank 3, so it is carried into the normal form
         ctx = NormalFormContext(3, ideal)
         for exps in ({1: 3, 4: 3}, {2: 2, 3: 1, 4: 2}, {4: 6}):
-            m = pack({Var("x", i): e for i, e in exps.items()})
-            assert ctx.reduce(MultiPoly._raw({m: 1}))._t == _heap_x_normal_form(ctx, m)
+            f = MultiPoly._raw({pack({Var("x", i): e for i, e in exps.items()}): 1})
+            assert ctx.reduce(f) == _oracle_reduce(ctx, f)
 
 
 def _oracle_reduce(ctx: NormalFormContext, f: MultiPoly) -> MultiPoly:
@@ -743,6 +714,38 @@ def test_passing_membership_checks_build_no_normal_form_context(check_id, monkey
 
     monkeypatch.setattr(classical, "NormalFormContext", refuse)
     assert verify(check_id, 4).ok
+
+
+def test_free_module_builds_no_normal_form_context(monkeypatch):
+    # every S_w(x) is already its own normal form mod the unsigned ideal
+    def refuse(*args, **kwargs):
+        raise AssertionError("free_module reduced something")
+
+    monkeypatch.setattr(classical, "NormalFormContext", refuse)
+    assert verify("free_module", 3).ok
+    assert verify("free_module", 4, force=True).ok
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: top_class(0), "rank must be at least 1, got 0", id="top_class-0"),
+        pytest.param(lambda: top_class(-2), "rank must be at least 1, got -2", id="top_class-neg2"),
+        pytest.param(
+            lambda: expand_dual_basis(xvar(1), 0), "rank must be at least 1, got 0", id="expand_dual_basis-rank0"
+        ),
+        pytest.param(lambda: expand_dual_basis(xvar(3), 2), "an x past x2", id="expand_dual_basis-x3-at-rank2"),
+    ]
+    + [
+        pytest.param(
+            lambda k=k: monk_expansion(identity(3), k), rf"k must lie in 1\.\.2, got {k}", id=f"monk_expansion-k{k}"
+        )
+        for k in (0, 3, 5, -1)
+    ],
+)
+def test_inputs_without_an_answer_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,9 @@ from grothpoly import _termkernel_py as kernel
 from grothpoly import classical, cli
 from grothpoly._packing import BETA, unit
 from grothpoly.classical import (
+    IDEALS,
     TOWERS,
+    NormalFormContext,
     _descent_tower,
     _embedded_members,
     family_member,
@@ -181,6 +183,21 @@ def test_member_chain_matches_table(family, n, monkeypatch):
     oracle = _keyed_tower(n, family)
     for w in all_perms(n):
         assert members[w] == table[w] == oracle[w], (family, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", TABLE_NAMES)
+def test_every_member_is_its_own_normal_form(family, n):
+    # every seed has staircase x-support (x_i to at most n - i), and each
+    # operator keeps it: d_i on x_i^a x_(i+1)^e gives exponents at most
+    # max(a, e) - 1, and pi/psi add at most one to e first.  So no rule lead
+    # x_i^(n-i+1) divides a member's monomial, and compute --ideal prints
+    # members unchanged
+    table = family_table(n, family)
+    for ideal in IDEALS:
+        ctx = NormalFormContext(n, ideal)
+        for w, p in table.items():
+            assert ctx.reduce(p) == p, (ideal, w)
 
 
 def test_member_reads_a_cached_table(monkeypatch):
