@@ -6,11 +6,11 @@ Every family is produced the same way: start from the top polynomial
     prod_{i+j <= n} (x_i + y_j)
 
 and peel it down with divided-difference operators indexed by reduced words.
-family_table builds these and the quantum families alike, from the seeds
-and operators in TOWERS, and caches each table per rank: a tower shares its
-prefixes across all n! members, so the identity checks read whole tables.
-family_member answers one member by one operator chain on the same seed,
-unless its table is already cached.
+family_members builds these and the quantum families alike, from the seeds
+and operators in TOWERS: one descent tower, cut down to the members asked
+for and those they are peeled from.  family_table asks it for all n!
+members and caches the table per rank, since the identity checks read
+whole tables; family_member asks it for one, which is one operator chain.
 """
 
 from __future__ import annotations
@@ -121,14 +121,22 @@ def top_class(n: int) -> MultiPoly:
     return p
 
 
-def _descent_tower(seed: MultiPoly, op_kind: str, alphabet: str, n: int) -> dict[Permutation, MultiPoly]:
-    """op_v(seed) for every v, peeling one left descent at a time."""
+def _descent_tower(
+    seed: MultiPoly, op_kind: str, alphabet: str, n: int, keys: Sequence[Permutation] | None = None
+) -> dict[Permutation, MultiPoly]:
+    """op_v(seed) for every v in keys (all of S_n when None) and every v
+    they are peeled from, one left descent at a time: v is op_a of
+    v.s_times(a), a its first left descent.  Each node is built once, so
+    one key alone costs l(v) operators.
+    """
+    peel: dict[Permutation, int] = {}
+    for v in all_perms(n) if keys is None else keys:
+        while v not in peel and not v.is_identity():
+            peel[v] = a = v.left_descents()[0]
+            v = v.s_times(a)
     table = {identity(n): seed}
-    for v in by_length(n):
-        if v.is_identity():
-            continue
-        a = v.left_descents()[0]
-        table[v] = apply_op(op_kind, a, table[v.s_times(a)], alphabet)
+    for v in sorted(peel, key=Permutation.length):
+        table[v] = apply_op(op_kind, peel[v], table[v.s_times(peel[v])], alphabet)
     return table
 
 
@@ -150,7 +158,8 @@ def _tower_spec(
     """(op kind, alphabet, top, key, sliced_from) of one family at rank n.
 
     family is a key of TOWERS, or one with "x" appended for the y=0
-    specialisation.  Member w is op_{key(w)}(top()).  An x-alphabet tower
+    specialisation.  Member w is op_{key(w)}(top()): family_members reads
+    it off node key(w) of the family's descent tower.  An x-alphabet tower
     keys w by w^-1 w0 and starts its y=0 members from the y=0 seed, since
     the x-operators treat y as scalars.  A y-alphabet tower keys w by w w0,
     and its y=0 member is the full member with y set to 0: sliced_from then
@@ -169,61 +178,41 @@ def _tower_spec(
     return op_kind, alphabet, top, lambda w: w.inverse() * w0, None
 
 
-def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
-    """All members of one family at rank n, keyed by permutation: one
-    descent tower read through the keying of _tower_spec.  The result is a
-    read-only view of the cached table.
-    """
-    key = (n, family)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    op_kind, alphabet, top, tower_key, sliced_from = _tower_spec(n, family)
-    if sliced_from is not None:
-        table = {w: p.set_zero("y") for w, p in family_table(n, sliced_from).items()}
-    else:
-        tower = _descent_tower(top(), op_kind, alphabet, n)
-        table = {w: tower[tower_key(w)] for w in all_perms(n)}
-    _TABLE_CACHE[key] = MappingProxyType(table)
-    return _TABLE_CACHE[key]
+def family_members(n: int, family: str, ws: Sequence[Permutation]) -> dict[Permutation, MultiPoly]:
+    """Members w in ws of one family at rank n, keyed by permutation.
 
-
-def family_member(n: int, family: str, w: Permutation) -> MultiPoly:
-    """Member w of one family at rank n.
-
-    Read from the cached table if there is one; otherwise one operator
-    chain of length l(key(w)) on the family's seed, which builds and caches
-    nothing.
+    Read from the cached table if there is one.  Otherwise one descent
+    tower on the family's seed, cut down to the keys of ws and the members
+    they are peeled from, which caches nothing: one member costs l(key(w))
+    operators.
     """
     cached = _TABLE_CACHE.get((n, family))
     if cached is not None:
-        return cached[w]
+        return {w: cached[w] for w in ws}
     op_kind, alphabet, top, tower_key, sliced_from = _tower_spec(n, family)
     if sliced_from is not None:
-        return family_member(n, sliced_from, w).set_zero("y")
-    return apply_perm(op_kind, tower_key(w), top(), alphabet)
+        return {w: p.set_zero("y") for w, p in family_members(n, sliced_from, ws).items()}
+    tower = _descent_tower(top(), op_kind, alphabet, n, [tower_key(w) for w in ws])
+    return {w: tower[tower_key(w)] for w in ws}
 
 
-def _embedded_members(n: int, family: str) -> dict[Permutation, MultiPoly]:
-    """Member w.embed(n+1) of one family at rank n+1, for every w in S_n.
-
-    Read from the cached rank-(n+1) table if there is one.  Otherwise one
-    S_n tower: the rank-(n+1) key of w.embed(n+1) is x u with x the rank-n
-    key of w and u = w0(n) w0(n+1), the lengths adding, so every member is
-    op_x(op_u(top)).  A sliced y=0 family is sliced from these members of
-    its full family.
+def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
+    """All members of one family at rank n, as a read-only view of the
+    cached table.  A sliced y=0 table caches its full table first, so it
+    is sliced from that.
     """
-    m = n + 1
-    cached = _TABLE_CACHE.get((m, family))
-    if cached is not None:
-        return {w: cached[w.embed(m)] for w in all_perms(n)}
-    op_kind, alphabet, top, _, sliced_from = _tower_spec(m, family)
-    if sliced_from is not None:
-        return {w: p.set_zero("y") for w, p in _embedded_members(n, sliced_from).items()}
-    u = longest(n).embed(m) * longest(m)
-    tower = _descent_tower(apply_perm(op_kind, u, top(), alphabet), op_kind, alphabet, n)
-    tower_key = _tower_spec(n, family)[3]
-    return {w: tower[tower_key(w)] for w in all_perms(n)}
+    cached = _TABLE_CACHE.get((n, family))
+    if cached is None:
+        sliced_from = _tower_spec(n, family)[4]
+        if sliced_from is not None:
+            family_table(n, sliced_from)
+        cached = _TABLE_CACHE[n, family] = MappingProxyType(family_members(n, family, all_perms(n)))
+    return cached
+
+
+def family_member(n: int, family: str, w: Permutation) -> MultiPoly:
+    """Member w of one family at rank n; see family_members."""
+    return family_members(n, family, [w])[w]
 
 
 def grothendieck_double(w: Permutation) -> MultiPoly:
@@ -1037,10 +1026,11 @@ def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
 def _embedding_failure(family: str, n: int, mode: str) -> Permutation | None:
     """The first w in S_n whose member does not embed into rank n+1: on the
     nose for mode "exact", up to the identity members for mode "ratio"."""
+    m = n + 1
     small = family_table(n, family)
-    big = _embedded_members(n, family)
+    big = family_members(m, family, [w.embed(m) for w in all_perms(n)])
     small_id = small[identity(n)]
-    big_id = big[identity(n)]
+    big_id = big[identity(m)]
     ratio = None
     if mode == "ratio":
         # Z[x, y, z, b, q] is a domain and small_id != 0, so comparing
@@ -1050,12 +1040,13 @@ def _embedding_failure(family: str, n: int, mode: str) -> Permutation | None:
         except ArithmeticError:
             pass
     for w in all_perms(n):
+        big_w = big[w.embed(m)]
         if mode == "exact":
-            ok = big[w] == small[w]
+            ok = big_w == small[w]
         elif ratio is not None:
-            ok = small[w] * ratio == big[w]
+            ok = small[w] * ratio == big_w
         else:
-            ok = small[w] * big_id == big[w] * small_id
+            ok = small[w] * big_id == big_w * small_id
         if not ok:
             return w
     return None

@@ -118,9 +118,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     _check_rank(args, "compute")
     values = _substitution(args)
     w = _parse_word(args.word, args.n) if args.word is not None else _parse_perm(args.perm, args.n)
+    # every member has staircase x-support (x_i to at most n - i), so it is
+    # its own normal form mod each ideal and --ideal prints it as it is
     p = classical.family_member(args.n, _FAMILIES[args.family][1], w)
-    if args.ideal is not None:
-        p = classical.NormalFormContext(args.n, args.ideal).reduce(p)
     if values:
         p = p.specialize(values)
     print(_render(p, args.format))
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     member = c.add_mutually_exclusive_group(required=True)
     member.add_argument("--word", help="reduced word as digits, empty for the identity")
     member.add_argument("--perm", help="one-line permutation, e.g. 2,3,1")
-    c.add_argument("--ideal", choices=classical.IDEALS, help="reduce mod this ideal")
+    c.add_argument("--ideal", choices=classical.IDEALS, help="print the normal form mod this ideal")
     c.set_defaults(func=cmd_compute)
 
     t = sub.add_parser("table", help="print all n! members of a family")

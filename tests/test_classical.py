@@ -18,7 +18,6 @@ from grothpoly import classical
 from grothpoly.classical import (
     IDEALS,
     NormalFormContext,
-    _embedded_members,
     _embedding_failure,
     _monk_sides,
     _staircase_packed,
@@ -29,6 +28,7 @@ from grothpoly.classical import (
     elementary,
     eta,
     expand_dual_basis,
+    family_members,
     family_table,
     grothendieck,
     grothendieck_double,
@@ -495,16 +495,23 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
         return exact_quotient(f, g)
 
     monkeypatch.setattr(classical, "divexact", divexact)
-    members = _embedded_members(n, family)
     assert _embedding_failure(family, n, "ratio") is None
     w = Permutation((2, 3, 1))
-    perturbed = {**members, w: members[w] * (one() + beta() * xvar(1))}
-    monkeypatch.setattr(classical, "_embedded_members", lambda n_, family_: perturbed)
+    members = family_members(n + 1, family, [v.embed(n + 1) for v in all_perms(n)])
+    real_members = classical.family_members
+
+    def perturbed(n_, family_, ws):
+        out = real_members(n_, family_, ws)
+        if n_ == n + 1:
+            out[w.embed(n_)] *= one() + beta() * xvar(1)
+        return out
+
+    monkeypatch.setattr(classical, "family_members", perturbed)
     assert _embedding_failure(family, n, "ratio") == w
     # one division per call, of the big identity member by the small one
     assert len(divisions) == 2
     small_id = family_table(n, family)[identity(n)]
-    assert all(f == members[identity(n)] and g == small_id for f, g in divisions)
+    assert all(f == members[identity(n + 1)] and g == small_id for f, g in divisions)
 
 
 CLASSICAL_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.classical"]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from grothpoly import cli
+from grothpoly import classical, cli
 from grothpoly.report import CHECKS, Check
 
 
@@ -107,6 +107,26 @@ class TestCompute:
             "--ideal", "bogus",
         )
         assert r2.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "G", "--n", "5", "--word", "1432"],
+            ["--family", "Hx", "--n", "4", "--perm", "2,4,1,3"],
+            ["--family", "qG", "--n", "3", "--word", "12"],
+        ],
+    )
+    @pytest.mark.parametrize("ideal", classical.IDEALS)
+    def test_ideal_prints_the_member_as_it_is(self, argv, ideal, monkeypatch, capsys):
+        # every member is its own normal form, so --ideal builds no rules
+        def refuse(*args, **kwargs):
+            raise AssertionError("compute --ideal built a NormalFormContext")
+
+        assert cli.main(["compute", *argv]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(classical, "NormalFormContext", refuse)
+        assert cli.main(["compute", *argv, "--ideal", ideal]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_latex_format(self):
         r = run_cli(

@@ -5,8 +5,10 @@ The oracle below is the construction the tables used to be built with:
 pi+/pi- towers summed over lower or upper Bruhat intervals, and the y=0
 tables sliced out of the two-alphabet ones.  Further tests make sure no
 table build goes back to scanning Bruhat intervals, pin the one registry
-every family table is built from, and check the single-member operator
-chains against the tables and against the tower keying written out here.
+every family table is built from, check the restricted towers that build
+single members against the tables and against one apply_perm chain per
+member, count their operators, and make sure swapping any family's
+operator kind is caught by the verify catalog.
 """
 
 from __future__ import annotations
@@ -26,17 +28,18 @@ from grothpoly.classical import (
     TOWERS,
     NormalFormContext,
     _descent_tower,
-    _embedded_members,
+    _tower_spec,
     family_member,
+    family_members,
     family_table,
     top_class,
 )
-from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS
+from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_perm
 from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, from_word, longest
 from grothpoly.poly import MultiPoly
 from grothpoly.cli import _FAMILIES
 from grothpoly.quantum import quantum_top
-from grothpoly.report import verify
+from grothpoly.report import CHECKS, rank_caps, verify
 
 _B = unit(BETA)
 
@@ -147,23 +150,23 @@ TABLE_NAMES = sorted(name for base in TOWERS for name in (base, base + "x"))
 
 
 @functools.cache
-def _keyed_tower(n: int, family: str) -> dict:
-    """The table as its descent tower keyed by hand.  Member w of an
-    x-alphabet tower is tower[w^-1 w0], the y=0 tokens peeling the y=0
-    seed; member w of a y-alphabet tower is tower[w w0], the y=0 tokens
-    setting y to 0 afterwards."""
+def _keyed_chains(n: int, family: str) -> dict:
+    """The table as one apply_perm chain per member, along
+    first_reduced_word rather than the tower's left-descent peel, keyed by
+    hand.  Member w of an x-alphabet family is op_{w^-1 w0} on the seed,
+    the y=0 tokens peeling the y=0 seed; member w of a y-alphabet family is
+    op_{w w0} on the seed, the y=0 tokens setting y to 0 afterwards."""
     base = family[:-1] if family.endswith("x") else family
     seed, op_kind, alphabet = TOWERS[base]
     top = seed(n)
     if alphabet == "x" and base != family:
         top = top.set_zero("y")
-    tower = _descent_tower(top, op_kind, alphabet, n)
     w0 = longest(n)
-    if alphabet == "x":
-        return {w: tower[w.inverse() * w0] for w in all_perms(n)}
-    table = {w: tower[w * w0] for w in all_perms(n)}
-    if base != family:
-        table = {w: p.set_zero("y") for w, p in table.items()}
+    table = {}
+    for w in all_perms(n):
+        key = w.inverse() * w0 if alphabet == "x" else w * w0
+        p = apply_perm(op_kind, key, top, alphabet)
+        table[w] = p.set_zero("y") if alphabet == "y" and base != family else p
     return table
 
 
@@ -175,12 +178,12 @@ def test_table_names_cover_every_tower():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", TABLE_NAMES)
 def test_member_chain_matches_table(family, n, monkeypatch):
-    # the chains run with no table cached, so none is read back
+    # the single members run with no table cached, so none is read back
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
     members = {w: family_member(n, family, w) for w in all_perms(n)}
     assert classical._TABLE_CACHE == {}
     table = family_table(n, family)
-    oracle = _keyed_tower(n, family)
+    oracle = _keyed_chains(n, family)
     for w in all_perms(n):
         assert members[w] == table[w] == oracle[w], (family, w)
 
@@ -213,15 +216,82 @@ def test_member_reads_a_cached_table(monkeypatch):
     + [(f, 4) for f in ("G", "H", "S", "Gx", "Hx", "Sx")],
 )
 def test_embedded_members_match_the_next_rank(family, n, monkeypatch):
-    # one S_n coset tower with nothing cached, then read off the cached
-    # rank-(n+1) table, both against that table at w.embed(n+1)
+    # one restricted rank-(n+1) tower with nothing cached, then read off
+    # the cached rank-(n+1) table, both against that table
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
-    members = _embedded_members(n, family)
+    embedded = [w.embed(n + 1) for w in all_perms(n)]
+    members = family_members(n + 1, family, embedded)
     assert classical._TABLE_CACHE == {}
     big = family_table(n + 1, family)
-    assert members == {w: big[w.embed(n + 1)] for w in all_perms(n)}
-    cached = _embedded_members(n, family)
-    assert all(cached[w] is big[w.embed(n + 1)] for w in all_perms(n))
+    assert members == {v: big[v] for v in embedded}
+    cached = family_members(n + 1, family, embedded)
+    assert all(cached[v] is big[v] for v in embedded)
+
+
+def _count_operators(monkeypatch) -> list:
+    calls = []
+    real = classical.apply_op
+    monkeypatch.setattr(classical, "apply_op", lambda *a: calls.append(a[0]) or real(*a))
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    return calls
+
+
+@pytest.mark.parametrize("family", ["G", "Hx", "qG", "qGx", "bHx"])
+def test_operator_counts(family, monkeypatch):
+    # a table is its tower, n! - 1 operators, a y=0 slice included; one
+    # member is the l(key(w)) operators of its own chain
+    calls = _count_operators(monkeypatch)
+    n = 4
+    key = _tower_spec(n, family)[3]
+    for w in all_perms(n):
+        family_member(n, family, w)
+        assert len(calls) == key(w).length(), w
+        calls.clear()
+    family_table(n, family)
+    sliced_from = _tower_spec(n, family)[4]
+    if sliced_from is not None:
+        # a y=0 slice cached its full table, which is not built again
+        family_table(n, sliced_from)
+    assert len(calls) == 23
+    assert set(calls) == {TOWERS[family.rstrip("x")][1]}
+
+
+@pytest.mark.parametrize("family", ["G", "H", "S", "Gx", "Hx", "Sx", "qS", "qG", "qGx"])
+def test_embedded_members_take_27_operators_at_rank_4(family, monkeypatch):
+    # the keys of w.embed(5), w in S_4, share one chain of l(w0(4) w0(5))
+    # = 4 operators below an S_4 tower of 23
+    calls = _count_operators(monkeypatch)
+    family_members(5, family, [w.embed(5) for w in all_perms(4)])
+    assert len(calls) == 27
+
+
+def test_member_builds_need_no_apply_perm(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member build ran apply_perm")
+
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    monkeypatch.setattr(classical, "apply_perm", refuse)
+    w = from_word([2, 1, 3], 4)
+    for family in ("G", "Hx", "qG", "bHx"):
+        assert family_member(4, family, w) == family_table(4, family)[w]
+    assert verify("stability", 3).ok
+    assert verify("quantum_stability", 3).ok
+
+
+_KINDS = (DEL, PI_PLUS, PI_MINUS, PSI_PLUS, PSI_MINUS)
+
+
+@pytest.mark.parametrize(
+    "base, kind", [(b, k) for b in list(TOWERS) for k in _KINDS if k != TOWERS[b][1]]
+)
+def test_swapped_operator_kind_fails_a_check(base, kind, monkeypatch):
+    # bG and bH are caught by corollary2 alone
+    seed, _, alphabet = TOWERS[base]
+    monkeypatch.setitem(TOWERS, base, (seed, kind, alphabet))
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    monkeypatch.setattr(classical, "_LOCAL_CACHE", {})
+    failed = [cid for cid in CHECKS if not verify(cid, min(3, rank_caps(cid)[0])).ok]
+    assert failed, (base, kind)
 
 
 @pytest.mark.parametrize("check_id", ["stability", "quantum_stability"])
