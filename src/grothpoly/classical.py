@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 import random
-from collections import Counter
-from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -519,63 +516,26 @@ def _localized(n: int, family: str, eps: int) -> dict[Permutation, dict[Permutat
     return cached
 
 
-def _split_binomials(f: MultiPoly, n: int) -> tuple[Counter, MultiPoly]:
-    """(e, q) with f = q * prod (1 + c b v)^e[v, c] over v in x_1..x_n,
-    y_1..y_n and c = +-1: each binomial divided out while it divides f
-    exactly.  The zero polynomial has no binomials."""
-    e: Counter = Counter()
-    if f:
+def _cancel_common(f: MultiPoly, g: MultiPoly, n: int) -> tuple[MultiPoly, MultiPoly]:
+    """(f', g'): f and g with every binomial 1 + c b v (v in x_1..x_n,
+    y_1..y_n, c = +-1) divided out of both, as many times as it divides
+    both.  A zero f or g comes back unchanged.
+
+    What is divided out is a product of such binomials.  At any point
+    x_i = eps * y_u(i), after any permute_y, it maps to a product of
+    factors 1 +- b y_j, nonzero in the domain Z[b][y].  So f p = g q holds
+    at a point iff f' p = g' q does: cancelling keeps every verdict.
+    """
+    if f and g:
         for v in (*_xvars(1, n), *_yvars(1, n)):
             for c in (1, -1):
                 d = MultiPoly._raw({0: 1, unit(BETA) + unit(v): c})
                 while True:
                     try:
-                        f = divexact(f, d)
+                        f, g = divexact(f, d), divexact(g, d)
                     except ArithmeticError:
                         break
-                    e[v, c] += 1
-    return e, f
-
-
-def _split_at(
-    split: tuple[Counter, MultiPoly], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
-) -> tuple[Counter, MultiPoly]:
-    """A split polynomial at the point x_i = eps * y_u(i): its binomials,
-    keyed (j, c) for 1 + c b y_j, and its localized rest (images as in
-    _at_point)."""
-    e, q = split
-    at: Counter = Counter()
-    for (v, c), k in e.items():
-        at[(u(v.index), c * eps) if v.kind == "x" else (v.index, c)] += k
-    return at, _at_point(_x_parts(q), u, eps, images)
-
-
-def _permuted(split: tuple[Counter, MultiPoly], w: Permutation) -> tuple[Counter, MultiPoly]:
-    """permute_y of a split polynomial: y_j -> y_w(j) in its binomials and
-    in its rest."""
-    e, q = split
-    ys = {Var("y", j): Var("y", w(j)) for j in range(1, w.n + 1)}
-    return Counter({(ys.get(v, v), c): k for (v, c), k in e.items()}), permute_y(q, w)
-
-
-def _same_products(left: tuple[Counter, list[MultiPoly]], right: tuple[Counter, list[MultiPoly]]) -> bool:
-    """Whether two products in Z[b][y] agree, each side (e, factors)
-    standing for prod(factors) * prod (1 + c b y_j)^e[j, c].
-
-    The binomials both sides share cancel, Z[b][y] being a domain, and the
-    others are multiplied in two terms at a time.  A side with a zero
-    factor is zero and multiplies nothing.
-    """
-    common = left[0] & right[0]
-    products = []
-    for e, factors in (left, right):
-        p = reduce(operator.mul, factors) if all(factors) else zero()
-        for (j, c), k in (e - common).items():
-            binomial = MultiPoly._raw({0: 1, unit(BETA) + _Y_UNITS[j]: c})
-            for _ in range(k):
-                p = p * binomial
-        products.append(p)
-    return products[0] == products[1]
+    return f, g
 
 
 # ---------------------------------------------------------------------------
@@ -836,24 +796,21 @@ def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, 
 def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
     perms = all_perms(n)
-    gid = _split_binomials(gt[identity(n)], n)
-    gsk = {k: _split_binomials(gt[identity(n).times_s(k)], n) for k in range(1, n)}
+    # G_{s_k} = c R_k and G_id = c D_k, c the binomials they share
+    cancelled = {k: _cancel_common(gt[identity(n).times_s(k)], gt[identity(n)], n) for k in range(1, n)}
 
     def first_failure(eps: int) -> tuple[Permutation, int] | None:
-        # the Monk sides at u; the binomials of G_id and G_{s_k} stay
-        # factored through permute_y and localize
+        # R_k(x; w y) G_w against D_k(w y) sum_v c_v G_v at u
         lg = _localized(n, "G", eps)
         images = {u: {} for u in perms}
         for w in perms:
-            gid_w = _permuted(gid, w)
-            gid_at = {u: _split_at(gid_w, u, eps, images[u]) for u in perms}
             for k in range(1, n):
-                gsk_w = _permuted(gsk[k], w)
+                r, d = (_x_parts(permute_y(p, w)) for p in cancelled[k])
                 expansion = monk_expansion(w, k).items()
                 for u in perms:
-                    (le, lq), (re, rq) = _split_at(gsk_w, u, eps, images[u]), gid_at[u]
-                    rhs = dot((lg[v][u], c) for v, c in expansion)
-                    if not _same_products((le, [lq, lg[w][u]]), (re, [rq, rhs])):
+                    lhs = _at_point(r, u, eps, images[u]) * lg[w][u]
+                    rhs = _at_point(d, u, eps, images[u]) * dot((lg[v][u], c) for v, c in expansion)
+                    if lhs != rhs:
                         return w, k
         return None
 
@@ -909,27 +866,24 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     w0 = longest(n)
     perms = all_perms(n)
     conj = {u: w0 * u * w0 for u in perms}
-    gid_om = _split_binomials(omega(gt[identity(n)], n), n)
-    hid = _split_binomials(ht[identity(n)], n)
+    gid_om = omega(gt[identity(n)], n)
 
     def first_failure(eps: int) -> Permutation | None:
         # omega(G_v) H_id against (-1)^l(v) H_{w0 v w0} omega(G_id) at u,
-        # where omega(f) is permute_y(f at w0 u w0, w0)
+        # where omega(f) is permute_y(f at w0 u w0, w0), and H_id and
+        # omega(G_id) are cut by the binomials they share at u
         lg, lh = _localized(n, "G", eps), _localized(n, "H", eps)
-        hid_at = {u: _split_at(hid, u, eps, {}) for u in perms}
-        gid_om_at = {u: _split_at(gid_om, u, eps, {}) for u in perms}
+        ids = {u: _cancel_common(lh[identity(n)][u], localize(gid_om, u, eps), n) for u in perms}
         for v in perms:
             gv, hv = lg[v], lh[conj[v]]
             sign = -1 if v.length() & 1 else 1
             for u in perms:
-                (le, lq), (re, rq) = hid_at[u], gid_om_at[u]
-                lhs = (le, [permute_y(gv[conj[u]], w0), lq])
-                if not _same_products(lhs, (re, [hv[u] * sign, rq])):
+                hid, gid = ids[u]
+                if permute_y(gv[conj[u]], w0) * hid != hv[u] * sign * gid:
                     return v
         return None
 
     def payload(ctx: NormalFormContext, v: Permutation) -> dict:
-        gid_om = omega(gt[identity(n)], n)
         sign = -1 if v.length() & 1 else 1
         pairs = [(omega(gt[v], n), ht[identity(n)]), (ht[conj[v]], gid_om * -sign)]
         return {"v": list(v.oneline), "difference": ctx.reduce(dot(pairs)).json_obj()}

@@ -8,6 +8,7 @@ import heapq
 import itertools
 import json
 import random
+from math import prod
 from types import MappingProxyType
 
 import pytest
@@ -18,11 +19,13 @@ from grothpoly import classical
 from grothpoly.classical import (
     IDEALS,
     NormalFormContext,
+    _cancel_common,
     _embedding_failure,
     _monk_sides,
     _staircase_packed,
     complete_h,
     det_bareiss,
+    divexact,
     dual_grothendieck,
     dual_grothendieck_double,
     elementary,
@@ -687,31 +690,103 @@ class TestLocalization:
 
 
 @pytest.mark.parametrize(
-    "w, perturb",
+    "table, w, perturb",
     [
-        ((1, 2, 3), lambda p, gt: p * (one() + beta() * xvar(1))),
-        ((1, 2, 3), lambda p, gt: p * (xvar(1) * yvar(2) + one())),
-        ((2, 1, 3), lambda p, gt: p * (one() + beta() * xvar(2))),
-        ((2, 3, 1), lambda p, gt: p * (xvar(2) + one())),
+        ("G", (1, 2, 3), lambda p, t: p * (one() + beta() * xvar(1))),
+        ("G", (1, 2, 3), lambda p, t: p * (xvar(1) * yvar(2) + one())),
+        ("G", (2, 1, 3), lambda p, t: p * (one() + beta() * xvar(2))),
+        ("G", (2, 3, 1), lambda p, t: p * (xvar(2) + one())),
         # G_{w0} vanishes at every signed point but w0, and G_(2,3,1) is
         # neither G_id nor a G_{s_k}: the signed ideal fails at w0 alone
-        ((2, 3, 1), lambda p, gt: p + gt[longest(3)]),
+        ("G", (2, 3, 1), lambda p, t: p + t[longest(3)]),
+        # binomials the cancelled factors carry or share, which must not
+        # cancel a failure away
+        ("G", (2, 1, 3), lambda p, t: p * (one() - beta() * yvar(1))),
+        ("G", (1, 2, 3), lambda p, t: p * (one() + beta() * yvar(2))),
+        ("H", (1, 2, 3), lambda p, t: p * (one() + beta() * xvar(1))),
+        ("H", (1, 2, 3), lambda p, t: p * (one() - beta() * yvar(3))),
+        ("H", (3, 2, 1), lambda p, t: p * (one() - beta() * yvar(1))),
     ],
-    ids=["G_id-binomial", "G_id-times", "G_s1-binomial", "G_231-times", "G_231-plus-G_w0"],
+    ids=[
+        "G_id-binomial",
+        "G_id-times",
+        "G_s1-binomial",
+        "G_231-times",
+        "G_231-plus-G_w0",
+        "G_s1-y1-binomial",
+        "G_id-y2-binomial",
+        "H_id-x1-binomial",
+        "H_id-y3-binomial",
+        "H_w0-y1-binomial",
+    ],
 )
-def test_forced_failures_print_the_reduce_payloads(w, perturb, monkeypatch):
+def test_forced_failures_print_the_reduce_payloads(table, w, perturb, monkeypatch):
     n = 3
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
     monkeypatch.setattr(classical, "_LOCAL_CACHE", {})
-    gt = dict(family_table(n, "G"))
-    gt[Permutation(w)] = perturb(gt[Permutation(w)], gt)
-    classical._TABLE_CACHE[n, "G"] = MappingProxyType(gt)
+    members = dict(family_table(n, table))
+    members[Permutation(w)] = perturb(members[Permutation(w)], members)
+    classical._TABLE_CACHE[n, table] = MappingProxyType(members)
     for check_id, oracle in (("involution", _oracle_involution), ("pieri_double", _oracle_pieri_double)):
         rep = verify(check_id, n)
         ok, counterexample, detail = oracle(n)
-        assert not ok and not rep.ok, check_id
+        # pieri_double reads no H
+        assert ok == rep.ok == (check_id == "pieri_double" and table == "H"), check_id
         assert json.dumps(rep.counterexample) == json.dumps(counterexample), check_id
-        assert rep.detail == detail is None
+        assert rep.detail == detail, check_id
+
+
+def _binomials(n: int) -> list[MultiPoly]:
+    """1 + c b v for v in x_1..x_n, y_1..y_n and c = +-1."""
+    variables = [*map(xvar, range(1, n + 1)), *map(yvar, range(1, n + 1))]
+    return [one() + beta() * v * c for v in variables for c in (1, -1)]
+
+
+def _divides(d: MultiPoly, f: MultiPoly) -> bool:
+    try:
+        divexact(f, d)
+    except ArithmeticError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cancel_common_divides_out_every_shared_binomial(n, rng):
+    binomials = _binomials(n)
+
+    def nonzero_poly() -> MultiPoly:
+        while not (f := _random_xy_poly(rng, n, terms=3)):
+            pass
+        return f
+
+    def binomial_product(count: int) -> MultiPoly:
+        return prod((rng.choice(binomials) ** rng.randint(1, 3) for _ in range(count)), start=one())
+
+    for _ in range(10):
+        shared = rng.choice(binomials) ** rng.randint(2, 3) * binomial_product(2)
+        f = nonzero_poly() * shared * binomial_product(2)
+        g = nonzero_poly() * shared * binomial_product(2)
+        f2, g2 = _cancel_common(f, g, n)
+        assert f2 * g == g2 * f
+        assert _divides(shared, divexact(f, f2))
+        assert not [d for d in binomials if _divides(d, f2) and _divides(d, g2)]
+
+
+def test_cancel_common_returns_a_zero_side_unchanged(monkeypatch):
+    calls = 0
+    divide = classical.divexact
+
+    def counted(f, g):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "_cancel_common kept dividing"
+        return divide(f, g)
+
+    monkeypatch.setattr(classical, "divexact", counted)
+    g = (one() + beta() * yvar(1)) ** 2 * xvar(1)
+    for f, h in ((zero(), g), (g, zero()), (zero(), zero())):
+        assert _cancel_common(f, h, 3) == (f, h)
+    assert calls == 0
 
 
 @pytest.mark.parametrize("check_id", ["involution", "pieri_double"])
