@@ -25,7 +25,7 @@ from .classical import (
     SWAP_XY,
     TOWERS,
     _cauchy_product,
-    _cauchy_sum,
+    _cauchy_mismatch,
     _embedding_failure,
     elementary,
     expand_dual_basis,
@@ -274,11 +274,11 @@ def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, di
 
 @check("quantum_cauchy", soft=3, hard=4)
 def _check_quantum_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    acc, den = _cauchy_sum(n, family_table(n, "qH"))
-    rhs = quantum_top(n, beta_form=True) * den
-    if acc == rhs:
+    mismatch = _cauchy_mismatch(n, family_table(n, "qH"), quantum_top(n, beta_form=True))
+    if mismatch is None:
         return True, None, None
-    return False, {"difference": (acc - rhs).json_obj()}, None
+    lhs, rhs = mismatch
+    return False, {"difference": (lhs - rhs).json_obj()}, None
 
 
 @check("corollary2", hard=4)
@@ -440,10 +440,12 @@ def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | Non
 @check("quantum_stability", soft=3, hard=3)
 def _check_quantum_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     detail: dict = {}
+    # qSx, qHx and qGx are sliced from the qS, qH and qG members built here
+    embedded: dict = {}
     for fam in ("qS", "qH", "qG", "qSx", "qHx", "qGx"):
-        if _embedding_failure(fam, n, "exact") is None:
+        if _embedding_failure(fam, n, "exact", embedded) is None:
             detail[fam] = "exact"
-        elif _embedding_failure(fam, n, "ratio") is None:
+        elif _embedding_failure(fam, n, "ratio", embedded) is None:
             detail[fam] = "ratio"
         else:
             return False, {"family": fam, "mode": "neither exact nor ratio"}, None

@@ -17,11 +17,17 @@ from hypothesis import strategies as st
 
 from grothpoly import classical
 from grothpoly.classical import (
+    _RECAST_YZ,
     IDEALS,
+    SWAP_XY,
     NormalFormContext,
     _cancel_common,
+    _cauchy_numerator,
+    _cauchy_product,
+    _descent_tower,
     _embedding_failure,
     _monk_sides,
+    _random_quotient_poly,
     _staircase_packed,
     complete_h,
     det_bareiss,
@@ -58,6 +64,7 @@ from grothpoly.perms import (
     transposition,
 )
 from grothpoly.poly import MultiPoly, beta, const, dot, one, xvar, yvar, zero
+from grothpoly.quantum import quantum_top
 from grothpoly.report import CHECKS, rank_caps, verify
 
 
@@ -498,7 +505,7 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
         return exact_quotient(f, g)
 
     monkeypatch.setattr(classical, "divexact", divexact)
-    assert _embedding_failure(family, n, "ratio") is None
+    assert _embedding_failure(family, n, "ratio", {}) is None
     w = Permutation((2, 3, 1))
     members = family_members(n + 1, family, [v.embed(n + 1) for v in all_perms(n)])
     real_members = classical.family_members
@@ -510,7 +517,7 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
         return out
 
     monkeypatch.setattr(classical, "family_members", perturbed)
-    assert _embedding_failure(family, n, "ratio") == w
+    assert _embedding_failure(family, n, "ratio", {}) == w
     # one division per call, of the big identity member by the small one
     assert len(divisions) == 2
     small_id = family_table(n, family)[identity(n)]
@@ -617,6 +624,52 @@ def _oracle_pieri_double(n: int):
         return None
 
     return _oracle_signed_or_unsigned(n, failure, chains="saturated")
+
+
+def _oracle_cauchy_sum(n: int, ht) -> tuple[MultiPoly, MultiPoly]:
+    """sum_w h_w(x, y') G_{w w0}(y, z), y'_i = -z_i / (1 - b z_i), cleared
+    by prod_i (1 - b z_i)^(d_i), d_i the y-degrees of ht; and that
+    denominator.  The group-law inverse goes into the H side, as the
+    paper writes the Cauchy formula."""
+    gt = family_table(n, "G")
+    w0 = longest(n)
+    dens = [max(h.max_exponent(Var("y", i)) for h in ht.values()) for i in range(1, n + 1)]
+    acc = dot((_cauchy_numerator(ht[w], dens), gt[w * w0].relabel(_RECAST_YZ)) for w in all_perms(n))
+    return acc, _cauchy_numerator(one(), dens)
+
+
+def _oracle_cauchy(n: int):
+    acc, den = _oracle_cauchy_sum(n, family_table(n, "H"))
+    rhs = _cauchy_product(n) * den
+    if acc == rhs:
+        return True, None, None
+    return False, {"lhs": acc.json_obj(), "rhs": rhs.json_obj()}, None
+
+
+def _oracle_quantum_cauchy(n: int):
+    acc, den = _oracle_cauchy_sum(n, family_table(n, "qH"))
+    rhs = quantum_top(n, beta_form=True) * den
+    if acc == rhs:
+        return True, None, None
+    return False, {"difference": (acc - rhs).json_obj()}, None
+
+
+def _oracle_interpolation(n: int, seed: int = 0):
+    """One pi^y descent tower on each sampled f(y), paired with H(x, -y)."""
+    rng = random.Random(seed)
+    samples = 50 if n <= 3 else 12
+    ht = family_table(n, "H")
+    gid = family_table(n, "G")[identity(n)].negate_vars("y")
+    hneg = {w: h.negate_vars("y") for w, h in ht.items()}
+    for trial in range(samples):
+        f = _random_quotient_poly(n, rng)
+        tower = _descent_tower(f.relabel(SWAP_XY), PI_PLUS, "y", n)
+        lhs = f * gid
+        rhs = dot((hneg[w], tower[w]) for w in all_perms(n))
+        if lhs != rhs:
+            difference = (lhs - rhs).json_obj()
+            return False, {"trial": trial, "f": f.json_obj(), "difference": difference}, None
+    return True, None, {"samples": samples}
 
 
 def _random_monomial(rng, n: int) -> MultiPoly:
@@ -831,9 +884,73 @@ def test_inputs_without_an_answer_are_refused(call, message):
 
 
 @pytest.mark.parametrize(
-    "check_id, oracle", [("involution", _oracle_involution), ("pieri_double", _oracle_pieri_double)]
+    "check_id, oracle",
+    [
+        ("involution", _oracle_involution),
+        ("pieri_double", _oracle_pieri_double),
+        ("cauchy", _oracle_cauchy),
+        ("quantum_cauchy", _oracle_quantum_cauchy),
+        ("interpolation", _oracle_interpolation),
+    ],
 )
-def test_passing_checks_match_the_reduce_oracle(check_id, oracle):
-    for n in (2, 3):
+def test_passing_checks_match_their_oracles(check_id, oracle):
+    for n in (2, 3, 4) if check_id == "cauchy" else (2, 3):
         rep = verify(check_id, n)
         assert (rep.ok, rep.counterexample, rep.detail) == oracle(n)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_interpolation_matches_its_oracle_at_other_seeds(seed):
+    for n in (2, 3):
+        rep = verify("interpolation", n, seed=seed)
+        assert (rep.ok, rep.counterexample, rep.detail) == _oracle_interpolation(n, seed)
+
+
+@pytest.mark.parametrize(
+    "table, w, perturb, fails",
+    [
+        ("H", (2, 1, 3), lambda p: p * (one() + beta() * yvar(2)), {"cauchy", "interpolation"}),
+        # y1^4 lifts H's y1-degree past every member's, and so the H-side
+        # clearing power the failure payload is built with
+        ("H", (1, 3, 2), lambda p: p + yvar(1) ** 4, {"cauchy", "interpolation"}),
+        (
+            "G",
+            (1, 2, 3),
+            lambda p: p * (one() - beta() * xvar(1)),
+            {"cauchy", "quantum_cauchy", "interpolation"},
+        ),
+        ("G", (3, 1, 2), lambda p: p + yvar(2) ** 3 * xvar(1), {"cauchy", "quantum_cauchy"}),
+        ("qH", (1, 2, 3), lambda p: p * (one() + beta() * xvar(2)), {"quantum_cauchy"}),
+        ("qH", (2, 3, 1), lambda p: p + yvar(1) ** 4, {"quantum_cauchy"}),
+    ],
+    ids=[
+        "H_213-binomial",
+        "H_132-plus-y1^4",
+        "G_id-binomial",
+        "G_312-plus-y2^3x1",
+        "qH_id-binomial",
+        "qH_231-plus-y1^4",
+    ],
+)
+def test_forced_cauchy_and_interpolation_failures_print_the_oracle_payloads(
+    table, w, perturb, fails, monkeypatch
+):
+    n = 3
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    members = dict(family_table(n, table))
+    members[Permutation(w)] = perturb(members[Permutation(w)])
+    classical._TABLE_CACHE[n, table] = MappingProxyType(members)
+    failed = set()
+    for check_id, oracle in (
+        ("cauchy", _oracle_cauchy),
+        ("quantum_cauchy", _oracle_quantum_cauchy),
+        ("interpolation", _oracle_interpolation),
+    ):
+        rep = verify(check_id, n)
+        ok, counterexample, detail = oracle(n)
+        assert rep.ok == ok, check_id
+        assert json.dumps(rep.counterexample) == json.dumps(counterexample), check_id
+        assert rep.detail == detail, check_id
+        if not ok:
+            failed.add(check_id)
+    assert failed == fails

@@ -302,6 +302,19 @@ def test_stability_builds_no_table_of_the_next_rank(check_id, monkeypatch):
     assert {n for n, _ in classical._TABLE_CACHE} == {3}
 
 
+def test_quantum_stability_builds_each_base_family_once(monkeypatch):
+    # one 8-operator cut-down tower at rank 4 for each of qS, qH and qG,
+    # shared by the exact and ratio tries and sliced for qSx, qHx and qGx
+    calls = _count_operators(monkeypatch)
+    for family in ("qS", "qH", "qG", "qSx", "qHx", "qGx"):
+        family_table(3, family)
+    calls.clear()
+    rep = verify("quantum_stability", 3)
+    assert len(calls) == 24
+    modes = {"qS": "exact", "qH": "ratio", "qG": "ratio", "qSx": "exact", "qHx": "ratio", "qGx": "exact"}
+    assert rep.detail == modes
+
+
 @pytest.mark.parametrize(
     "argv",
     [
