@@ -19,7 +19,7 @@ import heapq
 import itertools
 import random
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import _termkernel_py as kernel
 from ._packing import (
@@ -444,23 +444,17 @@ _X_SHIFTS = [shift(v) for v in _xvars(1, N_MAX)]
 _Y_UNITS = [0] + [unit(v) for v in _yvars(1, N_MAX)]
 
 
-def _x_parts(f: MultiPoly) -> list[tuple[int, dict[int, int]]]:
-    """f's terms grouped by x-part, as (x-part, {rest: coefficient}).
+def _x_parts(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
+    """f's terms grouped by x-part, as (x-part, rest).
     Raises ValueError on an exponent of 1 << 15 or more: moved onto a y
     field it could carry into the next one."""
-    groups: dict[int, dict[int, int]] = {}
-    seen = 0
-    for m, c in f._t.items():
-        seen |= m
-        xp = m & MASK_X
-        groups.setdefault(xp, {})[m - xp] = c
-    if seen & TOP_BITS:
+    if any(m & TOP_BITS for m in f._t):
         raise ValueError("localize needs every exponent below 1 << 15")
-    return list(groups.items())
+    return list(f.split_by_kinds(("x",)).items())
 
 
 def _at_point(
-    parts: list[tuple[int, dict[int, int]]], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
+    parts: list[tuple[int, MultiPoly]], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
 ) -> MultiPoly:
     """The x-parts of _x_parts at the point x_i = eps * y_u(i): each x-part
     becomes a signed y-monomial, memoised in images (one dict per point,
@@ -476,7 +470,7 @@ def _at_point(
                 raise ValueError(f"an x past x{u.n} has no point to go to")
             sign = -1 if eps < 0 and xdeg & 1 else 1
             image = images[xp] = (sum(e * yu for e, yu in exps), sign)
-        kernel.addmul(out, rest, *image)
+        kernel.addmul(out, rest._t, *image)
     return MultiPoly._raw(kernel.prune(out))
 
 
@@ -493,27 +487,6 @@ def localize(f: MultiPoly, u: Permutation, eps: int) -> MultiPoly:
     if u.n > N_MAX:
         raise ValueError(f"a point of rank {u.n} needs x{u.n}, past x{N_MAX}")
     return _at_point(_x_parts(f), u, eps, {})
-
-
-_LOCAL_CACHE: dict[tuple[int, str, int], dict[Permutation, dict[Permutation, MultiPoly]]] = {}
-
-
-def _localized(n: int, family: str, eps: int) -> dict[Permutation, dict[Permutation, MultiPoly]]:
-    """localize(P_w, u, eps) for every member P_w of one family at rank n and
-    every point u, as {w: {u: value}}, built once per (n, family, eps).
-    Each member is grouped by x-part once, and each point's x-part images
-    are shared by all members."""
-    key = (n, family, eps)
-    cached = _LOCAL_CACHE.get(key)
-    if cached is None:
-        parts = {w: _x_parts(p) for w, p in family_table(n, family).items()}
-        cached = {w: {} for w in parts}
-        for u in all_perms(n):
-            images: dict[int, tuple[int, int]] = {}
-            for w, wparts in parts.items():
-                cached[w][u] = _at_point(wparts, u, eps, images)
-        _LOCAL_CACHE[key] = cached
-    return cached
 
 
 def _cancel_common(f: MultiPoly, g: MultiPoly, n: int) -> tuple[MultiPoly, MultiPoly]:
@@ -786,30 +759,43 @@ def _monk_sides(
 
 def _signed_or_unsigned(
     n: int,
-    first_failure: Callable[[int], object | None],
+    cases: Sequence,
+    failures: Callable[..., Iterable[bool]],
     payload: Callable[[NormalFormContext, object], dict],
     **detail,
 ) -> tuple[bool, dict | None, dict | None]:
-    """Pass under the first of the signed and unsigned ideals where
-    first_failure(eps) finds no difference outside the ideal; else fail
-    with payload(ctx, failure) of the unsigned one, the one difference
-    reduced mod the unsigned NormalFormContext.
+    """Pass under the first of the signed and unsigned ideals where every
+    case holds at every point; else fail with payload(ctx, case) of the
+    first failing case under the unsigned one, its difference reduced mod
+    the unsigned NormalFormContext.
 
-    first_failure(eps) decides membership at the n! points x_i = eps *
-    y_u(i), the zero set of the ideal (eps = -1 for the signed one, +1 for
-    the unsigned one; see localize), and that is exact.  Z[b][x, y]/I is free over
-    Z[b][y] on the staircase monomials (see NormalFormContext), so f is in
-    I iff its normal form r = sum_s c_s x^s is 0, and f and r agree at
-    every point.  Over Q(b, y) the n! points are distinct and the quotient
-    has dimension n!, so I is radical there, the quotient is Q(b, y)^(n!)
-    by evaluation, and r vanishes at every point iff every c_s is 0.  So
-    the first failure is the one the reduce path finds.
+    Membership is decided at the n! points x_i = eps * y_u(i), the zero
+    set of the ideal (eps = -1 for the signed one, +1 for the unsigned
+    one; see localize), one point at a time.  At each point u,
+    failures(at, pending) localizes what it reads with at(parts), the
+    _x_parts at u, all sharing one image memo, and yields, for each case
+    of pending in order, whether it fails at u.  pending is the cases
+    before the first failure found so far, so the failure reported is the
+    first case in order that fails at any point, and no point's values
+    outlive it.
+
+    That is exact.  Z[b][x, y]/I is free over Z[b][y] on the staircase
+    monomials (see NormalFormContext), so f is in I iff its normal form
+    r = sum_s c_s x^s is 0, and f and r agree at every point.  Over
+    Q(b, y) the n! points are distinct and the quotient has dimension n!,
+    so I is radical there, the quotient is Q(b, y)^(n!) by evaluation, and
+    r vanishes at every point iff every c_s is 0.  So the first failure is
+    the one the reduce path finds.
     """
     for ideal, eps in (("signed", -1), ("unsigned", 1)):
-        failure = first_failure(eps)
-        if failure is None:
+        first = len(cases)
+        for u in all_perms(n):
+            images: dict[int, tuple[int, int]] = {}
+            fails = failures(lambda parts: _at_point(parts, u, eps, images), cases[:first])
+            first = next((i for i, bad in enumerate(fails) if bad), first)
+        if first == len(cases):
             return True, None, {"ideal": ideal, **detail}
-    return False, {"ideal": ideal, **payload(NormalFormContext(n, ideal), failure)}, None
+    return False, {"ideal": ideal, **payload(NormalFormContext(n, ideal), cases[first])}, None
 
 
 @check("pieri_simple")
@@ -828,31 +814,27 @@ def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, 
 @check("pieri_double")
 def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
     gt = family_table(n, "G")
-    perms = all_perms(n)
-    # G_{s_k} = c R_k and G_id = c D_k, c the binomials they share
+    parts = {w: _x_parts(p) for w, p in gt.items()}
+    # G_{s_k} = c R_k and G_id = c D_k, c the binomials they share; case
+    # (w, k) is R_k(x; w y) G_w against D_k(w y) sum_v c_v G_v
     cancelled = {k: _cancel_common(gt[identity(n).times_s(k)], gt[identity(n)], n) for k in range(1, n)}
+    cases = [
+        (w, k, *(_x_parts(permute_y(p, w)) for p in cancelled[k]), monk_expansion(w, k).items())
+        for w in all_perms(n)
+        for k in range(1, n)
+    ]
 
-    def first_failure(eps: int) -> tuple[Permutation, int] | None:
-        # R_k(x; w y) G_w against D_k(w y) sum_v c_v G_v at u
-        lg = _localized(n, "G", eps)
-        images = {u: {} for u in perms}
-        for w in perms:
-            for k in range(1, n):
-                r, d = (_x_parts(permute_y(p, w)) for p in cancelled[k])
-                expansion = monk_expansion(w, k).items()
-                for u in perms:
-                    lhs = _at_point(r, u, eps, images[u]) * lg[w][u]
-                    rhs = _at_point(d, u, eps, images[u]) * dot((lg[v][u], c) for v, c in expansion)
-                    if lhs != rhs:
-                        return w, k
-        return None
+    def failures(at, pending):
+        lg = {w: at(p) for w, p in parts.items()}
+        for w, _, r, d, expansion in pending:
+            yield at(r) * lg[w] != at(d) * dot((lg[v], c) for v, c in expansion)
 
-    def payload(ctx: NormalFormContext, failure: tuple[Permutation, int]) -> dict:
-        w, k = failure
+    def payload(ctx: NormalFormContext, case: tuple) -> dict:
+        w, k = case[:2]
         lhs, rhs = (ctx.reduce(side) for side in _monk_sides(gt, n, w, k))
         return {"w": list(w.oneline), "k": k, "difference": (lhs - rhs).json_obj()}
 
-    return _signed_or_unsigned(n, first_failure, payload, chains="saturated")
+    return _signed_or_unsigned(n, cases, failures, payload, chains="saturated")
 
 
 def _random_quotient_poly(n: int, rng: random.Random) -> MultiPoly:
@@ -902,34 +884,28 @@ def _check_interpolation(n: int, rng: random.Random) -> tuple[bool, dict | None,
 
 @check("involution")
 def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    gt = family_table(n, "G")
-    ht = family_table(n, "H")
-    w0 = longest(n)
-    perms = all_perms(n)
-    conj = {u: w0 * u * w0 for u in perms}
-    gid_om = omega(gt[identity(n)], n)
+    gt, ht = family_table(n, "G"), family_table(n, "H")
+    w0, e = longest(n), identity(n)
+    # case v is omega(G_v) H_id against (-1)^l(v) H_{w0 v w0} omega(G_id)
+    parts = (
+        {v: _x_parts(omega(p, n)) for v, p in gt.items()},
+        {v: _x_parts(ht[w0 * v * w0]) for v in gt},
+    )
+    cases = [(v, -1 if v.length() & 1 else 1) for v in all_perms(n)]
 
-    def first_failure(eps: int) -> Permutation | None:
-        # omega(G_v) H_id against (-1)^l(v) H_{w0 v w0} omega(G_id) at u,
-        # where omega(f) is permute_y(f at w0 u w0, w0), and H_id and
-        # omega(G_id) are cut by the binomials they share at u
-        lg, lh = _localized(n, "G", eps), _localized(n, "H", eps)
-        ids = {u: _cancel_common(lh[identity(n)][u], localize(gid_om, u, eps), n) for u in perms}
-        for v in perms:
-            gv, hv = lg[v], lh[conj[v]]
-            sign = -1 if v.length() & 1 else 1
-            for u in perms:
-                hid, gid = ids[u]
-                if permute_y(gv[conj[u]], w0) * hid != hv[u] * sign * gid:
-                    return v
-        return None
+    def failures(at, pending):
+        lg, lh = ({v: at(p) for v, p in table.items()} for table in parts)
+        # H_id and omega(G_id) cut by the binomials they share at u
+        hid, gid = _cancel_common(lh[e], lg[e], n)
+        for v, sign in pending:
+            yield lg[v] * hid != lh[v] * sign * gid
 
-    def payload(ctx: NormalFormContext, v: Permutation) -> dict:
-        sign = -1 if v.length() & 1 else 1
-        pairs = [(omega(gt[v], n), ht[identity(n)]), (ht[conj[v]], gid_om * -sign)]
+    def payload(ctx: NormalFormContext, case: tuple[Permutation, int]) -> dict:
+        v, sign = case
+        pairs = [(omega(gt[v], n), ht[e]), (ht[w0 * v * w0], omega(gt[e], n) * -sign)]
         return {"v": list(v.oneline), "difference": ctx.reduce(dot(pairs)).json_obj()}
 
-    return _signed_or_unsigned(n, first_failure, payload)
+    return _signed_or_unsigned(n, cases, failures, payload)
 
 
 @check("moebius")

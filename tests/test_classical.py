@@ -678,6 +678,26 @@ def _random_monomial(rng, n: int) -> MultiPoly:
     return MultiPoly.from_monomials([({v: e for v, e in exps.items() if e}, rng.choice((-2, 1, 3)))])
 
 
+def _billey(w: Permutation, u: Permutation) -> MultiPoly:
+    """S_w at x_i = -y_u(i) by Billey's formula, read off a reduced word
+    a of u alone: the sum, over the subwords of a of length l(w) whose
+    product is w, of prod_j (y_{p_j(a_j)} - y_{p_j(a_j + 1)}), where
+    p_j = s_{a_1} ... s_{a_(j-1)}."""
+    a = first_reduced_word(u)
+    p, roots = identity(u.n), []
+    for letter in a:
+        roots.append(yvar(p(letter)) - yvar(p(letter + 1)))
+        p = p.times_s(letter)
+    return sum(
+        (
+            prod((roots[j] for j in subword), start=one())
+            for subword in itertools.combinations(range(len(a)), w.length())
+            if from_word([a[j] for j in subword], u.n) == w
+        ),
+        start=zero(),
+    )
+
+
 class TestLocalization:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("eps", [-1, 1])
@@ -741,24 +761,61 @@ class TestLocalization:
             for u in all_perms(n):
                 assert localize(table[v], u, -1).is_zero() == (not bruhat_leq(v, u))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_schubert_localizations_follow_billeys_formula(self, n):
+        # a formula that reads no tower and shares no code with localize
+        table = family_table(n, "S")
+        for w in all_perms(n):
+            for u in all_perms(n):
+                assert localize(table[w], u, -1) == _billey(w, u), (w, u)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_each_check_localizes_at_each_point_once(self, n, monkeypatch):
+        # every G (and H, omega(G)) member once per point, plus the R_k and
+        # D_k factors of pieri_double once per (w, k) and point, whatever
+        # ran before in the process
+        size = len(all_perms(n))
+        expected = {"pieri_double": size * (size + 2 * size * (n - 1)), "involution": 2 * size * size}
+        for family in ("G", "H"):
+            family_table(n, family)
+        calls = []
+        at_point = classical._at_point
+
+        def counted(*args):
+            calls.append(args[1])
+            return at_point(*args)
+
+        monkeypatch.setattr(classical, "_at_point", counted)
+        for order in (["pieri_double", "involution"], ["involution", "pieri_double"]):
+            for check_id in order:
+                calls.clear()
+                assert verify(check_id, n).ok
+                assert len(calls) == expected[check_id], (order, check_id)
+
 
 @pytest.mark.parametrize(
-    "table, w, perturb",
+    "table, ws, perturb",
     [
-        ("G", (1, 2, 3), lambda p, t: p * (one() + beta() * xvar(1))),
-        ("G", (1, 2, 3), lambda p, t: p * (xvar(1) * yvar(2) + one())),
-        ("G", (2, 1, 3), lambda p, t: p * (one() + beta() * xvar(2))),
-        ("G", (2, 3, 1), lambda p, t: p * (xvar(2) + one())),
+        ("G", [(1, 2, 3)], lambda p, t: p * (one() + beta() * xvar(1))),
+        ("G", [(1, 2, 3)], lambda p, t: p * (xvar(1) * yvar(2) + one())),
+        ("G", [(2, 1, 3)], lambda p, t: p * (one() + beta() * xvar(2))),
+        ("G", [(2, 3, 1)], lambda p, t: p * (xvar(2) + one())),
         # G_{w0} vanishes at every signed point but w0, and G_(2,3,1) is
         # neither G_id nor a G_{s_k}: the signed ideal fails at w0 alone
-        ("G", (2, 3, 1), lambda p, t: p + t[longest(3)]),
+        ("G", [(2, 3, 1)], lambda p, t: p + t[longest(3)]),
         # binomials the cancelled factors carry or share, which must not
         # cancel a failure away
-        ("G", (2, 1, 3), lambda p, t: p * (one() - beta() * yvar(1))),
-        ("G", (1, 2, 3), lambda p, t: p * (one() + beta() * yvar(2))),
-        ("H", (1, 2, 3), lambda p, t: p * (one() + beta() * xvar(1))),
-        ("H", (1, 2, 3), lambda p, t: p * (one() - beta() * yvar(3))),
-        ("H", (3, 2, 1), lambda p, t: p * (one() - beta() * yvar(1))),
+        ("G", [(2, 1, 3)], lambda p, t: p * (one() - beta() * yvar(1))),
+        ("G", [(1, 2, 3)], lambda p, t: p * (one() + beta() * yvar(2))),
+        ("H", [(1, 2, 3)], lambda p, t: p * (one() + beta() * xvar(1))),
+        ("H", [(1, 2, 3)], lambda p, t: p * (one() - beta() * yvar(3))),
+        ("H", [(3, 2, 1)], lambda p, t: p * (one() - beta() * yvar(1))),
+        # (1, 3, 2), k = 1 fails from the third point on, and k = 2 already
+        # at the first: a scan that returned its first hit would report k = 2
+        ("G", [(1, 3, 2), (2, 1, 3)], lambda p, t: p + xvar(1) - yvar(1)),
+        # omega(G_id) and omega(G_(1,3,2)) made 0 at the first unsigned point:
+        # v = (1, 3, 2) holds there and fails later, v = (2, 1, 3) fails there
+        ("G", [(1, 2, 3), (1, 3, 2)], lambda p, t: p - omega(localize(omega(p, 3), identity(3), 1), 3)),
     ],
     ids=[
         "G_id-binomial",
@@ -771,14 +828,16 @@ class TestLocalization:
         "H_id-x1-binomial",
         "H_id-y3-binomial",
         "H_w0-y1-binomial",
+        "G_132-and-G_213-plus-x1-y1",
+        "G_id-and-G_132-zero-at-the-first-unsigned-point",
     ],
 )
-def test_forced_failures_print_the_reduce_payloads(table, w, perturb, monkeypatch):
+def test_forced_failures_print_the_reduce_payloads(table, ws, perturb, monkeypatch):
     n = 3
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
-    monkeypatch.setattr(classical, "_LOCAL_CACHE", {})
     members = dict(family_table(n, table))
-    members[Permutation(w)] = perturb(members[Permutation(w)], members)
+    for w in map(Permutation, ws):
+        members[w] = perturb(members[w], members)
     classical._TABLE_CACHE[n, table] = MappingProxyType(members)
     for check_id, oracle in (("involution", _oracle_involution), ("pieri_double", _oracle_pieri_double)):
         rep = verify(check_id, n)

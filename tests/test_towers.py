@@ -289,7 +289,6 @@ def test_swapped_operator_kind_fails_a_check(base, kind, monkeypatch):
     seed, _, alphabet = TOWERS[base]
     monkeypatch.setitem(TOWERS, base, (seed, kind, alphabet))
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
-    monkeypatch.setattr(classical, "_LOCAL_CACHE", {})
     failed = [cid for cid in CHECKS if not verify(cid, min(3, rank_caps(cid)[0])).ok]
     assert failed, (base, kind)
 
