@@ -9,7 +9,8 @@ All functions treat their inputs as read-only except ``addmul``, which
 accumulates into its first argument and may leave explicit zeros behind
 (callers prune with ``prune`` once a ladder of accumulations is done).
 ``divdiff`` applies any of the five divided-difference operator kinds,
-d((1 + s*b*v_j) f) + t*b*f, in one pass and returns a pruned map.
+d((1 + s*b*v_j) f) + t*b*f = (1 + s*b*v_i) d(f) + (t - s)*b*f, with one
+staircase per term, and returns a pruned map.
 """
 
 from ._packing import FIELD_MASK
@@ -52,49 +53,39 @@ def divdiff(f: dict, sh_i: int, sh_j: int, ui: int, uj: int, s: int, t: int, bu:
     d = (1 - s_ij) / (v_i - v_j), s_ij exchanges v_i and v_j (fields at sh_i,
     sh_j, units ui, uj) and b has the packed unit bu.
 
-    d sends v_i^a v_j^e * r to the staircase of v_i^p v_j^(a+e-1-p) * r over
+    Since d(v_j * f) = v_i * d(f) - f, this is (1 + s*b*v_i) * g + (t - s)*b*f
+    with g = d(f), so each term of f makes one staircase.  d sends
+    v_i^a v_j^e * r to the staircase of v_i^p v_j^(a+e-1-p) * r over
     min(a, e) <= p < max(a, e), signed + when a > e, so nothing is divided;
-    d(v_j * term) is the staircase of (a, e+1), so v_j * f is never formed.
+    v_i * g stays within the fields, since g's v_i exponents are below max(a, e).
     Raises ValueError if (s, t) != (0, 0) and a term holds b^FIELD_MASK.
     """
-    shifted = s or t
-    bfull = bu * FIELD_MASK
+    if s or t:
+        bfull = bu * FIELD_MASK
+        for m in f:
+            if m & bfull == bfull:
+                raise ValueError(f"b would push an exponent past {FIELD_MASK}")
     step = ui - uj  # along a staircase: v_i up one, v_j down one
-    out: dict = {}
-    get = out.get
+    g: dict = {}
+    get = g.get
     for m, c in f.items():
         d = ((m >> sh_i) & FIELD_MASK) - ((m >> sh_j) & FIELD_MASK)
-        if d:
-            # the staircase of (a, e) starts at m / v_j if a < e, ends there if a > e
-            k = m - uj
-            if d > 0:
-                k -= d * step
-                cc = c
-            else:
-                d, cc = -d, -c
-            for _ in range(d):
-                v = get(k)
-                out[k] = cc if v is None else v + cc
-                k += step
-        if not shifted:
+        if not d:
             continue
-        if m & bfull == bfull:
-            raise ValueError(f"b would push an exponent past {FIELD_MASK}")
-        mb = m + bu
-        if t:
-            v = get(mb)
-            out[mb] = t * c if v is None else v + t * c
-        if s:
-            # s*b times the staircase of (a, e+1), which starts or ends at b*m
-            d = ((m >> sh_i) & FIELD_MASK) - ((m >> sh_j) & FIELD_MASK) - 1
-            k = mb
-            if d > 0:
-                k -= d * step
-                cc = s * c
-            else:
-                d, cc = -d, -s * c
-            for _ in range(d):
-                v = get(k)
-                out[k] = cc if v is None else v + cc
-                k += step
-    return {k: v for k, v in out.items() if v}
+        # the staircase of (a, e) starts at m / v_j if a < e, ends there if a > e
+        k = m - uj
+        if d > 0:
+            k -= d * step
+        else:
+            d, c = -d, -c
+        for _ in range(d):
+            v = get(k)
+            g[k] = c if v is None else v + c
+            k += step
+    out = g
+    if s:
+        out = dict(g)
+        addmul(out, g, bu + ui, s)
+    if t != s:
+        addmul(out, f, bu, t - s)
+    return prune(out)

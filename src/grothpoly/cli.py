@@ -254,5 +254,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point: main(), then end without interpreter teardown.
+
+    Once the output is flushed, os._exit skips the module and object
+    finalization that CPython runs at exit, a sizeable share of a short
+    request.  If a flush fails for any reason (a closed or broken pipe, or
+    no stream at all), sys.exit takes the normal path, so the failure is
+    reported as it would be without this.  Library callers use main(argv),
+    which only returns the exit code.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

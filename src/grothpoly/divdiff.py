@@ -6,11 +6,13 @@ antisymmetrized input, so no rational arithmetic ever appears.
 
 Every operator kind is one formula in the plain divided difference d_i,
 
-    op_i f = d_i((1 + s*b*v_{i+1}) * f) + t*b*f,
+    op_i f = d_i((1 + s*b*v_{i+1}) * f) + t*b*f
+           = (1 + s*b*v_i) * d_i(f) + (t - s)*b*f,
 
 with (s, t) = (0, 0) for del, (1, 0) for pi+, (-1, 0) for pi-, (1, 1) for
-psi+ and (-1, -1) for psi-, computed in one kernel pass.  Conventions,
-pinned by the printed rank-3 tables and enforced by tests:
+psi+ and (-1, -1) for psi-.  The kernel builds d_i(f) with one staircase
+per term and adds the shifted terms to it.  Conventions, pinned by the
+printed rank-3 tables and enforced by tests:
 
 * ``apply_word(kind, [a1, ..., ap], f)`` applies the rightmost letter
   first (operator product order), so the word of a permutation and the

@@ -3,7 +3,9 @@ three subcommands."""
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,20 +16,24 @@ from grothpoly import classical, cli
 from grothpoly.report import CHECKS, Check
 
 
-def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    import os
-
+def cli_env(env: dict | None = None) -> dict:
+    """This process's environment, updated by env, in which a child imports
+    the same package as this process, installed or not.  Its output is
+    block-buffered, so the flush in cli.run is what writes it."""
     full_env = dict(os.environ)
-    # the child imports the same package as this process, installed or not
+    full_env.pop("PYTHONUNBUFFERED", None)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     full_env["PYTHONPATH"] = os.pathsep.join(p for p in (src, full_env.get("PYTHONPATH")) if p)
-    if env:
-        full_env.update(env)
+    full_env.update(env or {})
+    return full_env
+
+
+def run_cli(*argv: str, env: dict | None = None, text: bool = True) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "grothpoly", *argv],
         capture_output=True,
-        text=True,
-        env=full_env,
+        text=text,
+        env=cli_env(env),
         timeout=300,
     )
 
@@ -330,6 +336,7 @@ class TestArgparse:
         r = run_cli(*argv)
         assert r.returncode == 0
         assert r.stdout.startswith("usage: grothpoly")
+        assert r.stderr == ""
 
     def test_readme_cli_examples_run(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -411,11 +418,7 @@ class TestQuantumRankCaps:
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every CLI process pays for its imports; dataclasses (and the inspect
     module it pulls in) cost several ms, so the CLI path must not load them."""
-    import os
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = cli_env()
     show = "import sys; print(' '.join(sorted(sys.modules)))"
 
     def modules(code: str) -> set[str]:
@@ -427,3 +430,92 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     added = modules("import grothpoly.cli; " + show) - modules(show)
     assert "grothpoly.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+class TestProcessExit:
+    """``python -m grothpoly`` ends through cli.run: it flushes stdout and
+    stderr, then calls os._exit, which skips interpreter teardown.  Every
+    run_cli test goes through it; refusals (exit 2, one JSON line) and
+    --help (exit 0) are pinned in TestArgparse."""
+
+    def test_large_table_through_a_pipe_matches_main(self, capsys):
+        # about 5 MB, far more than one pipe or stdout buffer holds
+        argv = ["table", "--family", "H", "--n", "5", "--format", "latex"]
+        r = run_cli(*argv, text=False)
+        assert r.returncode == 0
+        assert r.stderr == b""
+        assert cli.main(argv) == 0
+        assert r.stdout == capsys.readouterr().out.encode()
+
+    def test_worker_pool_leaves_no_process_behind(self):
+        # the child leads a new process group, which its pool workers join;
+        # once it has exited, signal 0 to the group finds no one left
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "grothpoly", "verify", "closed_forms", "dominant", "--n", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=cli_env({"GROTHPOLY_WORKERS": "2"}),
+            start_new_session=True,
+        )
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(row["id"], row["status"]) for row in rows] == [
+            ("closed_forms", "pass"),
+            ("dominant", "pass"),
+        ]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_unwritable_stdout_exits_as_before(self):
+        # the flush in run fails, so run falls back to sys.exit and the
+        # interpreter's own final flush reports the broken pipe (exit 120)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "grothpoly", "compute", "--family", "G", "--word", "1", "--n", "3"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=cli_env(),
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert r.returncode == 120
+        assert "BrokenPipeError" in r.stderr
+
+    def test_main_returns_without_ending_the_process(self, monkeypatch, capsys):
+        def refuse(code):
+            raise AssertionError(f"main ended the process with {code}")
+
+        monkeypatch.setattr(os, "_exit", refuse)
+        assert cli.main(["compute", "--family", "G", "--word", "1", "--n", "2"]) == 0
+        assert cli.main(["compute", "--family", "G", "--word", "11", "--n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "y1 + x1\n"
+        assert json.loads(err) == {"error": "word '11' is not reduced"}
+
+    def test_run_ends_with_the_code_of_main(self, monkeypatch, capsys):
+        ended = []
+        monkeypatch.setattr(os, "_exit", ended.append)
+        monkeypatch.setattr(sys, "argv", ["grothpoly", "compute", "--family", "G", "--word", "11", "--n", "3"])
+        cli.run()
+        assert ended == [2]
+        assert capsys.readouterr().out == ""
+
+    def test_run_falls_back_to_sys_exit_when_a_flush_fails(self, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        ended = []
+        monkeypatch.setattr(os, "_exit", ended.append)
+        monkeypatch.setattr(sys, "argv", ["grothpoly", "compute", "--family", "G", "--word", "1", "--n", "3"])
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+        assert ended == []

@@ -125,12 +125,16 @@ class TestSingleOperators:
     def test_b_shift_past_the_field_is_refused(self):
         # b^65535 times b used to carry into z1
         top = beta() ** 65535
-        with pytest.raises(ValueError):
+        refused = "b would push an exponent past 65535"
+        with pytest.raises(ValueError, match=refused):
             apply_op(PSI_PLUS, 1, top * xvar(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=refused):
             apply_op(PSI_MINUS, 1, top * xvar(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=refused):
             isobaric(1, top)
+        # refused even where the term's staircase is empty
+        with pytest.raises(ValueError, match=refused):
+            apply_op(PSI_PLUS, 1, top)
         assert divdiff(1, top * xvar(1)) == top
 
     def test_top_exponent_of_v_next_is_accepted(self):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used by it,
-every function the library defines is called from the library, and only
-the packing module knows the field layout.
+every function the library defines is called from the library, only
+the packing module knows the field layout, and every console script
+names a function of the CLI.
 
 ``__init__.py`` is skipped by the import scan, since its imports are the
 package's re-exports.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -149,3 +151,16 @@ def test_only_packing_defines_the_field_layout():
     ]
     assert found == []
     assert list(_layout_definitions(ast.parse((SRC / "_packing.py").read_text())))
+
+
+def test_project_scripts_resolve_to_cli_callables():
+    """Each [project.scripts] target in pyproject.toml is a callable of
+    grothpoly.cli.  Read by regex, since Python 3.10 has no tomllib."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert section is not None
+    targets = re.findall(r'^([\w.-]+)\s*=\s*"([\w.]+):(\w+)"\s*$', section.group(1), re.M)
+    assert targets
+    for script, module, attr in targets:
+        assert module == "grothpoly.cli", script
+        assert callable(getattr(importlib.import_module(module), attr, None)), script
