@@ -15,7 +15,6 @@ whole tables; family_member asks it for one, which is one operator chain.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from types import MappingProxyType
@@ -394,6 +393,8 @@ class NormalFormContext:
 
     def _x_normal_form(self, xmono: int) -> dict[int, int]:
         """Normal form of one x-monomial, by a heap over x-parts."""
+        import heapq  # not at module level: no compute or table request reduces
+
         coefs = {xmono: {0: 1}}  # x-part -> its Z[y, beta] coefficient
         heap = [-xmono]
         out: dict[int, int] = {}

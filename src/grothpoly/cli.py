@@ -17,10 +17,9 @@ Exit codes: 0 success (verify: all pass), 1 verify found a failure,
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import classical
 from ._packing import BETA, Var
@@ -71,10 +70,10 @@ def _parse_q(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
+        raise ValueError(f"expects comma-separated integers, got {text!r}") from None
 
 
-def _substitution(args: argparse.Namespace) -> dict[Var, int]:
+def _substitution(args: SimpleNamespace) -> dict[Var, int]:
     """The --beta and --q values as one integer substitution."""
     values = {} if args.beta is None else {BETA: args.beta}
     values.update({Var("q", i): v for i, v in enumerate(args.q or (), start=1)})
@@ -99,7 +98,7 @@ def _word_label(w: Permutation) -> str:
 _RANK_CAPS = {"classical": (5, 6, 6), "quantum": (4, 5, 4)}
 
 
-def _check_rank(args: argparse.Namespace, command: str) -> None:
+def _check_rank(args: SimpleNamespace, command: str) -> None:
     """Rank bounds of compute and table, and the --q count the rank admits."""
     check_rank(args.n)
     kind = _FAMILIES[args.family][0]
@@ -114,7 +113,7 @@ def _check_rank(args: argparse.Namespace, command: str) -> None:
         raise ValueError(f"--q got {len(args.q)} values, rank {args.n} has {args.n - 1}")
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: SimpleNamespace) -> int:
     _check_rank(args, "compute")
     values = _substitution(args)
     w = _parse_word(args.word, args.n) if args.word is not None else _parse_perm(args.perm, args.n)
@@ -127,7 +126,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     _check_rank(args, "table")
     values = _substitution(args)
     table = classical.family_table(args.n, _FAMILIES[args.family][1])
@@ -140,18 +139,18 @@ def cmd_table(args: argparse.Namespace) -> int:
             print(f"{symbol}_{{{_word_label(w)}}} &= {p.latex()} \\\\")
         else:
             # the record's keys in sorted order, the polynomial spliced in
-            # as p.dumps() rather than re-encoded
-            family = json.dumps(args.family)
-            oneline = json.dumps(list(w.oneline), separators=(",", ":"))
-            word = json.dumps(_word_label(w) if w.length() else "")
+            # as p.dumps(); the family is an ASCII token, w ints and the
+            # word digits, so each field is its own JSON text
+            oneline = ",".join(map(str, w.oneline))
+            word = _word_label(w) if w.length() else ""
             print(
-                f'{{"family":{family},"length":{w.length()},"n":{args.n},'
-                f'"poly":{p.dumps()},"w":{oneline},"word":{word}}}'
+                f'{{"family":"{args.family}","length":{w.length()},"n":{args.n},'
+                f'"poly":{p.dumps()},"w":[{oneline}],"word":"{word}"}}'
             )
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     if args.all:
         if args.ids:
             raise ValueError("--all does not take explicit ids")
@@ -198,58 +197,229 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses by raising ValueError, which main prints as the JSON line."""
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
-    def error(self, message: str):
-        raise ValueError(message)
+
+def _choice(*choices: str):
+    def choose(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+        return text
+
+    return choose
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="grothpoly",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# option -> (converter, or None for a flag; default; metavar; help).  The
+# value of --some-name lands in the attribute some_name (see _dest); a
+# flag's default is False.  -h and --help print the usage and end the parse.
+_HELP = (None, False, "", "print this help and exit")
 
-    def common(p: argparse.ArgumentParser, fmt_choices) -> None:
-        p.add_argument("--n", type=int, required=True, help="rank (symmetric group S_n)")
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-        p.add_argument("--force-n", action="store_true", help="lift the default rank caps")
 
-    def family(p: argparse.ArgumentParser) -> None:
-        common(p, ("text", "json", "latex"))
-        p.add_argument("--family", required=True, choices=_FAMILIES, help="family token")
-        p.add_argument("--beta", type=int, help="substitute an integer for b")
-        p.add_argument("--q", type=_parse_q, help="comma-separated integers for q1,q2,...")
+def _common(formats: tuple[str, ...]) -> dict:
+    return {
+        "-h": _HELP,
+        "--help": _HELP,
+        "--n": (_int, None, "N", "rank (symmetric group S_n)"),
+        "--format": (_choice(*formats), formats[0], "{" + ",".join(formats) + "}", f"default {formats[0]}"),
+        "--force-n": (None, False, "", "lift the default rank caps"),
+    }
 
-    c = sub.add_parser("compute", help="print one family member")
-    family(c)
-    member = c.add_mutually_exclusive_group(required=True)
-    member.add_argument("--word", help="reduced word as digits, empty for the identity")
-    member.add_argument("--perm", help="one-line permutation, e.g. 2,3,1")
-    c.add_argument("--ideal", choices=classical.IDEALS, help="print the normal form mod this ideal")
-    c.set_defaults(func=cmd_compute)
 
-    t = sub.add_parser("table", help="print all n! members of a family")
-    family(t)
-    t.set_defaults(func=cmd_table)
+_FAMILY_OPTIONS = {
+    **_common(("text", "json", "latex")),
+    "--family": (_choice(*_FAMILIES), None, "FAMILY", "family token (see grothpoly --help)"),
+    "--beta": (_int, None, "B", "substitute an integer for b"),
+    "--q": (_parse_q, None, "Q1,Q2,...", "comma-separated integers for q1,q2,..."),
+}
 
-    v = sub.add_parser("verify", help="run identity checkers")
-    common(v, ("json", "text"))
-    v.add_argument("ids", nargs="*", help="identity ids (see README for the catalog)")
-    v.add_argument("--all", action="store_true", help="run the full catalog, clamped to default caps")
-    v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(func=cmd_verify)
-    return parser
+# command -> (help, options, required options, options of which exactly one
+# is given, attribute of the positionals or None)
+_COMMANDS = {
+    "compute": (
+        "print one family member",
+        {
+            **_FAMILY_OPTIONS,
+            "--word": (str, None, "WORD", "reduced word as digits, empty for the identity"),
+            "--perm": (str, None, "PERM", "one-line permutation, e.g. 2,3,1"),
+            "--ideal": (_choice(*classical.IDEALS), None, "{" + ",".join(classical.IDEALS) + "}",
+                        "print the normal form mod this ideal"),
+        },
+        ("--n", "--family"),
+        ("--word", "--perm"),
+        None,
+    ),
+    "table": ("print all n! members of a family", _FAMILY_OPTIONS, ("--n", "--family"), (), None),
+    "verify": (
+        "run identity checkers",
+        {
+            **_common(("json", "text")),
+            "--all": (None, False, "", "run the full catalog, clamped to default caps"),
+            "--seed": (_int, 0, "SEED", "default 0"),
+        },
+        ("--n",),
+        (),
+        "ids",
+    ),
+}
+_TOP_OPTIONS = {"-h": _HELP, "--help": _HELP}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _lookup(token: str, options: dict) -> tuple[str, str | None] | None:
+    """The option a token names and the value it carries (after "=", or
+    run into a short option), None for a positional, or ("", None) for an
+    unknown option.  The exact name wins; else a long option may be named
+    by a unique prefix.  A token that looks like a negative number or holds
+    a space is a positional, as argparse reads it."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        if name not in options:
+            hits = [o for o in options if o.startswith(name)]
+            if len(hits) > 1:
+                raise ValueError(f"ambiguous option: {token} could match {', '.join(hits)}")
+            name = hits[0] if hits else ""
+        if name:
+            return name, value if eq else None
+    elif token[:2] in options:
+        return token[:2], token[2:] or None
+    whole, dot, frac = token[1:].partition(".")
+    negative_number = (not whole or whole.isdecimal()) and (frac.isdecimal() if dot else bool(whole))
+    return None if negative_number or " " in token else ("", None)
+
+
+def _usage(command: str) -> str:
+    _, options, required, one_of, positional = _COMMANDS[command]
+
+    def named(o: str) -> str:
+        metavar = options[o][2]
+        return f"{o} {metavar}" if metavar else o
+
+    words = [named(o) for o in required]
+    if one_of:
+        words.append("(" + " | ".join(named(o) for o in one_of) + ")")
+    optional = [o for o in options if o not in (*required, *one_of, *_TOP_OPTIONS)]
+    words += [f"[{named(o)}]" for o in optional]
+    if positional:
+        words.append("[ID ...]")
+    return f"grothpoly {command} " + " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        usages = [_usage(c) for c in _COMMANDS]
+        return (
+            "usage: " + "\n       ".join(usages) + "\n\n" + __doc__.rstrip()
+            + "\n\ncommands:\n" + "".join(f"  {c:<9}{spec[0]}\n" for c, spec in _COMMANDS.items())
+            + "\n`grothpoly <command> --help` lists a command's options."
+        )
+    lines = [f"usage: {_usage(command)}", "", _COMMANDS[command][0], "", "options:"]
+    for o, (_, _, metavar, text) in _COMMANDS[command][1].items():
+        label = "-h, --help" if o == "--help" else f"{o} {metavar}".rstrip()
+        if o != "-h":
+            lines.append(f"  {label:<28}  {text}")
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The request argv names, or None once a -h/--help has printed usage.
+
+    Options are read as argparse reads them: "--name value" or
+    "--name=value", a unique prefix of a long option, the first "--" ends
+    the options.  Two inputs are read more widely: a value may begin with
+    "-" (so "--q -1,0" is one option), and the verify ids may come in
+    several runs between options.  A refused argv raises ValueError.
+    """
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    command, tokens = argv[0], argv[1:]
+    if command not in _COMMANDS:
+        found = _lookup(command, _TOP_OPTIONS)
+        if found and found[0] and found[1] is None:
+            print(_help(None))
+            return None
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, options, required, one_of, positional = _COMMANDS[command]
+    values = {_dest(o): default for o, (_, default, _, _) in options.items() if o not in _TOP_OPTIONS}
+    values["command"] = command
+    if positional:
+        values[positional] = []
+    given: set[str] = set()
+    extras: list[str] = []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--":
+            # the rest are positionals; a command without any refuses the
+            # "--" too, as argparse does
+            if positional:
+                values[positional] += tokens[i:]
+            else:
+                extras += tokens[i - 1:]
+            break
+        found = _lookup(token, options)
+        if found is None:
+            (values[positional] if positional else extras).append(token)
+            continue
+        name, value = found
+        if not name:
+            extras.append(token)
+            continue
+        convert = options[name][0]
+        if convert is None:
+            if value is not None:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            if name in _TOP_OPTIONS:
+                # argparse refuses an ambiguous prefix anywhere before the
+                # first "--" ahead of printing help, whatever its position
+                for t in tokens[: tokens.index("--") if "--" in tokens else None]:
+                    _lookup(t, options)
+                print(_help(command))
+                return None
+            values[_dest(name)] = True
+        else:
+            if value is None:
+                if i == len(tokens) or tokens[i] == "--":
+                    raise ValueError(f"argument {name}: expected one argument")
+                value = tokens[i]
+                i += 1
+            try:
+                values[_dest(name)] = convert(value)
+            except ValueError as e:
+                raise ValueError(f"argument {name}: {e}") from None
+            clash = [o for o in one_of if o != name and o in given] if name in one_of else []
+            if clash:
+                raise ValueError(f"argument {name}: not allowed with argument {clash[0]}")
+        given.add(name)
+    missing = [o for o in required if o not in given]
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    if one_of and not given.intersection(one_of):
+        raise ValueError("one of the arguments " + " ".join(one_of) + " is required")
+    if extras:
+        raise ValueError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        return {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify}[args.command](args)
     except (KeyError, ValueError) as e:
+        import json
+
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 2
 

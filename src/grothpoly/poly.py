@@ -15,7 +15,6 @@ True
 
 from __future__ import annotations
 
-import json
 import operator
 from functools import reduce
 from typing import Iterable, Iterator, Mapping
@@ -388,6 +387,8 @@ class MultiPoly:
     def json_obj(self) -> list[dict]:
         """The terms as [{"coef": str, "monomial": {name: exponent}}], in
         canonical order with each monomial's keys in display order."""
+        import json  # not at module level: the CLI writes JSON by dumps()
+
         return json.loads(self.dumps())
 
     def dumps(self) -> str:
@@ -414,6 +415,8 @@ class MultiPoly:
 
     @classmethod
     def loads(cls, s: str) -> "MultiPoly":
+        import json
+
         return cls.from_json_obj(json.loads(s))
 
     def __str__(self) -> str:

@@ -9,7 +9,6 @@ quantum module imports the classical one.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from typing import Callable, NamedTuple
@@ -50,6 +49,8 @@ class VerificationReport(NamedTuple):
         return self.status == "pass"
 
     def json_line(self) -> str:
+        import json  # not at module level: compute and table never encode JSON
+
         obj = {
             "id": self.check_id,
             "n": self.n,
@@ -65,6 +66,8 @@ class VerificationReport(NamedTuple):
         mark = "PASS" if self.ok else "FAIL"
         extra = ""
         if self.detail:
+            import json
+
             extra = " " + json.dumps(self.detail, separators=(",", ":"))
         return f"{mark} {self.check_id} n={self.n} ({self.ms:.1f} ms){extra}"
 

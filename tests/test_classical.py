@@ -50,7 +50,7 @@ from grothpoly.classical import (
     top_class,
 )
 from grothpoly._packing import BETA, Var, exponent, pack, unit
-from grothpoly.divdiff import PI_PLUS, apply_perm
+from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_perm
 from grothpoly.perms import (
     Permutation,
     all_perms,
@@ -768,6 +768,18 @@ class TestLocalization:
         for w in all_perms(n):
             for u in all_perms(n):
                 assert localize(table[w], u, -1) == _billey(w, u), (w, u)
+
+    @pytest.mark.parametrize("kind", [PI_PLUS, PI_MINUS, PSI_PLUS, PSI_MINUS])
+    def test_billeys_formula_catches_a_swapped_schubert_tower(self, kind, monkeypatch):
+        # the formula reads no tower, so a wrong operator kind in the S tower
+        # shows as a disagreement, not as a shared error
+        seed, op_kind, alphabet = classical.TOWERS["S"]
+        assert op_kind == DEL
+        monkeypatch.setitem(classical.TOWERS, "S", (seed, kind, alphabet))
+        monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+        table = family_table(3, "S")
+        points = all_perms(3)
+        assert any(localize(table[w], u, -1) != _billey(w, u) for w in points for u in points)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_check_localizes_at_each_point_once(self, n, monkeypatch):

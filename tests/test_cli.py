@@ -1,8 +1,11 @@
-"""End-to-end command line behaviour: output bytes, exit codes, and the
-three subcommands."""
+"""End-to-end command line behaviour: output bytes, exit codes, the three
+subcommands, and the option parser against the argparse parser it
+replaced."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -11,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grothpoly import classical, cli
 from grothpoly.report import CHECKS, Check
@@ -382,6 +387,222 @@ class TestArgparse:
         assert json.loads(err) == {"error": "classical families are capped at n=6"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising ValueError, as the CLI's parser does."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used to build, kept as the reference that
+    cli.parse_args is checked against (the dispatch to cmd_* left out)."""
+    parser = _Parser(
+        prog="grothpoly",
+        description=cli.__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, fmt_choices) -> None:
+        p.add_argument("--n", type=int, required=True, help="rank (symmetric group S_n)")
+        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+        p.add_argument("--force-n", action="store_true", help="lift the default rank caps")
+
+    def family(p: argparse.ArgumentParser) -> None:
+        common(p, ("text", "json", "latex"))
+        p.add_argument("--family", required=True, choices=cli._FAMILIES, help="family token")
+        p.add_argument("--beta", type=int, help="substitute an integer for b")
+        p.add_argument("--q", type=cli._parse_q, help="comma-separated integers for q1,q2,...")
+
+    c = sub.add_parser("compute", help="print one family member")
+    family(c)
+    member = c.add_mutually_exclusive_group(required=True)
+    member.add_argument("--word", help="reduced word as digits, empty for the identity")
+    member.add_argument("--perm", help="one-line permutation, e.g. 2,3,1")
+    c.add_argument("--ideal", choices=classical.IDEALS, help="print the normal form mod this ideal")
+
+    t = sub.add_parser("table", help="print all n! members of a family")
+    family(t)
+
+    v = sub.add_parser("verify", help="run identity checkers")
+    common(v, ("json", "text"))
+    v.add_argument("ids", nargs="*", help="identity ids (see README for the catalog)")
+    v.add_argument("--all", action="store_true", help="run the full catalog, clamped to default caps")
+    v.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+def argparse_reads(argv: list[str]):
+    """"refused", "help", or the attributes the reference parser sets."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
+    except ValueError:
+        return "refused"
+    except SystemExit as e:
+        assert e.code == 0 and out.getvalue().startswith("usage: grothpoly")
+        return "help"
+    return vars(args)
+
+
+def cli_reads(argv: list[str]):
+    """"refused", "help", or the attributes cli.parse_args sets."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = cli.parse_args(argv)
+    except ValueError:
+        return "refused"
+    if args is None:
+        assert out.getvalue().startswith("usage: grothpoly")
+        return "help"
+    assert out.getvalue() == ""
+    return vars(args)
+
+
+def widened(argv: list[str]) -> list[str]:
+    """argv in the form in which argparse reads what cli.parse_args reads
+    under its two widenings: every value joined to its option by "=" (so it
+    may begin with "-"), and the verify ids gathered behind one "--" at the
+    end.  A token moves to the ids only if argparse reads it as a
+    positional too."""
+    command, tokens = argv[0], argv[1:]
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    reference = subparsers.choices[command]
+    options = cli._COMMANDS[command][1]
+    out, ids = [command], []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--":
+            ids += tokens[i:]
+            break
+        found = cli._lookup(token, options)
+        if found is None and reference._parse_optional(token) is None:
+            ids.append(token)
+        elif found and found[0] and found[1] is None and options[found[0]][0] and i < len(tokens):
+            out.append(f"{token}={tokens[i]}")
+            i += 1
+        else:
+            out.append(token)
+    return out + ["--", *ids] if ids else out
+
+
+def assert_parity(argv: list[str]) -> None:
+    """Both parsers accept, refuse or print help alike, and read the same
+    attributes, except where a widening lets cli.parse_args read what
+    argparse refuses."""
+    want, got = argparse_reads(argv), cli_reads(argv)
+    if want == "refused" and got != "refused":
+        want = argparse_reads(widened(argv))
+    assert got == want, argv
+
+
+_G3 = ["compute", "--family", "G", "--n", "3"]
+
+
+class TestParserParity:
+    """cli.parse_args against the argparse parser it replaced.  Text run
+    into -h ("-hx") is left out: argparse 3.11 refuses it, 3.13 prints help,
+    and cli.parse_args refuses it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--n=3", "--family", "G", "--word", "1"],
+            ["compute", "--fam", "G", "--wo", "1", "--n", "3"],
+            ["compute", "--fam=G", "--wo=", "--n=3", "--form=latex", "--forc"],
+            ["compute", "--f", "text", "--family", "G", "--n", "3", "--word", "1"],
+            [*_G3, "--word", "1", "--force-n=1"],
+            [*_G3, "--word", "1", "--help=x"],
+            [*_G3, "--word", "1", "--word", "2", "--n", "4", "--force-n", "--force-n"],
+            [*_G3, "--word", ""],
+            [*_G3, "--word", "1", "--beta", "-1"],
+            [*_G3, "--word", "1", "--beta", "-1.5"],
+            [*_G3, "--word", "1", "--perm", "2,1,3"],
+            [*_G3, "--perm", "2,1,3", "--word", "1"],
+            [*_G3, "--word"],
+            [*_G3, "--word", "--", "1"],
+            [*_G3, "--word", "1", "--"],
+            [*_G3, "--", "--word", "1"],
+            [*_G3, "--word", "1", "-1"],
+            [*_G3, "--word", "1", "-x"],
+            [*_G3, "--word", "1", "--bogus"],
+            [*_G3, "--word", "1", "--=x"],
+            [*_G3, "--word", "1", "--q", "1,x"],
+            [*_G3, "--word", "1", "--ideal", "x", "--ideal", "bogus"],
+            ["table", "--family", "qG", "--n", "3", "--q=-1,0", "--format", "json"],
+            ["table", "--family", "G"],
+            ["verify", "--n", "3", "--", "cauchy"],
+            ["verify", "--n", "3", "--", "--", "cauchy"],
+            ["verify", "--n", "3", "--"],
+            ["verify", "--", "--n", "3"],
+            ["verify", "cauchy", "--n", "3"],
+            ["verify", "--n", "3", "-1", "-", "a b", "-x y", "--x y"],
+            ["verify", "--n", "3", "-x"],
+            ["verify", "--n", "3", "--bogus"],
+            ["verify", "--n", "3", "--a", "--se", "4", "--s=5"],
+            ["verify", "--n", "3", "--f", "json"],
+            ["verify", "--n", "3", "--format", "latex"],
+            ["verify", "--n", " 3", "--seed", "x"],
+            ["compute", "--help"],
+            ["compute", "--he", "--bogus"],
+            ["compute", "--bogus", "--help"],
+            ["compute", "--n", "x", "--help"],
+            ["compute", "--help", "--n", "x"],
+            ["verify", "-h"],
+            ["table", "--n", "3", "--", "-h"],
+            ["--help"],
+            ["-h"],
+            ["--hel"],
+            [],
+            ["bogus"],
+            ["--n", "3"],
+            ["-1"],
+        ],
+    )
+    def test_listed_argv(self, argv):
+        assert_parity(argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["compute", "table", "verify"]),
+        st.lists(
+            st.sampled_from([
+                ("--n",), ("--family",), ("--format",), ("--force-n",), ("--word",), ("--perm",),
+                ("--beta",), ("--q",), ("--ideal",), ("--all",), ("--seed",),
+                ("--fam",), ("--f",), ("--fo",), ("--form",), ("--forc",), ("--wo",), ("--p",),
+                ("--a",), ("--s",), ("--i",), ("--b",),
+                ("--n=3",), ("--n=",), ("--fam=G",), ("--force-n=1",), ("--format=json",),
+                ("--word=",), ("--q=-1,0",), ("--all=",), ("--seed=2",),
+                ("--bogus",), ("-x",), ("---n",), ("--",), ("--help",), ("--h",), ("-h",),
+                ("3",), ("2",), ("0",), ("-1",), ("-1.5",), ("abc",), ("",), (" 4",), ("a b",),
+                ("G",), ("qG",), ("S",), ("text",), ("json",), ("latex",), ("x",), ("signed",),
+                ("1",), ("21",), ("2,1,3",), ("cauchy",), ("duality",),
+                ("--q", "-1,0"), ("--perm", "-2,1"), ("--word", "-1"), ("--beta", "-1"),
+            ]),
+            max_size=10,
+        ),
+    )
+    def test_generated_argv(self, command, chunks):
+        assert_parity([command, *(token for chunk in chunks for token in chunk)])
+
+    def test_a_value_may_begin_with_a_dash(self):
+        argv = ["table", "--family", "qG", "--n", "3", "--q", "-1,0"]
+        assert argparse_reads(argv) == "refused"
+        assert cli_reads(argv)["q"] == [-1, 0]
+        assert cli_reads(argv) == argparse_reads(["table", "--family", "qG", "--n", "3", "--q=-1,0"])
+        assert cli_reads([*_G3, "--word", "--perm"])["word"] == "--perm"
+
+    def test_verify_ids_may_come_in_several_runs(self):
+        argv = ["verify", "cauchy", "--n", "2", "duality", "--seed", "1", "basis"]
+        assert argparse_reads(argv) == "refused"
+        assert cli_reads(argv)["ids"] == ["cauchy", "duality", "basis"]
+
+
 class TestQuantumRankCaps:
     """Quantum compute reaches n=5 behind --force-n; quantum table stops at 4."""
 
@@ -418,6 +639,7 @@ class TestQuantumRankCaps:
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every CLI process pays for its imports; dataclasses (and the inspect
     module it pulls in) cost several ms, so the CLI path must not load them."""
+    unused = {"argparse", "gettext", "locale", "json", "heapq"}
     env = cli_env()
     show = "import sys; print(' '.join(sorted(sys.modules)))"
 
@@ -427,9 +649,31 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         assert r.returncode == 0, r.stderr
         return set(r.stdout.split())
 
-    added = modules("import grothpoly.cli; " + show) - modules(show)
+    bare = modules(show)
+    added = modules("import grothpoly.cli; " + show) - bare
     assert "grothpoly.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", *unused}
+
+    # nor does serving compute and table requests in each format load the
+    # modules they have no use for: argparse (with the gettext and locale
+    # it pulls in), json and heapq
+    served = modules(
+        "import contextlib, io, sys\n"
+        "from grothpoly import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for fmt in ('text', 'latex', 'json'):\n"
+        "        assert cli.main(['compute', '--family', 'qG', '--n', '3', '--word', '21', '--format', fmt]) == 0\n"
+        "        assert cli.main(['table', '--family', 'H', '--n', '3', '--beta', '1', '--format', fmt]) == 0\n"
+        + show
+    ) - bare
+    assert "grothpoly.cli" in served
+    assert not served & {"dataclasses", "inspect", *unused}
+
+    # the paths that do write JSON still write it
+    assert_refused(run_cli("compute", "--family", "G", "--n", "3", "--word", "11"))
+    r = run_cli("verify", "duality", "--n", "2")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["status"] == "pass"
 
 
 class TestProcessExit:
