@@ -27,7 +27,7 @@ Eight indices per alphabet is deliberate headroom; the verification
 routines cap the rank well below that.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -51,29 +51,16 @@ XDEG_UNIT = 1 << XDEG_SHIFT
 TOP_BITS = sum(1 << (s * FIELD_BITS + FIELD_BITS - 1) for s in range(NUM_SLOTS))
 
 
-class Var(NamedTuple):
+class Var(namedtuple("Var", "kind index")):
     """A formal variable: kind in {x,y,z,b,q}, 1-based index (0 for b)."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
     def name(self) -> str:
         return "b" if self.kind == "b" else f"{self.kind}{self.index}"
 
 
 BETA = Var("b", 0)
-
-
-def var_from_name(name: str) -> Var:
-    """Inverse of Var.name; raises ValueError on anything unrecognised."""
-    if name == "b":
-        return BETA
-    kind, tail = name[:1], name[1:]
-    if kind not in ("x", "y", "z", "q") or not tail.isdigit():
-        raise ValueError(f"unknown variable name: {name!r}")
-    v = Var(kind, int(tail))
-    _slot(v)  # range check
-    return v
 
 
 def _slot(var: Var) -> int:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from . import _termkernel_py as kernel
 from ._packing import (
@@ -384,13 +384,6 @@ class NormalFormContext:
             out.append(g)
         return out
 
-    def _reducer_for(self, xpart: int) -> int | None:
-        """Index into _rules of the first rule whose lead divides xpart."""
-        for i, (sh, e, _, _) in enumerate(self._rules):
-            if (xpart >> sh) & FIELD_MASK >= e:
-                return i
-        return None
-
     def _x_normal_form(self, xmono: int) -> dict[int, int]:
         """Normal form of one x-monomial, by a heap over x-parts."""
         import heapq  # not at module level: no compute or table request reduces
@@ -403,15 +396,17 @@ class NormalFormContext:
             coef = kernel.prune(coefs.pop(xp))
             if not coef:
                 continue
-            i = self._reducer_for(xp)
-            if i is None:
+            # the first rule whose lead divides xp
+            for sh, e, lead, tail in self._rules:
+                if (xp >> sh) & FIELD_MASK >= e:
+                    break
+            else:
                 # The packed order (x-degree, then x8..x1) is additive, so
                 # every rule's tail sorts strictly below its lead, also after
                 # multiplying by xp / lead: a popped x-part never comes back,
                 # and a staircase one is final.
                 kernel.addmul(out, coef, xp, 1)
                 continue
-            _, _, lead, tail = self._rules[i]
             cof = xp - lead
             for gx, gterms in tail:
                 k = gx + cof
@@ -451,7 +446,7 @@ def _x_parts(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
     field it could carry into the next one."""
     if any(m & TOP_BITS for m in f._t):
         raise ValueError("localize needs every exponent below 1 << 15")
-    return list(f.split_by_kinds(("x",)).items())
+    return list(f.split_x().items())
 
 
 def _at_point(
@@ -728,9 +723,7 @@ def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None,
     ht = family_table(n, "Hx")
     w0 = longest(n)
     perms = all_perms(n)
-    matrix = []
     for u in perms:
-        row = []
         for v in perms:
             val = pairing0(ht[u], gt[v], n)
             expect = one() if v == w0 * u else zero()
@@ -740,11 +733,10 @@ def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None,
                     {"u": list(u.oneline), "v": list(v.oneline), "value": val.json_obj()},
                     None,
                 )
-            row.append(val.text())
-        matrix.append(row)
     detail = {"order": [list(u.oneline) for u in perms]}
     if n <= 3:
-        detail["matrix"] = matrix
+        # every pairing passed, so each entry is 1 at v = w0 u and 0 elsewhere
+        detail["matrix"] = [["1" if v == w0 * u else "0" for v in perms] for u in perms]
     return True, None, detail
 
 
@@ -1073,7 +1065,7 @@ def _staircase_rows(
     rows = []
     for w in by_length(n):
         row = [zero()] * len(index)
-        for part, coeff in member(w).split_by_kinds(("x",)).items():
+        for part, coeff in member(w).split_x().items():
             if part not in index:
                 return rows, {"w": list(w.oneline), "reason": "support outside staircase"}
             row[index[part]] = coeff

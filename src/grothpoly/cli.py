@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         if args is None:
             return 0
         return {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify}[args.command](args)
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         import json
 
         print(json.dumps({"error": str(e)}), file=sys.stderr)

@@ -35,7 +35,7 @@ x1 + x2
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import _termkernel_py as kernel
 from ._packing import BETA, adjacent_pair, unit

@@ -13,8 +13,8 @@ left to right:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import permutations as _itertools_perms
-from typing import Iterable
 
 
 class Permutation:

@@ -16,8 +16,8 @@ True
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator, Mapping
 from functools import reduce
-from typing import Iterable, Iterator, Mapping
 
 from . import _termkernel_py as kernel
 from ._packing import (
@@ -40,7 +40,6 @@ from ._packing import (
     shift,
     unit,
     unpack,
-    var_from_name,
 )
 
 _B_UNIT = unit(BETA)
@@ -293,13 +292,9 @@ class MultiPoly:
 
     # -- substitutions and reshaping ----------------------------------
 
-    def set_zero(self, kinds: str | Iterable[str]) -> "MultiPoly":
-        """Image under sending every variable of the given kinds to 0."""
-        if isinstance(kinds, str):
-            kinds = (kinds,)
-        mask = 0
-        for k in kinds:
-            mask |= kind_mask(k)
+    def set_zero(self, kind: str) -> "MultiPoly":
+        """Image under sending every variable of one kind to 0."""
+        mask = kind_mask(kind)
         return MultiPoly._raw({m: c for m, c in self._t.items() if not m & mask})
 
     def specialize(self, values: Mapping[Var, int]) -> "MultiPoly":
@@ -344,18 +339,15 @@ class MultiPoly:
             out[k] = c  # a bijection on monomials: no collisions
         return MultiPoly._raw(out)
 
-    def split_by_kinds(self, kinds: tuple[str, ...]) -> dict[int, "MultiPoly"]:
-        """Group terms by their monomial part in the given alphabets.
+    def split_x(self) -> dict[int, "MultiPoly"]:
+        """Group terms by their x-part.
 
-        Keys are packed monomials supported on ``kinds`` only; values hold
-        the complementary parts.  Used for coefficient extraction.
+        Keys are packed x-monomials; values hold the coefficients in the
+        other variables.  Used for coefficient extraction.
         """
-        mask = 0
-        for k in kinds:
-            mask |= kind_mask(k)
         groups: dict[int, dict[int, int]] = {}
         for m, c in self._t.items():
-            key = m & mask
+            key = m & MASK_X
             groups.setdefault(key, {})[m - key] = c
         return {k: MultiPoly._raw(t) for k, t in groups.items()}
 
@@ -399,25 +391,6 @@ class MultiPoly:
         for m in sorted(t):
             terms.append(f'{{"coef":"{t[m]}","monomial":{{{factors_of(m)[1:]}}}}}')
         return "[" + ",".join(terms) + "]"
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "MultiPoly":
-        acc: dict[int, int] = {}
-        for entry in obj:
-            c = int(entry["coef"])
-            exps = {var_from_name(name): int(e) for name, e in entry["monomial"].items()}
-            for e in exps.values():
-                if e < 0:
-                    raise ValueError("negative exponent in serialized monomial")
-            k = pack(exps)
-            acc[k] = acc.get(k, 0) + c
-        return cls._raw({k: v for k, v in acc.items() if v})
-
-    @classmethod
-    def loads(cls, s: str) -> "MultiPoly":
-        import json
-
-        return cls.from_json_obj(json.loads(s))
 
     def __str__(self) -> str:
         return self.text()

@@ -19,6 +19,7 @@ alphabet, registered in classical.TOWERS and built by family_table.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from ._packing import BETA, N_MAX, Var, exponent, kind_degree, unit, unpack
 from .classical import (
@@ -55,9 +56,8 @@ from .report import check
 # quantum elementary symmetric polynomials and their generating determinant
 # ---------------------------------------------------------------------------
 
-_ETILDE_CACHE: dict[tuple[int, int], MultiPoly] = {}
 
-
+@cache
 def quantum_elementary(k: int, i: int) -> MultiPoly:
     """e~_i(x_1..x_k | q_1..q_{k-1}); q = 0 recovers e_i.
 
@@ -68,12 +68,9 @@ def quantum_elementary(k: int, i: int) -> MultiPoly:
         return one()
     if i < 0 or k <= 0 or i > k:
         return zero()
-    val = _ETILDE_CACHE.get((k, i))
-    if val is None:
-        val = quantum_elementary(k - 1, i) + xvar(k) * quantum_elementary(k - 1, i - 1)
-        if k >= 2:
-            val = val + qvar(k - 1) * quantum_elementary(k - 2, i - 2)
-        _ETILDE_CACHE[(k, i)] = val
+    val = quantum_elementary(k - 1, i) + xvar(k) * quantum_elementary(k - 1, i - 1)
+    if k >= 2:
+        val = val + qvar(k - 1) * quantum_elementary(k - 2, i - 2)
     return val
 
 
@@ -138,26 +135,20 @@ def apply_X(j: int, f: MultiPoly, n: int) -> MultiPoly:
     return dot(pairs)
 
 
-# X-products differ between ranks, so the memo is keyed by (n, x-part)
-_XPOW_CACHE: dict[tuple[int, int], MultiPoly] = {}
-
-
+# X-products differ between ranks, so the memo is keyed by (x-part, n)
+@cache
 def _x_power_at_one(xpart: int, n: int) -> MultiPoly:
     """X^I(1) for the packed x-monomial x^I (order immaterial: the X_j
     commute); peels one X_j off the highest x_j present, so an x_j with
     j > n meets apply_X's rank check."""
-    val = _XPOW_CACHE.get((n, xpart))
-    if val is None:
-        j = next((j for j in range(N_MAX, 0, -1) if exponent(xpart, Var("x", j))), 0)
-        val = one() if j == 0 else apply_X(j, _x_power_at_one(xpart - unit(Var("x", j)), n), n)
-        _XPOW_CACHE[(n, xpart)] = val
-    return val
+    j = next((j for j in range(N_MAX, 0, -1) if exponent(xpart, Var("x", j))), 0)
+    return one() if j == 0 else apply_X(j, _x_power_at_one(xpart - unit(Var("x", j)), n), n)
 
 
 def eval_at_X(f: MultiPoly, n: int) -> MultiPoly:
     """f with every x-monomial replaced by the matching X-product, applied
     to 1.  Non-x variables ride along as scalars."""
-    parts = f.split_by_kinds(("x",)).items()
+    parts = f.split_x().items()
     return dot((coeff, _x_power_at_one(xpart, n)) for xpart, coeff in parts)
 
 
@@ -180,7 +171,7 @@ def quantize(f: MultiPoly, n: int) -> MultiPoly:
         if prev_deg is not None and d >= prev_deg:
             raise AssertionError("quantization failed to reduce degree")
         prev_deg = d
-        for xpart, coeff in rem.split_by_kinds(("x",)).items():
+        for xpart, coeff in rem.split_x().items():
             if kind_degree(xpart, "x") != d:
                 continue
             quantized = quantized + coeff * MultiPoly(unpack(xpart))

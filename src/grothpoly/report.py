@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 # (ok, counterexample, detail)
 Verdict = tuple[bool, "dict | None", "dict | None"]
 
 
-class Check(NamedTuple):
-    fn: Callable[[int, random.Random], Verdict]
-    soft: int  # default rank cap
-    hard: int  # rank cap with force
+# fn(n, rng) -> Verdict; soft the default rank cap, hard the cap with force
+Check = namedtuple("Check", "fn soft hard")
 
 
 CHECKS: dict[str, Check] = {}
@@ -36,13 +35,12 @@ def check(check_id: str, soft: int = 4, hard: int = 5):
     return register
 
 
-class VerificationReport(NamedTuple):
-    check_id: str
-    n: int
-    status: str  # "pass" | "fail"
-    counterexample: dict | None
-    ms: float
-    detail: dict | None = None
+class VerificationReport(
+    namedtuple("VerificationReport", "check_id n status counterexample ms detail", defaults=(None,))
+):
+    """One check's outcome; status is "pass" or "fail"."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

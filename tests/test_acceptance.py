@@ -163,9 +163,8 @@ def _reparse(text: str) -> MultiPoly:
 
 
 def _var(name: str) -> Var:
-    from grothpoly._packing import var_from_name
-
-    return var_from_name(name)
+    """The variable a rendered factor names: b, or a kind letter and index."""
+    return BETA if name == "b" else Var(name[0], int(name[1:]))
 
 
 def test_reparse_helper_roundtrips():

@@ -8,6 +8,7 @@ import heapq
 import itertools
 import json
 import random
+from collections.abc import Mapping
 from math import prod
 from types import MappingProxyType
 
@@ -433,6 +434,16 @@ class TestDualBasis:
             rhs = scalar_product(f, apply_perm(PI_PLUS, w.inverse(), g), n)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orthogonality_detail_is_the_rendered_pairing_matrix(self, n):
+        # the matrix is reported at n <= 3 only, each entry pairing0(H_u, G_v).text()
+        gt, ht = family_table(n, "Gx"), family_table(n, "Hx")
+        perms = all_perms(n)
+        detail = {"order": [list(u.oneline) for u in perms]}
+        if n <= 3:
+            detail["matrix"] = [[pairing0(ht[u], gt[v], n).text() for v in perms] for u in perms]
+        assert verify("orthogonality", n).detail == detail
+
 
 class TestPieri:
     def test_monk_endpoints_within_target_set(self):
@@ -678,16 +689,24 @@ def _random_monomial(rng, n: int) -> MultiPoly:
     return MultiPoly.from_monomials([({v: e for v, e in exps.items() if e}, rng.choice((-2, 1, 3)))])
 
 
+def _root_pairs(u: Permutation) -> tuple[tuple[int, ...], list[tuple[MultiPoly, MultiPoly]]]:
+    """a = first_reduced_word(u) and, for each letter a_j, the pair
+    (y_{p_j(a_j)}, y_{p_j(a_j + 1)}), where p_j = s_{a_1} ... s_{a_(j-1)}."""
+    a = first_reduced_word(u)
+    p, pairs = identity(u.n), []
+    for letter in a:
+        pairs.append((yvar(p(letter)), yvar(p(letter + 1))))
+        p = p.times_s(letter)
+    return a, pairs
+
+
 def _billey(w: Permutation, u: Permutation) -> MultiPoly:
     """S_w at x_i = -y_u(i) by Billey's formula, read off a reduced word
     a of u alone: the sum, over the subwords of a of length l(w) whose
-    product is w, of prod_j (y_{p_j(a_j)} - y_{p_j(a_j + 1)}), where
-    p_j = s_{a_1} ... s_{a_(j-1)}."""
-    a = first_reduced_word(u)
-    p, roots = identity(u.n), []
-    for letter in a:
-        roots.append(yvar(p(letter)) - yvar(p(letter + 1)))
-        p = p.times_s(letter)
+    product is w, of prod_j r_j, r_j = y_{p_j(a_j)} - y_{p_j(a_j + 1)}
+    (see _root_pairs)."""
+    a, pairs = _root_pairs(u)
+    roots = [s - t for s, t in pairs]
     return sum(
         (
             prod((roots[j] for j in subword), start=one())
@@ -696,6 +715,50 @@ def _billey(w: Permutation, u: Permutation) -> MultiPoly:
         ),
         start=zero(),
     )
+
+
+def _demazure(word: list[int], n: int) -> Permutation:
+    """The 0-Hecke product of a word: a letter that is a right descent of
+    the product so far leaves it unchanged."""
+    v = identity(n)
+    for a in word:
+        if v(a) < v(a + 1):
+            v = v.times_s(a)
+    return v
+
+
+def _graham_willems(u: Permutation) -> tuple[dict[Permutation, MultiPoly], MultiPoly]:
+    """(values, D): D * G_w at x_i = -y_u(i) for every w <= u, by the
+    K-theoretic localization formula (Graham, Duke 2002; Willems 2004), read
+    off a reduced word a of u alone, and D = prod_j (1 - b y_{p_j(a_j)}).
+
+    In this code's normalization G_w|_u = G_id * sum_J b^(|J| - l(w))
+    prod_{j in J} r_j / (1 - b y_{p_j(a_j)}), J over the subwords of a whose
+    0-Hecke product is w, with r_j and p_j as in _root_pairs and
+    G_id = prod_{j<n} (1 - b y_j)^(n-j).  Clearing by D keeps it in Z[b][y]:
+    each term is a factor r_j for j in J, and 1 - b y_{p_j(a_j)} for j not in J.
+    """
+    n = u.n
+    a, pairs = _root_pairs(u)
+    roots = [s - t for s, t in pairs]
+    dens = [one() - beta() * s for s, _ in pairs]
+    gid = prod(((one() - beta() * yvar(j)) ** (n - j) for j in range(1, n)), start=one())
+    values: dict[Permutation, MultiPoly] = {}
+    for inside in itertools.product((False, True), repeat=len(a)):
+        w = _demazure([letter for letter, i in zip(a, inside) if i], n)
+        factors = (r if i else d for r, d, i in zip(roots, dens, inside))
+        term = beta() ** (sum(inside) - w.length()) * prod(factors, start=gid)
+        values[w] = values.get(w, zero()) + term
+    return values, prod(dens, start=one())
+
+
+def _graham_willems_mismatches(table: Mapping[Permutation, MultiPoly], n: int) -> list:
+    """The (w, u) at which D * localize(G_w, u, -1) differs from the formula."""
+    out = []
+    for u in all_perms(n):
+        values, den = _graham_willems(u)
+        out += [(w, u) for w in all_perms(n) if localize(table[w], u, -1) * den != values.get(w, zero())]
+    return out
 
 
 class TestLocalization:
@@ -780,6 +843,19 @@ class TestLocalization:
         table = family_table(3, "S")
         points = all_perms(3)
         assert any(localize(table[w], u, -1) != _billey(w, u) for w in points for u in points)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_grothendieck_localizations_follow_the_k_theoretic_formula(self, n):
+        # like Billey's formula, it reads no tower and shares no code with localize
+        assert _graham_willems_mismatches(family_table(n, "G"), n) == []
+
+    @pytest.mark.parametrize("kind", [DEL, PI_MINUS, PSI_PLUS, PSI_MINUS])
+    def test_k_theoretic_formula_catches_a_swapped_grothendieck_tower(self, kind, monkeypatch):
+        seed, op_kind, alphabet = classical.TOWERS["G"]
+        assert op_kind == PI_PLUS
+        monkeypatch.setitem(classical.TOWERS, "G", (seed, kind, alphabet))
+        monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+        assert _graham_willems_mismatches(family_table(3, "G"), 3) != []
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_check_localizes_at_each_point_once(self, n, monkeypatch):

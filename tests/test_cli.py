@@ -288,6 +288,20 @@ class TestVerify:
         assert obj["status"] == "fail"
         assert obj["counterexample"] == {"w": [1, 2]}
 
+    def test_internal_key_error_propagates(self, monkeypatch, capsys):
+        """A KeyError inside a check is a fault of the program, not a bad
+        argument: main lets it through rather than exit 2 with its key as
+        the error.  No argv reaches a KeyError; unknown ids, families and
+        commands are refused as ValueError first."""
+
+        def faulty(n, rng):
+            return {}[(1, 2)]
+
+        monkeypatch.setitem(CHECKS, "faulty", Check(faulty, 4, 5))
+        with pytest.raises(KeyError):
+            cli.main(["verify", "faulty", "--n", "2"])
+        assert capsys.readouterr().err == ""
+
     def test_readme_catalog_matches_registry(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
         section = readme.read_text().split("### Verification catalog", 1)[1]
@@ -643,9 +657,9 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     env = cli_env()
     show = "import sys; print(' '.join(sorted(sys.modules)))"
 
-    def modules(code: str) -> set[str]:
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                           timeout=60)
+    def modules(code: str, *flags: str) -> set[str]:
+        r = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                           env=env, timeout=60)
         assert r.returncode == 0, r.stderr
         return set(r.stdout.split())
 
@@ -657,17 +671,26 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # nor does serving compute and table requests in each format load the
     # modules they have no use for: argparse (with the gettext and locale
     # it pulls in), json and heapq
-    served = modules(
-        "import contextlib, io, sys\n"
+    serve = (
+        "import io, sys\n"
         "from grothpoly import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for fmt in ('text', 'latex', 'json'):\n"
-        "        assert cli.main(['compute', '--family', 'qG', '--n', '3', '--word', '21', '--format', fmt]) == 0\n"
-        "        assert cli.main(['table', '--family', 'H', '--n', '3', '--beta', '1', '--format', fmt]) == 0\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "for fmt in ('text', 'latex', 'json'):\n"
+        "    assert cli.main(['compute', '--family', 'qG', '--n', '3', '--word', '21', '--format', fmt]) == 0\n"
+        "    assert cli.main(['table', '--family', 'H', '--n', '3', '--beta', '1', '--format', fmt]) == 0\n"
+        "sys.stdout = out\n"
         + show
-    ) - bare
+    )
+    served = modules(serve) - bare
     assert "grothpoly.cli" in served
     assert not served & {"dataclasses", "inspect", *unused}
+
+    # typing, with the re, enum and contextlib it loads, costs a fresh
+    # process several ms.  Site packages may import it first, which hides it
+    # above, so this child starts without site (-S).
+    served = modules(serve, "-S")
+    assert "grothpoly.cli" in served
+    assert not served & {"typing", "re", "enum", "contextlib"}
 
     # the paths that do write JSON still write it
     assert_refused(run_cli("compute", "--family", "G", "--n", "3", "--word", "11"))

@@ -59,6 +59,23 @@ def test_no_unused_imports(path):
     assert sorted(_imported(tree) - _used(tree)) == []
 
 
+def test_no_module_imports_typing():
+    """typing, with the re, enum and contextlib it loads, costs a fresh CLI
+    process several ms; annotation names come from collections.abc, and
+    records are built on collections.namedtuple."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "typing"]
+    assert found == []
+
+
 # Defined in src/ for the tests only: public API the tests exercise, and the
 # reference oracles they compare the fast paths against.
 KEPT_FOR_TESTS = {

@@ -100,12 +100,6 @@ def test_ring_axioms(f, g, h):
     assert f - f == zero()
 
 
-@settings(max_examples=200)
-@given(f=polys())
-def test_json_roundtrip(f):
-    assert MultiPoly.loads(f.dumps()) == f
-
-
 @settings(max_examples=100)
 @given(f=polys(), g=polys())
 def test_integer_evaluation_homomorphism(f, g):
