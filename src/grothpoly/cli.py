@@ -25,7 +25,7 @@ from . import classical
 from ._packing import BETA, Var
 from .perms import Permutation, by_length, first_reduced_word, from_word
 from .poly import MultiPoly
-from .report import CHECKS, check_rank, rank_caps, verify
+from .report import CHECKS, check_caps, check_rank, rank_caps, verify
 
 _FAMILIES = {
     # token -> (kind for the rank caps, table name, latex symbol)
@@ -165,33 +165,21 @@ def cmd_verify(args: SimpleNamespace) -> int:
                 raise ValueError(f"identity id {cid!r} is repeated")
         ids = args.ids
 
-    tasks = []
+    # every (id, rank) is checked before the first check body runs, so a
+    # refused request builds nothing
+    runs = []
     for cid in ids:
         n = args.n
         if args.all:
             # the catalog run clamps each check to its default cap
             soft, hard = rank_caps(cid)
             n = min(n, hard if args.force_n else soft)
-        tasks.append((cid, n, args.seed, args.force_n))
-
-    raw = os.environ.get("GROTHPOLY_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"GROTHPOLY_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"GROTHPOLY_WORKERS must be at least 1, got {raw!r}")
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            reports = pool.starmap(verify, tasks, chunksize=1)
-    else:
-        reports = [verify(*t) for t in tasks]
+        check_caps(cid, n, args.force_n)
+        runs.append((cid, n))
 
     failed = False
-    for r in reports:
+    for cid, n in runs:
+        r = verify(cid, n, args.seed, args.force_n)
         print(r.text_line() if args.format == "text" else r.json_line())
         failed = failed or not r.ok
     return 1 if failed else 0

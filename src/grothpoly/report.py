@@ -84,14 +84,20 @@ def rank_caps(check_id: str) -> tuple[int, int]:
     return c.soft, c.hard
 
 
-def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
-    """Run one registered check at rank n; ranks above the default cap need force."""
+def check_caps(check_id: str, n: int, force: bool = False) -> None:
+    """Refuse a rank check_id does not run at: below 1, above its hard cap,
+    or above its default cap without force."""
     soft, hard = rank_caps(check_id)
     check_rank(n)
     if n > hard:
         raise ValueError(f"{check_id} is capped at n={hard}")
     if n > soft and not force:
         raise ValueError(f"{check_id} above n={soft} needs --force-n")
+
+
+def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
+    """Run one registered check at rank n; ranks above the default cap need force."""
+    check_caps(check_id, n, force)
     rng = random.Random(seed)
     start = time.perf_counter()
     ok, counterexample, detail = CHECKS[check_id].fn(n, rng)

@@ -752,11 +752,20 @@ def _graham_willems(u: Permutation) -> tuple[dict[Permutation, MultiPoly], Multi
     return values, prod(dens, start=one())
 
 
-def _graham_willems_mismatches(table: Mapping[Permutation, MultiPoly], n: int) -> list:
-    """The (w, u) at which D * localize(G_w, u, -1) differs from the formula."""
+def _graham_willems_mismatches(table: Mapping[Permutation, MultiPoly], n: int, family: str = "G") -> list:
+    """The (w, u) at which D * localize(table[w], u, -1) differs from the
+    formula: G_w's value, or for family "H" the interval sum
+    H_w = sum_{v >= w} b^(l(v) - l(w)) G_v of those values, the sum the
+    inversion check tests."""
     out = []
     for u in all_perms(n):
         values, den = _graham_willems(u)
+        if family == "H":
+            values = {
+                w: sum((beta() ** (v.length() - w.length()) * values.get(v, zero()) for v in bruhat_upper(w)),
+                       start=zero())
+                for w in all_perms(n)
+            }
         out += [(w, u) for w in all_perms(n) if localize(table[w], u, -1) * den != values.get(w, zero())]
     return out
 
@@ -856,6 +865,19 @@ class TestLocalization:
         monkeypatch.setitem(classical.TOWERS, "G", (seed, kind, alphabet))
         monkeypatch.setattr(classical, "_TABLE_CACHE", {})
         assert _graham_willems_mismatches(family_table(3, "G"), 3) != []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_h_localizations_follow_the_interval_sum_of_the_k_theoretic_formula(self, n):
+        # H's oracle reads G's values off the formula, not the G or H tower
+        assert _graham_willems_mismatches(family_table(n, "H"), n, "H") == []
+
+    @pytest.mark.parametrize("kind", [DEL, PI_PLUS, PI_MINUS, PSI_MINUS])
+    def test_k_theoretic_interval_sum_catches_a_swapped_h_tower(self, kind, monkeypatch):
+        seed, op_kind, alphabet = classical.TOWERS["H"]
+        assert op_kind == PSI_PLUS
+        monkeypatch.setitem(classical.TOWERS, "H", (seed, kind, alphabet))
+        monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+        assert _graham_willems_mismatches(family_table(3, "H"), 3, "H") != []
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_check_localizes_at_each_point_once(self, n, monkeypatch):

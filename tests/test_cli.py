@@ -221,51 +221,49 @@ class TestVerify:
         assert r.stdout == ""
         assert json.loads(r.stderr) == {"error": "cauchy is capped at n=4"}
 
-    def test_worker_pool_is_sized_by_the_tasks(self, monkeypatch, capsys):
-        import multiprocessing
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["closed_forms", "cauchy", "--n", "5", "--force-n"], "cauchy is capped at n=4"),
+            (["closed_forms", "basis", "--n", "4"], "basis above n=3 needs --force-n"),
+            (["--all", "--n", "0"], "rank must be at least 1, got 0"),
+        ],
+        ids=["hard_cap", "default_cap", "rank_below_one"],
+    )
+    def test_refusal_runs_no_check(self, argv, error, monkeypatch, capsys):
+        # a cap anywhere in the request is refused before the checks ahead
+        # of it build their tables
+        ran = []
+        for cid, c in list(CHECKS.items()):
+            def record(n, rng, cid=cid):
+                ran.append(cid)
+                return True, None, None
 
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, tasks, chunksize=1):
-                return [fn(*t) for t in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        monkeypatch.setenv("GROTHPOLY_WORKERS", "1000")
-        code = cli.main(["verify", "cauchy", "duality", "--n", "2"])
-        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert code == 0
-        assert sizes == [2]
-        assert [row["id"] for row in rows] == ["cauchy", "duality"]
-
-        monkeypatch.setenv("GROTHPOLY_WORKERS", "abc")
-        code = cli.main(["verify", "cauchy", "duality", "--n", "2"])
-        captured = capsys.readouterr()
+            monkeypatch.setitem(CHECKS, cid, c._replace(fn=record))
+        code = cli.main(["verify", *argv])
+        out, err = capsys.readouterr()
         assert code == 2
-        assert captured.out == ""
-        assert json.loads(captured.err) == {"error": "GROTHPOLY_WORKERS must be an integer, got 'abc'"}
-        assert sizes == [2]
+        assert out == ""
+        assert json.loads(err) == {"error": error}
+        assert ran == []
 
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_workers_below_one_is_exit_2(self, raw, monkeypatch, capsys):
-        monkeypatch.setenv("GROTHPOLY_WORKERS", raw)
-        code = cli.main(["verify", "cauchy", "--n", "2"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert json.loads(captured.err) == {"error": f"GROTHPOLY_WORKERS must be at least 1, got {raw!r}"}
+    def test_no_environment_variable_or_process_pool(self):
+        # a child, since pytest may have loaded multiprocessing already
+        code = (
+            "import sys\n"
+            "from grothpoly import cli\n"
+            "assert cli.main(['verify', 'closed_forms', '--n', '2']) == 0\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=cli_env({"GROTHPOLY_WORKERS": "abc"}), timeout=120)
+        assert r.returncode == 0, r.stderr
+        *rows, loaded = r.stdout.splitlines()
+        assert [json.loads(row)["status"] for row in rows] == ["pass"]
+        assert loaded == "False"
 
     def test_all_catalog_order_and_clamp(self):
-        r = run_cli("verify", "--all", "--n", "2", env={"GROTHPOLY_WORKERS": "2"})
+        r = run_cli("verify", "--all", "--n", "2")
         assert r.returncode == 0
         rows = [json.loads(line) for line in r.stdout.splitlines()]
         ids = [row["id"] for row in rows]
@@ -713,27 +711,6 @@ class TestProcessExit:
         assert r.stderr == b""
         assert cli.main(argv) == 0
         assert r.stdout == capsys.readouterr().out.encode()
-
-    def test_worker_pool_leaves_no_process_behind(self):
-        # the child leads a new process group, which its pool workers join;
-        # once it has exited, signal 0 to the group finds no one left
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "grothpoly", "verify", "closed_forms", "dominant", "--n", "3"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=cli_env({"GROTHPOLY_WORKERS": "2"}),
-            start_new_session=True,
-        )
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err
-        rows = [json.loads(line) for line in out.splitlines()]
-        assert [(row["id"], row["status"]) for row in rows] == [
-            ("closed_forms", "pass"),
-            ("dominant", "pass"),
-        ]
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
 
     def test_unwritable_stdout_exits_as_before(self):
         # the flush in run fails, so run falls back to sys.exit and the
