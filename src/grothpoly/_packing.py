@@ -156,19 +156,38 @@ def kind_degree(mono: int, kind: str) -> int:
     return total
 
 
-def adjacent_pair(kind: str, i: int) -> tuple[int, int, int, int]:
-    """(shift_i, shift_{i+1}, unit_i, unit_{i+1}) for a transposition site.
-
-    Only the x and y alphabets are ever acted on by operators.
-    """
+def _adjacent_pair(kind: str, i: int) -> tuple[int, int, int, int]:
     if kind not in ("x", "y"):
         raise ValueError(f"operators act on x or y, not {kind!r}")
     vi, vj = Var(kind, i), Var(kind, i + 1)
     return shift(vi), shift(vj), unit(vi), unit(vj)
 
 
+# every transposition site an operator can act on: (kind, i) for i < N_MAX
+_ADJACENT = {(kind, i): _adjacent_pair(kind, i) for kind in "xy" for i in range(1, N_MAX)}
+
+
+def adjacent_pair(kind: str, i: int) -> tuple[int, int, int, int]:
+    """(shift_i, shift_{i+1}, unit_i, unit_{i+1}) for a transposition site.
+
+    Only the x and y alphabets are ever acted on by operators.  The 14
+    sites are read from a table; any other (kind, i) raises ValueError.
+    """
+    pair = _ADJACENT.get((kind, i))
+    return _adjacent_pair(kind, i) if pair is None else pair
+
+
 def mono_divides(d: int, m: int) -> bool:
-    """Field-wise <= test: does monomial d divide monomial m."""
+    """Field-wise <= test: does monomial d divide monomial m.
+
+    When no field of either has its top bit set, one subtraction decides
+    all 33 fields: setting every top bit of m makes each field of
+    (m | TOP_BITS) - d equal to m_i + 2**15 - d_i, which is positive, so
+    no field borrows from the next, and its top bit survives exactly when
+    d_i <= m_i.  Otherwise the fields are compared one by one.
+    """
+    if not (d | m) & TOP_BITS:
+        return ((m | TOP_BITS) - d) & TOP_BITS == TOP_BITS
     for s in range(NUM_SLOTS):
         sh = s * FIELD_BITS
         if (d >> sh) & FIELD_MASK > (m >> sh) & FIELD_MASK:

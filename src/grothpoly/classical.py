@@ -16,8 +16,9 @@ whole tables; family_member asks it for one, which is one operator chain.
 from __future__ import annotations
 
 import itertools
-import random
+import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import reduce
 from types import MappingProxyType
 
 from . import _termkernel_py as kernel
@@ -25,7 +26,10 @@ from ._packing import (
     BETA,
     FIELD_MASK,
     MASK_B,
+    MASK_Q,
     MASK_X,
+    MASK_Y,
+    MASK_Z,
     N_MAX,
     TOP_BITS,
     XDEG_SHIFT,
@@ -245,6 +249,11 @@ def eta(f: MultiPoly) -> MultiPoly:
     return f.set_zero("x")
 
 
+def _used(f: MultiPoly) -> int:
+    """OR of f's monomials: a field is nonzero in it iff its variable occurs in f."""
+    return reduce(operator.or_, f._t, 0)
+
+
 _MU_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
 
@@ -255,9 +264,8 @@ def pairing0(f: MultiPoly, g: MultiPoly, n: int) -> MultiPoly:
     eta . pi_{w_0} on each x-monomial is computed once and reused: much
     faster on big tables than applying pi_{w_0} to the whole product.
     """
-    for p in (f, g):
-        if p.uses_kind("y") or p.uses_kind("z") or p.uses_kind("q"):
-            raise ValueError("pairing0 expects polynomials in x and beta only")
+    if (_used(f) | _used(g)) & (MASK_Y | MASK_Z | MASK_Q):
+        raise ValueError("pairing0 expects polynomials in x and beta only")
     prod = f * g
     acc: dict[int, int] = {}
     w0 = longest(n)
@@ -494,9 +502,20 @@ def _cancel_common(f: MultiPoly, g: MultiPoly, n: int) -> tuple[MultiPoly, Multi
     x_i = eps * y_u(i), after any permute_y, it maps to a product of
     factors 1 +- b y_j, nonzero in the domain Z[b][y].  So f p = g q holds
     at a point iff f' p = g' q does: cancelling keeps every verdict.
+
+    Only the v that occur, with b, in both f and g are tried.  A binomial
+    in a variable a side lacks cannot divide it: if h != 0 and h_k v^k is
+    the part of h of top degree k in v, then (1 + c b v) h has the nonzero
+    part c b v^(k+1) h_k of degree k + 1 in v, so b and v both occur in it.
     """
     if f and g:
+        uf, ug = _used(f), _used(g)
+        if not (uf & MASK_B and ug & MASK_B):
+            return f, g
         for v in (*_xvars(1, n), *_yvars(1, n)):
+            sh = shift(v)
+            if not ((uf >> sh) & FIELD_MASK and (ug >> sh) & FIELD_MASK):
+                continue
             for c in (1, -1):
                 d = MultiPoly._raw({0: 1, unit(BETA) + unit(v): c})
                 while True:
@@ -633,13 +652,17 @@ def _cauchy_product(n: int) -> MultiPoly:
     return p
 
 
-def _cauchy_numerator(h: MultiPoly, dens: Sequence[int]) -> MultiPoly:
+def _cauchy_numerator(
+    h: MultiPoly, dens: Sequence[int], memo: dict[tuple[int, ...], MultiPoly] | None = None
+) -> MultiPoly:
     """h(x, y') * prod_i (1 - b z_i)^(d_i) with y'_i = -z_i / (1 - b z_i), a
     polynomial.
 
     y'_i is the inverse of z_i in the b-deformed group law, so a term
     c * y^e becomes c * prod_i (-z_i)^(e_i) * (1 - b z_i)^(d_i - e_i).  Only
     y_1..y_len(dens) are replaced; an e_i above d_i raises ValueError.
+    memo maps each exponent tuple e to its cleared factor; callers with the
+    same dens may share one.
     """
     units = [unit(Var("y", i)) for i in range(1, len(dens) + 1)]
     shifts = [shift(Var("y", i)) for i in range(1, len(dens) + 1)]
@@ -648,16 +671,17 @@ def _cauchy_numerator(h: MultiPoly, dens: Sequence[int]) -> MultiPoly:
         key = tuple((m >> sh) & FIELD_MASK for sh in shifts)
         stripped = m - sum(e * u for e, u in zip(key, units))
         groups.setdefault(key, {})[stripped] = c
-    factors: dict[tuple[int, int], MultiPoly] = {}
+    if memo is None:
+        memo = {}
 
     def cleared(key: tuple[int, ...]) -> MultiPoly:
-        p = one()
-        for i, e in enumerate(key):
-            f = factors.get((i, e))
-            if f is None:
+        p = memo.get(key)
+        if p is None:
+            p = one()
+            for i, e in enumerate(key):
                 z = zvar(i + 1)
-                f = factors[(i, e)] = (-z) ** e * (one() - beta() * z) ** (dens[i] - e)
-            p = p * f
+                p = p * (-z) ** e * (one() - beta() * z) ** (dens[i] - e)
+            memo[key] = p
         return p
 
     return dot((cleared(key), MultiPoly._raw(terms)) for key, terms in groups.items())
@@ -686,13 +710,14 @@ def _cauchy_sum(
     side = gt if cleared == "G" else ht
     dens = [max(p.max_exponent(Var("y", i)) for p in side.values()) for i in range(1, n + 1)]
     pairs = []
+    memo: dict[tuple[int, ...], MultiPoly] = {}
     for w in all_perms(n):
         h, g = ht[w], gt[w * w0]
         if cleared == "G":
-            pairs.append((h.relabel(_SWAP_YZ), _cauchy_numerator(g, dens).relabel(SWAP_XY)))
+            pairs.append((h.relabel(_SWAP_YZ), _cauchy_numerator(g, dens, memo).relabel(SWAP_XY)))
         else:
-            pairs.append((_cauchy_numerator(h, dens), g.relabel(_RECAST_YZ)))
-    return dot(pairs), _cauchy_numerator(one(), dens)
+            pairs.append((_cauchy_numerator(h, dens, memo), g.relabel(_RECAST_YZ)))
+    return dot(pairs), _cauchy_numerator(one(), dens, memo)
 
 
 def _cauchy_mismatch(
@@ -820,7 +845,11 @@ def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, 
     def failures(at, pending):
         lg = {w: at(p) for w, p in parts.items()}
         for w, _, r, d, expansion in pending:
-            yield at(r) * lg[w] != at(d) * dot((lg[v], c) for v, c in expansion)
+            gw, monk = lg[w], dot((lg[v], c) for v, c in expansion)
+            # G_w and its Monk sum both 0 at u make both sides 0 there, so
+            # the case holds at u whatever R_k and D_k come to; the values
+            # are computed, so no vanishing theorem is assumed
+            yield bool(gw or monk) and at(r) * gw != at(d) * monk
 
     def payload(ctx: NormalFormContext, case: tuple) -> dict:
         w, k = case[:2]
@@ -890,8 +919,9 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
         lg, lh = ({v: at(p) for v, p in table.items()} for table in parts)
         # H_id and omega(G_id) cut by the binomials they share at u
         hid, gid = _cancel_common(lh[e], lg[e], n)
+        signed = {1: gid, -1: -gid}
         for v, sign in pending:
-            yield lg[v] * hid != lh[v] * sign * gid
+            yield lg[v] * hid != lh[v] * signed[sign]
 
     def payload(ctx: NormalFormContext, case: tuple[Permutation, int]) -> dict:
         v, sign = case

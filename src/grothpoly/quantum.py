@@ -18,7 +18,6 @@ alphabet, registered in classical.TOWERS and built by family_table.
 
 from __future__ import annotations
 
-import random
 from functools import cache
 
 from ._packing import BETA, N_MAX, Var, exponent, kind_degree, unit, unpack

@@ -9,7 +9,6 @@ quantum module imports the classical one.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import namedtuple
 from collections.abc import Callable
@@ -97,6 +96,8 @@ def check_caps(check_id: str, n: int, force: bool = False) -> None:
 
 def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
     """Run one registered check at rank n; ranks above the default cap need force."""
+    import random  # not at module level: only a check draws from an rng
+
     check_caps(check_id, n, force)
     rng = random.Random(seed)
     start = time.perf_counter()

@@ -882,12 +882,24 @@ class TestLocalization:
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_check_localizes_at_each_point_once(self, n, monkeypatch):
         # every G (and H, omega(G)) member once per point, plus the R_k and
-        # D_k factors of pieri_double once per (w, k) and point, whatever
-        # ran before in the process
+        # D_k factors of pieri_double once per (w, k) and point where G_w or
+        # its Monk sum is not 0 (both checks pass under the signed ideal),
+        # whatever ran before in the process
         size = len(all_perms(n))
-        expected = {"pieri_double": size * (size + 2 * size * (n - 1)), "involution": 2 * size * size}
-        for family in ("G", "H"):
-            family_table(n, family)
+        gt = family_table(n, "G")
+        monk = {
+            (w, k): dot((gt[v], c) for v, c in monk_expansion(w, k).items())
+            for w in all_perms(n)
+            for k in range(1, n)
+        }
+        live = sum(
+            bool(localize(gt[w], u, -1) or localize(total, u, -1))
+            for (w, _), total in monk.items()
+            for u in all_perms(n)
+        )
+        assert 0 < live < size * size * (n - 1)
+        expected = {"pieri_double": size * size + 2 * live, "involution": 2 * size * size}
+        family_table(n, "H")
         calls = []
         at_point = classical._at_point
 
@@ -926,6 +938,11 @@ class TestLocalization:
         # omega(G_id) and omega(G_(1,3,2)) made 0 at the first unsigned point:
         # v = (1, 3, 2) holds there and fails later, v = (2, 1, 3) fails there
         ("G", [(1, 2, 3), (1, 3, 2)], lambda p, t: p - omega(localize(omega(p, 3), identity(3), 1), 3)),
+        # G_(1,3,2) = G_{s_2} made 0: it is 0 at every point while its Monk
+        # sum for k = 1 is not, so (1, 3, 2), k = 1 fails only where G_w is
+        # 0; a scan that skipped every case with G_w 0 would report k = 2 of
+        # (2, 1, 3)
+        ("G", [(1, 3, 2)], lambda p, t: zero()),
     ],
     ids=[
         "G_id-binomial",
@@ -940,6 +957,7 @@ class TestLocalization:
         "H_w0-y1-binomial",
         "G_132-and-G_213-plus-x1-y1",
         "G_id-and-G_132-zero-at-the-first-unsigned-point",
+        "G_132-zero",
     ],
 )
 def test_forced_failures_print_the_reduce_payloads(table, ws, perturb, monkeypatch):
@@ -992,6 +1010,42 @@ def test_cancel_common_divides_out_every_shared_binomial(n, rng):
         assert f2 * g == g2 * f
         assert _divides(shared, divexact(f, f2))
         assert not [d for d in binomials if _divides(d, f2) and _divides(d, g2)]
+
+
+def _cancel_common_untrimmed(f: MultiPoly, g: MultiPoly, n: int) -> tuple[MultiPoly, MultiPoly]:
+    """_cancel_common trying every binomial, whatever f and g hold."""
+    if f and g:
+        for d in _binomials(n):
+            while _divides(d, f) and _divides(d, g):
+                f, g = divexact(f, d), divexact(g, d)
+    return f, g
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cancel_common_matches_trying_every_binomial(n, rng):
+    # one side lacks b, or a variable the other side's binomials hold, so
+    # _cancel_common tries fewer binomials than the untrimmed loop
+    binomials = _binomials(n)
+    variables = [*(Var("x", i) for i in range(1, n + 1)), *(Var("y", i) for i in range(1, n + 1))]
+
+    def binomial_product(count: int) -> MultiPoly:
+        return prod((rng.choice(binomials) ** rng.randint(1, 2) for _ in range(count)), start=one())
+
+    for trial in range(12):
+        shared = binomial_product(2)
+        f = _random_xy_poly(rng, n, terms=3) * shared * binomial_product(2)
+        g = _random_xy_poly(rng, n, terms=3) * shared * binomial_product(2)
+        if trial % 3:
+            g = g.specialize({rng.choice(variables): 0})
+        else:
+            g = g.set_zero("b")
+        for a, c in ((f, g), (g, f)):
+            assert _cancel_common(a, c, n) == _cancel_common_untrimmed(a, c, n)
+    # x1 occurs to the powers 0, 1 in f and 2, 4 in g: each occurs, though
+    # the OR of f's x1 exponents and that of g's share no bit
+    d = one() + beta() * xvar(1)
+    rest = xvar(1) ** 2 - beta() * xvar(1) ** 3
+    assert _cancel_common(d * yvar(1), d * rest, n) == (yvar(1), rest)
 
 
 def test_cancel_common_returns_a_zero_side_unchanged(monkeypatch):

@@ -684,11 +684,13 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert not served & {"dataclasses", "inspect", *unused}
 
     # typing, with the re, enum and contextlib it loads, costs a fresh
-    # process several ms.  Site packages may import it first, which hides it
-    # above, so this child starts without site (-S).
+    # process several ms, and random (with math, bisect and _sha512) a few
+    # more; only a verify check draws from an rng.  Site packages may import
+    # them first, which hides them above, so this child starts without
+    # site (-S).
     served = modules(serve, "-S")
     assert "grothpoly.cli" in served
-    assert not served & {"typing", "re", "enum", "contextlib"}
+    assert not served & {"typing", "re", "enum", "contextlib", "random"}
 
     # the paths that do write JSON still write it
     assert_refused(run_cli("compute", "--family", "G", "--n", "3", "--word", "11"))

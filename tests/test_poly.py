@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly._packing import BETA, N_MAX, Var, pack
+from grothpoly._packing import BETA, FIELD_BITS, FIELD_MASK, N_MAX, NUM_SLOTS, Var, mono_divides, pack
 from grothpoly.poly import MultiPoly, beta, dot, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,28 @@ def test_pack_refuses_x_degree_past_the_field():
         MultiPoly({Var("x", 1): 40000, Var("x", 2): 30000})
     m = pack({Var("x", 1): 40000, Var("x", 2): 25535})  # x-degree exactly FIELD_MASK
     assert MultiPoly._raw({m: 1}) == xvar(1) ** 40000 * xvar(2) ** 25535
+
+
+# every field near 0, where divisibility is likely, or anywhere below
+# its top bit (mono_divides' one subtraction) or up to FIELD_MASK (a top
+# bit sends it to its field loop)
+_FIELDS = st.sampled_from([FIELD_MASK >> 1, FIELD_MASK]).flatmap(
+    lambda top: st.lists(
+        st.one_of(st.integers(0, 3), st.integers(0, top)), min_size=NUM_SLOTS, max_size=NUM_SLOTS
+    )
+)
+
+
+def _packed(fields: list[int]) -> int:
+    return sum(e << s * FIELD_BITS for s, e in enumerate(fields))
+
+
+@given(m=_FIELDS, free=_FIELDS, clip=st.lists(st.booleans(), min_size=NUM_SLOTS, max_size=NUM_SLOTS))
+def test_mono_divides_compares_every_field(m, free, clip):
+    # a clipped field of d is at most m's, so d often divides m
+    d = [min(a, b) if c else a for a, b, c in zip(free, m, clip)]
+    assert mono_divides(_packed(d), _packed(m)) == all(a <= b for a, b in zip(d, m))
+    assert mono_divides(_packed(m), _packed(d)) == all(b <= a for a, b in zip(d, m))
 
 
 def test_empty_monomial_is_one():
