@@ -141,10 +141,6 @@ def unpack(mono: int) -> dict[Var, int]:
     return out
 
 
-def has_kind(mono: int, kind: str) -> bool:
-    return bool(mono & _KIND_MASKS[kind])
-
-
 def kind_degree(mono: int, kind: str) -> int:
     """Total degree of the monomial in one alphabet."""
     if kind == "x":

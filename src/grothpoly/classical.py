@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import reduce
+from functools import cache, reduce
 from types import MappingProxyType
 
 from . import _termkernel_py as kernel
@@ -49,7 +49,7 @@ from .perms import (
     longest,
     transposition,
 )
-from .poly import MultiPoly, beta, const, dot, one, xvar, yvar, zero, zvar
+from .poly import MultiPoly, beta, const, dot, one, relabel_moves, xvar, yvar, zero, zvar
 from .report import check, check_rank
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def expand_dual_basis(f: MultiPoly, n: int) -> dict[Permutation, MultiPoly]:
     operators on x_1..x_n would treat as a scalar.
     """
     check_rank(n)
-    if f.uses_kind("y") or f.uses_kind("z") or f.uses_kind("q"):
+    if _used(f) & (MASK_Y | MASK_Z | MASK_Q):
         raise ValueError("expand_dual_basis expects polynomials in x and beta only")
     if any(f.max_exponent(Var("x", i)) for i in range(n + 1, N_MAX + 1)):
         raise ValueError(f"an x past x{n} is outside the staircase span")
@@ -468,7 +468,7 @@ def _at_point(
     for xp, rest in parts:
         image = images.get(xp)
         if image is None:
-            exps = [((xp >> _X_SHIFTS[i]) & FIELD_MASK, _Y_UNITS[j]) for i, j in enumerate(u.oneline)]
+            exps = [((xp >> _X_SHIFTS[i]) & FIELD_MASK, _Y_UNITS[j]) for i, j in enumerate(u)]
             xdeg = xp >> XDEG_SHIFT
             if sum(e for e, _ in exps) != xdeg:
                 raise ValueError(f"an x past x{u.n} has no point to go to")
@@ -593,11 +593,18 @@ def monk_expansion(w: Permutation, k: int) -> dict[Permutation, MultiPoly]:
     admits extra permutations whose terms do not cancel; the constrained
     form is the one the product actually satisfies (cross-checked against
     dual-basis expansion coefficients through rank 4).  Raises ValueError
-    unless 1 <= k <= n - 1.
+    unless 1 <= k <= n - 1.  The chains are walked once per (w, k); each
+    call returns a new dict.
     """
     n = w.n
     if not 1 <= k < n:
         raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
+    return dict(_monk_terms(w, k))
+
+
+@cache
+def _monk_terms(w: Permutation, k: int) -> tuple[tuple[Permutation, MultiPoly], ...]:
+    n = w.n
     pairs = sorted(
         ((b, -a) for a in range(1, k + 1) for b in range(k + 1, n + 1)), reverse=True
     )
@@ -614,7 +621,7 @@ def monk_expansion(w: Permutation, k: int) -> dict[Permutation, MultiPoly]:
                 rec(nxt, i + 1, steps + 1)
 
     rec(w, 0, 0)
-    return out
+    return tuple(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -624,18 +631,32 @@ def monk_expansion(w: Permutation, k: int) -> dict[Permutation, MultiPoly]:
 
 def omega(f: MultiPoly, n: int) -> MultiPoly:
     """Reverse both alphabets: x_i -> x_{n+1-i} and y_i -> y_{n+1-i}."""
-    return f.relabel({Var(k, i): Var(k, n + 1 - i) for k in "xy" for i in range(1, n + 1)})
+    return f._moved(_omega_moves(n))
+
+
+@cache
+def _omega_moves(n: int) -> tuple[tuple[int, int], ...]:
+    return relabel_moves({Var(k, i): Var(k, n + 1 - i) for k in "xy" for i in range(1, n + 1)})
 
 
 def permute_y(f: MultiPoly, w: Permutation) -> MultiPoly:
     """y_i -> y_{w(i)}."""
-    return f.relabel({Var("y", i): Var("y", w(i)) for i in range(1, w.n + 1)})
+    return f._moved(_permute_y_moves(w))
 
 
-# f(x, y) -> f(y, x), f(x, y) -> f(y, z), and f(x, y) -> f(x, z)
+@cache
+def _permute_y_moves(w: Permutation) -> tuple[tuple[int, int], ...]:
+    return relabel_moves({Var("y", i): Var("y", w(i)) for i in range(1, w.n + 1)})
+
+
+# f(x, y) -> f(y, x), f(x, y) -> f(y, z), and f(x, y) -> f(x, z), as
+# mappings for relabel and as the moves they make
 SWAP_XY = {Var(a, i): Var(b, i) for a, b in ("xy", "yx") for i in range(1, N_MAX + 1)}
 _RECAST_YZ = {Var(a, i): Var(b, i) for a, b in ("xy", "yz", "zx") for i in range(1, N_MAX + 1)}
 _SWAP_YZ = {Var(a, i): Var(b, i) for a, b in ("yz", "zy") for i in range(1, N_MAX + 1)}
+SWAP_XY_MOVES = relabel_moves(SWAP_XY)
+_RECAST_YZ_MOVES = relabel_moves(_RECAST_YZ)
+_SWAP_YZ_MOVES = relabel_moves(_SWAP_YZ)
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +735,10 @@ def _cauchy_sum(
     for w in all_perms(n):
         h, g = ht[w], gt[w * w0]
         if cleared == "G":
-            pairs.append((h.relabel(_SWAP_YZ), _cauchy_numerator(g, dens, memo).relabel(SWAP_XY)))
+            numerator = _cauchy_numerator(g, dens, memo)
+            pairs.append((h._moved(_SWAP_YZ_MOVES), numerator._moved(SWAP_XY_MOVES)))
         else:
-            pairs.append((_cauchy_numerator(h, dens, memo), g.relabel(_RECAST_YZ)))
+            pairs.append((_cauchy_numerator(h, dens, memo), g._moved(_RECAST_YZ_MOVES)))
     return dot(pairs), _cauchy_numerator(one(), dens, memo)
 
 
@@ -885,7 +907,7 @@ def _check_interpolation(n: int, rng: random.Random) -> tuple[bool, dict | None,
     # R_m = sum_w H_w(x, -y) pi_w(y^m) built once per monomial
     basis = {}
     for m in _staircase_packed(n):
-        tower = _descent_tower(MultiPoly._raw({m: 1}).relabel(SWAP_XY), PI_PLUS, "y", n)
+        tower = _descent_tower(MultiPoly._raw({m: 1})._moved(SWAP_XY_MOVES), PI_PLUS, "y", n)
         basis[m] = dot((hneg[w], tower[w]) for w in all_perms(n))._t
     for trial in range(samples):
         f = _random_quotient_poly(n, rng)
@@ -992,7 +1014,7 @@ def _check_duality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict 
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     for w in all_perms(n):
-        expect = gt[w.inverse()].negate_vars("b").relabel(SWAP_XY)
+        expect = gt[w.inverse()].negate_vars("b")._moved(SWAP_XY_MOVES)
         if ht[w] != expect:
             return (
                 False,

@@ -14,47 +14,57 @@ left to right:
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import cache
 from itertools import permutations as _itertools_perms
 
 
-class Permutation:
-    __slots__ = ("oneline",)
+class Permutation(tuple):
+    """A permutation of 1..n as the tuple of its one-line notation.
 
-    def __init__(self, oneline: Iterable[int]):
+    Construction checks that the entries are 1..n in some order.  Being a
+    tuple, it hashes, compares and sorts as its one-line tuple, in C, and
+    compares equal to it: Permutation([2, 1]) == (2, 1).  Products,
+    inverses and the other derived permutations skip the check through
+    _new, since they are permutations by construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, oneline: Iterable[int]) -> "Permutation":
         w = tuple(oneline)
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
-        self.oneline = w
+        return tuple.__new__(cls, w)
+
+    @property
+    def oneline(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.oneline)
+        return len(self)
 
     def __call__(self, i: int) -> int:
-        return self.oneline[i - 1]
+        return self[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
+        if len(self) != len(other):
             raise ValueError("rank mismatch")
-        return Permutation(tuple(self.oneline[v - 1] for v in other.oneline))
+        # (0,) + self reads self 1-based, so each entry is one C-level lookup
+        return _new(map(((0,) + self).__getitem__, other))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for pos, v in enumerate(self.oneline, start=1):
-            inv[v - 1] = pos
-        return Permutation(inv)
+        # the positions 1..n ordered by the value self holds there
+        return _new(sorted(range(1, len(self) + 1), key=((0,) + self).__getitem__))
 
+    @cache
     def length(self) -> int:
-        """Number of inversions."""
-        w = self.oneline
-        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+        """Number of inversions, memoised per permutation."""
+        return sum(a > b for i, a in enumerate(self) for b in self[i + 1 :])
 
     def code(self) -> tuple[int, ...]:
         """c_i = #{j > i : w(j) < w(i)}; sums to the length."""
-        w = self.oneline
-        return tuple(
-            sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w))
-        )
+        return tuple(sum(b < a for b in self[i + 1 :]) for i, a in enumerate(self))
 
     def is_dominant(self) -> bool:
         """Weakly decreasing code."""
@@ -62,52 +72,49 @@ class Permutation:
         return all(c[i] >= c[i + 1] for i in range(len(c) - 1))
 
     def right_descents(self) -> list[int]:
-        w = self.oneline
-        return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
+        return [i for i in range(1, len(self)) if self[i - 1] > self[i]]
 
     def left_descents(self) -> list[int]:
         return self.inverse().right_descents()
 
     def times_s(self, i: int) -> "Permutation":
         """Right multiply by s_i: swap positions i, i+1."""
-        w = list(self.oneline)
+        w = list(self)
         w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(w)
+        return _new(w)
 
     def s_times(self, i: int) -> "Permutation":
         """Left multiply by s_i: swap the values i, i+1."""
-        swap = {i: i + 1, i + 1: i}
-        return Permutation(tuple(swap.get(v, v) for v in self.oneline))
+        w = list(self)
+        a, b = w.index(i), w.index(i + 1)
+        w[a], w[b] = i + 1, i
+        return _new(w)
 
     def embed(self, m: int) -> "Permutation":
         """Image under the standard inclusion fixing n+1..m."""
-        if m < self.n:
+        if m < len(self):
             raise ValueError("cannot embed into smaller rank")
-        return Permutation(self.oneline + tuple(range(self.n + 1, m + 1)))
+        return _new(self + tuple(range(len(self) + 1, m + 1)))
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.oneline, start=1))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.oneline == other.oneline
-
-    def __hash__(self) -> int:
-        return hash(self.oneline)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.oneline < other.oneline
+        return not self.length()
 
     def __repr__(self) -> str:
-        return f"Permutation({list(self.oneline)})"
+        return f"Permutation({list(self)})"
+
+
+def _new(entries: Iterable[int]) -> Permutation:
+    """A Permutation of entries known to be a permutation: no check."""
+    return tuple.__new__(Permutation, entries)
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(range(1, n + 1))
+    return _new(range(1, n + 1))
 
 
 def longest(n: int) -> Permutation:
     """The order-reversing permutation, the unique one of maximal length."""
-    return Permutation(range(n, 0, -1))
+    return _new(range(n, 0, -1))
 
 
 def transposition(i: int, j: int, n: int) -> Permutation:
@@ -115,7 +122,7 @@ def transposition(i: int, j: int, n: int) -> Permutation:
         raise ValueError("need 1 <= i < j <= n")
     w = list(range(1, n + 1))
     w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    return Permutation(w)
+    return _new(w)
 
 
 def from_word(word: Iterable[int], n: int) -> Permutation:
@@ -127,13 +134,26 @@ def from_word(word: Iterable[int], n: int) -> Permutation:
     return w
 
 
+@cache
+def _all_perms(n: int) -> tuple[Permutation, ...]:
+    return tuple(map(_new, _itertools_perms(range(1, n + 1))))
+
+
+@cache
+def _by_length(n: int) -> tuple[Permutation, ...]:
+    return tuple(sorted(_all_perms(n), key=lambda w: (w.length(), w)))
+
+
 def all_perms(n: int) -> list[Permutation]:
-    return [Permutation(p) for p in _itertools_perms(range(1, n + 1))]
+    """All of S_n in lexicographic one-line order: a new list each call,
+    copied from one tuple built once per rank."""
+    return list(_all_perms(n))
 
 
 def by_length(n: int) -> list[Permutation]:
-    """All of S_n sorted by (length, one-line), the table order."""
-    return sorted(all_perms(n), key=lambda w: (w.length(), w.oneline))
+    """All of S_n sorted by (length, one-line), the table order: a new
+    list each call, copied from one tuple built once per rank."""
+    return list(_by_length(n))
 
 
 def first_reduced_word(w: Permutation) -> tuple[int, ...]:
@@ -169,14 +189,13 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     u <= v iff for every (i, j) the count #{k <= i : u(k) >= j} is at most
     the same count for v.
     """
-    if u.n != v.n:
+    if len(u) != len(v):
         raise ValueError("rank mismatch")
-    n = u.n
-    for j in range(1, n + 1):
+    for j in range(1, len(u) + 1):
         cu = cv = 0
-        for i in range(1, n + 1):
-            cu += u(i) >= j
-            cv += v(i) >= j
+        for a, b in zip(u, v):
+            cu += a >= j
+            cv += b >= j
             if cu > cv:
                 return False
     return True

@@ -33,7 +33,6 @@ from ._packing import (
     TOP_BITS,
     XDEG_SHIFT,
     Var,
-    has_kind,
     kind_degree,
     kind_mask,
     pack,
@@ -216,7 +215,7 @@ class MultiPoly:
         return max((m >> sh) & FIELD_MASK for m in self._t)
 
     def uses_kind(self, kind: str) -> bool:
-        return any(has_kind(m, kind) for m in self._t)
+        return bool(reduce(operator.or_, self._t, 0) & kind_mask(kind))
 
     def constant_term(self) -> int:
         return self._t.get(0, 0)
@@ -319,24 +318,28 @@ class MultiPoly:
 
     def relabel(self, mapping: Mapping[Var, Var]) -> "MultiPoly":
         """Rename variables along a permutation of the mapping's keys:
-        x_i <-> y_i, or a reordering of one alphabet's indices, say.
-
-        Each exponent e of a source moves by e * (unit(dst) - unit(src)),
-        which keeps the x-degree field right across alphabets.
-        """
+        x_i <-> y_i, or a reordering of one alphabet's indices, say."""
         if sorted(mapping.values()) != sorted(mapping):
             raise ValueError("relabelling must be a permutation of its keys")
-        moves = [(shift(src), unit(dst) - unit(src)) for src, dst in mapping.items() if src != dst]
+        return self._moved(relabel_moves(mapping))
+
+    def _moved(self, moves: Iterable[tuple[int, int]]) -> "MultiPoly":
+        """relabel along relabel_moves of a permutation of variables,
+        which is not checked.  Moves whose source no term holds are
+        skipped; an x-degree pushed past its field raises ValueError."""
+        t = self._t
+        used = reduce(operator.or_, t, 0)
+        moves = [(sh, step) for sh, step in moves if (used >> sh) & FIELD_MASK]
         out: dict[int, int] = {}
-        for m, c in self._t.items():
+        for m, c in t.items():
             k = m
             for sh, step in moves:
                 e = (m >> sh) & FIELD_MASK
                 if e:
                     k += e * step
-            if k >> XDEG_SHIFT > FIELD_MASK:
-                raise ValueError(f"x-degree {k >> XDEG_SHIFT} would pass {FIELD_MASK}")
             out[k] = c  # a bijection on monomials: no collisions
+        if out and max(out) >> XDEG_SHIFT > FIELD_MASK:
+            raise ValueError(f"x-degree {max(out) >> XDEG_SHIFT} would pass {FIELD_MASK}")
         return MultiPoly._raw(out)
 
     def split_x(self) -> dict[int, "MultiPoly"]:
@@ -406,6 +409,15 @@ def _coerce(v) -> "MultiPoly":
     if isinstance(v, int):
         return MultiPoly.constant(v)
     return NotImplemented
+
+
+def relabel_moves(mapping: Mapping[Var, Var]) -> tuple[tuple[int, int], ...]:
+    """(shift(src), unit(dst) - unit(src)) for each variable the mapping
+    moves: an exponent e of src moves by e times the unit difference, which
+    keeps the x-degree field right across alphabets.  A renaming applied
+    again and again builds these once and hands them to MultiPoly._moved.
+    """
+    return tuple((shift(src), unit(dst) - unit(src)) for src, dst in mapping.items() if src != dst)
 
 
 def dot(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:

@@ -22,7 +22,7 @@ from functools import cache
 
 from ._packing import BETA, N_MAX, Var, exponent, kind_degree, unit, unpack
 from .classical import (
-    SWAP_XY,
+    SWAP_XY_MOVES,
     TOWERS,
     _cauchy_product,
     _cauchy_mismatch,
@@ -321,7 +321,7 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     else:
         return False, {"part": "beta_weighted", "value": weighted.json_obj()}, None
 
-    swapped = qg_id.negate_vars("b").relabel(SWAP_XY)
+    swapped = qg_id.negate_vars("b")._moved(SWAP_XY_MOVES)
     if qh_id == swapped:
         detail["swap_q"] = "in place"
     else:
@@ -337,18 +337,19 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
 
 
 def _random_x_poly(n: int, rng: random.Random, max_deg: int = 4) -> MultiPoly:
-    p = zero()
+    """Up to 6 random terms c * x^e in x_1..x_n, each of x-degree at most
+    max_deg and c in -3..3; a draw of larger degree is dropped before its
+    coefficient is drawn.  Each monomial is packed as the sum of its
+    exponents times the x units."""
+    units = [unit(Var("x", i)) for i in range(1, n + 1)]
+    terms: dict[int, int] = {}
     for _ in range(rng.randint(1, 6)):
-        mono = one()
-        for i in range(1, n + 1):
-            e = rng.randint(0, max_deg)
-            if e:
-                mono = mono * xvar(i) ** e
-        deg = mono.degree("x")
-        if deg > max_deg:
+        exps = [rng.randint(0, max_deg) for _ in units]
+        if sum(exps) > max_deg:
             continue
-        p = p + mono * rng.randint(-3, 3)
-    return p
+        m = sum(e * u for e, u in zip(exps, units))
+        terms[m] = terms.get(m, 0) + rng.randint(-3, 3)
+    return MultiPoly._raw({m: c for m, c in terms.items() if c})
 
 
 @check("quantization_props", hard=4)

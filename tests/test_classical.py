@@ -19,8 +19,12 @@ from hypothesis import strategies as st
 from grothpoly import classical
 from grothpoly.classical import (
     _RECAST_YZ,
+    _RECAST_YZ_MOVES,
+    _SWAP_YZ,
+    _SWAP_YZ_MOVES,
     IDEALS,
     SWAP_XY,
+    SWAP_XY_MOVES,
     NormalFormContext,
     _cancel_common,
     _cauchy_numerator,
@@ -46,11 +50,12 @@ from grothpoly.classical import (
     monk_expansion,
     omega,
     pairing0,
+    permute_y,
     schubert,
     schubert_double,
     top_class,
 )
-from grothpoly._packing import BETA, Var, exponent, pack, unit
+from grothpoly._packing import BETA, N_MAX, Var, exponent, pack, unit
 from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_perm
 from grothpoly.perms import (
     Permutation,
@@ -468,6 +473,14 @@ class TestPieri:
                         assert c0 == one()
                     else:
                         assert c0 == zero()
+
+    def test_monk_expansion_returns_a_new_dict_each_call(self):
+        w = Permutation((2, 1, 3))
+        first = monk_expansion(w, 1)
+        expect = dict(first)
+        first.clear()
+        again = monk_expansion(w, 1)
+        assert again == expect and again is not first
 
     def test_pieri_targets_rank_bounds(self):
         n = 3
@@ -1177,3 +1190,47 @@ def test_forced_cauchy_and_interpolation_failures_print_the_oracle_payloads(
         if not ok:
             failed.add(check_id)
     assert failed == fails
+
+
+def _random_mixed_poly(rng: random.Random, top: int) -> MultiPoly:
+    """A few terms in x and y up to index top, z, b and q, so a relabel
+    has fixed variables of every kind to leave alone."""
+    pool = [Var(k, i) for k in "xyz" for i in range(1, top + 1)] + [BETA, Var("q", 1), Var("q", 2)]
+    terms = []
+    for _ in range(rng.randint(1, 8)):
+        exps = {v: rng.randint(1, 3) for v in rng.sample(pool, rng.randint(0, 5))}
+        terms.append((exps, rng.randint(-4, 4)))
+    return MultiPoly.from_monomials(terms)
+
+
+class TestRelabelMoves:
+    """omega, permute_y and the swap maps relabel through move lists built
+    once; each must equal relabel with its explicit mapping."""
+
+    def test_omega_matches_relabel_up_to_n_max(self):
+        rng = random.Random(7)
+        for n in range(1, N_MAX + 1):
+            mapping = {Var(k, i): Var(k, n + 1 - i) for k in "xy" for i in range(1, n + 1)}
+            for _ in range(20):
+                f = _random_mixed_poly(rng, N_MAX)
+                assert omega(f, n) == f.relabel(mapping)
+
+    def test_permute_y_matches_relabel_for_every_w(self):
+        rng = random.Random(11)
+        for n in range(1, 6):
+            for w in all_perms(n):
+                mapping = {Var("y", i): Var("y", w(i)) for i in range(1, n + 1)}
+                f = _random_mixed_poly(rng, 6)
+                assert permute_y(f, w) == f.relabel(mapping)
+
+    def test_swap_moves_match_relabel(self):
+        rng = random.Random(13)
+        maps = [(SWAP_XY, SWAP_XY_MOVES), (_SWAP_YZ, _SWAP_YZ_MOVES), (_RECAST_YZ, _RECAST_YZ_MOVES)]
+        for _ in range(50):
+            f = _random_mixed_poly(rng, N_MAX)
+            for mapping, moves in maps:
+                assert f._moved(moves) == f.relabel(mapping)
+
+    def test_moved_refuses_an_x_degree_past_the_field(self):
+        with pytest.raises(ValueError, match="would pass"):
+            (yvar(1) ** 40000 * yvar(2) ** 30000)._moved(SWAP_XY_MOVES)

@@ -186,3 +186,117 @@ class TestBruhat:
             (1, 3, 2),
             (2, 1, 3),
         ]
+
+
+class _Reference:
+    """Permutation as it was before it became a tuple: an object holding
+    its one-line tuple, validated on every construction."""
+
+    __slots__ = ("oneline",)
+
+    def __init__(self, oneline):
+        w = tuple(oneline)
+        if sorted(w) != list(range(1, len(w) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
+        self.oneline = w
+
+    @property
+    def n(self):
+        return len(self.oneline)
+
+    def __call__(self, i):
+        return self.oneline[i - 1]
+
+    def __eq__(self, other):
+        return isinstance(other, _Reference) and self.oneline == other.oneline
+
+    def __hash__(self):
+        return hash(self.oneline)
+
+    def __lt__(self, other):
+        return self.oneline < other.oneline
+
+    def __repr__(self):
+        return f"Permutation({list(self.oneline)})"
+
+
+SMALL = [w for n in range(0, 6) for w in all_perms(n)]
+
+
+class TestTupleSemantics:
+    def test_matches_the_reference_class(self):
+        for w in SMALL:
+            ref = _Reference(w.oneline)
+            assert hash(w) == hash(ref)
+            assert repr(w) == repr(ref) and str(w) == repr(ref)
+            assert w.oneline == ref.oneline and type(w.oneline) is tuple
+            assert w.n == ref.n
+            assert [w(i) for i in range(1, w.n + 1)] == [ref(i) for i in range(1, ref.n + 1)]
+            # a validated tuple: equal to its one-line tuple, and to nothing else
+            assert w == ref.oneline and w == Permutation(ref.oneline)
+            assert w != list(ref.oneline)
+
+    def test_order_and_equality_match_the_reference(self):
+        for n in range(1, 6):
+            perms = all_perms(n)
+            refs = [_Reference(w.oneline) for w in perms]
+            for u, ru in zip(perms, refs):
+                for v, rv in zip(perms, refs):
+                    assert (u < v) == (ru < rv)
+                    assert (u == v) == (ru == rv)
+            assert [w.oneline for w in sorted(perms[::-1])] == [r.oneline for r in sorted(refs[::-1])]
+
+    @pytest.mark.parametrize(
+        "bad", [[1, 1, 2], [0, 1], [2, 3], [1, 2, 2, 4], ["1", "2"], [1.5]], ids=repr
+    )
+    def test_public_constructor_refuses_with_the_same_message(self, bad):
+        with pytest.raises(ValueError) as ref:
+            _Reference(bad)
+        with pytest.raises(ValueError) as got:
+            Permutation(bad)
+        assert str(got.value) == str(ref.value)
+
+    def test_derived_permutations_match_brute_force(self):
+        for n in range(1, 6):
+            for u in all_perms(n):
+                lo = u.oneline
+                inv = u.inverse()
+                assert type(inv) is Permutation
+                assert all(inv(lo[i]) == i + 1 for i in range(n))
+                for i in range(1, n):
+                    swapped = list(lo)
+                    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+                    assert u.times_s(i) == tuple(swapped)
+                    relabelled = [i + 1 if v == i else i if v == i + 1 else v for v in lo]
+                    assert u.s_times(i) == tuple(relabelled)
+                for m in range(n, 7):
+                    assert u.embed(m) == lo + tuple(range(n + 1, m + 1))
+                for v in all_perms(n):
+                    w = u * v
+                    assert type(w) is Permutation
+                    assert w == tuple(lo[v(i) - 1] for i in range(1, n + 1))
+
+    def test_rank_mismatch_and_small_embed_refused(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            identity(3) * identity(4)
+        with pytest.raises(ValueError, match="smaller rank"):
+            identity(3).embed(2)
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        w = Permutation([3, 1, 2])
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and type(back) is Permutation
+
+    def test_per_rank_lists_are_fresh_copies(self):
+        for fn in (all_perms, by_length):
+            first = fn(3)
+            first.reverse()
+            first.append(identity(4))
+            again = fn(3)
+            assert again is not first and len(again) == 6
+            assert again[0] == identity(3)
+        assert all_perms(4) == sorted(all_perms(4))
+        assert by_length(4) == sorted(all_perms(4), key=lambda w: (brute_length(w), w.oneline))
+        assert bruhat_upper(identity(3)) is not bruhat_upper(identity(3))

@@ -21,6 +21,7 @@ from grothpoly.perms import (
 )
 from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero
 from grothpoly.quantum import (
+    _random_x_poly,
     apply_X,
     bold_family,
     eval_at_X,
@@ -279,6 +280,34 @@ class TestBoldFamilies:
         t = family_table(2, "bH")
         want = (one() + beta() * xvar(1)) * (one() + beta() * yvar(1))
         assert t[identity(2)] == want
+
+
+def _random_x_poly_reference(n: int, rng: random.Random, max_deg: int = 4) -> MultiPoly:
+    """The random trial polynomial built by MultiPoly arithmetic, one
+    monomial product and one sum per term."""
+    p = zero()
+    for _ in range(rng.randint(1, 6)):
+        mono = one()
+        for i in range(1, n + 1):
+            e = rng.randint(0, max_deg)
+            if e:
+                mono = mono * xvar(i) ** e
+        if mono.degree("x") > max_deg:
+            continue
+        p = p + mono * rng.randint(-3, 3)
+    return p
+
+
+def test_packed_random_x_poly_matches_the_arithmetic_reference():
+    # same draws in the same order, so every trial of quantization_props
+    # and commuting sees the polynomial it always saw
+    for n in range(2, 6):
+        for max_deg in (3, 4, 5):
+            for seed in range(60):
+                ref_rng, rng = random.Random(seed), random.Random(seed)
+                for _ in range(5):
+                    assert _random_x_poly(n, rng, max_deg) == _random_x_poly_reference(n, ref_rng, max_deg)
+                assert rng.getstate() == ref_rng.getstate()
 
 
 class TestQuantization:
