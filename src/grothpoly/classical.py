@@ -16,9 +16,8 @@ whole tables; family_member asks it for one, which is one operator chain.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import cache, reduce
+from functools import cache
 from types import MappingProxyType
 
 from . import _termkernel_py as kernel
@@ -33,6 +32,7 @@ from ._packing import (
     N_MAX,
     TOP_BITS,
     XDEG_SHIFT,
+    XDEG_UNIT,
     Var,
     mono_divides,
     pack,
@@ -49,7 +49,7 @@ from .perms import (
     longest,
     transposition,
 )
-from .poly import MultiPoly, beta, const, dot, one, relabel_moves, xvar, yvar, zero, zvar
+from .poly import MultiPoly, beta, const, dot, one, or_monomials, relabel_moves, xvar, yvar, zero, zvar
 from .report import check, check_rank
 
 # ---------------------------------------------------------------------------
@@ -249,9 +249,12 @@ def eta(f: MultiPoly) -> MultiPoly:
     return f.set_zero("x")
 
 
-def _used(f: MultiPoly) -> int:
-    """OR of f's monomials: a field is nonzero in it iff its variable occurs in f."""
-    return reduce(operator.or_, f._t, 0)
+def refuse_x_past(used: int, n: int) -> None:
+    """Raise ValueError if used, an OR of monomials, holds an x_k with k > n,
+    which operators on x_1..x_n would treat as a scalar.  The x_k fields
+    sit just below the x-degree field, x_8 highest."""
+    if n < N_MAX and (used & (XDEG_UNIT - 1)) >> shift(Var("x", n + 1)):
+        raise ValueError(f"an x past x{n} is above the rank {n}")
 
 
 _MU_CACHE: dict[tuple[int, int], dict[int, int]] = {}
@@ -263,9 +266,14 @@ def pairing0(f: MultiPoly, g: MultiPoly, n: int) -> MultiPoly:
     Linear in each monomial of the product, so the value of the functional
     eta . pi_{w_0} on each x-monomial is computed once and reused: much
     faster on big tables than applying pi_{w_0} to the whole product.
+    Raises ValueError on a rank below 1, and if f or g holds y, z, q or an
+    x past x_n.
     """
-    if (_used(f) | _used(g)) & (MASK_Y | MASK_Z | MASK_Q):
+    check_rank(n)
+    used = or_monomials(f._t) | or_monomials(g._t)
+    if used & (MASK_Y | MASK_Z | MASK_Q):
         raise ValueError("pairing0 expects polynomials in x and beta only")
+    refuse_x_past(used, n)
     prod = f * g
     acc: dict[int, int] = {}
     w0 = longest(n)
@@ -290,10 +298,10 @@ def expand_dual_basis(f: MultiPoly, n: int) -> dict[Permutation, MultiPoly]:
     operators on x_1..x_n would treat as a scalar.
     """
     check_rank(n)
-    if _used(f) & (MASK_Y | MASK_Z | MASK_Q):
+    used = or_monomials(f._t)
+    if used & (MASK_Y | MASK_Z | MASK_Q):
         raise ValueError("expand_dual_basis expects polynomials in x and beta only")
-    if any(f.max_exponent(Var("x", i)) for i in range(n + 1, N_MAX + 1)):
-        raise ValueError(f"an x past x{n} is outside the staircase span")
+    refuse_x_past(used, n)
     tower = _descent_tower(f, PI_PLUS, "x", n)
     return {w: eta(tower[w]) for w in all_perms(n)}
 
@@ -509,7 +517,7 @@ def _cancel_common(f: MultiPoly, g: MultiPoly, n: int) -> tuple[MultiPoly, Multi
     part c b v^(k+1) h_k of degree k + 1 in v, so b and v both occur in it.
     """
     if f and g:
-        uf, ug = _used(f), _used(g)
+        uf, ug = or_monomials(f._t), or_monomials(g._t)
         if not (uf & MASK_B and ug & MASK_B):
             return f, g
         for v in (*_xvars(1, n), *_yvars(1, n)):

@@ -17,8 +17,8 @@ printed rank-3 tables and enforced by tests:
 * ``apply_word(kind, [a1, ..., ap], f)`` applies the rightmost letter
   first (operator product order), so the word of a permutation and the
   word of its operator agree.
-* ``isobaric`` with sign +1 sends 1 to -b and x_1 to 1; the squares obey
-  pi+^2 = -b pi+ and pi-^2 = +b pi- (measured, and asserted in tests).
+* ``pi+`` sends 1 to -b and x_1 to 1; the squares obey pi+^2 = -b pi+
+  and pi-^2 = +b pi- (measured, and asserted in tests).
 * ``psi+`` = pi+ + b and ``psi-`` = pi- - b obey psi+^2 = b psi+ and
   psi-^2 = -b psi-.  Along a reduced word of u their products are the
   Bruhat-interval sums sum_{v<=u} b^(l(u)-l(v)) pi+_v and
@@ -27,9 +27,9 @@ printed rank-3 tables and enforced by tests:
   1 - T_i along a reduced word of u is sum_{v<=u} (-1)^l(v) T_v.
 
 >>> from .poly import xvar, one
->>> print(divdiff(1, xvar(1) ** 2))
+>>> print(apply_op(DEL, 1, xvar(1) ** 2))
 x1 + x2
->>> print(isobaric(1, one()))
+>>> print(apply_op(PI_PLUS, 1, one()))
 -b
 """
 
@@ -55,25 +55,14 @@ _B_UNIT = unit(BETA)
 
 
 def apply_op(kind: str, i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
-    """The operator of one kind at the adjacent pair (v_i, v_{i+1})."""
+    """The operator of one kind at the adjacent pair (v_i, v_{i+1}); DEL is
+    (f - s_i f) / (v_i - v_{i+1}), computed exactly, where s_i swaps v_i and
+    v_{i+1}."""
     try:
         s, t = _SHIFTS[kind]
     except (KeyError, TypeError):
         raise ValueError(f"unknown operator kind {kind!r}") from None
     return MultiPoly._raw(kernel.divdiff(f._t, *adjacent_pair(alphabet, i), s, t, _B_UNIT))
-
-
-def divdiff(i: int, f: MultiPoly, alphabet: str = "x") -> MultiPoly:
-    """(f - s_i f) / (v_i - v_{i+1}), computed exactly, where s_i swaps v_i
-    and v_{i+1}."""
-    return apply_op(DEL, i, f, alphabet)
-
-
-def isobaric(i: int, f: MultiPoly, alphabet: str = "x", sign: int = 1) -> MultiPoly:
-    """divdiff(i, f) + sign * b * divdiff(i, v_{i+1} * f)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return apply_op(PI_PLUS if sign == 1 else PI_MINUS, i, f, alphabet)
 
 
 def apply_word(

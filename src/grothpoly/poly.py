@@ -45,6 +45,12 @@ _B_UNIT = unit(BETA)
 _B_SHIFT = shift(BETA)
 
 
+def or_monomials(t: Iterable[int]) -> int:
+    """OR of the packed monomials in t: a field is nonzero in it iff its
+    variable occurs in some monomial."""
+    return reduce(operator.or_, t, 0)
+
+
 def _field_maxima(t: dict[int, int]) -> list[int]:
     return [max((m >> (s * FIELD_BITS)) & FIELD_MASK for m in t) for s in range(NUM_SLOTS)]
 
@@ -59,7 +65,7 @@ def _check_product_fields(ta: dict[int, int], tb: dict[int, int]) -> None:
     """
     if not ta or not tb:
         return
-    if not (reduce(operator.or_, ta, 0) | reduce(operator.or_, tb, 0)) & TOP_BITS:
+    if not (or_monomials(ta) | or_monomials(tb)) & TOP_BITS:
         return
     for a, b in zip(_field_maxima(ta), _field_maxima(tb)):
         if a + b > FIELD_MASK:
@@ -215,7 +221,7 @@ class MultiPoly:
         return max((m >> sh) & FIELD_MASK for m in self._t)
 
     def uses_kind(self, kind: str) -> bool:
-        return bool(reduce(operator.or_, self._t, 0) & kind_mask(kind))
+        return bool(or_monomials(self._t) & kind_mask(kind))
 
     def constant_term(self) -> int:
         return self._t.get(0, 0)
@@ -328,7 +334,7 @@ class MultiPoly:
         which is not checked.  Moves whose source no term holds are
         skipped; an x-degree pushed past its field raises ValueError."""
         t = self._t
-        used = reduce(operator.or_, t, 0)
+        used = or_monomials(t)
         moves = [(sh, step) for sh, step in moves if (used >> sh) & FIELD_MASK]
         out: dict[int, int] = {}
         for m, c in t.items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from ._packing import BETA, N_MAX, Var, exponent, kind_degree, unit, unpack
+from ._packing import BETA, N_MAX, XDEG_SHIFT, Var, exponent, unit
 from .classical import (
     SWAP_XY_MOVES,
     TOWERS,
@@ -31,6 +31,7 @@ from .classical import (
     expand_dual_basis,
     family_member,
     family_table,
+    refuse_x_past,
     top_class,
 )
 from .divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_word
@@ -40,15 +41,7 @@ from .perms import (
     identity,
     longest,
 )
-from .poly import (
-    MultiPoly,
-    beta,
-    dot,
-    one,
-    qvar,
-    xvar,
-    zero,
-)
+from .poly import MultiPoly, beta, dot, one, or_monomials, qvar, xvar, zero
 from .report import check
 
 # ---------------------------------------------------------------------------
@@ -107,8 +100,8 @@ def quantum_top(n: int, beta_form: bool = False) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _palindrome(i: int, j: int) -> list[int]:
-    return list(range(i, j)) + list(range(j - 2, i - 1, -1))
+# sum(_Q_UNITS[a:b]) is the packed monomial q_a q_{a+1} ... q_{b-1}
+_Q_UNITS = [0] + [unit(Var("q", t)) for t in range(1, N_MAX)]
 
 
 def apply_X(j: int, f: MultiPoly, n: int) -> MultiPoly:
@@ -121,16 +114,14 @@ def apply_X(j: int, f: MultiPoly, n: int) -> MultiPoly:
     """
     if not 1 <= j <= n:
         raise ValueError(f"X_{j} does not exist at rank {n}")
-    for k in range(n + 1, N_MAX + 1):
-        if f.max_exponent(Var("x", k)):
-            raise ValueError(f"x{k} is above the rank {n}")
+    refuse_x_past(or_monomials(f._t), n)
     pairs = [(xvar(j), f)]
-    for i in range(1, j):
-        q_ij = MultiPoly({Var("q", t): 1 for t in range(i, j)})
-        pairs.append((-q_ij, apply_word(DEL, _palindrome(i, j), f, "x")))
-    for k in range(j + 1, n + 1):
-        q_jk = MultiPoly({Var("q", t): 1 for t in range(j, k)})
-        pairs.append((q_jk, apply_word(DEL, _palindrome(j, k), f, "x")))
+    for i in range(1, n + 1):
+        if i != j:
+            a, b = min(i, j), max(i, j)
+            q_ab = MultiPoly._raw({sum(_Q_UNITS[a:b]): -1 if i < j else 1})
+            word = [*range(a, b), *range(b - 2, a - 1, -1)]
+            pairs.append((q_ab, apply_word(DEL, word, f, "x")))
     return dot(pairs)
 
 
@@ -162,20 +153,20 @@ def quantize(f: MultiPoly, n: int) -> MultiPoly:
     """
     if f.uses_kind("y") or f.uses_kind("z"):
         raise ValueError("quantize expects a polynomial in x, beta and q")
-    quantized = zero()
+    quantized: dict[int, int] = {}
     rem = f
     prev_deg = None
-    while not rem.is_zero():
+    while rem:
         d = rem.degree("x")
         if prev_deg is not None and d >= prev_deg:
             raise AssertionError("quantization failed to reduce degree")
         prev_deg = d
-        for xpart, coeff in rem.split_x().items():
-            if kind_degree(xpart, "x") != d:
-                continue
-            quantized = quantized + coeff * MultiPoly(unpack(xpart))
-            rem = rem - coeff * _x_power_at_one(xpart, n)
-    return quantized
+        # each X^I(1) is x^I plus lower x-degree, so subtracting the image
+        # of the whole top layer strips it at once
+        layer = {m: c for m, c in rem._t.items() if m >> XDEG_SHIFT == d}
+        quantized.update(layer)
+        rem = rem - eval_at_X(MultiPoly._raw(layer), n)
+    return MultiPoly._raw(quantized)
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,20 @@ class TestDualBasis:
             g = _random_xy_poly(rng, n).set_zero("y")
             assert pairing0(f, g, n) == scalar_product(f, g, n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pairing_refuses_an_x_past_the_rank(self, n):
+        # pi_{w_0} at rank n treats x_{n+1}..x_8 as scalars, so x1*x3 at
+        # rank 2 would pair to 0 instead of being refused
+        for k in (n + 1, N_MAX):
+            past = xvar(1) * xvar(k)
+            with pytest.raises(ValueError, match=f"an x past x{n}"):
+                pairing0(past, one(), n)
+            with pytest.raises(ValueError, match=f"an x past x{n}"):
+                pairing0(one(), past, n)
+        # x_n itself is in range
+        f = xvar(n) ** n * xvar(1)
+        assert pairing0(f, one(), n) == scalar_product(f, one(), n)
+
     def test_pairing_adjointness(self, rng):
         # <pi_w f, g> = <f, pi_{w^-1} g> for the quotient pairing
         n = 3
@@ -1106,6 +1120,7 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
             lambda: expand_dual_basis(xvar(1), 0), "rank must be at least 1, got 0", id="expand_dual_basis-rank0"
         ),
         pytest.param(lambda: expand_dual_basis(xvar(3), 2), "an x past x2", id="expand_dual_basis-x3-at-rank2"),
+        pytest.param(lambda: pairing0(one(), one(), 0), "rank must be at least 1, got 0", id="pairing0-rank0"),
     ]
     + [
         pytest.param(

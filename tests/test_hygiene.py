@@ -1,7 +1,7 @@
 """Source hygiene: every name a library module imports is used by it,
 every function the library defines is called from the library, only
-the packing module knows the field layout, and every console script
-names a function of the CLI.
+the packing module knows the field layout, only poly ORs monomials, and
+every console script names a function of the CLI.
 
 ``__init__.py`` is skipped by the import scan, since its imports are the
 package's re-exports.
@@ -85,8 +85,6 @@ KEPT_FOR_TESTS = {
     "from_monomials",
     "monomials",
     "reduced_words",
-    "divdiff",
-    "isobaric",
 }
 
 
@@ -168,6 +166,27 @@ def test_only_packing_defines_the_field_layout():
     ]
     assert found == []
     assert list(_layout_definitions(ast.parse((SRC / "_packing.py").read_text())))
+
+
+def _monomial_ors(tree: ast.Module):
+    """Line numbers of reduce(operator.or_, ...) calls, however reduce and
+    or_ are imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func, op = node.func, node.args[0]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            op_name = op.id if isinstance(op, ast.Name) else getattr(op, "attr", None)
+            if name == "reduce" and op_name == "or_":
+                yield node.lineno
+
+
+def test_only_poly_ors_monomials():
+    """A polynomial's monomials are ORed by poly.or_monomials alone, the one
+    place that knows an OR shows every variable present; the x-support and
+    kind tests are all built on it."""
+    found = {p.name: list(_monomial_ors(ast.parse(p.read_text()))) for p in sorted(SRC.glob("*.py"))}
+    assert len(found.pop("poly.py")) == 1
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_project_scripts_resolve_to_cli_callables():

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from grothpoly._packing import BETA, Var
-from grothpoly.classical import elementary, family_table, top_class
+from grothpoly._packing import BETA, N_MAX, Var, kind_degree, unpack
+from grothpoly.classical import elementary, expand_dual_basis, family_table, pairing0, top_class
+from grothpoly.divdiff import DEL, apply_word
 from grothpoly.perms import (
     all_perms,
     bruhat_upper,
@@ -19,7 +20,7 @@ from grothpoly.perms import (
     identity,
     longest,
 )
-from grothpoly.poly import MultiPoly, beta, one, qvar, xvar, yvar, zero
+from grothpoly.poly import MultiPoly, beta, dot, one, qvar, xvar, yvar, zero
 from grothpoly.quantum import (
     _random_x_poly,
     apply_X,
@@ -310,6 +311,58 @@ def test_packed_random_x_poly_matches_the_arithmetic_reference():
                 assert rng.getstate() == ref_rng.getstate()
 
 
+def _quantize_reference(f: MultiPoly, n: int) -> MultiPoly:
+    """quantize with one subtraction per top-degree x-part."""
+    quantized = zero()
+    rem = f
+    while not rem.is_zero():
+        d = rem.degree("x")
+        for xpart, coeff in rem.split_x().items():
+            if kind_degree(xpart, "x") == d:
+                quantized = quantized + coeff * MultiPoly(unpack(xpart))
+                rem = rem - coeff * eval_at_X(MultiPoly(unpack(xpart)), n)
+    return quantized
+
+
+def _apply_X_reference(j: int, f: MultiPoly, n: int) -> MultiPoly:
+    """apply_X with the i < j and j < k sums as two loops."""
+    pairs = [(xvar(j), f)]
+    for i in range(1, j):
+        q_ij = MultiPoly({Var("q", t): 1 for t in range(i, j)})
+        word = list(range(i, j)) + list(range(j - 2, i - 1, -1))
+        pairs.append((-q_ij, apply_word(DEL, word, f, "x")))
+    for k in range(j + 1, n + 1):
+        q_jk = MultiPoly({Var("q", t): 1 for t in range(j, k)})
+        word = list(range(j, k)) + list(range(k - 2, j - 1, -1))
+        pairs.append((q_jk, apply_word(DEL, word, f, "x")))
+    return dot(pairs)
+
+
+def _random_xbq_poly(rng: random.Random, n: int, max_deg: int = 6) -> MultiPoly:
+    """Up to 5 terms in x_1..x_n of x-degree at most max_deg, each
+    coefficient an integer times a power of b and a q."""
+    items = []
+    for _ in range(rng.randint(1, 5)):
+        exps: dict = {}
+        for _ in range(rng.randint(0, max_deg)):
+            v = Var("x", rng.randint(1, n))
+            exps[v] = exps.get(v, 0) + 1
+        exps[BETA] = rng.randint(0, 2)
+        exps[Var("q", rng.randint(1, N_MAX - 1))] = rng.randint(0, 1)
+        items.append((exps, rng.randint(-3, 3)))
+    return MultiPoly.from_monomials(items)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_x_route_matches_the_per_part_references(n):
+    rng = random.Random(100 + n)
+    for _ in range(6):
+        f = _random_xbq_poly(rng, n)
+        assert quantize(f, n) == _quantize_reference(f, n)
+        for j in range(1, n + 1):
+            assert apply_X(j, f, n) == _apply_X_reference(j, f, n)
+
+
 class TestQuantization:
     def test_x_operator_basics(self):
         f = apply_X(1, apply_X(1, one(), 3), 3)
@@ -345,6 +398,22 @@ class TestQuantization:
         assert fq2 == xvar(1) ** 2 - qvar(1)
 
     def test_x_above_the_rank_is_refused(self):
+        # an x past x_n is refused, not treated as a scalar, by every
+        # function that acts on x_1..x_n
+        for n in range(1, 5):
+            for k in (n + 1, N_MAX):
+                past = xvar(1) * xvar(k)
+                calls = (
+                    lambda: apply_X(1, past, n),
+                    lambda: eval_at_X(past, n),
+                    lambda: quantize(past, n),
+                    lambda: expand_dual_basis(past, n),
+                    lambda: pairing0(past, one(), n),
+                    lambda: pairing0(one(), past, n),
+                )
+                for call in calls:
+                    with pytest.raises(ValueError):
+                        call()
         # X_3 does not exist at rank 2, so neither does an image of x3
         with pytest.raises(ValueError):
             eval_at_X(xvar(3), 2)
