@@ -1003,6 +1003,35 @@ def test_forced_failures_print_the_reduce_payloads(table, ws, perturb, monkeypat
         assert rep.detail == detail, check_id
 
 
+@pytest.mark.parametrize(
+    "check_id, table, w, perturb, counterexample",
+    [
+        ("basis", "Gx", (2, 1, 3), lambda p, t: p + xvar(1) ** 3,
+         '{"w": [2, 1, 3], "reason": "support outside staircase"}'),
+        ("basis", "Gx", (1, 2, 3), lambda p, t: p * (one() + beta()),
+         '{"det": [{"coef": "1", "monomial": {}}, {"coef": "1", "monomial": {"b": 1}}]}'),
+        ("free_module", "Sx", (1, 3, 2), lambda p, t: p + xvar(3),
+         '{"w": [1, 3, 2], "reason": "support outside staircase"}'),
+        # two equal rows
+        ("free_module", "Sx", (2, 1, 3), lambda p, t: t[identity(3)],
+         '{"reason": "determinant vanished at y=0"}'),
+    ],
+    ids=["basis-outside", "basis-det", "free_module-outside", "free_module-det"],
+)
+def test_forced_staircase_failures_print_their_payloads(check_id, table, w, perturb, counterexample, monkeypatch):
+    # no operator-kind swap makes basis or free_module fail, so their two
+    # failure paths are pinned on a perturbed table
+    n = 3
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    members = dict(family_table(n, table))
+    members[Permutation(w)] = perturb(members[Permutation(w)], members)
+    classical._TABLE_CACHE[n, table] = MappingProxyType(members)
+    rep = verify(check_id, n)
+    assert rep.status == "fail"
+    assert json.dumps(rep.counterexample) == counterexample
+    assert rep.detail is None
+
+
 def _binomials(n: int) -> list[MultiPoly]:
     """1 + c b v for v in x_1..x_n, y_1..y_n and c = +-1."""
     variables = [*map(xvar, range(1, n + 1)), *map(yvar, range(1, n + 1))]

@@ -4,14 +4,18 @@ the alternating-sum construction), quantization, and the quantum checkers."""
 
 from __future__ import annotations
 
+import json
 import random
+from types import MappingProxyType
 
 import pytest
 
+from grothpoly import classical, quantum
 from grothpoly._packing import BETA, N_MAX, Var, kind_degree, unpack
 from grothpoly.classical import elementary, expand_dual_basis, family_table, pairing0, top_class
 from grothpoly.divdiff import DEL, apply_word
 from grothpoly.perms import (
+    Permutation,
     all_perms,
     bruhat_upper,
     by_length,
@@ -491,3 +495,38 @@ class TestQuantumCheckers:
             verify("quantum_cauchy", 4)
         rep = verify("quantum_cauchy", 4, force=True)
         assert rep.ok
+
+    # no operator-kind swap makes theorem1, commuting or quantum_stability
+    # fail, so their failure paths are pinned by hand
+
+    def test_forced_theorem1_failure(self, monkeypatch):
+        monkeypatch.setattr(quantum, "top_class", lambda n: top_class(n) + xvar(1))
+        rep = verify("theorem1", 3)
+        assert rep.status == "fail"
+        assert json.dumps(rep.counterexample) == '{"difference": [{"coef": "-1", "monomial": {"x1": 1}}]}'
+        assert rep.detail is None
+
+    def test_forced_commuting_failure(self, monkeypatch):
+        # X_1 followed by multiplication by x2 no longer commutes with X_2
+        monkeypatch.setattr(
+            quantum, "apply_X", lambda j, f, n: apply_X(j, f, n) * (xvar(2) if j == 1 else one())
+        )
+        rep = verify("commuting", 3)
+        assert rep.status == "fail"
+        assert json.dumps(rep.counterexample) == (
+            '{"i": 1, "j": 2, "f": [{"coef": "1", "monomial": {"x1": 3, "x3": 2}}]}'
+        )
+        assert rep.detail is None
+
+    def test_forced_quantum_stability_failure(self, monkeypatch):
+        # qS embeds exactly, and its identity members agree, so the ratio is
+        # 1 and a perturbed member fails both modes
+        monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+        members = dict(family_table(4, "qS"))
+        w = Permutation((2, 1, 3, 4))
+        members[w] = members[w] + xvar(1)
+        classical._TABLE_CACHE[4, "qS"] = MappingProxyType(members)
+        rep = verify("quantum_stability", 3)
+        assert rep.status == "fail"
+        assert json.dumps(rep.counterexample) == '{"family": "qS", "mode": "neither exact nor ratio"}'
+        assert rep.detail is None
