@@ -50,7 +50,7 @@ from .perms import (
     transposition,
 )
 from .poly import MultiPoly, beta, const, dot, one, or_monomials, relabel_moves, xvar, yvar, zero, zvar
-from .report import check, check_rank
+from .report import Counterexample, check, check_rank
 
 # ---------------------------------------------------------------------------
 # symmetric-function helpers
@@ -468,20 +468,17 @@ def _x_parts(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
 def _at_point(
     parts: list[tuple[int, MultiPoly]], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
 ) -> MultiPoly:
-    """The x-parts of _x_parts at the point x_i = eps * y_u(i): each x-part
-    becomes a signed y-monomial, memoised in images (one dict per point,
-    shared by every polynomial localized there), and its rest is added in
-    one addmul."""
+    """The x-parts of _x_parts, all in x_1..x_(u.n), at the point
+    x_i = eps * y_u(i): each x-part becomes a signed y-monomial, memoised
+    in images (one dict per point, shared by every polynomial localized
+    there), and its rest is added in one addmul."""
     out: dict[int, int] = {}
     for xp, rest in parts:
         image = images.get(xp)
         if image is None:
-            exps = [((xp >> _X_SHIFTS[i]) & FIELD_MASK, _Y_UNITS[j]) for i, j in enumerate(u)]
-            xdeg = xp >> XDEG_SHIFT
-            if sum(e for e, _ in exps) != xdeg:
-                raise ValueError(f"an x past x{u.n} has no point to go to")
-            sign = -1 if eps < 0 and xdeg & 1 else 1
-            image = images[xp] = (sum(e * yu for e, yu in exps), sign)
+            ymono = sum(((xp >> _X_SHIFTS[i]) & FIELD_MASK) * _Y_UNITS[j] for i, j in enumerate(u))
+            sign = -1 if eps < 0 and (xp >> XDEG_SHIFT) & 1 else 1
+            image = images[xp] = (ymono, sign)
         kernel.addmul(out, rest._t, *image)
     return MultiPoly._raw(kernel.prune(out))
 
@@ -498,6 +495,7 @@ def localize(f: MultiPoly, u: Permutation, eps: int) -> MultiPoly:
         raise ValueError("eps must be 1 or -1")
     if u.n > N_MAX:
         raise ValueError(f"a point of rank {u.n} needs x{u.n}, past x{N_MAX}")
+    refuse_x_past(or_monomials(f._t), u.n)
     return _at_point(_x_parts(f), u, eps, {})
 
 
@@ -764,16 +762,15 @@ def _cauchy_mismatch(
 
 
 @check("cauchy", hard=4)
-def _check_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_cauchy(n: int, rng: random.Random) -> dict | None:
     mismatch = _cauchy_mismatch(n, family_table(n, "H"), _cauchy_product(n))
-    if mismatch is None:
-        return True, None, None
-    lhs, rhs = mismatch
-    return False, {"lhs": lhs.json_obj(), "rhs": rhs.json_obj()}, None
+    if mismatch is not None:
+        lhs, rhs = mismatch
+        raise Counterexample(lhs=lhs, rhs=rhs)
 
 
 @check("orthogonality")
-def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_orthogonality(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "Gx")
     ht = family_table(n, "Hx")
     w0 = longest(n)
@@ -783,16 +780,12 @@ def _check_orthogonality(n: int, rng: random.Random) -> tuple[bool, dict | None,
             val = pairing0(ht[u], gt[v], n)
             expect = one() if v == w0 * u else zero()
             if val != expect:
-                return (
-                    False,
-                    {"u": list(u.oneline), "v": list(v.oneline), "value": val.json_obj()},
-                    None,
-                )
+                raise Counterexample(u=u, v=v, value=val)
     detail = {"order": [list(u.oneline) for u in perms]}
     if n <= 3:
         # every pairing passed, so each entry is 1 at v = w0 u and 0 elsewhere
         detail["matrix"] = [["1" if v == w0 * u else "0" for v in perms] for u in perms]
-    return True, None, detail
+    return detail
 
 
 def _monk_sides(
@@ -811,11 +804,12 @@ def _signed_or_unsigned(
     failures: Callable[..., Iterable[bool]],
     payload: Callable[[NormalFormContext, object], dict],
     **detail,
-) -> tuple[bool, dict | None, dict | None]:
-    """Pass under the first of the signed and unsigned ideals where every
-    case holds at every point; else fail with payload(ctx, case) of the
-    first failing case under the unsigned one, its difference reduced mod
-    the unsigned NormalFormContext.
+) -> dict:
+    """The detail of a pass under the first of the signed and unsigned
+    ideals where every case holds at every point; else raise Counterexample
+    with the ideal and the fields payload(ctx, case) gives for the first
+    failing case under the unsigned one, its difference reduced mod the
+    unsigned NormalFormContext.
 
     Membership is decided at the n! points x_i = eps * y_u(i), the zero
     set of the ideal (eps = -1 for the signed one, +1 for the unsigned
@@ -842,25 +836,24 @@ def _signed_or_unsigned(
             fails = failures(lambda parts: _at_point(parts, u, eps, images), cases[:first])
             first = next((i for i, bad in enumerate(fails) if bad), first)
         if first == len(cases):
-            return True, None, {"ideal": ideal, **detail}
-    return False, {"ideal": ideal, **payload(NormalFormContext(n, ideal), cases[first])}, None
+            return {"ideal": ideal, **detail}
+    raise Counterexample(ideal=ideal, **payload(NormalFormContext(n, ideal), cases[first]))
 
 
 @check("pieri_simple")
-def _check_pieri_simple(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_pieri_simple(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "Gx")
     ctx = NormalFormContext(n, "x")
     for w in all_perms(n):
         for k in range(1, n):
             lhs, rhs = (ctx.reduce(side) for side in _monk_sides(gt, n, w, k))
             if lhs != rhs:
-                counterexample = {"w": list(w.oneline), "k": k, "lhs": lhs.json_obj(), "rhs": rhs.json_obj()}
-                return False, counterexample, None
-    return True, None, {"chains": "saturated"}
+                raise Counterexample(w=w, k=k, lhs=lhs, rhs=rhs)
+    return {"chains": "saturated"}
 
 
 @check("pieri_double")
-def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_pieri_double(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "G")
     parts = {w: _x_parts(p) for w, p in gt.items()}
     # G_{s_k} = c R_k and G_id = c D_k, c the binomials they share; case
@@ -884,7 +877,7 @@ def _check_pieri_double(n: int, rng: random.Random) -> tuple[bool, dict | None, 
     def payload(ctx: NormalFormContext, case: tuple) -> dict:
         w, k = case[:2]
         lhs, rhs = (ctx.reduce(side) for side in _monk_sides(gt, n, w, k))
-        return {"w": list(w.oneline), "k": k, "difference": (lhs - rhs).json_obj()}
+        return {"w": w, "k": k, "difference": lhs - rhs}
 
     return _signed_or_unsigned(n, cases, failures, payload, chains="saturated")
 
@@ -906,7 +899,7 @@ def _random_quotient_poly(n: int, rng: random.Random) -> MultiPoly:
 
 
 @check("interpolation")
-def _check_interpolation(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_interpolation(n: int, rng: random.Random) -> dict | None:
     samples = 50 if n <= 3 else 12
     hneg = {w: h.negate_vars("y") for w, h in family_table(n, "H").items()}
     gid = family_table(n, "G")[identity(n)].negate_vars("y")
@@ -926,16 +919,12 @@ def _check_interpolation(n: int, rng: random.Random) -> tuple[bool, dict | None,
             kernel.addmul(acc, basis[xpart], t - xpart, c)
         rhs = MultiPoly._raw(kernel.prune(acc))
         if lhs != rhs:
-            return (
-                False,
-                {"trial": trial, "f": f.json_obj(), "difference": (lhs - rhs).json_obj()},
-                None,
-            )
-    return True, None, {"samples": samples}
+            raise Counterexample(trial=trial, f=f, difference=lhs - rhs)
+    return {"samples": samples}
 
 
 @check("involution")
-def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_involution(n: int, rng: random.Random) -> dict | None:
     gt, ht = family_table(n, "G"), family_table(n, "H")
     w0, e = longest(n), identity(n)
     # case v is omega(G_v) H_id against (-1)^l(v) H_{w0 v w0} omega(G_id)
@@ -956,13 +945,13 @@ def _check_involution(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     def payload(ctx: NormalFormContext, case: tuple[Permutation, int]) -> dict:
         v, sign = case
         pairs = [(omega(gt[v], n), ht[e]), (ht[w0 * v * w0], omega(gt[e], n) * -sign)]
-        return {"v": list(v.oneline), "difference": ctx.reduce(dot(pairs)).json_obj()}
+        return {"v": v, "difference": ctx.reduce(dot(pairs))}
 
     return _signed_or_unsigned(n, cases, failures, payload)
 
 
 @check("moebius")
-def _check_moebius(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_moebius(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     w0 = longest(n)
@@ -971,17 +960,16 @@ def _check_moebius(n: int, rng: random.Random) -> tuple[bool, dict | None, dict 
         got = apply_perm(PI_PLUS, w0, ht[w], "x")
         expect = gid if w == w0 else zero()
         if got != expect:
-            return False, {"family": "H", "w": list(w.oneline), "value": got.json_obj()}, None
+            raise Counterexample(family="H", w=w, value=got)
     for w in all_perms(n):
         got = apply_perm(PI_PLUS, w0, gt[w], "x")
         expect = gid * ((beta() * -1) ** (w0 * w).length())
         if got != expect:
-            return False, {"family": "G", "w": list(w.oneline), "value": got.json_obj()}, None
-    return True, None, None
+            raise Counterexample(family="G", w=w, value=got)
 
 
 @check("closed_forms")
-def _check_closed_forms(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_closed_forms(n: int, rng: random.Random) -> dict | None:
     gid = family_table(n, "G")[identity(n)]
     hid = family_table(n, "H")[identity(n)]
     gexp = one()
@@ -990,14 +978,13 @@ def _check_closed_forms(n: int, rng: random.Random) -> tuple[bool, dict | None, 
         gexp = gexp * (one() - beta() * yvar(k)) ** (n - k)
         hexp = hexp * (one() + beta() * xvar(k)) ** (n - k)
     if gid != gexp:
-        return False, {"family": "G", "difference": (gid - gexp).json_obj()}, None
+        raise Counterexample(family="G", difference=gid - gexp)
     if hid != hexp:
-        return False, {"family": "H", "difference": (hid - hexp).json_obj()}, None
-    return True, None, None
+        raise Counterexample(family="H", difference=hid - hexp)
 
 
 @check("dominant")
-def _check_dominant(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_dominant(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "G")
     gid = gt[identity(n)]
     count = 0
@@ -1013,27 +1000,22 @@ def _check_dominant(n: int, rng: random.Random) -> tuple[bool, dict | None, dict
                 lhs = lhs * (one() - beta() * yvar(i))
                 rhs = rhs * (xvar(k) + yvar(i))
         if lhs != rhs:
-            return False, {"w": list(w.oneline), "difference": (lhs - rhs).json_obj()}, None
-    return True, None, {"dominant_count": count}
+            raise Counterexample(w=w, difference=lhs - rhs)
+    return {"dominant_count": count}
 
 
 @check("duality")
-def _check_duality(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_duality(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     for w in all_perms(n):
         expect = gt[w.inverse()].negate_vars("b")._moved(SWAP_XY_MOVES)
         if ht[w] != expect:
-            return (
-                False,
-                {"w": list(w.oneline), "difference": (ht[w] - expect).json_obj()},
-                None,
-            )
-    return True, None, None
+            raise Counterexample(w=w, difference=ht[w] - expect)
 
 
 @check("inversion")
-def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_inversion(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "G")
     ht = family_table(n, "H")
     for w in all_perms(n):
@@ -1041,10 +1023,9 @@ def _check_inversion(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
         hexp = dot((gt[v], beta() ** d) for v, d in up)
         gexp = dot((ht[v], (beta() * -1) ** d) for v, d in up)
         if ht[w] != hexp:
-            return False, {"direction": "H_from_G", "w": list(w.oneline)}, None
+            raise Counterexample(direction="H_from_G", w=w)
         if gt[w] != gexp:
-            return False, {"direction": "G_from_H", "w": list(w.oneline)}, None
-    return True, None, None
+            raise Counterexample(direction="G_from_H", w=w)
 
 
 def _embedded_members(
@@ -1099,7 +1080,7 @@ def _embedding_failure(
 
 
 @check("stability")
-def _check_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_stability(n: int, rng: random.Random) -> dict | None:
     """Embedding into rank n+1 fixes each family up to its identity-member
     normalisation: the quotient P_w / P_id is what embeds on the nose.  The
     normalisation is trivial (so stability is exact) for Schuberts and for
@@ -1111,47 +1092,39 @@ def _check_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
         for fam in families:
             w = _embedding_failure(fam, n, mode, {})
             if w is not None:
-                return False, {"family": fam, "w": list(w.oneline), "mode": mode}, None
-    return True, None, {"embedded_into": n + 1, "exact": exact, "ratio": ratio}
+                raise Counterexample(family=fam, w=w, mode=mode)
+    return {"embedded_into": n + 1, "exact": exact, "ratio": ratio}
 
 
-def _staircase_rows(
-    n: int, member: Callable[[Permutation], MultiPoly]
-) -> tuple[list[list[MultiPoly]], dict | None]:
+def _staircase_rows(n: int, member: Callable[[Permutation], MultiPoly]) -> list[list[MultiPoly]]:
     """The coefficients of member(w) over the staircase x-monomials, one
-    row per w in by_length order, and the counterexample of the first
-    member with support outside the staircase (the rows then stop short)."""
+    row per w in by_length order.  Raises Counterexample at the first
+    member with support outside the staircase."""
     index = {m: j for j, m in enumerate(_staircase_packed(n))}
     rows = []
     for w in by_length(n):
         row = [zero()] * len(index)
         for part, coeff in member(w).split_x().items():
             if part not in index:
-                return rows, {"w": list(w.oneline), "reason": "support outside staircase"}
+                raise Counterexample(w=w, reason="support outside staircase")
             row[index[part]] = coeff
         rows.append(row)
-    return rows, None
+    return rows
 
 
 @check("basis", soft=3, hard=4)
-def _check_basis(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
-    rows, outside = _staircase_rows(n, family_table(n, "Gx").__getitem__)
-    if outside is not None:
-        return False, outside, None
-    det = det_bareiss(rows)
-    if det == one() or det == const(-1):
-        return True, None, {"det": det.text()}
-    return False, {"det": det.json_obj()}, None
+def _check_basis(n: int, rng: random.Random) -> dict | None:
+    det = det_bareiss(_staircase_rows(n, family_table(n, "Gx").__getitem__))
+    if det != one() and det != const(-1):
+        raise Counterexample(det=det)
+    return {"det": det.text()}
 
 
 @check("free_module", soft=3, hard=4)
-def _check_free_module(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_free_module(n: int, rng: random.Random) -> dict | None:
     # each S_w(x) has staircase x-support, so it is its own normal form mod
     # the unsigned ideal (no rule lead x_i^(n-i+1) divides its monomials)
-    rows, outside = _staircase_rows(n, family_table(n, "Sx").__getitem__)
-    if outside is not None:
-        return False, outside, None
-    det = det_bareiss(rows).constant_term()
-    if det != 0:
-        return True, None, {"det_at_y0": det}
-    return False, {"reason": "determinant vanished at y=0"}, None
+    det = det_bareiss(_staircase_rows(n, family_table(n, "Sx").__getitem__)).constant_term()
+    if det == 0:
+        raise Counterexample(reason="determinant vanished at y=0")
+    return {"det_at_y0": det}

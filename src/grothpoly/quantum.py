@@ -9,8 +9,9 @@ The q-deformation enters through one recurrence,
                      + q_{k-1} e~_{i-2}(x_1..x_{k-2}),
 
 so ``quantum_elementary(k, i)`` and ``gk_determinant(k, t)`` need no rank.
-The operators do: ``apply_X(j, f, n)``, ``eval_at_X(f, n)`` and
-``quantize(f, n)`` act at rank n and refuse any x_j with j > n.
+``quantum_top(n)`` and the operators do, and refuse a rank below 1:
+``apply_X(j, f, n)``, ``eval_at_X(f, n)`` and ``quantize(f, n)`` act at
+rank n and refuse any x_j with j > n.
 ``quantize`` returns the polynomial F with ``eval_at_X(F, n) == f``.
 Everything else is towers of divided-difference operators over the y
 alphabet, registered in classical.TOWERS and built by family_table.
@@ -42,7 +43,7 @@ from .perms import (
     longest,
 )
 from .poly import MultiPoly, beta, dot, one, or_monomials, qvar, xvar, zero
-from .report import check
+from .report import Counterexample, check, check_rank
 
 # ---------------------------------------------------------------------------
 # quantum elementary symmetric polynomials and their generating determinant
@@ -89,6 +90,7 @@ def gk_determinant(k: int, t: Var, beta_form: bool = False) -> MultiPoly:
 def quantum_top(n: int, beta_form: bool = False) -> MultiPoly:
     """S~_{w_0}(x,y) = prod_{i=1}^{n-1} Delta_i(y_{n-i} | x_1..x_i); with
     beta_form, the same product of beta-form determinants (the bold seed)."""
+    check_rank(n)
     p = one()
     for i in range(1, n):
         p = p * gk_determinant(i, Var("y", n - i), beta_form)
@@ -112,6 +114,7 @@ def apply_X(j: int, f: MultiPoly, n: int) -> MultiPoly:
     >>> apply_X(1, xvar(1), 2).text()
     'q1 + x1^2'
     """
+    check_rank(n)
     if not 1 <= j <= n:
         raise ValueError(f"X_{j} does not exist at rank {n}")
     refuse_x_past(or_monomials(f._t), n)
@@ -138,6 +141,7 @@ def _x_power_at_one(xpart: int, n: int) -> MultiPoly:
 def eval_at_X(f: MultiPoly, n: int) -> MultiPoly:
     """f with every x-monomial replaced by the matching X-product, applied
     to 1.  Non-x variables ride along as scalars."""
+    check_rank(n)
     parts = f.split_x().items()
     return dot((coeff, _x_power_at_one(xpart, n)) for xpart, coeff in parts)
 
@@ -151,6 +155,7 @@ def quantize(f: MultiPoly, n: int) -> MultiPoly:
     >>> quantize(xvar(1) ** 2, 2).text()
     '-q1 + x1^2'
     """
+    check_rank(n)
     if f.uses_kind("y") or f.uses_kind("z"):
         raise ValueError("quantize expects a polynomial in x, beta and q")
     quantized: dict[int, int] = {}
@@ -229,41 +234,34 @@ def bold_family(w: Permutation, kind: str) -> MultiPoly:
 
 
 @check("theorem1", hard=4)
-def _check_theorem1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_theorem1(n: int, rng: random.Random) -> dict | None:
     got = eval_at_X(quantum_top(n), n)
     expect = top_class(n)
-    if got == expect:
-        return True, None, None
-    return False, {"difference": (got - expect).json_obj()}, None
+    if got != expect:
+        raise Counterexample(difference=got - expect)
 
 
 @check("corollary1", hard=4)
-def _check_corollary1(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_corollary1(n: int, rng: random.Random) -> dict | None:
     tables = {fam: family_table(n, fam) for fam in ("qS", "qH", "S", "H")}
     for w in all_perms(n):
         for qfam, cfam in (("qS", "S"), ("qH", "H")):
             got = eval_at_X(tables[qfam][w], n)
             expect = tables[cfam][w]
             if got != expect:
-                return (
-                    False,
-                    {"family": qfam, "w": list(w.oneline), "difference": (got - expect).json_obj()},
-                    None,
-                )
-    return True, None, None
+                raise Counterexample(family=qfam, w=w, difference=got - expect)
 
 
 @check("quantum_cauchy", soft=3, hard=4)
-def _check_quantum_cauchy(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_quantum_cauchy(n: int, rng: random.Random) -> dict | None:
     mismatch = _cauchy_mismatch(n, family_table(n, "qH"), quantum_top(n, beta_form=True))
-    if mismatch is None:
-        return True, None, None
-    lhs, rhs = mismatch
-    return False, {"difference": (lhs - rhs).json_obj()}, None
+    if mismatch is not None:
+        lhs, rhs = mismatch
+        raise Counterexample(difference=lhs - rhs)
 
 
 @check("corollary2", hard=4)
-def _check_corollary2(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_corollary2(n: int, rng: random.Random) -> dict | None:
     qgx = family_table(n, "qGx")
     qhx = family_table(n, "qHx")
     bg = family_table(n, "bG")
@@ -272,24 +270,19 @@ def _check_corollary2(n: int, rng: random.Random) -> tuple[bool, dict | None, di
     w0 = longest(n)
     for w in all_perms(n):
         if bh[w].set_zero("y") != qhx[w]:
-            return False, {"bullet": 1, "w": list(w.oneline)}, None
+            raise Counterexample(bullet=1, w=w)
         if bg[w].set_zero("y") != qgx[w]:
-            return False, {"bullet": 2, "w": list(w.oneline)}, None
+            raise Counterexample(bullet=2, w=w)
     # coefs[v][u] = eta(pi+_u Gx_{v w0}), one pi+ tower per v
     coefs = {v: expand_dual_basis(gxt[v * w0], n) for v in all_perms(n)}
     for w in all_perms(n):
         acc = dot((coefs[v][w * w0], qhx[v]) for v in all_perms(n))
         if acc != qgx[w]:
-            return (
-                False,
-                {"bullet": 3, "w": list(w.oneline), "difference": (acc - qgx[w]).json_obj()},
-                None,
-            )
-    return True, None, None
+            raise Counterexample(bullet=3, w=w, difference=acc - qgx[w])
 
 
 @check("remark_id", hard=4)
-def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_remark_id(n: int, rng: random.Random) -> dict | None:
     """The bottom of the isobaric tower against the beta-weighted top,
     plus the alphabet-swap line.
 
@@ -310,7 +303,7 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
     elif qh_id == weighted:
         detail["weighted_member"] = "H"
     else:
-        return False, {"part": "beta_weighted", "value": weighted.json_obj()}, None
+        raise Counterexample(part="beta_weighted", value=weighted)
 
     swapped = qg_id.negate_vars("b")._moved(SWAP_XY_MOVES)
     if qh_id == swapped:
@@ -322,9 +315,9 @@ def _check_remark_id(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
         else:
             qzero = {Var("q", i): 0 for i in range(1, n)}
             if qh_id.specialize(qzero) != swapped.specialize(qzero):
-                return False, {"part": "swap at q=0", "difference": (qh_id - swapped).json_obj()}, None
+                raise Counterexample(part="swap at q=0", difference=qh_id - swapped)
             detail["swap_q"] = "fails with q (q=0 limit holds)"
-    return True, None, detail
+    return detail
 
 
 def _random_x_poly(n: int, rng: random.Random, max_deg: int = 4) -> MultiPoly:
@@ -344,18 +337,18 @@ def _random_x_poly(n: int, rng: random.Random, max_deg: int = 4) -> MultiPoly:
 
 
 @check("quantization_props", hard=4)
-def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_quantization_props(n: int, rng: random.Random) -> dict | None:
     for k in range(1, n + 1):
         for i in range(1, k + 1):
             got = eval_at_X(quantum_elementary(k, i), n)
             expect = elementary(i, [Var("x", t) for t in range(1, k + 1)])
             if got != expect:
-                return False, {"part": "etilde", "k": k, "i": i}, None
+                raise Counterexample(part="etilde", k=k, i=i)
     roundtrips = 100 if n <= 3 else 20
     for trial in range(roundtrips):
         f = _random_x_poly(n, rng)
         if eval_at_X(quantize(f, n), n) != f:
-            return False, {"part": "roundtrip", "trial": trial, "f": f.json_obj()}, None
+            raise Counterexample(part="roundtrip", trial=trial, f=f)
     for trial in range(10):
         # multiplicativity against a symmetric factor: the quantization of
         # f*g factors as the quantization of f (which lands on the e->e~
@@ -366,22 +359,18 @@ def _check_quantization_props(n: int, rng: random.Random) -> tuple[bool, dict | 
             f = f + elementary(i, [Var("x", t) for t in range(1, n + 1)]) * rng.randint(-2, 2)
         f = f + rng.randint(-2, 2)
         if quantize(f * g, n) != quantize(f, n) * quantize(g, n):
-            return False, {"part": "lambda_multiplicative", "trial": trial}, None
+            raise Counterexample(part="lambda_multiplicative", trial=trial)
     st = family_table(n, "Sx")
     qs = family_table(n, "qSx")
     for w in all_perms(n):
         fq = quantize(st[w], n)
         if fq != qs[w]:
-            return (
-                False,
-                {"part": "schubert", "w": list(w.oneline), "difference": (fq - qs[w]).json_obj()},
-                None,
-            )
-    return True, None, {"roundtrips": roundtrips}
+            raise Counterexample(part="schubert", w=w, difference=fq - qs[w])
+    return {"roundtrips": roundtrips}
 
 
 @check("commuting", hard=4)
-def _check_commuting(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_commuting(n: int, rng: random.Random) -> dict | None:
     trials = 0
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -391,16 +380,12 @@ def _check_commuting(n: int, rng: random.Random) -> tuple[bool, dict | None, dic
                 rhs = apply_X(j, apply_X(i, f, n), n)
                 trials += 1
                 if lhs != rhs:
-                    return (
-                        False,
-                        {"i": i, "j": j, "f": f.json_obj()},
-                        None,
-                    )
-    return True, None, {"assertions": trials}
+                    raise Counterexample(i=i, j=j, f=f)
+    return {"assertions": trials}
 
 
 @check("classical_limit", hard=4)
-def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_classical_limit(n: int, rng: random.Random) -> dict | None:
     qzero = {Var("q", i): 0 for i in range(1, n)}
     pairs = [("qS", "S"), ("qH", "H"), ("qG", "G"), ("qSx", "Sx"), ("qHx", "Hx"), ("qGx", "Gx")]
     for qfam, cfam in pairs:
@@ -408,19 +393,18 @@ def _check_classical_limit(n: int, rng: random.Random) -> tuple[bool, dict | Non
         cf = family_table(n, cfam)
         for w in all_perms(n):
             if qt[w].specialize(qzero) != cf[w]:
-                return False, {"family": qfam, "w": list(w.oneline)}, None
+                raise Counterexample(family=qfam, w=w)
     st = family_table(n, "S")
     for w in all_perms(n):
         if family_table(n, "qG")[w].specialize({**qzero, BETA: 0}) != st[w]:
-            return False, {"family": "qG at beta=0", "w": list(w.oneline)}, None
+            raise Counterexample(family="qG at beta=0", w=w)
     if quantum_top(n, beta_form=True).specialize(qzero) != _cauchy_product(n):
-        return False, {"family": "bold top"}, None
-    return True, None, None
+        raise Counterexample(family="bold top")
 
 
 # embeds into rank n+1, and the quantum tables stop at 4
 @check("quantum_stability", soft=3, hard=3)
-def _check_quantum_stability(n: int, rng: random.Random) -> tuple[bool, dict | None, dict | None]:
+def _check_quantum_stability(n: int, rng: random.Random) -> dict | None:
     detail: dict = {}
     # qSx, qHx and qGx are sliced from the qS, qH and qG members built here
     embedded: dict = {}
@@ -430,5 +414,5 @@ def _check_quantum_stability(n: int, rng: random.Random) -> tuple[bool, dict | N
         elif _embedding_failure(fam, n, "ratio", embedded) is None:
             detail[fam] = "ratio"
         else:
-            return False, {"family": fam, "mode": "neither exact nor ratio"}, None
-    return True, None, detail
+            raise Counterexample(family=fam, mode="neither exact nor ratio")
+    return detail

@@ -5,6 +5,10 @@ A checker is registered with ``@check(id, soft=..., hard=...)``: ``soft`` is
 the default rank cap, ``hard`` the cap that ``force`` lifts it to.  The
 catalog order is definition order, classical checks first, because the
 quantum module imports the classical one.
+
+A checker passes by returning its detail (a JSON-ready dict, or None) and
+fails by raising ``Counterexample`` with the failure's fields as library
+values.  ``verify`` alone turns those fields into the report's JSON form.
 """
 
 from __future__ import annotations
@@ -13,11 +17,20 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 
-# (ok, counterexample, detail)
-Verdict = tuple[bool, "dict | None", "dict | None"]
+from .perms import Permutation
+from .poly import MultiPoly
 
 
-# fn(n, rng) -> Verdict; soft the default rank cap, hard the cap with force
+class Counterexample(Exception):
+    """A check's failure, as keyword fields: Counterexample(w=w, k=k, difference=lhs - rhs)."""
+
+    def __init__(self, **fields):
+        super().__init__(fields)
+        self.fields = fields
+
+
+# fn(n, rng) -> detail or None, raising Counterexample to fail; soft the
+# default rank cap, hard the cap with force
 Check = namedtuple("Check", "fn soft hard")
 
 
@@ -27,7 +40,7 @@ CHECKS: dict[str, Check] = {}
 def check(check_id: str, soft: int = 4, hard: int = 5):
     """Register the decorated checker under check_id with its rank caps."""
 
-    def register(fn: Callable[[int, random.Random], Verdict]):
+    def register(fn: Callable[[int, random.Random], dict | None]):
         CHECKS[check_id] = Check(fn, soft, hard)
         return fn
 
@@ -101,12 +114,21 @@ def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> Verific
     check_caps(check_id, n, force)
     rng = random.Random(seed)
     start = time.perf_counter()
-    ok, counterexample, detail = CHECKS[check_id].fn(n, rng)
+    try:
+        detail, counterexample = CHECKS[check_id].fn(n, rng), None
+    except Counterexample as failure:
+        detail, counterexample = None, failure.fields
     ms = (time.perf_counter() - start) * 1000.0
+    if counterexample is not None:
+        # the one place a counterexample gets its JSON form
+        counterexample = {
+            key: v.json_obj() if isinstance(v, MultiPoly) else list(v) if isinstance(v, Permutation) else v
+            for key, v in counterexample.items()
+        }
     return VerificationReport(
         check_id=check_id,
         n=n,
-        status="pass" if ok else "fail",
+        status="pass" if counterexample is None else "fail",
         counterexample=counterexample,
         ms=ms,
         detail=detail,

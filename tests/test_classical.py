@@ -70,7 +70,7 @@ from grothpoly.perms import (
     transposition,
 )
 from grothpoly.poly import MultiPoly, beta, const, dot, one, xvar, yvar, zero
-from grothpoly.quantum import quantum_top
+from grothpoly.quantum import apply_X, eval_at_X, quantize, quantum_top
 from grothpoly.report import CHECKS, rank_caps, verify
 
 
@@ -1150,6 +1150,14 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
         ),
         pytest.param(lambda: expand_dual_basis(xvar(3), 2), "an x past x2", id="expand_dual_basis-x3-at-rank2"),
         pytest.param(lambda: pairing0(one(), one(), 0), "rank must be at least 1, got 0", id="pairing0-rank0"),
+        pytest.param(lambda: quantum_top(0), "rank must be at least 1, got 0", id="quantum_top-0"),
+        pytest.param(
+            lambda: quantum_top(-2, beta_form=True), "rank must be at least 1, got -2", id="quantum_top-bold-neg2"
+        ),
+        pytest.param(lambda: apply_X(1, one(), 0), "rank must be at least 1, got 0", id="apply_X-rank0"),
+        pytest.param(lambda: eval_at_X(const(3), 0), "rank must be at least 1, got 0", id="eval_at_X-rank0"),
+        pytest.param(lambda: quantize(const(3), 0), "rank must be at least 1, got 0", id="quantize-rank0"),
+        pytest.param(lambda: quantize(one() + beta(), -1), "rank must be at least 1, got -1", id="quantize-neg1"),
     ]
     + [
         pytest.param(

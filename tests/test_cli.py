@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import classical, cli
-from grothpoly.report import CHECKS, Check
+from grothpoly.perms import Permutation
+from grothpoly.poly import beta, xvar
+from grothpoly.report import CHECKS, Check, Counterexample, verify
 
 
 def cli_env(env: dict | None = None) -> dict:
@@ -237,7 +239,6 @@ class TestVerify:
         for cid, c in list(CHECKS.items()):
             def record(n, rng, cid=cid):
                 ran.append(cid)
-                return True, None, None
 
             monkeypatch.setitem(CHECKS, cid, c._replace(fn=record))
         code = cli.main(["verify", *argv])
@@ -276,7 +277,7 @@ class TestVerify:
 
     def test_failing_check_gives_exit_1(self, monkeypatch, capsys):
         def broken(n, rng):
-            return False, {"w": [1, 2]}, None
+            raise Counterexample(w=[1, 2])
 
         monkeypatch.setitem(CHECKS, "always_red", Check(broken, 4, 5))
         code = cli.main(["verify", "always_red", "--n", "2"])
@@ -285,6 +286,27 @@ class TestVerify:
         obj = json.loads(out.strip())
         assert obj["status"] == "fail"
         assert obj["counterexample"] == {"w": [1, 2]}
+
+    def test_verify_serialises_the_counterexample_fields(self, monkeypatch):
+        # a MultiPoly field becomes its json_obj(), a Permutation its
+        # one-line list, and any other value is kept as it is
+        def passing(n, rng):
+            return {"trials": n}
+
+        def failing(n, rng):
+            raise Counterexample(f=xvar(1) - beta(), w=Permutation((2, 3, 1)), part="roundtrip", k=n)
+
+        monkeypatch.setitem(CHECKS, "green", Check(passing, 4, 5))
+        monkeypatch.setitem(CHECKS, "red", Check(failing, 4, 5))
+        rep = verify("green", 2)
+        assert (rep.status, rep.counterexample, rep.detail) == ("pass", None, {"trials": 2})
+        rep = verify("red", 2)
+        assert rep.status == "fail"
+        assert rep.detail is None
+        assert json.dumps(rep.counterexample) == (
+            '{"f": [{"coef": "-1", "monomial": {"b": 1}}, {"coef": "1", "monomial": {"x1": 1}}],'
+            ' "w": [2, 3, 1], "part": "roundtrip", "k": 2}'
+        )
 
     def test_internal_key_error_propagates(self, monkeypatch, capsys):
         """A KeyError inside a check is a fault of the program, not a bad

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used by it,
 every function the library defines is called from the library, only
-the packing module knows the field layout, only poly ORs monomials, and
-every console script names a function of the CLI.
+the packing module knows the field layout, only poly ORs monomials, no
+check returns a verdict tuple, only report serialises a counterexample,
+and every console script names a function of the CLI.
 
 ``__init__.py`` is skipped by the import scan, since its imports are the
 package's re-exports.
@@ -187,6 +188,45 @@ def test_only_poly_ors_monomials():
     found = {p.name: list(_monomial_ors(ast.parse(p.read_text()))) for p in sorted(SRC.glob("*.py"))}
     assert len(found.pop("poly.py")) == 1
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _own_returns(fn: ast.FunctionDef):
+    """The return statements of fn itself, not of functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_check_returns_a_verdict_tuple():
+    """A check passes by returning its detail and fails by raising
+    Counterexample; a returned tuple is the old (ok, counterexample,
+    detail) verdict coming back."""
+    found = [
+        f"{p.name}:{ret.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and _is_check(node)
+        for ret in _own_returns(node)
+        if isinstance(ret.value, ast.Tuple)
+    ]
+    assert found == []
+
+
+def test_only_report_serialises_counterexamples():
+    """report.verify alone gives a counterexample its JSON form, so no
+    other module calls .json_obj()."""
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "report.py"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "json_obj"
+    ]
+    assert found == []
 
 
 def test_project_scripts_resolve_to_cli_callables():
