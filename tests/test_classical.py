@@ -562,6 +562,29 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
     assert all(f == members[identity(n + 1)] and g == small_id for f, g in divisions)
 
 
+@pytest.mark.parametrize(
+    "table, w, perturb, counterexample",
+    [
+        # Gx, Sx and S embed exactly and are tried first
+        ("Gx", (2, 1, 3), lambda p: p + xvar(1), '{"family": "Gx", "w": [2, 1, 3], "mode": "exact"}'),
+        # the identity member is kept, so the ratio is G_id(4) / G_id(3)
+        ("G", (1, 3, 2), lambda p: p * (one() + beta() * xvar(1)), '{"family": "G", "w": [1, 3, 2], "mode": "ratio"}'),
+    ],
+    ids=["exact", "ratio"],
+)
+def test_forced_stability_failure(table, w, perturb, counterexample, monkeypatch):
+    # the embedded rank-4 members are read from a perturbed cached table
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    members = dict(family_table(4, table))
+    big = Permutation(w).embed(4)
+    members[big] = perturb(members[big])
+    classical._TABLE_CACHE[4, table] = MappingProxyType(members)
+    rep = verify("stability", 3)
+    assert rep.status == "fail"
+    assert json.dumps(rep.counterexample) == counterexample
+    assert rep.detail is None
+
+
 CLASSICAL_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.classical"]
 
 
