@@ -6,11 +6,13 @@ Every family is produced the same way: start from the top polynomial
     prod_{i+j <= n} (x_i + y_j)
 
 and peel it down with divided-difference operators indexed by reduced words.
-family_members builds these and the quantum families alike, from the seeds
-and operators in TOWERS: one descent tower, cut down to the members asked
-for and those they are peeled from.  family_table asks it for all n!
-members and caches the table per rank, since the identity checks read
-whole tables; family_member asks it for one, which is one operator chain.
+family_members builds these and the quantum families alike, and alone turns
+a TOWERS entry into members: one descent tower, cut down to the members
+asked for and those they are peeled from, or a y=0 slice of a y-alphabet
+family's full members.  family_table asks it for all n! members and caches
+the table per rank, since the identity checks read whole tables;
+family_member asks it for one, which is one operator chain, and the
+stability checks for the embedded rank-(n+1) members.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def top_class(n: int) -> MultiPoly:
 
 
 def _descent_tower(
-    seed: MultiPoly, op_kind: str, alphabet: str, n: int, keys: Sequence[Permutation] | None = None
+    seed: MultiPoly, op_kind: str, alphabet: str, n: int, keys: Iterable[Permutation] | None = None
 ) -> dict[Permutation, MultiPoly]:
     """op_v(seed) for every v in keys (all of S_n when None) and every v
     they are peeled from, one left descent at a time: v is op_a of
@@ -152,48 +154,45 @@ TOWERS: dict[str, tuple[Callable[[int], MultiPoly], str, str]] = {
 }
 
 
-def _tower_spec(
-    n: int, family: str
-) -> tuple[str, str, Callable[[], MultiPoly], Callable[[Permutation], Permutation], str | None]:
-    """(op kind, alphabet, top, key, sliced_from) of one family at rank n.
-
-    family is a key of TOWERS, or one with "x" appended for the y=0
-    specialisation.  Member w is op_{key(w)}(top()): family_members reads
-    it off node key(w) of the family's descent tower.  An x-alphabet tower
-    keys w by w^-1 w0 and starts its y=0 members from the y=0 seed, since
-    the x-operators treat y as scalars.  A y-alphabet tower keys w by w w0,
-    and its y=0 member is the full member with y set to 0: sliced_from then
-    names that full family, else it is None.
-    """
-    check_rank(n)
-    base = family[:-1] if family.endswith("x") else family
-    if base not in TOWERS:
-        raise ValueError(f"unknown family {family!r}")
-    seed, op_kind, alphabet = TOWERS[base]
-    w0 = longest(n)
-    if alphabet == "y":
-        sliced_from = base if base != family else None
-        return op_kind, alphabet, lambda: seed(n), lambda w: w * w0, sliced_from
-    top = (lambda: seed(n)) if base == family else (lambda: seed(n).set_zero("y"))
-    return op_kind, alphabet, top, lambda w: w.inverse() * w0, None
+def _sliced_from(family: str) -> str | None:
+    """The full family whose members, y set to 0, are family's: the base
+    of a y=0 family on a y-alphabet tower, else None."""
+    base = family[:-1]
+    return base if family.endswith("x") and base in TOWERS and TOWERS[base][2] == "y" else None
 
 
 def family_members(n: int, family: str, ws: Sequence[Permutation]) -> dict[Permutation, MultiPoly]:
     """Members w in ws of one family at rank n, keyed by permutation.
 
-    Read from the cached table if there is one.  Otherwise one descent
-    tower on the family's seed, cut down to the keys of ws and the members
-    they are peeled from, which caches nothing: one member costs l(key(w))
-    operators.
+    family is a key of TOWERS, or one with "x" appended for the y=0
+    specialisation; a rank below 1, an unknown family or a w not in S_n
+    raises ValueError.  Members are read from the cached table if there
+    is one.  A y-alphabet family's y=0 members are its full members with
+    y set to 0.  Otherwise member w is op_{key(w)} of the seed, read off
+    one descent tower cut down to the keys of ws and the nodes they are
+    peeled from, caching nothing: l(key(w)) operators for one member.  An
+    x-alphabet tower keys w by w^-1 w0 and peels its y=0 members from the
+    y=0 seed, the x-operators treating y as scalars; a y-alphabet tower
+    keys w by w w0.
     """
+    check_rank(n)
+    if any(w.n != n for w in ws):
+        raise ValueError(f"rank mismatch: a member of a rank-{n} family is a permutation in S_{n}")
     cached = _TABLE_CACHE.get((n, family))
     if cached is not None:
         return {w: cached[w] for w in ws}
-    op_kind, alphabet, top, tower_key, sliced_from = _tower_spec(n, family)
-    if sliced_from is not None:
-        return {w: p.set_zero("y") for w, p in family_members(n, sliced_from, ws).items()}
-    tower = _descent_tower(top(), op_kind, alphabet, n, [tower_key(w) for w in ws])
-    return {w: tower[tower_key(w)] for w in ws}
+    full = _sliced_from(family)
+    if full is not None:
+        return {w: p.set_zero("y") for w, p in family_members(n, full, ws).items()}
+    base = family[:-1] if family.endswith("x") else family
+    if base not in TOWERS:
+        raise ValueError(f"unknown family {family!r}")
+    seed, op_kind, alphabet = TOWERS[base]
+    top = seed(n) if base == family else seed(n).set_zero("y")
+    w0 = longest(n)
+    keys = {w: w.inverse() * w0 if alphabet == "x" else w * w0 for w in ws}
+    tower = _descent_tower(top, op_kind, alphabet, n, keys.values())
+    return {w: tower[key] for w, key in keys.items()}
 
 
 def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
@@ -203,9 +202,9 @@ def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     """
     cached = _TABLE_CACHE.get((n, family))
     if cached is None:
-        sliced_from = _tower_spec(n, family)[4]
-        if sliced_from is not None:
-            family_table(n, sliced_from)
+        full = _sliced_from(family)
+        if full is not None:
+            family_table(n, full)
         cached = _TABLE_CACHE[n, family] = MappingProxyType(family_members(n, family, all_perms(n)))
     return cached
 
@@ -802,14 +801,14 @@ def _signed_or_unsigned(
     n: int,
     cases: Sequence,
     failures: Callable[..., Iterable[bool]],
-    payload: Callable[[NormalFormContext, object], dict],
+    sides: Callable[[object], tuple[dict, MultiPoly, MultiPoly]],
     **detail,
 ) -> dict:
     """The detail of a pass under the first of the signed and unsigned
     ideals where every case holds at every point; else raise Counterexample
-    with the ideal and the fields payload(ctx, case) gives for the first
-    failing case under the unsigned one, its difference reduced mod the
-    unsigned NormalFormContext.
+    for the first failing case under the unsigned one: sides(case) gives
+    its fields and its two sides, and the fields come after the ideal and
+    before the difference of the sides, reduced mod the unsigned ideal.
 
     Membership is decided at the n! points x_i = eps * y_u(i), the zero
     set of the ideal (eps = -1 for the signed one, +1 for the unsigned
@@ -837,7 +836,8 @@ def _signed_or_unsigned(
             first = next((i for i, bad in enumerate(fails) if bad), first)
         if first == len(cases):
             return {"ideal": ideal, **detail}
-    raise Counterexample(ideal=ideal, **payload(NormalFormContext(n, ideal), cases[first]))
+    fields, lhs, rhs = sides(cases[first])
+    raise Counterexample(ideal=ideal, **fields, difference=NormalFormContext(n, ideal).reduce(lhs - rhs))
 
 
 @check("pieri_simple")
@@ -874,12 +874,11 @@ def _check_pieri_double(n: int, rng: random.Random) -> dict | None:
             # are computed, so no vanishing theorem is assumed
             yield bool(gw or monk) and at(r) * gw != at(d) * monk
 
-    def payload(ctx: NormalFormContext, case: tuple) -> dict:
+    def sides(case: tuple) -> tuple[dict, MultiPoly, MultiPoly]:
         w, k = case[:2]
-        lhs, rhs = (ctx.reduce(side) for side in _monk_sides(gt, n, w, k))
-        return {"w": w, "k": k, "difference": lhs - rhs}
+        return {"w": w, "k": k}, *_monk_sides(gt, n, w, k)
 
-    return _signed_or_unsigned(n, cases, failures, payload, chains="saturated")
+    return _signed_or_unsigned(n, cases, failures, sides, chains="saturated")
 
 
 def _random_quotient_poly(n: int, rng: random.Random) -> MultiPoly:
@@ -942,12 +941,11 @@ def _check_involution(n: int, rng: random.Random) -> dict | None:
         for v, sign in pending:
             yield lg[v] * hid != lh[v] * signed[sign]
 
-    def payload(ctx: NormalFormContext, case: tuple[Permutation, int]) -> dict:
+    def sides(case: tuple[Permutation, int]) -> tuple[dict, MultiPoly, MultiPoly]:
         v, sign = case
-        pairs = [(omega(gt[v], n), ht[e]), (ht[w0 * v * w0], omega(gt[e], n) * -sign)]
-        return {"v": v, "difference": ctx.reduce(dot(pairs))}
+        return {"v": v}, omega(gt[v], n) * ht[e], ht[w0 * v * w0] * omega(gt[e], n) * sign
 
-    return _signed_or_unsigned(n, cases, failures, payload)
+    return _signed_or_unsigned(n, cases, failures, sides)
 
 
 @check("moebius")
@@ -1028,34 +1026,13 @@ def _check_inversion(n: int, rng: random.Random) -> dict | None:
             raise Counterexample(direction="G_from_H", w=w)
 
 
-def _embedded_members(
-    n: int, family: str, memo: dict[str, dict[Permutation, MultiPoly]]
-) -> dict[Permutation, MultiPoly]:
-    """Members w.embed(n+1) of one family at rank n+1, for every w in S_n,
-    built once per memo.  A family that family_members slices from its
-    full family (sliced_from) is sliced from the full family's memo entry,
-    so each base family is one cut-down tower."""
-    big = memo.get(family)
-    if big is None:
-        m = n + 1
-        sliced_from = _tower_spec(m, family)[4]
-        if sliced_from is not None:
-            big = {w: p.set_zero("y") for w, p in _embedded_members(n, sliced_from, memo).items()}
-        else:
-            big = family_members(m, family, [w.embed(m) for w in all_perms(n)])
-        memo[family] = big
-    return big
-
-
 def _embedding_failure(
-    family: str, n: int, mode: str, memo: dict[str, dict[Permutation, MultiPoly]]
+    small: Mapping[Permutation, MultiPoly], big: Mapping[Permutation, MultiPoly], n: int, mode: str
 ) -> Permutation | None:
-    """The first w in S_n whose member does not embed into rank n+1: on the
-    nose for mode "exact", up to the identity members for mode "ratio".
-    The rank-(n+1) members come from _embedded_members(n, family, memo)."""
+    """The first w in S_n whose member small[w] does not embed as the
+    rank-(n+1) member big[w.embed(n+1)]: on the nose for mode "exact", up
+    to the identity members for mode "ratio"."""
     m = n + 1
-    small = family_table(n, family)
-    big = _embedded_members(n, family, memo)
     small_id = small[identity(n)]
     big_id = big[identity(m)]
     ratio = None
@@ -1088,23 +1065,25 @@ def _check_stability(n: int, rng: random.Random) -> dict | None:
     single H goes through the ratio form along with both doubles.
     """
     exact, ratio = ["Gx", "Sx", "S"], ["G", "H", "Hx"]
+    embedded = [w.embed(n + 1) for w in all_perms(n)]
     for mode, families in (("exact", exact), ("ratio", ratio)):
         for fam in families:
-            w = _embedding_failure(fam, n, mode, {})
+            big = family_members(n + 1, fam, embedded)
+            w = _embedding_failure(family_table(n, fam), big, n, mode)
             if w is not None:
                 raise Counterexample(family=fam, w=w, mode=mode)
     return {"embedded_into": n + 1, "exact": exact, "ratio": ratio}
 
 
-def _staircase_rows(n: int, member: Callable[[Permutation], MultiPoly]) -> list[list[MultiPoly]]:
-    """The coefficients of member(w) over the staircase x-monomials, one
+def _staircase_rows(n: int, table: Mapping[Permutation, MultiPoly]) -> list[list[MultiPoly]]:
+    """The coefficients of table[w] over the staircase x-monomials, one
     row per w in by_length order.  Raises Counterexample at the first
     member with support outside the staircase."""
     index = {m: j for j, m in enumerate(_staircase_packed(n))}
     rows = []
     for w in by_length(n):
         row = [zero()] * len(index)
-        for part, coeff in member(w).split_x().items():
+        for part, coeff in table[w].split_x().items():
             if part not in index:
                 raise Counterexample(w=w, reason="support outside staircase")
             row[index[part]] = coeff
@@ -1114,7 +1093,7 @@ def _staircase_rows(n: int, member: Callable[[Permutation], MultiPoly]) -> list[
 
 @check("basis", soft=3, hard=4)
 def _check_basis(n: int, rng: random.Random) -> dict | None:
-    det = det_bareiss(_staircase_rows(n, family_table(n, "Gx").__getitem__))
+    det = det_bareiss(_staircase_rows(n, family_table(n, "Gx")))
     if det != one() and det != const(-1):
         raise Counterexample(det=det)
     return {"det": det.text()}
@@ -1124,7 +1103,7 @@ def _check_basis(n: int, rng: random.Random) -> dict | None:
 def _check_free_module(n: int, rng: random.Random) -> dict | None:
     # each S_w(x) has staircase x-support, so it is its own normal form mod
     # the unsigned ideal (no rule lead x_i^(n-i+1) divides its monomials)
-    det = det_bareiss(_staircase_rows(n, family_table(n, "Sx").__getitem__)).constant_term()
+    det = det_bareiss(_staircase_rows(n, family_table(n, "Sx"))).constant_term()
     if det == 0:
         raise Counterexample(reason="determinant vanished at y=0")
     return {"det_at_y0": det}

@@ -21,7 +21,8 @@ from itertools import permutations as _itertools_perms
 class Permutation(tuple):
     """A permutation of 1..n as the tuple of its one-line notation.
 
-    Construction checks that the entries are 1..n in some order.  Being a
+    Construction checks that the entries are the ints 1..n in some order
+    (no floats or bools).  Being a
     tuple, it hashes, compares and sorts as its one-line tuple, in C, and
     compares equal to it: Permutation([2, 1]) == (2, 1).  Products,
     inverses and the other derived permutations skip the check through
@@ -32,7 +33,7 @@ class Permutation(tuple):
 
     def __new__(cls, oneline: Iterable[int]) -> "Permutation":
         w = tuple(oneline)
-        if sorted(w) != list(range(1, len(w) + 1)):
+        if not all(type(i) is int for i in w) or sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
         return tuple.__new__(cls, w)
 

@@ -178,6 +178,9 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: int) -> "MultiPoly":
+        """c as a polynomial; raises ValueError if c is not an int."""
+        if not isinstance(c, int):
+            raise ValueError(f"a coefficient is an int, not {c!r}")
         return cls._raw({0: int(c)} if c else {})
 
     @classmethod
@@ -186,10 +189,15 @@ class MultiPoly:
 
     @classmethod
     def from_monomials(cls, items: Iterable[tuple[Mapping[Var, int], int]]) -> "MultiPoly":
+        """The sum of c * monomial over the items; a c that is not an int
+        leaves a sum that is not, so one check at the end raises ValueError."""
         acc: dict[int, int] = {}
         for exps, c in items:
             k = pack(dict(exps))
-            acc[k] = acc.get(k, 0) + int(c)
+            acc[k] = acc.get(k, 0) + c
+        bad = [v for v in acc.values() if type(v) is not int]
+        if bad:
+            raise ValueError(f"a coefficient is an int, not {bad[0]!r}")
         return cls._raw({k: v for k, v in acc.items() if v})
 
     # -- basic queries ------------------------------------------------
@@ -303,7 +311,11 @@ class MultiPoly:
         return MultiPoly._raw({m: c for m, c in self._t.items() if not m & mask})
 
     def specialize(self, values: Mapping[Var, int]) -> "MultiPoly":
-        """Substitute integers for the listed variables, b and q_i say."""
+        """Substitute integers for the listed variables, b and q_i say;
+        raises ValueError on a value that is not an int."""
+        bad = [value for value in values.values() if not isinstance(value, int)]
+        if bad:
+            raise ValueError(f"specialize substitutes ints, not {bad[0]!r}")
         fields = [(shift(v), unit(v), value) for v, value in values.items()]
         out: dict[int, int] = {}
         for m, c in self._t.items():

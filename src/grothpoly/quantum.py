@@ -14,7 +14,8 @@ so ``quantum_elementary(k, i)`` and ``gk_determinant(k, t)`` need no rank.
 rank n and refuse any x_j with j > n.
 ``quantize`` returns the polynomial F with ``eval_at_X(F, n) == f``.
 Everything else is towers of divided-difference operators over the y
-alphabet, registered in classical.TOWERS and built by family_table.
+alphabet, registered in classical.TOWERS and built by
+classical.family_members.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .classical import (
     elementary,
     expand_dual_basis,
     family_member,
+    family_members,
     family_table,
     refuse_x_past,
     top_class,
@@ -406,12 +408,16 @@ def _check_classical_limit(n: int, rng: random.Random) -> dict | None:
 @check("quantum_stability", soft=3, hard=3)
 def _check_quantum_stability(n: int, rng: random.Random) -> dict | None:
     detail: dict = {}
-    # qSx, qHx and qGx are sliced from the qS, qH and qG members built here
-    embedded: dict = {}
-    for fam in ("qS", "qH", "qG", "qSx", "qHx", "qGx"):
-        if _embedding_failure(fam, n, "exact", embedded) is None:
+    # one cut-down rank-(n+1) tower each for qS, qH and qG, sliced at y=0
+    # for qSx, qHx and qGx
+    embedded = [w.embed(n + 1) for w in all_perms(n)]
+    big = {fam: family_members(n + 1, fam, embedded) for fam in ("qS", "qH", "qG")}
+    big.update({fam + "x": {w: p.set_zero("y") for w, p in members.items()} for fam, members in big.items()})
+    for fam, members in big.items():
+        small = family_table(n, fam)
+        if _embedding_failure(small, members, n, "exact") is None:
             detail[fam] = "exact"
-        elif _embedding_failure(fam, n, "ratio", embedded) is None:
+        elif _embedding_failure(small, members, n, "ratio") is None:
             detail[fam] = "ratio"
         else:
             raise Counterexample(family=fam, mode="neither exact nor ratio")

@@ -543,23 +543,16 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
         return exact_quotient(f, g)
 
     monkeypatch.setattr(classical, "divexact", divexact)
-    assert _embedding_failure(family, n, "ratio", {}) is None
+    small = family_table(n, family)
+    big = family_members(n + 1, family, [v.embed(n + 1) for v in all_perms(n)])
+    assert _embedding_failure(small, big, n, "ratio") is None
     w = Permutation((2, 3, 1))
-    members = family_members(n + 1, family, [v.embed(n + 1) for v in all_perms(n)])
-    real_members = classical.family_members
-
-    def perturbed(n_, family_, ws):
-        out = real_members(n_, family_, ws)
-        if n_ == n + 1:
-            out[w.embed(n_)] *= one() + beta() * xvar(1)
-        return out
-
-    monkeypatch.setattr(classical, "family_members", perturbed)
-    assert _embedding_failure(family, n, "ratio", {}) == w
+    perturbed = dict(big)
+    perturbed[w.embed(n + 1)] *= one() + beta() * xvar(1)
+    assert _embedding_failure(small, perturbed, n, "ratio") == w
     # one division per call, of the big identity member by the small one
     assert len(divisions) == 2
-    small_id = family_table(n, family)[identity(n)]
-    assert all(f == members[identity(n + 1)] and g == small_id for f, g in divisions)
+    assert all(f == big[identity(n + 1)] and g == small[identity(n)] for f, g in divisions)
 
 
 @pytest.mark.parametrize(
@@ -1181,6 +1174,23 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
         pytest.param(lambda: eval_at_X(const(3), 0), "rank must be at least 1, got 0", id="eval_at_X-rank0"),
         pytest.param(lambda: quantize(const(3), 0), "rank must be at least 1, got 0", id="quantize-rank0"),
         pytest.param(lambda: quantize(one() + beta(), -1), "rank must be at least 1, got -1", id="quantize-neg1"),
+        # coefficients and permutation entries are ints: nothing truncates
+        # a float, and no float or bool reaches repr or a counterexample
+        pytest.param(lambda: MultiPoly.constant(1.5), r"a coefficient is an int, not 1\.5", id="constant-float"),
+        pytest.param(
+            lambda: MultiPoly.from_monomials([({Var("x", 1): 1}, 1), ({}, 2.7)]),
+            r"a coefficient is an int, not 2\.7",
+            id="from_monomials-float",
+        ),
+        pytest.param(
+            lambda: grothendieck_double(identity(2)).specialize({BETA: 0.5}),
+            r"specialize substitutes ints, not 0\.5",
+            id="specialize-float",
+        ),
+        pytest.param(
+            lambda: Permutation([2.0, 1.0]), r"not a permutation of 1\.\.2: \(2\.0, 1\.0\)", id="Permutation-floats"
+        ),
+        pytest.param(lambda: Permutation([True, 2]), r"not a permutation of 1\.\.2: \(True, 2\)", id="Permutation-bool"),
     ]
     + [
         pytest.param(

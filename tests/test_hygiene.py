@@ -2,7 +2,8 @@
 every function the library defines is called from the library, only
 the packing module knows the field layout, only poly ORs monomials, no
 check returns a verdict tuple, only report serialises a counterexample,
-and every console script names a function of the CLI.
+one function builds family members, and every console script names a
+function of the CLI.
 
 ``__init__.py`` is skipped by the import scan, since its imports are the
 package's re-exports.
@@ -227,6 +228,67 @@ def test_only_report_serialises_counterexamples():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "json_obj"
     ]
     assert found == []
+
+
+def _scoped(node: ast.AST, fn: str | None = None):
+    """(name of the innermost function enclosing it, or None, node) for
+    every node under node."""
+    for child in ast.iter_child_nodes(node):
+        yield fn, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        yield from _scoped(child, inner)
+
+
+def _is_name(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _family_building(path: Path, tree: ast.Module):
+    """(what, "module:function") for each place that reads an entry of
+    TOWERS, writes _TABLE_CACHE, calls _descent_tower or calls the slice
+    rule _sliced_from."""
+    for fn, node in _scoped(tree):
+        where = f"{path.name}:{fn}"
+        if isinstance(node, ast.Subscript) and _is_name(node.value, "TOWERS"):
+            yield "reads TOWERS", where
+        elif isinstance(node, ast.Attribute) and _is_name(node.value, "TOWERS") and node.attr != "update":
+            yield "reads TOWERS", where
+        elif isinstance(node, ast.Subscript) and _is_name(node.value, "_TABLE_CACHE"):
+            if not isinstance(node.ctx, ast.Load):
+                yield "writes _TABLE_CACHE", where
+        elif isinstance(node, ast.Attribute) and _is_name(node.value, "_TABLE_CACHE") and node.attr != "get":
+            yield "writes _TABLE_CACHE", where
+        elif isinstance(node, ast.Name) and node.id == "_TABLE_CACHE" and isinstance(node.ctx, ast.Store):
+            if fn is not None or path.name != "classical.py":
+                yield "writes _TABLE_CACHE", where
+        elif isinstance(node, ast.Global) and "_TABLE_CACHE" in node.names:
+            yield "writes _TABLE_CACHE", where
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "_descent_tower":
+                yield "calls _descent_tower", path.name
+            elif name == "_sliced_from":
+                yield "calls _sliced_from", where
+
+
+def test_one_family_builder():
+    """family_members alone turns a TOWERS entry into members: only it and
+    its slice rule _sliced_from read an entry of TOWERS (quantum registers
+    its families with TOWERS.update), only family_members and family_table
+    ask the slice rule, only family_table writes the table cache, and only
+    classical builds descent towers.  A second builder, such as one of
+    embedded members with its own memo, shows up here."""
+    found: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for what, where in _family_building(path, ast.parse(path.read_text())):
+            found.setdefault(what, set()).add(where)
+    assert found == {
+        "reads TOWERS": {"classical.py:family_members", "classical.py:_sliced_from"},
+        "calls _sliced_from": {"classical.py:family_members", "classical.py:family_table"},
+        "writes _TABLE_CACHE": {"classical.py:family_table"},
+        "calls _descent_tower": {"classical.py"},
+    }
 
 
 def test_project_scripts_resolve_to_cli_callables():

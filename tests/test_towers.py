@@ -28,7 +28,6 @@ from grothpoly.classical import (
     TOWERS,
     NormalFormContext,
     _descent_tower,
-    _tower_spec,
     family_member,
     family_members,
     family_table,
@@ -239,21 +238,41 @@ def _count_operators(monkeypatch) -> list:
 @pytest.mark.parametrize("family", ["G", "Hx", "qG", "qGx", "bHx"])
 def test_operator_counts(family, monkeypatch):
     # a table is its tower, n! - 1 operators, a y=0 slice included; one
-    # member is the l(key(w)) operators of its own chain
+    # member is the l(key) operators of its own chain, keyed by w^-1 w0 on
+    # an x-alphabet tower and by w w0 on a y-alphabet one
     calls = _count_operators(monkeypatch)
     n = 4
-    key = _tower_spec(n, family)[3]
+    w0 = longest(n)
+    base = family.rstrip("x")
+    _, op_kind, alphabet = TOWERS[base]
     for w in all_perms(n):
         family_member(n, family, w)
-        assert len(calls) == key(w).length(), w
+        key = w.inverse() * w0 if alphabet == "x" else w * w0
+        assert len(calls) == key.length(), w
         calls.clear()
     family_table(n, family)
-    sliced_from = _tower_spec(n, family)[4]
-    if sliced_from is not None:
+    if alphabet == "y" and base != family:
         # a y=0 slice cached its full table, which is not built again
-        family_table(n, sliced_from)
+        family_table(n, base)
     assert len(calls) == 23
-    assert set(calls) == {TOWERS[family.rstrip("x")][1]}
+    assert set(calls) == {op_kind}
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("family", ["G", "Hx", "qS", "qGx"])
+def test_member_of_the_wrong_rank_is_refused(family, cached, monkeypatch):
+    # one refusal, before any table is read or tower built, whether the
+    # family is cached, built from its own tower, or sliced (qGx)
+    calls = _count_operators(monkeypatch)
+    if cached:
+        family_table(3, family)
+        calls.clear()
+    for w in (from_word([1], 2), from_word([1], 4)):
+        with pytest.raises(ValueError, match=r"^rank mismatch: a member of a rank-3 family is a permutation in S_3$"):
+            family_members(3, family, [all_perms(3)[1], w])
+        with pytest.raises(ValueError, match="^rank mismatch"):
+            family_member(3, family, w)
+    assert calls == []
 
 
 @pytest.mark.parametrize("family", ["G", "H", "S", "Gx", "Hx", "Sx", "qS", "qG", "qGx"])
