@@ -1068,8 +1068,9 @@ def _check_stability(n: int, rng: random.Random) -> dict | None:
     embedded = [w.embed(n + 1) for w in all_perms(n)]
     for mode, families in (("exact", exact), ("ratio", ratio)):
         for fam in families:
-            big = family_members(n + 1, fam, embedded)
-            w = _embedding_failure(family_table(n, fam), big, n, mode)
+            # no name holds the members, so one family's are freed before
+            # the next family's are built
+            w = _embedding_failure(family_table(n, fam), family_members(n + 1, fam, embedded), n, mode)
             if w is not None:
                 raise Counterexample(family=fam, w=w, mode=mode)
     return {"embedded_into": n + 1, "exact": exact, "ratio": ratio}

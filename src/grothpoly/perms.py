@@ -21,12 +21,12 @@ from itertools import permutations as _itertools_perms
 class Permutation(tuple):
     """A permutation of 1..n as the tuple of its one-line notation.
 
-    Construction checks that the entries are the ints 1..n in some order
-    (no floats or bools).  Being a
-    tuple, it hashes, compares and sorts as its one-line tuple, in C, and
-    compares equal to it: Permutation([2, 1]) == (2, 1).  Products,
-    inverses and the other derived permutations skip the check through
-    _new, since they are permutations by construction.
+    Construction checks that the entries are the ints 1..n in some order,
+    no floats or bools.  Being a tuple, it hashes, compares and sorts as
+    its one-line tuple, in C, and compares equal to it:
+    Permutation([2, 1]) == (2, 1).  Products, inverses and the other
+    derived permutations skip the check through _new, since they are
+    permutations by construction.
     """
 
     __slots__ = ()

@@ -320,6 +320,32 @@ def test_stability_builds_no_table_of_the_next_rank(check_id, monkeypatch):
     assert {n for n, _ in classical._TABLE_CACHE} == {3}
 
 
+def test_stability_holds_one_family_of_embedded_members_at_a_time(monkeypatch):
+    # at n = 5 the rank-6 members of one family take ~130 MB, so a family's
+    # members must be freed before the next family's are built
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    for family in ("G", "H", "S", "Gx", "Hx", "Sx"):
+        family_table(3, family)
+    live: set[int] = set()
+    alive_at_build = []
+
+    class Members(dict):
+        def __del__(self):
+            live.discard(id(self))
+
+    real = classical.family_members
+
+    def tracked(n, family, ws):
+        alive_at_build.append(len(live))
+        members = Members(real(n, family, ws))
+        live.add(id(members))
+        return members
+
+    monkeypatch.setattr(classical, "family_members", tracked)
+    assert verify("stability", 3).ok
+    assert alive_at_build == [0] * 6
+
+
 def test_quantum_stability_builds_each_base_family_once(monkeypatch):
     # one 8-operator cut-down tower at rank 4 for each of qS, qH and qG,
     # shared by the exact and ratio tries and sliced for qSx, qHx and qGx
