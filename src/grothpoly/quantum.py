@@ -408,8 +408,7 @@ def _check_classical_limit(n: int, rng: random.Random) -> dict | None:
 @check("quantum_stability", soft=3, hard=3)
 def _check_quantum_stability(n: int, rng: random.Random) -> dict | None:
     detail: dict = {}
-    # one cut-down rank-(n+1) tower each for qS, qH and qG, sliced at y=0
-    # for qSx, qHx and qGx
+    # qSx, qHx and qGx are sliced from the qS, qH and qG members built here
     embedded = [w.embed(n + 1) for w in all_perms(n)]
     big = {fam: family_members(n + 1, fam, embedded) for fam in ("qS", "qH", "qG")}
     big.update({fam + "x": {w: p.set_zero("y") for w, p in members.items()} for fam, members in big.items()})
