@@ -8,7 +8,8 @@ table build goes back to scanning Bruhat intervals, pin the one registry
 every family table is built from, check the restricted towers that build
 single members against the tables and against one apply_perm chain per
 member, count their operators, and make sure swapping any family's
-operator kind is caught by the verify catalog.
+operator kind is caught by the verify catalog, with the lines it prints
+unchanged (record_swap_failures.py holds their hashes).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from grothpoly.poly import MultiPoly
 from grothpoly.cli import _FAMILIES
 from grothpoly.quantum import quantum_top
 from grothpoly.report import CHECKS, rank_caps, verify
+from record_swap_failures import mismatches
 
 _B = unit(BETA)
 
@@ -310,6 +312,13 @@ def test_swapped_operator_kind_fails_a_check(base, kind, monkeypatch):
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
     failed = [cid for cid in CHECKS if not verify(cid, min(3, rank_caps(cid)[0])).ok]
     assert failed, (base, kind)
+
+
+def test_swapped_operator_kinds_print_the_recorded_lines(monkeypatch):
+    # every line of the 32 swaps at n = 2 and 3, failing ones included;
+    # n = 4 runs in CI
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    assert mismatches((2, 3)) == []
 
 
 @pytest.mark.parametrize("check_id", ["stability", "quantum_stability"])
