@@ -18,8 +18,10 @@ stability checks for the embedded rank-(n+1) members.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cache
+from math import comb
 from types import MappingProxyType
 
 from . import _termkernel_py as kernel
@@ -498,37 +500,86 @@ def localize(f: MultiPoly, u: Permutation, eps: int) -> MultiPoly:
     return _at_point(_x_parts(f), u, eps, {})
 
 
-def _cancel_common(f: MultiPoly, g: MultiPoly, n: int) -> tuple[MultiPoly, MultiPoly]:
-    """(f', g'): f and g with every binomial 1 + c b v (v in x_1..x_n,
-    y_1..y_n, c = +-1) divided out of both, as many times as it divides
-    both.  A zero f or g comes back unchanged.
+def _binomial_split(f: MultiPoly, n: int) -> tuple[list[tuple[Var, int]], MultiPoly]:
+    """(binomials, cofactor): f = cofactor * prod (1 + c b v) over the
+    (v, c) in binomials, every binomial 1 + c b v (v in x_1..x_n,
+    y_1..y_n, c = +-1) divided out of f as often as it divides it.  A zero
+    f comes back unchanged, with no binomial.
 
-    What is divided out is a product of such binomials.  At any point
-    x_i = eps * y_u(i), after any permute_y, it maps to a product of
-    factors 1 +- b y_j, nonzero in the domain Z[b][y].  So f p = g q holds
-    at a point iff f' p = g' q does: cancelling keeps every verdict.
-
-    Only the v that occur, with b, in both f and g are tried.  A binomial
-    in a variable a side lacks cannot divide it: if h != 0 and h_k v^k is
-    the part of h of top degree k in v, then (1 + c b v) h has the nonzero
-    part c b v^(k+1) h_k of degree k + 1 in v, so b and v both occur in it.
+    Only a v that occurs with b in some monomial of f is tried.  No other
+    binomial in v can divide f: if h != 0 and h_k v^k is the part of h of
+    top degree k in v, then (1 + c b v) h has the nonzero part
+    c b v^(k+1) h_k, each monomial of which holds both b and v.
     """
-    if f and g:
-        uf, ug = or_monomials(f._t), or_monomials(g._t)
-        if not (uf & MASK_B and ug & MASK_B):
-            return f, g
+    binomials: list[tuple[Var, int]] = []
+    if f:
+        with_b = or_monomials(m for m in f._t if m & MASK_B)
         for v in (*_xvars(1, n), *_yvars(1, n)):
-            sh = shift(v)
-            if not ((uf >> sh) & FIELD_MASK and (ug >> sh) & FIELD_MASK):
+            if not (with_b >> shift(v)) & FIELD_MASK:
                 continue
             for c in (1, -1):
                 d = MultiPoly._raw({0: 1, unit(BETA) + unit(v): c})
                 while True:
                     try:
-                        f, g = divexact(f, d), divexact(g, d)
+                        f = divexact(f, d)
                     except ArithmeticError:
                         break
-    return f, g
+                    binomials.append((v, c))
+    return binomials, f
+
+
+# the packed b*y_j at index j, the monomial of the binomial 1 +- b y_j
+_BY_UNITS = [0] + [unit(BETA) + unit(v) for v in _yvars(1, N_MAX)]
+
+
+def _relabelled(
+    split: tuple[list[tuple[Var, int]], MultiPoly], w: Permutation
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list | None]:
+    """A _binomial_split under permute_y by w, as (xs, ys, cofactor): (i, c)
+    for each binomial 1 + c b x_i, whose image depends on the point; the
+    image (packed b y_w(j), c) of each 1 + c b y_j, which does not; and the
+    _x_parts of the cofactor, None for a cofactor of 1."""
+    binomials, cofactor = split
+    xs = [(v.index, c) for v, c in binomials if v.kind == "x"]
+    ys = [(_BY_UNITS[w(v.index)], c) for v, c in binomials if v.kind == "y"]
+    return xs, ys, None if cofactor == 1 else _x_parts(permute_y(cofactor, w))
+
+
+def _x_images(xs: list[tuple[int, int]], u: Permutation, eps: int) -> list[tuple[int, int]]:
+    """The images (packed b y_u(i), eps c) of the binomials 1 + c b x_i at
+    the point x_i = eps * y_u(i)."""
+    return [(_BY_UNITS[u[i - 1]], c * eps) for i, c in xs]
+
+
+def _cancel(left: list[tuple[int, int]], right: list[tuple[int, int]]) -> tuple[list, list]:
+    """The two lists of binomial images with the images they share, as a
+    multiset, taken out of both."""
+    right = list(right)
+    kept = []
+    for image in left:
+        if image in right:
+            right.remove(image)
+        else:
+            kept.append(image)
+    return kept, right
+
+
+def _times_images(f: MultiPoly, images: list[tuple[int, int]], cofactor: list | None, at) -> MultiPoly:
+    """f times the binomial images 1 + s m, (m, s) in images, and then
+    times the cofactor localized by at, unless it is None (a cofactor of
+    1).  Each distinct image, k times in images, is applied in one pass
+    over f's terms as sum_j C(k, j) s^j m^j, with no product; the result is
+    pruned once."""
+    if not f:
+        return f
+    t = f._t
+    for (m, s), k in Counter(images).items():
+        g = dict(t)
+        for j in range(1, k + 1):
+            kernel.addmul(g, t, j * m, comb(k, j) * s**j)
+        t = g
+    out = MultiPoly._raw(kernel.prune(t) if images else t)
+    return out if cofactor is None else at(cofactor) * out
 
 
 # ---------------------------------------------------------------------------
@@ -813,12 +864,13 @@ def _signed_or_unsigned(
     Membership is decided at the n! points x_i = eps * y_u(i), the zero
     set of the ideal (eps = -1 for the signed one, +1 for the unsigned
     one; see localize), one point at a time.  At each point u,
-    failures(at, pending) localizes what it reads with at(parts), the
-    _x_parts at u, all sharing one image memo, and yields, for each case
-    of pending in order, whether it fails at u.  pending is the cases
-    before the first failure found so far, so the failure reported is the
-    first case in order that fails at any point, and no point's values
-    outlive it.
+    failures(at, pending, u, eps) localizes what it reads with at(parts),
+    the _x_parts at u, all sharing one image memo, relabels any binomial
+    it holds with u and eps (see _x_images), and yields, for each case of
+    pending in order, whether it fails at u.  pending is the cases before
+    the first failure found so far, so the failure reported is the first
+    case in order that fails at any point, and no point's values outlive
+    it.
 
     That is exact.  Z[b][x, y]/I is free over Z[b][y] on the staircase
     monomials (see NormalFormContext), so f is in I iff its normal form
@@ -832,7 +884,7 @@ def _signed_or_unsigned(
         first = len(cases)
         for u in all_perms(n):
             images: dict[int, tuple[int, int]] = {}
-            fails = failures(lambda parts: _at_point(parts, u, eps, images), cases[:first])
+            fails = failures(lambda parts: _at_point(parts, u, eps, images), cases[:first], u, eps)
             first = next((i for i, bad in enumerate(fails) if bad), first)
         if first == len(cases):
             return {"ideal": ideal, **detail}
@@ -856,23 +908,33 @@ def _check_pieri_simple(n: int, rng: random.Random) -> dict | None:
 def _check_pieri_double(n: int, rng: random.Random) -> dict | None:
     gt = family_table(n, "G")
     parts = {w: _x_parts(p) for w, p in gt.items()}
-    # G_{s_k} = c R_k and G_id = c D_k, c the binomials they share; case
-    # (w, k) is R_k(x; w y) G_w against D_k(w y) sum_v c_v G_v
-    cancelled = {k: _cancel_common(gt[identity(n).times_s(k)], gt[identity(n)], n) for k in range(1, n)}
-    cases = [
-        (w, k, *(_x_parts(permute_y(p, w)) for p in cancelled[k]), monk_expansion(w, k).items())
-        for w in all_perms(n)
-        for k in range(1, n)
-    ]
+    e = identity(n)
+    # Case (w, k) is G_{s_k}(x; w y) G_w against G_id(w y) M, M the Monk
+    # sum sum_v c_v G_v.  Times b, plus G_id(w y) G_w on both sides, it is
+    # P_k(x; w y) G_w against G_id(w y) (G_w + b M), P_k = b G_{s_k} + G_id:
+    # b is not 0 in the domain Z[b][y], so each gets the same verdict at
+    # each point.  P_k and G_id are split into binomials once.
+    right = _binomial_split(gt[e], n)
+    splits = {k: (_binomial_split(beta() * gt[e.times_s(k)] + gt[e], n), right) for k in range(1, n)}
+    cases = []
+    for w in all_perms(n):
+        for k in range(1, n):
+            (lx, ly, lcof), (rx, ry, rcof) = (_relabelled(split, w) for split in splits[k])
+            terms = [(w, one()), *((v, beta() * c) for v, c in monk_expansion(w, k).items())]
+            cases.append((w, k, lx, rx, *_cancel(ly, ry), lcof, rcof, terms))
 
-    def failures(at, pending):
+    def failures(at, pending, u, eps):
         lg = {w: at(p) for w, p in parts.items()}
-        for w, _, r, d, expansion in pending:
-            gw, monk = lg[w], dot((lg[v], c) for v, c in expansion)
-            # G_w and its Monk sum both 0 at u make both sides 0 there, so
-            # the case holds at u whatever R_k and D_k come to; the values
-            # are computed, so no vanishing theorem is assumed
-            yield bool(gw or monk) and at(r) * gw != at(d) * monk
+        for w, _, lx, rx, ly, ry, lcof, rcof, terms in pending:
+            gw, total = lg[w], dot((lg[v], c) for v, c in terms)
+            # G_w and G_w + b M both 0 at u make both sides 0 there, so the
+            # case holds at u whatever P_k and G_id come to; the values are
+            # computed, so no vanishing theorem is assumed
+            if not (gw or total):
+                yield False
+                continue
+            left, right = _cancel(_x_images(lx, u, eps) + ly, _x_images(rx, u, eps) + ry)
+            yield _times_images(gw, left, lcof, at) != _times_images(total, right, rcof, at)
 
     def sides(case: tuple) -> tuple[dict, MultiPoly, MultiPoly]:
         w, k = case[:2]
@@ -926,26 +988,26 @@ def _check_interpolation(n: int, rng: random.Random) -> dict | None:
 def _check_involution(n: int, rng: random.Random) -> dict | None:
     gt, ht = family_table(n, "G"), family_table(n, "H")
     w0, e = longest(n), identity(n)
-    # case v is omega(G_v) H_id against (-1)^l(v) H_{w0 v w0} omega(G_id)
+    # case v is omega(G_v) H_id against (-1)^l(v) H_{w0 v w0} omega(G_id),
+    # the sign taken into the H side once; H_id and omega(G_id) are split
+    # into binomials once
     parts = (
         {v: _x_parts(omega(p, n)) for v, p in gt.items()},
-        {v: _x_parts(ht[w0 * v * w0]) for v in gt},
+        {v: _x_parts(ht[w0 * v * w0] * (-1 if v.length() & 1 else 1)) for v in gt},
     )
-    cases = [(v, -1 if v.length() & 1 else 1) for v in all_perms(n)]
+    (hx, hy, hcof), (gx, gy, gcof) = (_relabelled(_binomial_split(f, n), e) for f in (ht[e], omega(gt[e], n)))
 
-    def failures(at, pending):
+    def failures(at, pending, u, eps):
         lg, lh = ({v: at(p) for v, p in table.items()} for table in parts)
-        # H_id and omega(G_id) cut by the binomials they share at u
-        hid, gid = _cancel_common(lh[e], lg[e], n)
-        signed = {1: gid, -1: -gid}
-        for v, sign in pending:
-            yield lg[v] * hid != lh[v] * signed[sign]
+        hid, gid = _cancel(_x_images(hx, u, eps) + hy, _x_images(gx, u, eps) + gy)
+        for v in pending:
+            yield _times_images(lg[v], hid, hcof, at) != _times_images(lh[v], gid, gcof, at)
 
-    def sides(case: tuple[Permutation, int]) -> tuple[dict, MultiPoly, MultiPoly]:
-        v, sign = case
+    def sides(v: Permutation) -> tuple[dict, MultiPoly, MultiPoly]:
+        sign = -1 if v.length() & 1 else 1
         return {"v": v}, omega(gt[v], n) * ht[e], ht[w0 * v * w0] * omega(gt[e], n) * sign
 
-    return _signed_or_unsigned(n, cases, failures, sides)
+    return _signed_or_unsigned(n, all_perms(n), failures, sides)
 
 
 @check("moebius")

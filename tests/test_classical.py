@@ -26,7 +26,7 @@ from grothpoly.classical import (
     SWAP_XY,
     SWAP_XY_MOVES,
     NormalFormContext,
-    _cancel_common,
+    _binomial_split,
     _cauchy_numerator,
     _cauchy_product,
     _descent_tower,
@@ -924,24 +924,13 @@ class TestLocalization:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_check_localizes_at_each_point_once(self, n, monkeypatch):
-        # every G (and H, omega(G)) member once per point, plus the R_k and
-        # D_k factors of pieri_double once per (w, k) and point where G_w or
-        # its Monk sum is not 0 (both checks pass under the signed ideal),
-        # whatever ran before in the process
+        # every G (and H, omega(G)) member once per point and nothing else:
+        # the fixed factors of both checks split into binomials with
+        # cofactor 1, which are relabelled at each point, not localized
+        # (both checks pass under the signed ideal), whatever ran before in
+        # the process
         size = len(all_perms(n))
-        gt = family_table(n, "G")
-        monk = {
-            (w, k): dot((gt[v], c) for v, c in monk_expansion(w, k).items())
-            for w in all_perms(n)
-            for k in range(1, n)
-        }
-        live = sum(
-            bool(localize(gt[w], u, -1) or localize(total, u, -1))
-            for (w, _), total in monk.items()
-            for u in all_perms(n)
-        )
-        assert 0 < live < size * size * (n - 1)
-        expected = {"pieri_double": size * size + 2 * live, "involution": 2 * size * size}
+        expected = {"pieri_double": size * size, "involution": 2 * size * size}
         family_table(n, "H")
         calls = []
         at_point = classical._at_point
@@ -1062,8 +1051,13 @@ def _divides(d: MultiPoly, f: MultiPoly) -> bool:
     return True
 
 
+def _split_product(binomials: list[tuple[Var, int]]) -> MultiPoly:
+    """The product of the binomials 1 + c b v of a _binomial_split."""
+    return prod((one() + beta() * MultiPoly.variable(v) * c for v, c in binomials), start=one())
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_cancel_common_divides_out_every_shared_binomial(n, rng):
+def test_binomial_split_divides_out_every_binomial(n, rng):
     binomials = _binomials(n)
 
     def nonzero_poly() -> MultiPoly:
@@ -1075,28 +1069,31 @@ def test_cancel_common_divides_out_every_shared_binomial(n, rng):
         return prod((rng.choice(binomials) ** rng.randint(1, 3) for _ in range(count)), start=one())
 
     for _ in range(10):
-        shared = rng.choice(binomials) ** rng.randint(2, 3) * binomial_product(2)
-        f = nonzero_poly() * shared * binomial_product(2)
-        g = nonzero_poly() * shared * binomial_product(2)
-        f2, g2 = _cancel_common(f, g, n)
-        assert f2 * g == g2 * f
-        assert _divides(shared, divexact(f, f2))
-        assert not [d for d in binomials if _divides(d, f2) and _divides(d, g2)]
+        factors = binomial_product(3)
+        f = nonzero_poly() * factors
+        split, cofactor = _binomial_split(f, n)
+        assert cofactor * _split_product(split) == f
+        assert _divides(factors, _split_product(split))
+        assert not [d for d in binomials if _divides(d, cofactor)]
 
 
-def _cancel_common_untrimmed(f: MultiPoly, g: MultiPoly, n: int) -> tuple[MultiPoly, MultiPoly]:
-    """_cancel_common trying every binomial, whatever f and g hold."""
-    if f and g:
-        for d in _binomials(n):
-            while _divides(d, f) and _divides(d, g):
-                f, g = divexact(f, d), divexact(g, d)
-    return f, g
+def _binomial_split_untrimmed(f: MultiPoly, n: int) -> tuple[list[tuple[Var, int]], MultiPoly]:
+    """_binomial_split trying every binomial, whatever f holds."""
+    split = []
+    if f:
+        for v in [*(Var("x", i) for i in range(1, n + 1)), *(Var("y", i) for i in range(1, n + 1))]:
+            for c in (1, -1):
+                d = one() + beta() * MultiPoly.variable(v) * c
+                while _divides(d, f):
+                    f = divexact(f, d)
+                    split.append((v, c))
+    return split, f
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_cancel_common_matches_trying_every_binomial(n, rng):
-    # one side lacks b, or a variable the other side's binomials hold, so
-    # _cancel_common tries fewer binomials than the untrimmed loop
+def test_binomial_split_matches_trying_every_binomial(n, rng):
+    # f lacks b, or a variable the binomials hold, so _binomial_split
+    # tries fewer binomials than the untrimmed loop
     binomials = _binomials(n)
     variables = [*(Var("x", i) for i in range(1, n + 1)), *(Var("y", i) for i in range(1, n + 1))]
 
@@ -1104,37 +1101,46 @@ def test_cancel_common_matches_trying_every_binomial(n, rng):
         return prod((rng.choice(binomials) ** rng.randint(1, 2) for _ in range(count)), start=one())
 
     for trial in range(12):
-        shared = binomial_product(2)
-        f = _random_xy_poly(rng, n, terms=3) * shared * binomial_product(2)
-        g = _random_xy_poly(rng, n, terms=3) * shared * binomial_product(2)
+        f = _random_xy_poly(rng, n, terms=3) * binomial_product(3)
         if trial % 3:
-            g = g.specialize({rng.choice(variables): 0})
+            f = f.specialize({rng.choice(variables): 0})
         else:
-            g = g.set_zero("b")
-        for a, c in ((f, g), (g, f)):
-            assert _cancel_common(a, c, n) == _cancel_common_untrimmed(a, c, n)
-    # x1 occurs to the powers 0, 1 in f and 2, 4 in g: each occurs, though
-    # the OR of f's x1 exponents and that of g's share no bit
+            f = f.set_zero("b")
+        assert _binomial_split(f, n) == _binomial_split_untrimmed(f, n)
+    # x1 occurs to the powers 0, 1 in d y1 and 2, 4 in d rest, each time
+    # with b: the OR of the two sets of exponents shares no bit
     d = one() + beta() * xvar(1)
     rest = xvar(1) ** 2 - beta() * xvar(1) ** 3
-    assert _cancel_common(d * yvar(1), d * rest, n) == (yvar(1), rest)
+    x1 = Var("x", 1)
+    for f, split in ((d * yvar(1), ([(x1, 1)], yvar(1))), (d * rest, ([(x1, 1), (x1, -1)], xvar(1) ** 2))):
+        assert _binomial_split(f, n) == _binomial_split_untrimmed(f, n) == split
 
 
-def test_cancel_common_returns_a_zero_side_unchanged(monkeypatch):
+def test_binomial_split_returns_zero_unchanged(monkeypatch):
     calls = 0
     divide = classical.divexact
 
     def counted(f, g):
         nonlocal calls
         calls += 1
-        assert calls < 1000, "_cancel_common kept dividing"
+        assert calls < 1000, "_binomial_split kept dividing"
         return divide(f, g)
 
     monkeypatch.setattr(classical, "divexact", counted)
-    g = (one() + beta() * yvar(1)) ** 2 * xvar(1)
-    for f, h in ((zero(), g), (g, zero()), (zero(), zero())):
-        assert _cancel_common(f, h, 3) == (f, h)
+    assert _binomial_split(zero(), 3) == ([], zero())
     assert calls == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_fixed_sides_split_into_binomials_with_cofactor_1(n):
+    # G_id, b G_{s_k} + G_id, H_id and omega(G_id) each split into l(w0)
+    # binomials, so neither check multiplies by a fixed factor
+    gt, ht, e = family_table(n, "G"), family_table(n, "H"), identity(n)
+    fixed = [gt[e], ht[e], omega(gt[e], n), *(beta() * gt[e.times_s(k)] + gt[e] for k in range(1, n))]
+    for f in fixed:
+        split, cofactor = _binomial_split(f, n)
+        assert cofactor == 1
+        assert len(split) == longest(n).length()
 
 
 @pytest.mark.parametrize("check_id", ["involution", "pieri_double"])
@@ -1191,6 +1197,20 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
             lambda: Permutation([2.0, 1.0]), r"not a permutation of 1\.\.2: \(2\.0, 1\.0\)", id="Permutation-floats"
         ),
         pytest.param(lambda: Permutation([True, 2]), r"not a permutation of 1\.\.2: \(True, 2\)", id="Permutation-bool"),
+        # so are letters, variable indices and exponents: a bool is not
+        # taken as 0 or 1, and a float is refused before it reaches packing
+        pytest.param(lambda: from_word([1, True], 3), "a letter is an int, not True", id="from_word-bool"),
+        pytest.param(lambda: from_word([1.5], 3), r"a letter is an int, not 1\.5", id="from_word-float"),
+        pytest.param(lambda: Var("x", True), "a variable index is an int, not True", id="Var-bool"),
+        pytest.param(lambda: Var("x", 2.0), r"a variable index is an int, not 2\.0", id="Var-float"),
+        pytest.param(lambda: MultiPoly({Var("x", 1): True}), "an exponent is an int, not True", id="MultiPoly-bool"),
+        pytest.param(lambda: MultiPoly({Var("x", 1): 2.0}), r"an exponent is an int, not 2\.0", id="MultiPoly-float"),
+        pytest.param(
+            lambda: MultiPoly.from_monomials([({Var("y", 2): False}, 1)]),
+            "an exponent is an int, not False",
+            id="from_monomials-bool-exponent",
+        ),
+        pytest.param(lambda: xvar(1) ** True, "exponent must be a nonnegative int", id="pow-bool"),
     ]
     + [
         pytest.param(
