@@ -52,9 +52,15 @@ TOP_BITS = sum(1 << (s * FIELD_BITS + FIELD_BITS - 1) for s in range(NUM_SLOTS))
 
 
 class Var(namedtuple("Var", "kind index")):
-    """A formal variable: kind in {x,y,z,b,q}, 1-based index (0 for b)."""
+    """A formal variable: kind in {x,y,z,b,q}, 1-based index (0 for b).
+    An index that is not an int, a bool included, raises ValueError."""
 
     __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "Var":
+        if type(index) is not int:
+            raise ValueError(f"a variable index is an int, not {index!r}")
+        return super().__new__(cls, kind, index)
 
     def name(self) -> str:
         return "b" if self.kind == "b" else f"{self.kind}{self.index}"
@@ -93,6 +99,8 @@ def exponent(mono: int, var: Var) -> int:
 def pack(exps: dict[Var, int]) -> int:
     m = 0
     for var, e in exps.items():
+        if type(e) is not int:
+            raise ValueError(f"an exponent is an int, not {e!r}")
         if e < 0:
             raise ValueError(f"negative exponent for {var.name()}")
         if e > FIELD_MASK:

@@ -127,6 +127,12 @@ def transposition(i: int, j: int, n: int) -> Permutation:
 
 
 def from_word(word: Iterable[int], n: int) -> Permutation:
+    """s_a1 s_a2 ... for the letters a of word; raises ValueError on a
+    letter that is not an int (bools included) or lies outside 1..n-1."""
+    word = tuple(word)
+    bad = [a for a in word if type(a) is not int]
+    if bad:
+        raise ValueError(f"a letter is an int, not {bad[0]!r}")
     w = identity(n)
     for a in word:
         if not 1 <= a <= n - 1:

@@ -274,7 +274,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "MultiPoly":
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise ValueError("exponent must be a nonnegative int")
         if e > 1:
             # every field of the result is at most e times the base's largest
