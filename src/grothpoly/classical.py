@@ -913,7 +913,9 @@ def _check_pieri_double(n: int, rng: random.Random) -> dict | None:
     # sum sum_v c_v G_v.  Times b, plus G_id(w y) G_w on both sides, it is
     # P_k(x; w y) G_w against G_id(w y) (G_w + b M), P_k = b G_{s_k} + G_id:
     # b is not 0 in the domain Z[b][y], so each gets the same verdict at
-    # each point.  P_k and G_id are split into binomials once.
+    # each point.  P_k and G_id are split into binomials once, and the
+    # images of their y-binomials, which do not depend on the point, are
+    # cancelled once per case.
     right = _binomial_split(gt[e], n)
     splits = {k: (_binomial_split(beta() * gt[e.times_s(k)] + gt[e], n), right) for k in range(1, n)}
     cases = []
