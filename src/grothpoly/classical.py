@@ -578,7 +578,7 @@ def _times_images(f: MultiPoly, images: list[tuple[int, int]], cofactor: list | 
         for j in range(1, k + 1):
             kernel.addmul(g, t, j * m, comb(k, j) * s**j)
         t = g
-    out = MultiPoly._raw(kernel.prune(t) if images else t)
+    out = MultiPoly._raw(kernel.prune(t)) if images else f
     return out if cofactor is None else at(cofactor) * out
 
 
