@@ -578,6 +578,34 @@ def test_forced_stability_failure(table, w, perturb, counterexample, monkeypatch
     assert rep.detail is None
 
 
+@pytest.mark.parametrize(
+    "n, w, perturb, counterexample",
+    [
+        # the first failing pairing in (u, v) order, its value two terms
+        (3, (2, 3, 1), lambda p: p + xvar(1) + 5 * beta() * xvar(1) * xvar(2),
+         '{"u": [2, 1, 3], "v": [2, 3, 1], "value": [{"coef": "1", "monomial": {}},'
+         ' {"coef": "5", "monomial": {"b": 1}}]}'),
+        (3, (3, 1, 2), lambda p: p * (one() - 2 * beta() * xvar(2)) + xvar(1) ** 2,
+         '{"u": [1, 2, 3], "v": [3, 1, 2], "value": [{"coef": "-2", "monomial": {"b": 1}}]}'),
+        (4, (1, 3, 2, 4), lambda p: p * (one() + beta() * xvar(2)) ** 3,
+         '{"u": [1, 3, 4, 2], "v": [1, 3, 2, 4], "value": [{"coef": "-4", "monomial": {"b": 3}}]}'),
+        (4, (3, 4, 1, 2), lambda p: p - 2 * xvar(1) ** 3 * xvar(2) * xvar(3) + beta() * xvar(1) ** 3 * xvar(2) ** 2,
+         '{"u": [1, 2, 4, 3], "v": [3, 4, 1, 2], "value": [{"coef": "1", "monomial": {"b": 1}}]}'),
+    ],
+    ids=["rank3-two-terms", "rank3-at-the-identity", "rank4-b3", "rank4-top-degree"],
+)
+def test_forced_orthogonality_failure(n, w, perturb, counterexample, monkeypatch):
+    # one Gx member perturbed in the cached table; H is read as built
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    members = dict(family_table(n, "Gx"))
+    members[Permutation(w)] = perturb(members[Permutation(w)])
+    classical._TABLE_CACHE[n, "Gx"] = MappingProxyType(members)
+    rep = verify("orthogonality", n)
+    assert rep.status == "fail"
+    assert json.dumps(rep.counterexample) == counterexample
+    assert rep.detail is None
+
+
 CLASSICAL_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.classical"]
 
 
