@@ -18,6 +18,7 @@ from .classical import (
     grothendieck_double,
     localize,
     monk_expansion,
+    pairing0,
     schubert,
     schubert_double,
     top_class,
@@ -58,6 +59,7 @@ __all__ = [
     "localize",
     "longest",
     "monk_expansion",
+    "pairing0",
     "quantize",
     "quantum_dual_grothendieck",
     "quantum_dual_grothendieck_double",

@@ -258,36 +258,86 @@ def refuse_x_past(used: int, n: int) -> None:
         raise ValueError(f"an x past x{n} is above the rank {n}")
 
 
+# (n, x-monomial) -> mu of it at rank n, as a term map in b
 _MU_CACHE: dict[tuple[int, int], dict[int, int]] = {}
+
+
+def _mu(n: int, xpart: int) -> dict[int, int]:
+    """mu(x^m) = eta(pi_{w_0} x^m) at rank n as a term map in b, by the
+    determinant in pairing0's docstring."""
+    m = [(xpart >> sh) & FIELD_MASK for sh in _X_SHIFTS[:n]]
+    free = n * (n - 1) // 2 - sum(m)
+
+    def minor(j: int, rows: tuple[int, ...]) -> int:
+        # Laplace down column j (x_{j+1}, binomial C(j, .)) of the minor
+        # on rows; row i holds delta_i = n - 1 - i
+        total = 0
+        for pos, i in enumerate(rows):
+            k = n - 1 - i - m[j]
+            if 0 <= k <= j:
+                rest = minor(j + 1, rows[:pos] + rows[pos + 1 :]) if j + 1 < n else 1
+                total += (-1) ** pos * comb(j, k) * rest
+        return total
+
+    det = minor(0, tuple(range(n))) if free >= 0 else 0
+    return {free * unit(BETA): det} if det else {}
+
+
+def _paired(f: MultiPoly, g_parts: Sequence[Mapping[int, MultiPoly]], n: int) -> list[MultiPoly]:
+    """<f, g> for each g given by its split_x(), at rank n.
+
+    By bilinearity <f, g> = sum_c g_c(b) * L(c), where the functional
+    L(c) = sum_a f_a(b) * mu(x^(a+c)) is built once for each x-part c
+    that occurs in g_parts.  Each mu is memoised in _MU_CACHE.
+    """
+    f_parts = [(a, fa._t) for a, fa in f.split_x().items()]
+    mus = _MU_CACHE
+    functional: dict[int, dict[int, int]] = {}
+    for c in {c for parts in g_parts for c in parts}:
+        acc: dict[int, int] = {}
+        for a, fa in f_parts:
+            mu = mus.get((n, a + c))
+            if mu is None:
+                mu = mus[n, a + c] = _mu(n, a + c)
+            for bpart, coef in mu.items():
+                kernel.addmul(acc, fa, bpart, coef)
+        functional[c] = kernel.prune(acc)
+    out = []
+    for parts in g_parts:
+        acc = {}
+        for c, gc in parts.items():
+            lc = functional[c]
+            for bpart, coef in gc._t.items():
+                kernel.addmul(acc, lc, bpart, coef)
+        out.append(MultiPoly._raw(kernel.prune(acc)))
+    return out
 
 
 def pairing0(f: MultiPoly, g: MultiPoly, n: int) -> MultiPoly:
     """Quotient pairing eta(pi_{w_0}(f*g)) for polynomials in x and beta only.
 
-    Linear in each monomial of the product, so the value of the functional
-    eta . pi_{w_0} on each x-monomial is computed once and reused: much
-    faster on big tables than applying pi_{w_0} to the whole product.
-    Raises ValueError on a rank below 1, and if f or g holds y, z, q or an
-    x past x_n.
+    Linear in each monomial of the product, so it is read off the value
+    mu(x^m) = eta(pi_{w_0} x^m) on each x-monomial, a determinant
+    (Lascoux-Schuetzenberger, carried over to the [FK] deformation):
+    since pi_i f = d_i((1 + b x_{i+1}) f), pi_{w_0} = d_{w_0} . P with
+    P = prod_{j=2..n} (1 + b x_j)^(j-1); and eta . d_{w_0} takes h to
+    sum_sigma sgn(sigma) [x^sigma(delta)] h, delta = (n-1, ..., 0), where
+    [x^e] (P x^m) = prod_j C(j-1, e_j - m_j) b^(e_j - m_j).  So
+
+        mu(x^m) = b^(N - |m|) * det[C(j-1, n-i-m_j)]_{i,j=1..n},
+
+    N = n(n-1)/2, C(a, k) = 0 outside 0 <= k <= a, and mu = 0 when
+    |m| > N.  No divided difference runs.  This is the one-pair case of
+    _paired, which orthogonality calls with the whole G table.  Raises
+    ValueError on a rank that is not an int or is below 1, and if f or g
+    holds y, z, q or an x past x_n.
     """
     check_rank(n)
     used = or_monomials(f._t) | or_monomials(g._t)
     if used & (MASK_Y | MASK_Z | MASK_Q):
         raise ValueError("pairing0 expects polynomials in x and beta only")
     refuse_x_past(used, n)
-    prod = f * g
-    acc: dict[int, int] = {}
-    w0 = longest(n)
-    for m, c in prod._t.items():
-        bpart = m & MASK_B
-        xpart = m - bpart
-        mu = _MU_CACHE.get((n, xpart))
-        if mu is None:
-            val = eta(apply_perm(PI_PLUS, w0, MultiPoly._raw({xpart: 1}), "x"))
-            mu = val._t
-            _MU_CACHE[(n, xpart)] = mu
-        kernel.addmul(acc, mu, bpart, c)
-    return MultiPoly._raw(kernel.prune(acc))
+    return _paired(f, [g.split_x()], n)[0]
 
 
 def expand_dual_basis(f: MultiPoly, n: int) -> dict[Permutation, MultiPoly]:
@@ -649,12 +699,12 @@ def monk_expansion(w: Permutation, k: int) -> dict[Permutation, MultiPoly]:
     admits extra permutations whose terms do not cancel; the constrained
     form is the one the product actually satisfies (cross-checked against
     dual-basis expansion coefficients through rank 4).  Raises ValueError
-    unless 1 <= k <= n - 1.  The chains are walked once per (w, k); each
-    call returns a new dict.
+    unless k is an int (not a bool) in 1..n - 1.  The chains are walked
+    once per (w, k); each call returns a new dict.
     """
     n = w.n
-    if not 1 <= k < n:
-        raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
+    if type(k) is not int or not 1 <= k < n:
+        raise ValueError(f"k must lie in 1..{n - 1}, got {k!r}")
     return dict(_monk_terms(w, k))
 
 
@@ -825,9 +875,10 @@ def _check_orthogonality(n: int, rng: random.Random) -> dict | None:
     ht = family_table(n, "Hx")
     w0 = longest(n)
     perms = all_perms(n)
+    g_parts = [gt[v].split_x() for v in perms]
     for u in perms:
-        for v in perms:
-            val = pairing0(ht[u], gt[v], n)
+        # every pairing of H_u through one functional, then compared in order
+        for v, val in zip(perms, _paired(ht[u], g_parts, n)):
             expect = one() if v == w0 * u else zero()
             if val != expect:
                 raise Counterexample(u=u, v=v, value=val)

@@ -109,12 +109,21 @@ def _new(entries: Iterable[int]) -> Permutation:
     return tuple.__new__(Permutation, entries)
 
 
+def check_int_rank(n: int) -> None:
+    """Refuse a rank that is not an int, a bool or float included, with
+    ValueError: the one type test every rank parameter goes through."""
+    if type(n) is not int:
+        raise ValueError(f"a rank is an int, not {n!r}")
+
+
 def identity(n: int) -> Permutation:
+    check_int_rank(n)
     return _new(range(1, n + 1))
 
 
 def longest(n: int) -> Permutation:
     """The order-reversing permutation, the unique one of maximal length."""
+    check_int_rank(n)
     return _new(range(n, 0, -1))
 
 
@@ -154,12 +163,14 @@ def _by_length(n: int) -> tuple[Permutation, ...]:
 def all_perms(n: int) -> list[Permutation]:
     """All of S_n in lexicographic one-line order: a new list each call,
     copied from one tuple built once per rank."""
+    check_int_rank(n)
     return list(_all_perms(n))
 
 
 def by_length(n: int) -> list[Permutation]:
     """All of S_n sorted by (length, one-line), the table order: a new
     list each call, copied from one tuple built once per rank."""
+    check_int_rank(n)
     return list(_by_length(n))
 
 

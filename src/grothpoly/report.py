@@ -17,7 +17,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 
-from .perms import Permutation
+from .perms import Permutation, check_int_rank
 from .poly import MultiPoly
 
 
@@ -83,7 +83,9 @@ class VerificationReport(
 
 
 def check_rank(n: int) -> None:
-    """Refuse a rank below 1, the one wording for the library and the CLI."""
+    """Refuse a rank that is not an int or is below 1, the one wording for
+    the library and the CLI."""
+    check_int_rank(n)
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
 

@@ -13,7 +13,7 @@ from math import prod
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grothpoly import classical
@@ -32,6 +32,7 @@ from grothpoly.classical import (
     _descent_tower,
     _embedding_failure,
     _monk_sides,
+    _mu,
     _random_quotient_poly,
     _staircase_packed,
     complete_h,
@@ -428,6 +429,37 @@ class TestDualBasis:
             f = _random_xy_poly(rng, n).set_zero("y")
             g = _random_xy_poly(rng, n).set_zero("y")
             assert pairing0(f, g, n) == scalar_product(f, g, n)
+        # every pair of table members at n <= 3, and sampled pairs at n = 4
+        for n in (1, 2, 3, 4):
+            gt, ht = family_table(n, "Gx"), family_table(n, "Hx")
+            pairs = list(itertools.product(all_perms(n), repeat=2))
+            for u, v in pairs if n <= 3 else rng.sample(pairs, 40):
+                assert pairing0(ht[u], gt[v], n) == scalar_product(ht[u], gt[v], n), (u, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mu_is_the_determinant_on_every_product_monomial(self, n):
+        # a product of two staircase members has x_i <= 2(n - i): 105
+        # monomials at n = 4
+        ranges = [range(2 * (n - i) + 1) for i in range(1, n + 1)]
+        for exps in itertools.product(*ranges):
+            m = pack({Var("x", i): e for i, e in enumerate(exps, start=1) if e})
+            assert _mu(n, m) == scalar_product(MultiPoly._raw({m: 1}), one(), n)._t, exps
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_mu_is_the_determinant_on_random_monomials(self, n, rng):
+        # past degree n(n-1)/2 both sides are 0 without a determinant, so
+        # the samples stay at or below it
+        seen = 0
+        while seen < 50:
+            exps = [rng.randint(0, 2 * (n - i)) for i in range(1, n + 1)]
+            if sum(exps) > n * (n - 1) // 2:
+                continue
+            seen += 1
+            m = pack({Var("x", i): e for i, e in enumerate(exps, start=1) if e})
+            assert _mu(n, m) == scalar_product(MultiPoly._raw({m: 1}), one(), n)._t, exps
+
+    def test_orthogonality_passes_at_its_hard_cap(self):
+        assert verify("orthogonality", 5, force=True).ok
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pairing_refuses_an_x_past_the_rank(self, n):
@@ -1250,6 +1282,40 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
 def test_inputs_without_an_answer_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# every rank parameter of the public entries, and monk_expansion's k
+RANK_PARAMETERS = {
+    "all_perms": all_perms,
+    "by_length": by_length,
+    "identity": identity,
+    "longest": longest,
+    "from_word": lambda n: from_word([], n),
+    "top_class": top_class,
+    "NormalFormContext": NormalFormContext,
+    "expand_dual_basis": lambda n: expand_dual_basis(xvar(1), n),
+    "pairing0": lambda n: pairing0(xvar(1), one(), n),
+    "quantum_top": quantum_top,
+    "apply_X": lambda n: apply_X(1, one(), n),
+    "eval_at_X": lambda n: eval_at_X(xvar(1), n),
+    "quantize": lambda n: quantize(xvar(1), n),
+    "verify": lambda n: verify("closed_forms", n),
+    "verify-force": lambda n: verify("orthogonality", n, force=True),
+    "monk_expansion-k": lambda k: monk_expansion(identity(3), k),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RANK_PARAMETERS))
+@settings(max_examples=15, deadline=None)
+@given(value=st.one_of(st.booleans(), st.floats(), st.integers(-2, 9).map(float), st.text(max_size=3)))
+@example(value=True)
+@example(value=2.0)
+@example(value="3")
+def test_a_rank_that_is_not_an_int_is_refused(entry, value):
+    # a bool is not taken as 0 or 1, and a float such as 2.0 or a str is
+    # refused before it reaches range() or a comparison
+    with pytest.raises(ValueError):
+        RANK_PARAMETERS[entry](value)
 
 
 @pytest.mark.parametrize(
