@@ -110,7 +110,7 @@ def _new(entries: Iterable[int]) -> Permutation:
 
 
 def check_int_rank(n: int) -> None:
-    """Refuse a rank that is not an int, a bool or float included, with
+    """Refuse a rank that is not an int (a bool is not one) with
     ValueError: the one type test every rank parameter goes through."""
     if type(n) is not int:
         raise ValueError(f"a rank is an int, not {n!r}")

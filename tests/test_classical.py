@@ -1300,7 +1300,6 @@ RANK_PARAMETERS = {
     "eval_at_X": lambda n: eval_at_X(xvar(1), n),
     "quantize": lambda n: quantize(xvar(1), n),
     "verify": lambda n: verify("closed_forms", n),
-    "verify-force": lambda n: verify("orthogonality", n, force=True),
     "monk_expansion-k": lambda k: monk_expansion(identity(3), k),
 }
 
