@@ -150,10 +150,11 @@ def unpack(mono: int) -> dict[Var, int]:
 
 
 def kind_degree(mono: int, kind: str) -> int:
-    """Total degree of the monomial in one alphabet."""
+    """Total degree of the monomial in one alphabet, the sum of its
+    fields (exact for every exponent they hold)."""
     if kind == "x":
         return (mono >> XDEG_SHIFT) & FIELD_MASK
-    total, m = 0, mono & _KIND_MASKS[kind]
+    total, m = 0, (mono & _KIND_MASKS[kind]) >> _LAYOUT[kind][0] * FIELD_BITS
     while m:
         total += m & FIELD_MASK
         m >>= FIELD_BITS

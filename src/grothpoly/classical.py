@@ -8,8 +8,9 @@ Every family is produced the same way: start from the top polynomial
 and peel it down with divided-difference operators indexed by reduced words.
 family_members builds these and the quantum families alike, and alone turns
 a TOWERS entry into members: one descent tower, cut down to the members
-asked for and those they are peeled from, or a y=0 slice of a y-alphabet
-family's full members.  family_table asks it for all n! members and caches
+asked for and those they are peeled from (for the y=0 members of a
+y-alphabet family, also to the y-degrees they read), or a y=0 slice of a
+cached full table.  family_table asks it for all n! members and caches
 the table per rank, since the identity checks read whole tables;
 family_member asks it for one, which is one operator chain, and the
 stability checks for the embedded rank-(n+1) members.
@@ -38,6 +39,7 @@ from ._packing import (
     XDEG_SHIFT,
     XDEG_UNIT,
     Var,
+    kind_degree,
     mono_divides,
     pack,
     shift,
@@ -126,21 +128,63 @@ def top_class(n: int) -> MultiPoly:
 
 
 def _descent_tower(
-    seed: MultiPoly, op_kind: str, alphabet: str, n: int, keys: Iterable[Permutation] | None = None
+    seed: MultiPoly,
+    op_kind: str,
+    alphabet: str,
+    n: int,
+    keys: Iterable[Permutation] | None = None,
+    y0: bool = False,
 ) -> dict[Permutation, MultiPoly]:
     """op_v(seed) for every v in keys (all of S_n when None) and every v
     they are peeled from, one left descent at a time: v is op_a of
     v.s_times(a), a its first left descent.  Each node is built once, so
     one key alone costs l(v) operators.
+
+    With y0, for a y-alphabet tower read only at y = 0, node v keeps only
+    its terms of y-degree at most its height h(v), the most operators any
+    node peeled from it still takes.  That is exact for every y=0 part
+    read: each operator kind on y, d_a((1 + s b y_(a+1)) f) + t b f, sends
+    a term of y-degree D to terms of y-degree D - 1 and D, so the y=0 part
+    of a node h steps below v reads only v's terms of y-degree at most h.
     """
     peel: dict[Permutation, int] = {}
     for v in all_perms(n) if keys is None else keys:
         while v not in peel and not v.is_identity():
             peel[v] = a = v.left_descents()[0]
             v = v.s_times(a)
-    table = {identity(n): seed}
-    for v in sorted(peel, key=Permutation.length):
-        table[v] = apply_op(op_kind, peel[v], table[v.s_times(peel[v])], alphabet)
+    order = sorted(peel, key=Permutation.length)
+    e = identity(n)
+    table = {e: seed}
+    if y0:
+        height = dict.fromkeys([e, *order], 0)
+        for v in reversed(order):
+            parent = v.s_times(peel[v])
+            height[parent] = max(height[parent], height[v] + 1)
+        # the y-degree of each y-part met, memoised for the whole tower; no
+        # operator raises it, so the seed's bounds every node
+        degrees = {m & MASK_Y: kind_degree(m, "y") for m in seed._t}
+        most = max(degrees.values(), default=0)
+
+        def cut(v: Permutation, p: MultiPoly) -> MultiPoly:
+            h = height[v]
+            if h >= most:
+                return p
+            if not h:
+                # y-degree 0 is no y at all: one mask test a term
+                return p.set_zero("y")
+            kept = {}
+            for m, c in p._t.items():
+                d = degrees.get(m & MASK_Y)
+                if d is None:
+                    d = degrees[m & MASK_Y] = kind_degree(m, "y")
+                if d <= h:
+                    kept[m] = c
+            return MultiPoly._raw(kept)
+
+        table[e] = cut(e, seed)
+    for v in order:
+        p = apply_op(op_kind, peel[v], table[v.s_times(peel[v])], alphabet)
+        table[v] = cut(v, p) if y0 else p
     return table
 
 
@@ -156,26 +200,21 @@ TOWERS: dict[str, tuple[Callable[[int], MultiPoly], str, str]] = {
 }
 
 
-def _sliced_from(family: str) -> str | None:
-    """The full family whose members, y set to 0, are family's: the base
-    of a y=0 family on a y-alphabet tower, else None."""
-    base = family[:-1]
-    return base if family.endswith("x") and base in TOWERS and TOWERS[base][2] == "y" else None
-
-
 def family_members(n: int, family: str, ws: Sequence[Permutation]) -> dict[Permutation, MultiPoly]:
     """Members w in ws of one family at rank n, keyed by permutation.
 
     family is a key of TOWERS, or one with "x" appended for the y=0
     specialisation; a rank below 1, an unknown family or a w not in S_n
     raises ValueError.  Members are read from the cached table if there
-    is one.  A y-alphabet family's y=0 members are its full members with
-    y set to 0.  Otherwise member w is op_{key(w)} of the seed, read off
-    one descent tower cut down to the keys of ws and the nodes they are
-    peeled from, caching nothing: l(key(w)) operators for one member.  An
-    x-alphabet tower keys w by w^-1 w0 and peels its y=0 members from the
-    y=0 seed, the x-operators treating y as scalars; a y-alphabet tower
-    keys w by w w0.
+    is one, and a y-alphabet family's y=0 members are sliced from its
+    cached full table if there is one.  Otherwise member w is
+    op_{key(w)} of the seed, read off one descent tower cut down to the
+    keys of ws and the nodes they are peeled from, caching nothing:
+    l(key(w)) operators for one member.  An x-alphabet tower keys w by
+    w^-1 w0 and peels its y=0 members from the y=0 seed, the x-operators
+    treating y as scalars; a y-alphabet tower keys w by w w0 and peels its
+    y=0 members from the full seed, each node cut to the y-degrees the
+    y=0 members below it read (see _descent_tower).
     """
     check_rank(n)
     if any(w.n != n for w in ws):
@@ -183,30 +222,26 @@ def family_members(n: int, family: str, ws: Sequence[Permutation]) -> dict[Permu
     cached = _TABLE_CACHE.get((n, family))
     if cached is not None:
         return {w: cached[w] for w in ws}
-    full = _sliced_from(family)
-    if full is not None:
-        return {w: p.set_zero("y") for w, p in family_members(n, full, ws).items()}
     base = family[:-1] if family.endswith("x") else family
     if base not in TOWERS:
         raise ValueError(f"unknown family {family!r}")
     seed, op_kind, alphabet = TOWERS[base]
-    top = seed(n) if base == family else seed(n).set_zero("y")
+    y0 = base != family and alphabet == "y"
+    full = _TABLE_CACHE.get((n, base)) if y0 else None
+    if full is not None:
+        return {w: full[w].set_zero("y") for w in ws}
+    top = seed(n) if base == family or y0 else seed(n).set_zero("y")
     w0 = longest(n)
     keys = {w: w.inverse() * w0 if alphabet == "x" else w * w0 for w in ws}
-    tower = _descent_tower(top, op_kind, alphabet, n, keys.values())
-    return {w: tower[key] for w, key in keys.items()}
+    tower = _descent_tower(top, op_kind, alphabet, n, keys.values(), y0)
+    return {w: tower[key].set_zero("y") if y0 else tower[key] for w, key in keys.items()}
 
 
 def family_table(n: int, family: str) -> Mapping[Permutation, MultiPoly]:
     """All members of one family at rank n, as a read-only view of the
-    cached table.  A sliced y=0 table caches its full table first, so it
-    is sliced from that.
-    """
+    cached table."""
     cached = _TABLE_CACHE.get((n, family))
     if cached is None:
-        full = _sliced_from(family)
-        if full is not None:
-            family_table(n, full)
         cached = _TABLE_CACHE[n, family] = MappingProxyType(family_members(n, family, all_perms(n)))
     return cached
 
@@ -614,7 +649,9 @@ def _cancel(left: list[tuple[int, int]], right: list[tuple[int, int]]) -> tuple[
     return kept, right
 
 
-def _times_images(f: MultiPoly, images: list[tuple[int, int]], cofactor: list | None, at) -> MultiPoly:
+def _times_images(
+    f: MultiPoly, images: list[tuple[int, int]], cofactor: list | None = None, at=None
+) -> MultiPoly:
     """f times the binomial images 1 + s m, (m, s) in images, and then
     times the cofactor localized by at, unless it is None (a cofactor of
     1).  Each distinct image, k times in images, is applied in one pass
@@ -1024,6 +1061,10 @@ def _check_interpolation(n: int, rng: random.Random) -> dict | None:
     for m in _staircase_packed(n):
         tower = _descent_tower(MultiPoly._raw({m: 1})._moved(SWAP_XY_MOVES), PI_PLUS, "y", n)
         basis[m] = dot((hneg[w], tower[w]) for w in all_perms(n))._t
+    # so if every R_m is x^m G_id(x, -y), every f passes: both sides are
+    # then f G_id(x, -y), and no trial needs drawing
+    if all(r == {k + m: c for k, c in gid._t.items()} for m, r in basis.items()):
+        return {"samples": samples}
     for trial in range(samples):
         f = _random_quotient_poly(n, rng)
         lhs = f * gid
@@ -1106,11 +1147,11 @@ def _check_dominant(n: int, rng: random.Random) -> dict | None:
             continue
         count += 1
         code = w.code()
-        lhs = gt[w]
+        # G_w times the binomials 1 - b y_i, one pass each
+        lhs = _times_images(gt[w], [(_BY_UNITS[i], -1) for c in code for i in range(1, c + 1)])
         rhs = gid
         for k in range(1, n + 1):
             for i in range(1, code[k - 1] + 1):
-                lhs = lhs * (one() - beta() * yvar(i))
                 rhs = rhs * (xvar(k) + yvar(i))
         if lhs != rhs:
             raise Counterexample(w=w, difference=lhs - rhs)
@@ -1150,7 +1191,7 @@ def _embedding_failure(
     m = n + 1
     small_id = small[identity(n)]
     big_id = big[identity(m)]
-    ratio = None
+    ratio = images = None
     if mode == "ratio":
         # Z[x, y, z, b, q] is a domain and small_id != 0, so comparing
         # against the exact quotient gives the cross-multiplied verdict
@@ -1158,10 +1199,19 @@ def _embedding_failure(
             ratio = divexact(big_id, small_id)
         except ArithmeticError:
             pass
+        else:
+            # a quotient that is a product of binomials 1 + c b v (G's
+            # prod (1 - b y_j), H's prod (1 + b x_i)) is applied one pass
+            # per binomial
+            binomials, cofactor = _binomial_split(ratio, m)
+            if cofactor == 1:
+                images = [(unit(BETA) + unit(v), c) for v, c in binomials]
     for w in all_perms(n):
         big_w = big[w.embed(m)]
         if mode == "exact":
             ok = big_w == small[w]
+        elif images is not None:
+            ok = _times_images(small[w], images) == big_w
         elif ratio is not None:
             ok = small[w] * ratio == big_w
         else:

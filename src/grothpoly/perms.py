@@ -92,7 +92,9 @@ class Permutation(tuple):
         return _new(w)
 
     def embed(self, m: int) -> "Permutation":
-        """Image under the standard inclusion fixing n+1..m."""
+        """Image under the standard inclusion fixing n+1..m; raises
+        ValueError on an m that is not an int or is below n."""
+        check_int_rank(m)
         if m < len(self):
             raise ValueError("cannot embed into smaller rank")
         return _new(self + tuple(range(len(self) + 1, m + 1)))
@@ -128,6 +130,12 @@ def longest(n: int) -> Permutation:
 
 
 def transposition(i: int, j: int, n: int) -> Permutation:
+    """The permutation of S_n swapping i and j; raises ValueError unless
+    i, j and n are ints (bools excluded) with 1 <= i < j <= n."""
+    check_int_rank(n)
+    bad = [v for v in (i, j) if type(v) is not int]
+    if bad:
+        raise ValueError(f"a transposed entry is an int, not {bad[0]!r}")
     if not 1 <= i < j <= n:
         raise ValueError("need 1 <= i < j <= n")
     w = list(range(1, n + 1))

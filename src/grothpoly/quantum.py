@@ -185,12 +185,12 @@ def _bold_seed(n: int) -> MultiPoly:
     return quantum_top(n, beta_form=True)
 
 
-# y-alphabet towers: member w is tower[w w0], and the y=0 tables are slices
-# of the full ones.  The psi towers are Bruhat-interval sums of their pi
+# y-alphabet towers: member w is tower[w w0], and the y=0 members are the
+# full ones at y = 0.  The psi towers are Bruhat-interval sums of their pi
 # siblings (v >= w iff v w0 <= w w0): qG_w = sum_{v>=w} (-b)^(l(v)-l(w)) qH_v,
 # and bH_w is the b-weighted sum of the bG tower below w w0.  bH is a psi+
 # tower, not a pi- one: on the bold seed the two genuinely differ, and only
-# psi+ matches the y=0 slices.
+# psi+ matches the y=0 tables.
 TOWERS.update({
     "qS": (quantum_top, DEL, "y"),
     "qH": (quantum_top, PI_MINUS, "y"),
@@ -266,14 +266,14 @@ def _check_quantum_cauchy(n: int, rng: random.Random) -> dict | None:
 def _check_corollary2(n: int, rng: random.Random) -> dict | None:
     qgx = family_table(n, "qGx")
     qhx = family_table(n, "qHx")
-    bg = family_table(n, "bG")
-    bh = family_table(n, "bH")
+    bgx = family_table(n, "bGx")
+    bhx = family_table(n, "bHx")
     gxt = family_table(n, "Gx")
     w0 = longest(n)
     for w in all_perms(n):
-        if bh[w].set_zero("y") != qhx[w]:
+        if bhx[w] != qhx[w]:
             raise Counterexample(bullet=1, w=w)
-        if bg[w].set_zero("y") != qgx[w]:
+        if bgx[w] != qgx[w]:
             raise Counterexample(bullet=2, w=w)
     # coefs[v][u] = eta(pi+_u Gx_{v w0}), one pi+ tower per v
     coefs = {v: expand_dual_basis(gxt[v * w0], n) for v in all_perms(n)}

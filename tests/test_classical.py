@@ -562,8 +562,9 @@ def test_det_bareiss_on_integer_matrices(rng):
 @pytest.mark.parametrize("path", ["quotient", "cross-multiplied"])
 @pytest.mark.parametrize("family", ["G", "H", "Hx"])
 def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
-    # ratio mode compares small[w] * (big_id / small_id) with big[w]; when the
-    # quotient is refused it falls back to small[w] * big_id == big[w] * small_id
+    # ratio mode compares small[w] * (big_id / small_id) with big[w], the
+    # quotient split into binomials applied one pass each; when the quotient
+    # is refused it falls back to small[w] * big_id == big[w] * small_id
     n = 3
     exact_quotient = classical.divexact
     divisions = []
@@ -575,16 +576,60 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
         return exact_quotient(f, g)
 
     monkeypatch.setattr(classical, "divexact", divexact)
+    passes = _calls(monkeypatch, "_times_images")
     small = family_table(n, family)
     big = family_members(n + 1, family, [v.embed(n + 1) for v in all_perms(n)])
     assert _embedding_failure(small, big, n, "ratio") is None
+    # the quotient is a product of binomials, applied to each member in
+    # passes; the cross-multiplied form multiplies instead
+    assert len(passes) == (6 if path == "quotient" else 0)
     w = Permutation((2, 3, 1))
     perturbed = dict(big)
     perturbed[w.embed(n + 1)] *= one() + beta() * xvar(1)
     assert _embedding_failure(small, perturbed, n, "ratio") == w
-    # one division per call, of the big identity member by the small one
-    assert len(divisions) == 2
-    assert all(f == big[identity(n + 1)] and g == small[identity(n)] for f, g in divisions)
+    # one division per call of the big identity member by the small one;
+    # every other division splits the quotient, by a binomial 1 +- b v
+    big_id, small_id = big[identity(n + 1)], small[identity(n)]
+    assert [d for d in divisions if d[1] == small_id] == [(big_id, small_id)] * 2
+    assert all(g in _binomials(n + 1) for _, g in divisions if g != small_id)
+    assert (len(divisions) > 2) == (path == "quotient")
+
+
+def _calls(monkeypatch, name: str) -> list[tuple]:
+    """The argument tuples of every later call of classical.<name>."""
+    calls: list[tuple] = []
+    real = getattr(classical, name)
+    monkeypatch.setattr(classical, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("family", ["G", "H", "Hx"])
+def test_ratio_mode_with_a_quotient_that_is_no_binomial_product(family, monkeypatch):
+    # every rank-4 member times a factor that no binomial 1 +- b v divides:
+    # the quotient divides exactly but splits with a cofactor, so each
+    # member is multiplied by the whole quotient, and the first w that fails
+    # is the one the cross-multiplied form finds
+    n = 3
+    factor = const(2) + xvar(1) * yvar(2) + beta() * xvar(2) * yvar(1)
+    small = family_table(n, family)
+    embedded = family_members(n + 1, family, [v.embed(n + 1) for v in all_perms(n)])
+    big = {v: p * factor for v, p in embedded.items()}
+    quotient = divexact(big[identity(n + 1)], small[identity(n)])
+    assert _binomial_split(quotient, n + 1)[1] == factor
+    passes = _calls(monkeypatch, "_times_images")
+
+    def refused(f, g):
+        raise ArithmeticError("forced")
+
+    for w in (None, Permutation((1, 3, 2)), Permutation((3, 2, 1))):
+        members = dict(big)
+        if w is not None:
+            members[w.embed(n + 1)] *= one() - beta() * yvar(3)
+        found = _embedding_failure(small, members, n, "ratio")
+        with monkeypatch.context() as m:
+            m.setattr(classical, "divexact", refused)
+            assert _embedding_failure(small, members, n, "ratio") == found == w
+    assert passes == []
 
 
 @pytest.mark.parametrize(
@@ -1284,7 +1329,8 @@ def test_inputs_without_an_answer_are_refused(call, message):
         call()
 
 
-# every rank parameter of the public entries, and monk_expansion's k
+# every rank parameter of the public entries, monk_expansion's k, and
+# transposition's entries and rank and embed's rank
 RANK_PARAMETERS = {
     "all_perms": all_perms,
     "by_length": by_length,
@@ -1301,6 +1347,10 @@ RANK_PARAMETERS = {
     "quantize": lambda n: quantize(xvar(1), n),
     "verify": lambda n: verify("closed_forms", n),
     "monk_expansion-k": lambda k: monk_expansion(identity(3), k),
+    "transposition-i": lambda i: transposition(i, 2, 3),
+    "transposition-j": lambda j: transposition(1, j, 3),
+    "transposition-n": lambda n: transposition(1, 2, n),
+    "embed": lambda m: identity(3).embed(m),
 }
 
 
@@ -1309,10 +1359,13 @@ RANK_PARAMETERS = {
 @given(value=st.one_of(st.booleans(), st.floats(), st.integers(-2, 9).map(float), st.text(max_size=3)))
 @example(value=True)
 @example(value=2.0)
+@example(value=3.0)
+@example(value=4.0)
 @example(value="3")
 def test_a_rank_that_is_not_an_int_is_refused(entry, value):
-    # a bool is not taken as 0 or 1, and a float such as 2.0 or a str is
-    # refused before it reaches range() or a comparison
+    # a bool is not taken as 0 or 1 (transposition(True, 2, 3) is not s_1),
+    # and a float such as 3.0 or a str is refused before it reaches
+    # range() or a comparison
     with pytest.raises(ValueError):
         RANK_PARAMETERS[entry](value)
 
@@ -1338,6 +1391,16 @@ def test_interpolation_matches_its_oracle_at_other_seeds(seed):
     for n in (2, 3):
         rep = verify("interpolation", n, seed=seed)
         assert (rep.ok, rep.counterexample, rep.detail) == _oracle_interpolation(n, seed)
+
+
+@pytest.mark.parametrize("n, samples", [(3, 50), (4, 12)])
+def test_interpolation_on_the_real_tables_draws_no_trial(n, samples, monkeypatch):
+    # every R_m is x^m G_id(x, -y), so every trial would pass by linearity
+    # and none is drawn; the detail still names the samples a run stands for
+    draws = _calls(monkeypatch, "_random_quotient_poly")
+    rep = verify("interpolation", n)
+    assert (rep.ok, rep.detail) == (True, {"samples": samples})
+    assert draws == []
 
 
 @pytest.mark.parametrize(

@@ -245,8 +245,7 @@ def _is_name(node: ast.AST, name: str) -> bool:
 
 def _family_building(path: Path, tree: ast.Module):
     """(what, "module:function") for each place that reads an entry of
-    TOWERS, writes _TABLE_CACHE, calls _descent_tower or calls the slice
-    rule _sliced_from."""
+    TOWERS, writes _TABLE_CACHE or calls _descent_tower."""
     for fn, node in _scoped(tree):
         where = f"{path.name}:{fn}"
         if isinstance(node, ast.Subscript) and _is_name(node.value, "TOWERS"):
@@ -268,24 +267,22 @@ def _family_building(path: Path, tree: ast.Module):
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "_descent_tower":
                 yield "calls _descent_tower", path.name
-            elif name == "_sliced_from":
-                yield "calls _sliced_from", where
 
 
 def test_one_family_builder():
-    """family_members alone turns a TOWERS entry into members: only it and
-    its slice rule _sliced_from read an entry of TOWERS (quantum registers
-    its families with TOWERS.update), only family_members and family_table
-    ask the slice rule, only family_table writes the table cache, and only
+    """family_members alone turns a TOWERS entry into members: only it
+    reads an entry of TOWERS (quantum registers its families with
+    TOWERS.update), and with it the rule that slices a y=0 table from a
+    cached full one, only family_table writes the table cache, and only
     classical builds descent towers.  A second builder, such as one of
-    embedded members with its own memo, shows up here."""
+    embedded members with its own memo, or a second slice rule, shows up
+    here."""
     found: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
         for what, where in _family_building(path, ast.parse(path.read_text())):
             found.setdefault(what, set()).add(where)
     assert found == {
-        "reads TOWERS": {"classical.py:family_members", "classical.py:_sliced_from"},
-        "calls _sliced_from": {"classical.py:family_members", "classical.py:family_table"},
+        "reads TOWERS": {"classical.py:family_members"},
         "writes _TABLE_CACHE": {"classical.py:family_table"},
         "calls _descent_tower": {"classical.py"},
     }

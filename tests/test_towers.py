@@ -19,11 +19,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grothpoly
 from grothpoly import _termkernel_py as kernel
 from grothpoly import classical, cli
-from grothpoly._packing import BETA, unit
+from grothpoly._packing import BETA, FIELD_MASK, N_MAX, Var, kind_degree, pack, unit
 from grothpoly.classical import (
     IDEALS,
     TOWERS,
@@ -146,6 +148,69 @@ def test_bold_y0_tables_are_slices(family, n):
     assert dict(family_table(n, family + "x")) == {w: p.set_zero("y") for w, p in full.items()}
 
 
+Y_TOWERS = [base for base in TOWERS if TOWERS[base][2] == "y"]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["truncated", "sliced"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("base", Y_TOWERS)
+def test_y0_members_are_the_full_members_at_y0(base, n, cached, monkeypatch):
+    # with the full table cached the y=0 members are sliced from it; with
+    # nothing cached they come off a tower cut by y-degree, which caches no
+    # full table.  Either way, table and single members alike are the full
+    # members with y set to 0
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    perms = all_perms(n)
+    expect = {w: p.set_zero("y") for w, p in family_members(n, base, perms).items()}
+    if cached:
+        family_table(n, base)
+    members = {w: family_member(n, base + "x", w) for w in perms}
+    assert (n, base + "x") not in classical._TABLE_CACHE
+    assert dict(family_table(n, base + "x")) == members == expect
+    assert set(classical._TABLE_CACHE) == {(n, base + "x")} | ({(n, base)} if cached else set())
+
+
+def _peel_heights(nodes) -> dict:
+    """The height of each node in the peel tree: the most steps from it
+    down to a node whose chain of first left descents passes through it."""
+    height = dict.fromkeys(nodes, 0)
+    for u in nodes:
+        v, steps = u, 0
+        while not v.is_identity():
+            v, steps = v.s_times(v.left_descents()[0]), steps + 1
+            height[v] = max(height[v], steps)
+    return height
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("base", Y_TOWERS)
+def test_y0_tower_nodes_keep_the_y_degrees_read_below_them(base, n):
+    # each node of a cut tower is the uncut node's terms of y-degree at most
+    # its height, for the whole tower and for the chain of one member
+    seed, op_kind, _ = TOWERS[base]
+    w0 = longest(n)
+    for keys in (None, [w0]):
+        full = _descent_tower(seed(n), op_kind, "y", n, keys)
+        cut = _descent_tower(seed(n), op_kind, "y", n, keys, y0=True)
+        assert set(cut) == set(full)
+        height = _peel_heights(cut)
+        for v, p in cut.items():
+            assert p._t == {m: c for m, c in full[v]._t.items() if kind_degree(m, "y") <= height[v]}, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exps=st.lists(st.integers(0, FIELD_MASK), min_size=N_MAX, max_size=N_MAX),
+    rest=st.integers(0, FIELD_MASK),
+)
+def test_y_degree_is_exact_for_every_exponent_a_field_holds(exps, rest):
+    # the cut reads kind_degree(m, "y"): the sum of the 8 y fields, however
+    # large, with every other field set as well
+    others = {Var(k, i): rest for k, count in (("z", N_MAX), ("q", N_MAX - 1)) for i in range(1, count + 1)}
+    m = pack({**{Var("y", i): e for i, e in enumerate(exps, start=1)}, **others, BETA: rest, Var("x", 1): rest})
+    assert kind_degree(m, "y") == sum(exps)
+
+
 # every table name: the TOWERS keys and their y=0 specialisations
 TABLE_NAMES = sorted(name for base in TOWERS for name in (base, base + "x"))
 
@@ -239,9 +304,10 @@ def _count_operators(monkeypatch) -> list:
 
 @pytest.mark.parametrize("family", ["G", "Hx", "qG", "qGx", "bHx"])
 def test_operator_counts(family, monkeypatch):
-    # a table is its tower, n! - 1 operators, a y=0 slice included; one
-    # member is the l(key) operators of its own chain, keyed by w^-1 w0 on
-    # an x-alphabet tower and by w w0 on a y-alphabet one
+    # a table is its tower, n! - 1 operators, a y=0 table of a y-alphabet
+    # family included, which caches no full table; one member is the l(key)
+    # operators of its own chain, keyed by w^-1 w0 on an x-alphabet tower
+    # and by w w0 on a y-alphabet one
     calls = _count_operators(monkeypatch)
     n = 4
     w0 = longest(n)
@@ -253,18 +319,17 @@ def test_operator_counts(family, monkeypatch):
         assert len(calls) == key.length(), w
         calls.clear()
     family_table(n, family)
-    if alphabet == "y" and base != family:
-        # a y=0 slice cached its full table, which is not built again
-        family_table(n, base)
     assert len(calls) == 23
     assert set(calls) == {op_kind}
+    assert set(classical._TABLE_CACHE) == {(n, family)}
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
 @pytest.mark.parametrize("family", ["G", "Hx", "qS", "qGx"])
 def test_member_of_the_wrong_rank_is_refused(family, cached, monkeypatch):
     # one refusal, before any table is read or tower built, whether the
-    # family is cached, built from its own tower, or sliced (qGx)
+    # family is cached, built from its own tower, or a y=0 family cut by
+    # y-degree (qGx)
     calls = _count_operators(monkeypatch)
     if cached:
         family_table(3, family)
