@@ -160,18 +160,11 @@ def _descent_tower(
         for v in reversed(order):
             parent = v.s_times(peel[v])
             height[parent] = max(height[parent], height[v] + 1)
-        # the y-degree of each y-part met, memoised for the whole tower; no
-        # operator raises it, so the seed's bounds every node
-        degrees = {m & MASK_Y: kind_degree(m, "y") for m in seed._t}
-        most = max(degrees.values(), default=0)
+        # the y-degree of each y-part met, memoised for the whole tower
+        degrees: dict[int, int] = {}
 
         def cut(v: Permutation, p: MultiPoly) -> MultiPoly:
             h = height[v]
-            if h >= most:
-                return p
-            if not h:
-                # y-degree 0 is no y at all: one mask test a term
-                return p.set_zero("y")
             kept = {}
             for m, c in p._t.items():
                 d = degrees.get(m & MASK_Y)
@@ -650,11 +643,12 @@ def _cancel(left: list[tuple[int, int]], right: list[tuple[int, int]]) -> tuple[
 
 
 def _times_images(
-    f: MultiPoly, images: list[tuple[int, int]], cofactor: list | None = None, at=None
+    f: MultiPoly, images: list[tuple[int, int]], cofactor: list | MultiPoly | None = None, at=None
 ) -> MultiPoly:
     """f times the binomial images 1 + s m, (m, s) in images, and then
-    times the cofactor localized by at, unless it is None (a cofactor of
-    1).  Each distinct image, k times in images, is applied in one pass
+    times at(cofactor), the cofactor localized by at (or a polynomial
+    cofactor as it stands, at the identity), unless it is None (a
+    cofactor of 1).  Each distinct image, k times in images, is applied in one pass
     over f's terms as sum_j C(k, j) s^j m^j, with no product; the result is
     pruned once."""
     if not f:
@@ -1191,7 +1185,7 @@ def _embedding_failure(
     m = n + 1
     small_id = small[identity(n)]
     big_id = big[identity(m)]
-    ratio = images = None
+    ratio = None
     if mode == "ratio":
         # Z[x, y, z, b, q] is a domain and small_id != 0, so comparing
         # against the exact quotient gives the cross-multiplied verdict
@@ -1200,20 +1194,18 @@ def _embedding_failure(
         except ArithmeticError:
             pass
         else:
-            # a quotient that is a product of binomials 1 + c b v (G's
-            # prod (1 - b y_j), H's prod (1 + b x_i)) is applied one pass
-            # per binomial
+            # the quotient's binomials 1 + c b v (G's prod (1 - b y_j), H's
+            # prod (1 + b x_i)) are applied one pass each, and what is left
+            # of it, if not 1, as one product
             binomials, cofactor = _binomial_split(ratio, m)
-            if cofactor == 1:
-                images = [(unit(BETA) + unit(v), c) for v, c in binomials]
+            images = [(unit(BETA) + unit(v), c) for v, c in binomials]
+            rest = None if cofactor == 1 else cofactor
     for w in all_perms(n):
         big_w = big[w.embed(m)]
         if mode == "exact":
             ok = big_w == small[w]
-        elif images is not None:
-            ok = _times_images(small[w], images) == big_w
         elif ratio is not None:
-            ok = small[w] * ratio == big_w
+            ok = _times_images(small[w], images, rest, lambda f: f) == big_w
         else:
             ok = small[w] * big_id == big_w * small_id
         if not ok:

@@ -264,6 +264,9 @@ def _check_quantum_cauchy(n: int, rng: random.Random) -> dict | None:
 
 @check("corollary2", hard=4)
 def _check_corollary2(n: int, rng: random.Random) -> dict | None:
+    # remark_id and classical_limit read the full qG table, so it is built
+    # here and qGx sliced from it, not cut from a second qG tower
+    family_table(n, "qG")
     qgx = family_table(n, "qGx")
     qhx = family_table(n, "qHx")
     bgx = family_table(n, "bGx")
