@@ -25,6 +25,19 @@ keeps it right.
 
 Eight indices per alphabet is deliberate headroom; the verification
 routines cap the rank well below that.
+
+A second order, the y-low order, lays the same non-x fields out as
+
+    y1..y8 | b | q1..q7 | z1..z8
+
+from the least significant field, read off ``_LAYOUT`` too, with x and
+xdeg where they are.  ``to_ylow`` and ``from_ylow`` move a monomial
+between the two.  It is for values at a localization point, which hold
+y and b and no x: there a y-b monomial is below 2**144, a third of the
+bits it takes in the display order, so the ints that term maps add and
+hash are shorter.  Each field keeps its 16 bits, so what cannot carry
+in one order cannot carry in the other.  Only equality and zero are
+read in this order; nothing is rendered from it.
 """
 
 from collections import namedtuple
@@ -134,6 +147,43 @@ _UNPACK_PLAN = tuple(
     )
     for kind, (_, first, count) in _LAYOUT.items()
 )
+
+
+# the y-low order, kinds from the lowest slot, and per kind (mask, shift
+# from the display order, shift back): the kinds' fields fill slots
+# 0..23 in this order, as they fill the same slots in display order
+_YLOW_ORDER = ("y", "b", "q", "z")
+
+
+def _ylow_moves() -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]:
+    to, back, slot = [], [], 0
+    for kind in _YLOW_ORDER:
+        slot0, _, count = _LAYOUT[kind]
+        old, new = slot0 * FIELD_BITS, slot * FIELD_BITS
+        to.append((_KIND_MASKS[kind], old, new))
+        back.append((_KIND_MASKS[kind] >> old << new, new, old))
+        slot += count
+    return tuple(to), tuple(back)
+
+
+_TO_YLOW, _FROM_YLOW = _ylow_moves()
+
+
+def to_ylow(mono: int) -> int:
+    """The monomial in the y-low order (see the module docstring); x and
+    xdeg stay in place."""
+    out = mono & MASK_X
+    for mask, old, new in _TO_YLOW:
+        out |= (mono & mask) >> old << new
+    return out
+
+
+def from_ylow(mono: int) -> int:
+    """The inverse of to_ylow: a y-low monomial in the display order."""
+    out = mono & MASK_X
+    for mask, old, new in _FROM_YLOW:
+        out |= (mono & mask) >> old << new
+    return out
 
 
 def unpack(mono: int) -> dict[Var, int]:

@@ -7,7 +7,10 @@ through this module object (``from . import _termkernel_py as kernel``).
 
 All functions treat their inputs as read-only except ``addmul``, which
 accumulates into its first argument and may leave explicit zeros behind
-(callers prune with ``prune`` once a ladder of accumulations is done).
+(callers prune with ``prune`` once a ladder of accumulations is done),
+and ``prune``, which hands back its argument itself when it holds no
+zero: most accumulators hold none, and a scan of the values is cheaper
+than a copy.  Every caller owns the map it prunes and drops it after.
 ``divdiff`` applies any of the five divided-difference operator kinds,
 d((1 + s*b*v_j) f) + t*b*f = (1 + s*b*v_i) d(f) + (t - s)*b*f, with one
 staircase per term, and returns a pruned map.
@@ -29,7 +32,7 @@ def mul(fa: dict, fb: dict) -> dict:
             k = ma + mb
             v = get(k)
             out[k] = ca * cb if v is None else v + ca * cb
-    return {k: v for k, v in out.items() if v}
+    return prune(out)
 
 
 def addmul(acc: dict, f: dict, mono: int, coef: int) -> None:
@@ -44,7 +47,11 @@ def addmul(acc: dict, f: dict, mono: int, coef: int) -> None:
 
 
 def prune(acc: dict) -> dict:
-    """Drop explicit zeros left behind by addmul ladders."""
+    """Drop explicit zeros left behind by addmul ladders: acc itself if
+    no value is 0, else a new map without them.  So the caller must own
+    acc and not use it after, since the result may be acc."""
+    if 0 not in acc.values():
+        return acc
     return {k: v for k, v in acc.items() if v}
 
 

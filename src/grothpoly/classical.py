@@ -39,10 +39,12 @@ from ._packing import (
     XDEG_SHIFT,
     XDEG_UNIT,
     Var,
+    from_ylow,
     kind_degree,
     mono_divides,
     pack,
     shift,
+    to_ylow,
     unit,
 )
 from .divdiff import DEL, PI_PLUS, PSI_PLUS, apply_op, apply_perm
@@ -118,8 +120,16 @@ def _yvars(lo: int, hi: int) -> list[Var]:
 
 
 def top_class(n: int) -> MultiPoly:
-    """prod_{i+j <= n} (x_i + y_j), the common seed of all three families."""
+    """prod_{i+j <= n} (x_i + y_j), the common seed of all three families,
+    built once per rank."""
     check_rank(n)
+    return _top_class(n)
+
+
+# read only behind top_class's rank check: True hashes as 1, so the memo
+# alone would answer top_class(True) with top_class(1)
+@cache
+def _top_class(n: int) -> MultiPoly:
     p = one()
     for i in range(1, n):
         for j in range(1, n - i + 1):
@@ -530,27 +540,34 @@ class NormalFormContext:
 # localization at the points of the signed and unsigned ideals
 # ---------------------------------------------------------------------------
 
-# the shift of x_(i+1) at index i, and the unit of y_j at index j
+# Localized values are term maps in the y-low order of _packing, which
+# holds a y-b monomial in the low 144 bits: the checks only test them for
+# equality and zero, and what they report is built from the polynomials.
+# The shift of x_(i+1) at index i, and the y-low unit of y_j at index j
 _X_SHIFTS = [shift(v) for v in _xvars(1, N_MAX)]
-_Y_UNITS = [0] + [unit(v) for v in _yvars(1, N_MAX)]
+_Y_UNITS = [0] + [to_ylow(unit(v)) for v in _yvars(1, N_MAX)]
 
 
-def _x_parts(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
-    """f's terms grouped by x-part, as (x-part, rest).
-    Raises ValueError on an exponent of 1 << 15 or more: moved onto a y
-    field it could carry into the next one."""
+def _x_parts(f: MultiPoly) -> list[tuple[int, dict[int, int]]]:
+    """f's terms grouped by x-part, as (x-part, rest), each rest a term
+    map in the y-low order.  Raises ValueError on an exponent of 1 << 15
+    or more: moved onto a y field it could carry into the next one."""
     if any(m & TOP_BITS for m in f._t):
         raise ValueError("localize needs every exponent below 1 << 15")
-    return list(f.split_x().items())
+    groups: dict[int, dict[int, int]] = {}
+    for m, c in f._t.items():
+        key = m & MASK_X
+        groups.setdefault(key, {})[to_ylow(m - key)] = c
+    return list(groups.items())
 
 
 def _at_point(
-    parts: list[tuple[int, MultiPoly]], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
-) -> MultiPoly:
+    parts: list[tuple[int, dict[int, int]]], u: Permutation, eps: int, images: dict[int, tuple[int, int]]
+) -> dict[int, int]:
     """The x-parts of _x_parts, all in x_1..x_(u.n), at the point
-    x_i = eps * y_u(i): each x-part becomes a signed y-monomial, memoised
-    in images (one dict per point, shared by every polynomial localized
-    there), and its rest is added in one addmul."""
+    x_i = eps * y_u(i), as a y-low term map: each x-part becomes a signed
+    y-monomial, memoised in images (one dict per point, shared by every
+    polynomial localized there), and its rest is added in one addmul."""
     out: dict[int, int] = {}
     for xp, rest in parts:
         image = images.get(xp)
@@ -558,8 +575,8 @@ def _at_point(
             ymono = sum(((xp >> _X_SHIFTS[i]) & FIELD_MASK) * _Y_UNITS[j] for i, j in enumerate(u))
             sign = -1 if eps < 0 and (xp >> XDEG_SHIFT) & 1 else 1
             image = images[xp] = (ymono, sign)
-        kernel.addmul(out, rest._t, *image)
-    return MultiPoly._raw(kernel.prune(out))
+        kernel.addmul(out, rest, *image)
+    return kernel.prune(out)
 
 
 def localize(f: MultiPoly, u: Permutation, eps: int) -> MultiPoly:
@@ -570,12 +587,12 @@ def localize(f: MultiPoly, u: Permutation, eps: int) -> MultiPoly:
     x-degree parity when eps = -1.  Raises ValueError if f holds an x past
     x_n, or an exponent of 1 << 15 or more.
     """
-    if eps not in (1, -1):
+    if type(eps) is not int or eps not in (1, -1):
         raise ValueError("eps must be 1 or -1")
     if u.n > N_MAX:
         raise ValueError(f"a point of rank {u.n} needs x{u.n}, past x{N_MAX}")
     refuse_x_past(or_monomials(f._t), u.n)
-    return _at_point(_x_parts(f), u, eps, {})
+    return MultiPoly._raw({from_ylow(m): c for m, c in _at_point(_x_parts(f), u, eps, {}).items()})
 
 
 def _binomial_split(f: MultiPoly, n: int) -> tuple[list[tuple[Var, int]], MultiPoly]:
@@ -606,8 +623,8 @@ def _binomial_split(f: MultiPoly, n: int) -> tuple[list[tuple[Var, int]], MultiP
     return binomials, f
 
 
-# the packed b*y_j at index j, the monomial of the binomial 1 +- b y_j
-_BY_UNITS = [0] + [unit(BETA) + unit(v) for v in _yvars(1, N_MAX)]
+# the y-low b*y_j at index j, the monomial of the binomial 1 +- b y_j
+_BY_UNITS = [0] + [to_ylow(unit(BETA) + unit(v)) for v in _yvars(1, N_MAX)]
 
 
 def _relabelled(
@@ -615,7 +632,7 @@ def _relabelled(
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list | None]:
     """A _binomial_split under permute_y by w, as (xs, ys, cofactor): (i, c)
     for each binomial 1 + c b x_i, whose image depends on the point; the
-    image (packed b y_w(j), c) of each 1 + c b y_j, which does not; and the
+    image (y-low b y_w(j), c) of each 1 + c b y_j, which does not; and the
     _x_parts of the cofactor, None for a cofactor of 1."""
     binomials, cofactor = split
     xs = [(v.index, c) for v, c in binomials if v.kind == "x"]
@@ -624,7 +641,7 @@ def _relabelled(
 
 
 def _x_images(xs: list[tuple[int, int]], u: Permutation, eps: int) -> list[tuple[int, int]]:
-    """The images (packed b y_u(i), eps c) of the binomials 1 + c b x_i at
+    """The images (y-low b y_u(i), eps c) of the binomials 1 + c b x_i at
     the point x_i = eps * y_u(i)."""
     return [(_BY_UNITS[u[i - 1]], c * eps) for i, c in xs]
 
@@ -643,24 +660,27 @@ def _cancel(left: list[tuple[int, int]], right: list[tuple[int, int]]) -> tuple[
 
 
 def _times_images(
-    f: MultiPoly, images: list[tuple[int, int]], cofactor: list | MultiPoly | None = None, at=None
-) -> MultiPoly:
-    """f times the binomial images 1 + s m, (m, s) in images, and then
-    times at(cofactor), the cofactor localized by at (or a polynomial
-    cofactor as it stands, at the identity), unless it is None (a
-    cofactor of 1).  Each distinct image, k times in images, is applied in one pass
-    over f's terms as sum_j C(k, j) s^j m^j, with no product; the result is
-    pruned once."""
-    if not f:
-        return f
-    t = f._t
+    t: dict[int, int], images: list[tuple[int, int]], cofactor: list | dict | None = None, at=None
+) -> dict[int, int]:
+    """The term map t times the binomial images 1 + s m, (m, s) in
+    images, and then times at(cofactor), the cofactor as a term map (a
+    localized one, or one as it stands under an identity at), unless it
+    is None (a cofactor of 1).  Each distinct image, k times in images,
+    is applied in one pass over the terms as sum_j C(k, j) s^j m^j, with
+    no product; the result is pruned once.  t and m are in one order,
+    the display or the y-low one; t itself comes back if there is
+    nothing to apply."""
+    if not t:
+        return t
     for (m, s), k in Counter(images).items():
         g = dict(t)
         for j in range(1, k + 1):
             kernel.addmul(g, t, j * m, comb(k, j) * s**j)
         t = g
-    out = MultiPoly._raw(kernel.prune(t)) if images else f
-    return out if cofactor is None else at(cofactor) * out
+    if images:
+        t = kernel.prune(t)
+    # the cofactor's product is field-checked as any other is
+    return t if cofactor is None else (MultiPoly._raw(at(cofactor)) * MultiPoly._raw(t))._t
 
 
 # ---------------------------------------------------------------------------
@@ -1004,13 +1024,23 @@ def _check_pieri_double(n: int, rng: random.Random) -> dict | None:
     for w in all_perms(n):
         for k in range(1, n):
             (lx, ly, lcof), (rx, ry, rcof) = (_relabelled(split, w) for split in splits[k])
-            terms = [(w, one()), *((v, beta() * c) for v, c in monk_expansion(w, k).items())]
+            # G_w + b M as (member, y-low b-monomial, coefficient), summed
+            # at each point by addmul on the localized members.  No field
+            # can carry there: a b-monomial holds b alone, to the power of
+            # a Monk chain's length, at most l(w0) <= 28, and a localized
+            # member's b field is its rest's, below 1 << 15 (_x_parts)
+            terms = [(w, 0, 1)] + [
+                (v, to_ylow(m), a) for v, c in monk_expansion(w, k).items() for m, a in (beta() * c)._t.items()
+            ]
             cases.append((w, k, lx, rx, *_cancel(ly, ry), lcof, rcof, terms))
 
     def failures(at, pending, u, eps):
         lg = {w: at(p) for w, p in parts.items()}
         for w, _, lx, rx, ly, ry, lcof, rcof, terms in pending:
-            gw, total = lg[w], dot((lg[v], c) for v, c in terms)
+            total: dict[int, int] = {}
+            for v, m, a in terms:
+                kernel.addmul(total, lg[v], m, a)
+            gw, total = lg[w], kernel.prune(total)
             # G_w and G_w + b M both 0 at u make both sides 0 there, so the
             # case holds at u whatever P_k and G_id come to; the values are
             # computed, so no vanishing theorem is assumed
@@ -1142,7 +1172,8 @@ def _check_dominant(n: int, rng: random.Random) -> dict | None:
         count += 1
         code = w.code()
         # G_w times the binomials 1 - b y_i, one pass each
-        lhs = _times_images(gt[w], [(_BY_UNITS[i], -1) for c in code for i in range(1, c + 1)])
+        images = [(unit(BETA) + unit(Var("y", i)), -1) for c in code for i in range(1, c + 1)]
+        lhs = MultiPoly._raw(_times_images(gt[w]._t, images))
         rhs = gid
         for k in range(1, n + 1):
             for i in range(1, code[k - 1] + 1):
@@ -1199,13 +1230,13 @@ def _embedding_failure(
             # of it, if not 1, as one product
             binomials, cofactor = _binomial_split(ratio, m)
             images = [(unit(BETA) + unit(v), c) for v, c in binomials]
-            rest = None if cofactor == 1 else cofactor
+            rest = None if cofactor == 1 else cofactor._t
     for w in all_perms(n):
         big_w = big[w.embed(m)]
         if mode == "exact":
             ok = big_w == small[w]
         elif ratio is not None:
-            ok = _times_images(small[w], images, rest, lambda f: f) == big_w
+            ok = _times_images(small[w]._t, images, rest, lambda t: t) == big_w._t
         else:
             ok = small[w] * big_id == big_w * small_id
         if not ok:

@@ -91,8 +91,15 @@ def gk_determinant(k: int, t: Var, beta_form: bool = False) -> MultiPoly:
 
 def quantum_top(n: int, beta_form: bool = False) -> MultiPoly:
     """S~_{w_0}(x,y) = prod_{i=1}^{n-1} Delta_i(y_{n-i} | x_1..x_i); with
-    beta_form, the same product of beta-form determinants (the bold seed)."""
+    beta_form, the same product of beta-form determinants (the bold seed).
+    Each is built once per rank."""
     check_rank(n)
+    return _quantum_top(n, beta_form)
+
+
+# read only behind quantum_top's rank check, as classical._top_class is
+@cache
+def _quantum_top(n: int, beta_form: bool) -> MultiPoly:
     p = one()
     for i in range(1, n):
         p = p * gk_determinant(i, Var("y", n - i), beta_form)

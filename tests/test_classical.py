@@ -933,6 +933,29 @@ class TestLocalization:
         u = points[-1]
         assert localize(xvar(1) * yvar(2) * beta(), u, eps) == yvar(u(1)) * yvar(2) * beta() * eps
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), eps=st.sampled_from([-1, 1]))
+    def test_localize_matches_a_term_by_term_reference(self, data, n, eps):
+        # terms in x, y, z, q and b, exponents up to 2^15 - 1, at most two
+        # x's a term so that the x-degree fits its field; the reference
+        # substitutes eps * y_u(i) for x_i one term at a time in MultiPoly
+        exponent = st.one_of(st.integers(1, 3), st.integers(1, (1 << 15) - 1))
+        others = [*(Var("y", j) for j in range(1, n + 1)), Var("z", 1), Var("z", 2), Var("q", 1), BETA]
+        term = st.tuples(
+            st.dictionaries(st.sampled_from([Var("x", i) for i in range(1, n + 1)]), exponent, max_size=2),
+            st.dictionaries(st.sampled_from(others), exponent, max_size=3),
+            st.integers(-5, 5).filter(bool),
+        )
+        f = MultiPoly.from_monomials([({**xs, **rest}, c) for xs, rest, c in data.draw(st.lists(term, max_size=6))])
+        u = data.draw(st.sampled_from(all_perms(n)))
+        expect = zero()
+        for exps, c in f.monomials():
+            value = const(c)
+            for var, e in exps.items():
+                value = value * (yvar(u(var.index)) * eps if var.kind == "x" else MultiPoly.variable(var)) ** e
+            expect = expect + value
+        assert localize(f, u, eps) == expect
+
     def test_localize_refuses_what_has_no_point(self):
         with pytest.raises(ValueError, match="past x2"):
             localize(xvar(3), identity(2), -1)
@@ -1327,8 +1350,8 @@ def test_inputs_without_an_answer_are_refused(call, message):
         call()
 
 
-# every rank parameter of the public entries, monk_expansion's k, and
-# transposition's entries and rank and embed's rank
+# every rank parameter of the public entries, monk_expansion's k,
+# transposition's entries and rank, embed's rank and localize's eps
 RANK_PARAMETERS = {
     "all_perms": all_perms,
     "by_length": by_length,
@@ -1349,6 +1372,7 @@ RANK_PARAMETERS = {
     "transposition-j": lambda j: transposition(1, j, 3),
     "transposition-n": lambda n: transposition(1, 2, n),
     "embed": lambda m: identity(3).embed(m),
+    "localize-eps": lambda eps: localize(xvar(1), identity(2), eps),
 }
 
 
@@ -1356,14 +1380,17 @@ RANK_PARAMETERS = {
 @settings(max_examples=15, deadline=None)
 @given(value=st.one_of(st.booleans(), st.floats(), st.integers(-2, 9).map(float), st.text(max_size=3)))
 @example(value=True)
+@example(value=-1.0)
+@example(value=1.0)
 @example(value=2.0)
 @example(value=3.0)
 @example(value=4.0)
 @example(value="3")
 def test_a_rank_that_is_not_an_int_is_refused(entry, value):
-    # a bool is not taken as 0 or 1 (transposition(True, 2, 3) is not s_1),
-    # and a float such as 3.0 or a str is refused before it reaches
-    # range() or a comparison
+    # a bool is not taken as 0 or 1 (transposition(True, 2, 3) is not s_1,
+    # nor localize's eps True the point x_i = y_u(i)), and a float such as
+    # 3.0 or -1.0 or a str is refused before it reaches range() or a
+    # comparison
     with pytest.raises(ValueError):
         RANK_PARAMETERS[entry](value)
 

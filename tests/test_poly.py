@@ -11,7 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import _termkernel_py as kernel
-from grothpoly._packing import BETA, FIELD_BITS, FIELD_MASK, N_MAX, NUM_SLOTS, Var, mono_divides, pack
+from grothpoly._packing import (
+    BETA,
+    FIELD_BITS,
+    FIELD_MASK,
+    MASK_X,
+    N_MAX,
+    NUM_SLOTS,
+    Var,
+    from_ylow,
+    mono_divides,
+    pack,
+    to_ylow,
+    unit,
+)
 from grothpoly.poly import MultiPoly, beta, dot, one, qvar, xvar, yvar, zero, zvar
 
 # ---------------------------------------------------------------------------
@@ -165,6 +178,19 @@ def test_kernel_prune_leaves_no_zeros(f, g):
     assert pruned == {m: -c for m, c in g._t.items()}
 
 
+@settings(max_examples=50)
+@given(f=polys())
+def test_kernel_prune_hands_back_a_map_without_zeros(f):
+    # no zero: the map itself; a zero: a new map, the argument untouched
+    acc = dict(f._t)
+    assert kernel.prune(acc) is acc
+    acc[pack({Var("x", 5): 1})] = 0  # x5 is not in VARS
+    before = dict(acc)
+    pruned = kernel.prune(acc)
+    assert pruned is not acc and acc == before
+    assert pruned == f._t
+
+
 def test_power_and_unary():
     f = xvar(1) + yvar(2) * 2
     assert f ** 0 == one()
@@ -248,6 +274,31 @@ def test_mono_divides_compares_every_field(m, free, clip):
     d = [min(a, b) if c else a for a, b, c in zip(free, m, clip)]
     assert mono_divides(_packed(d), _packed(m)) == all(a <= b for a, b in zip(d, m))
     assert mono_divides(_packed(m), _packed(d)) == all(b <= a for a, b in zip(d, m))
+
+
+@given(m=_FIELDS)
+def test_ylow_order_round_trips_every_field(m):
+    # every field, up to FIELD_MASK, comes back where it was; x and xdeg
+    # never move, and the non-x fields only trade slots among themselves
+    mono = _packed(m)
+    low = to_ylow(mono)
+    assert from_ylow(low) == mono
+    assert low & MASK_X == mono & MASK_X
+    assert sorted((low >> s * FIELD_BITS) & FIELD_MASK for s in range(NUM_SLOTS)) == sorted(m)
+
+
+def test_ylow_order_puts_y_then_b_then_q_then_z_from_the_lowest_slot():
+    order = (
+        [Var("y", i) for i in range(1, N_MAX + 1)]
+        + [BETA]
+        + [Var("q", i) for i in range(1, N_MAX)]
+        + [Var("z", i) for i in range(1, N_MAX + 1)]
+    )
+    assert [to_ylow(unit(v)) for v in order] == [1 << s * FIELD_BITS for s in range(len(order))]
+    assert [from_ylow(1 << s * FIELD_BITS) for s in range(len(order))] == [unit(v) for v in order]
+    # a y-b monomial, as every localized value holds, is below 2**144
+    full = pack({**{Var("y", i): FIELD_MASK for i in range(1, N_MAX + 1)}, BETA: FIELD_MASK})
+    assert to_ylow(full) == (1 << 9 * FIELD_BITS) - 1
 
 
 def test_empty_monomial_is_one():

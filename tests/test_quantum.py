@@ -131,6 +131,19 @@ class TestTops:
         for n in (2, 3, 4):
             assert quantum_top(n).set_zero("q") == top_class(n)
 
+    def test_seeds_are_built_once_per_rank_behind_the_rank_check(self):
+        # the memo sits behind the rank check: True hashes as 1 and 2.0 as
+        # 2, so a cached rank-1 or rank-2 seed must not answer them
+        assert top_class(1) == one() and top_class(1) is top_class(1)
+        assert quantum_top(2) is quantum_top(2)
+        for call in (lambda: top_class(True), lambda: quantum_top(2.0), lambda: quantum_top(True, beta_form=True)):
+            with pytest.raises(ValueError):
+                call()
+        for n in (2, 3):
+            plain, bold = quantum_top(n), quantum_top(n, beta_form=True)
+            assert plain != bold and bold is quantum_top(n, beta_form=True)
+            assert bold.set_zero("b") == plain
+
 
 # Frozen rank-3 quantum tables (reduced-word keys, "" = identity).  The H
 # rows agree with the calibration table row for row.  The G rows below are
