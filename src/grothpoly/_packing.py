@@ -149,40 +149,39 @@ _UNPACK_PLAN = tuple(
 )
 
 
-# the y-low order, kinds from the lowest slot, and per kind (mask, shift
-# from the display order, shift back): the kinds' fields fill slots
-# 0..23 in this order, as they fill the same slots in display order
+# the y-low order, kinds from the lowest slot: their fields fill slots
+# 0..23, as they fill the same slots in the display order
 _YLOW_ORDER = ("y", "b", "q", "z")
 
 
-def _ylow_moves() -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]:
-    to, back, slot = [], [], 0
+def _ylow_fields() -> tuple[tuple[int, int, int], ...]:
+    """Per kind of _YLOW_ORDER: (the mask of its fields moved to bit 0,
+    its shift in the display order, its shift in the y-low order)."""
+    fields, slot = [], 0
     for kind in _YLOW_ORDER:
         slot0, _, count = _LAYOUT[kind]
-        old, new = slot0 * FIELD_BITS, slot * FIELD_BITS
-        to.append((_KIND_MASKS[kind], old, new))
-        back.append((_KIND_MASKS[kind] >> old << new, new, old))
+        fields.append((_KIND_MASKS[kind] >> slot0 * FIELD_BITS, slot0 * FIELD_BITS, slot * FIELD_BITS))
         slot += count
-    return tuple(to), tuple(back)
+    return tuple(fields)
 
 
-_TO_YLOW, _FROM_YLOW = _ylow_moves()
+_YLOW_FIELDS = _ylow_fields()
 
 
 def to_ylow(mono: int) -> int:
     """The monomial in the y-low order (see the module docstring); x and
     xdeg stay in place."""
     out = mono & MASK_X
-    for mask, old, new in _TO_YLOW:
-        out |= (mono & mask) >> old << new
+    for fields, display, ylow in _YLOW_FIELDS:
+        out |= ((mono >> display) & fields) << ylow
     return out
 
 
 def from_ylow(mono: int) -> int:
     """The inverse of to_ylow: a y-low monomial in the display order."""
     out = mono & MASK_X
-    for mask, old, new in _FROM_YLOW:
-        out |= (mono & mask) >> old << new
+    for fields, display, ylow in _YLOW_FIELDS:
+        out |= ((mono >> ylow) & fields) << display
     return out
 
 

@@ -936,13 +936,15 @@ class TestLocalization:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(2, 4), eps=st.sampled_from([-1, 1]))
     def test_localize_matches_a_term_by_term_reference(self, data, n, eps):
-        # terms in x, y, z, q and b, exponents up to 2^15 - 1, at most two
-        # x's a term so that the x-degree fits its field; the reference
-        # substitutes eps * y_u(i) for x_i one term at a time in MultiPoly
+        # terms in x, y, z, q and b, exponents up to 2^15 - 1; two x's of
+        # a term are halved if need be, since localize also refuses an
+        # x-degree of 2^15 or more; the reference substitutes
+        # eps * y_u(i) for x_i one term at a time in MultiPoly
         exponent = st.one_of(st.integers(1, 3), st.integers(1, (1 << 15) - 1))
         others = [*(Var("y", j) for j in range(1, n + 1)), Var("z", 1), Var("z", 2), Var("q", 1), BETA]
+        xs = st.dictionaries(st.sampled_from([Var("x", i) for i in range(1, n + 1)]), exponent, max_size=2)
         term = st.tuples(
-            st.dictionaries(st.sampled_from([Var("x", i) for i in range(1, n + 1)]), exponent, max_size=2),
+            xs.map(lambda d: d if sum(d.values()) < 1 << 15 else {v: e // 2 for v, e in d.items()}),
             st.dictionaries(st.sampled_from(others), exponent, max_size=3),
             st.integers(-5, 5).filter(bool),
         )
