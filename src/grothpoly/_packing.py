@@ -1,6 +1,6 @@
 """Bit-packed monomial layout shared by every polynomial in the package.
 
-A monomial is a single Python int made of 33 fields of 16 bits each.  From
+A monomial is a single Python int made of 33 fields of 8 bits each.  From
 the least significant field upwards:
 
     q1..q7 | b | z1..z8 | y1..y8 | x1..x8 | xdeg
@@ -9,7 +9,9 @@ where ``xdeg`` is the redundant total degree in the x alphabet.  Two
 consequences drive the whole design:
 
 * multiplying monomials is integer addition (fields are wide enough that
-  no exponent reachable here can carry into a neighbour), and
+  no exponent reachable here can carry into a neighbour: the largest
+  field of any member the CLI reaches is 20, b in the rank-5 bH members,
+  and every guard refuses what would pass FIELD_MASK), and
 * comparing packed ints compares total x-degree first, then the exponents
   of x8 down to x1, then the remaining fields in a fixed order.  That is
   exactly the graded order the quotient-ring division needs: ``max`` of a
@@ -33,16 +35,16 @@ A second order, the y-low order, lays the same non-x fields out as
 from the least significant field, read off ``_LAYOUT`` too, with x and
 xdeg where they are.  ``to_ylow`` and ``from_ylow`` move a monomial
 between the two.  It is for values at a localization point, which hold
-y and b and no x: there a y-b monomial is below 2**144, a third of the
+y and b and no x: there a y-b monomial is below 2**72, a third of the
 bits it takes in the display order, so the ints that term maps add and
-hash are shorter.  Each field keeps its 16 bits, so what cannot carry
+hash are shorter.  Each field keeps its 8 bits, so what cannot carry
 in one order cannot carry in the other.  Only equality and zero are
 read in this order; nothing is rendered from it.
 """
 
 from collections import namedtuple
 
-FIELD_BITS = 16
+FIELD_BITS = 8
 FIELD_MASK = (1 << FIELD_BITS) - 1
 N_MAX = 8
 
@@ -60,7 +62,7 @@ NUM_SLOTS = _XDEG_SLOT + 1
 XDEG_SHIFT = _XDEG_SLOT * FIELD_BITS
 XDEG_UNIT = 1 << XDEG_SHIFT
 # the top bit of every field: a monomial free of them has every exponent
-# below 1 << 15, so adding two such fields cannot carry
+# below 1 << (FIELD_BITS - 1), so adding two such fields cannot carry
 TOP_BITS = sum(1 << (s * FIELD_BITS + FIELD_BITS - 1) for s in range(NUM_SLOTS))
 
 
@@ -236,9 +238,9 @@ def mono_divides(d: int, m: int) -> bool:
 
     When no field of either has its top bit set, one subtraction decides
     all 33 fields: setting every top bit of m makes each field of
-    (m | TOP_BITS) - d equal to m_i + 2**15 - d_i, which is positive, so
-    no field borrows from the next, and its top bit survives exactly when
-    d_i <= m_i.  Otherwise the fields are compared one by one.
+    (m | TOP_BITS) - d equal to m_i + 2**(FIELD_BITS - 1) - d_i, which is
+    positive, so no field borrows from the next, and its top bit survives
+    exactly when d_i <= m_i.  Otherwise the fields are compared one by one.
     """
     if not (d | m) & TOP_BITS:
         return ((m | TOP_BITS) - d) & TOP_BITS == TOP_BITS

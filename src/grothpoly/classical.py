@@ -28,6 +28,7 @@ from types import MappingProxyType
 from . import _termkernel_py as kernel
 from ._packing import (
     BETA,
+    FIELD_BITS,
     FIELD_MASK,
     MASK_B,
     MASK_Q,
@@ -541,19 +542,22 @@ class NormalFormContext:
 # ---------------------------------------------------------------------------
 
 # Localized values are term maps in the y-low order of _packing, which
-# holds a y-b monomial in the low 144 bits: the checks only test them for
+# holds a y-b monomial in the low 72 bits: the checks only test them for
 # equality and zero, and what they report is built from the polynomials.
 # The shift of x_(i+1) at index i, and the y-low unit of y_j at index j
 _X_SHIFTS = [shift(v) for v in _xvars(1, N_MAX)]
 _Y_UNITS = [0] + [to_ylow(unit(v)) for v in _yvars(1, N_MAX)]
+# the top bit of every field but the x-degree, which localizing drops
+_LOCALIZED_TOP_BITS = TOP_BITS & (XDEG_UNIT - 1)
 
 
 def _x_parts(f: MultiPoly) -> list[tuple[int, dict[int, int]]]:
     """f's terms grouped by x-part, as (x-part, rest), each rest a term
-    map in the y-low order.  Raises ValueError on an exponent of 1 << 15
-    or more: moved onto a y field it could carry into the next one."""
-    if any(m & TOP_BITS for m in f._t):
-        raise ValueError("localize needs every exponent below 1 << 15")
+    map in the y-low order.  Raises ValueError on an exponent of
+    1 << (FIELD_BITS - 1) or more: moved onto a y field it could carry
+    into the next one.  The x-degree is not an exponent here."""
+    if any(m & _LOCALIZED_TOP_BITS for m in f._t):
+        raise ValueError(f"localize needs every exponent below 1 << {FIELD_BITS - 1}")
     groups: dict[int, dict[int, int]] = {}
     for m, c in f._t.items():
         key = m & MASK_X
@@ -585,7 +589,7 @@ def localize(f: MultiPoly, u: Permutation, eps: int) -> MultiPoly:
 
     Each x-part of f becomes the y-monomial it lands on, signed by its
     x-degree parity when eps = -1.  Raises ValueError if f holds an x past
-    x_n, or an exponent of 1 << 15 or more.
+    x_n, or an exponent of 1 << (FIELD_BITS - 1) or more.
     """
     if type(eps) is not int or eps not in (1, -1):
         raise ValueError("eps must be 1 or -1")
@@ -1028,7 +1032,8 @@ def _check_pieri_double(n: int, rng: random.Random) -> dict | None:
             # at each point by addmul on the localized members.  No field
             # can carry there: a b-monomial holds b alone, to the power of
             # a Monk chain's length, at most l(w0) <= 28, and a localized
-            # member's b field is its rest's, below 1 << 15 (_x_parts)
+            # member's b field is its rest's, below 1 << (FIELD_BITS - 1)
+            # (_x_parts), so the sum stays below 1 << FIELD_BITS
             terms = [(w, 0, 1)] + [
                 (v, to_ylow(m), a) for v, c in monk_expansion(w, k).items() for m, a in (beta() * c)._t.items()
             ]

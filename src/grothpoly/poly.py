@@ -59,9 +59,9 @@ def _check_product_fields(ta: dict[int, int], tb: dict[int, int]) -> None:
     """Raise ValueError if some product of a term of ta and one of tb would
     carry a field past FIELD_MASK.
 
-    Fields below 1 << 15 cannot carry when added, so one OR over each
-    operand's monomials settles the common case; only if a top bit is set
-    are the exact per-field maxima compared.
+    Fields below 1 << (FIELD_BITS - 1) cannot carry when added, so one OR
+    over each operand's monomials settles the common case; only if a top
+    bit is set are the exact per-field maxima compared.
     """
     if not ta or not tb:
         return

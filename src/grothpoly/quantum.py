@@ -76,9 +76,12 @@ def gk_determinant(k: int, t: Var, beta_form: bool = False) -> MultiPoly:
     an extra (1+beta*t)^i inside the sum, which is the denominator-cleared
     version of substituting t/(1+beta*t) and rescaling by (1+beta*t)^k.
 
+    A beta_form that is not a bool raises ValueError.
+
     >>> gk_determinant(1, Var("y", 1)).text()
     'y1 + x1'
     """
+    _check_beta_form(beta_form)
     tp = MultiPoly.variable(t)
     pairs = []
     for i in range(0, k + 1):
@@ -92,12 +95,21 @@ def gk_determinant(k: int, t: Var, beta_form: bool = False) -> MultiPoly:
 def quantum_top(n: int, beta_form: bool = False) -> MultiPoly:
     """S~_{w_0}(x,y) = prod_{i=1}^{n-1} Delta_i(y_{n-i} | x_1..x_i); with
     beta_form, the same product of beta-form determinants (the bold seed).
-    Each is built once per rank."""
+    Each is built once per rank.  A beta_form that is not a bool raises
+    ValueError."""
     check_rank(n)
+    _check_beta_form(beta_form)
     return _quantum_top(n, beta_form)
 
 
-# read only behind quantum_top's rank check, as classical._top_class is
+def _check_beta_form(beta_form: bool) -> None:
+    """Refuse a beta_form that is not a bool: 1, 0.0 or "no" would pass as
+    one by truth value, and 1 would share True's memo entry."""
+    if type(beta_form) is not bool:
+        raise ValueError(f"beta_form is a bool, not {beta_form!r}")
+
+
+# read only behind quantum_top's rank and flag checks, as classical._top_class is
 @cache
 def _quantum_top(n: int, beta_form: bool) -> MultiPoly:
     p = one()

@@ -56,7 +56,7 @@ from grothpoly.classical import (
     schubert_double,
     top_class,
 )
-from grothpoly._packing import BETA, N_MAX, Var, exponent, pack, unit
+from grothpoly._packing import BETA, FIELD_BITS, FIELD_MASK, N_MAX, Var, exponent, pack, unit
 from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_perm
 from grothpoly.perms import (
     Permutation,
@@ -71,7 +71,7 @@ from grothpoly.perms import (
     transposition,
 )
 from grothpoly.poly import MultiPoly, beta, const, dot, one, xvar, yvar, zero
-from grothpoly.quantum import apply_X, eval_at_X, quantize, quantum_top
+from grothpoly.quantum import apply_X, eval_at_X, gk_determinant, quantize, quantum_top
 from grothpoly.report import CHECKS, rank_caps, verify
 
 
@@ -936,15 +936,15 @@ class TestLocalization:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(2, 4), eps=st.sampled_from([-1, 1]))
     def test_localize_matches_a_term_by_term_reference(self, data, n, eps):
-        # terms in x, y, z, q and b, exponents up to 2^15 - 1; two x's of
-        # a term are halved if need be, since localize also refuses an
-        # x-degree of 2^15 or more; the reference substitutes
+        # terms in x, y, z, q and b, exponents up to 2^(FIELD_BITS - 1) - 1,
+        # the largest localize takes; the x-degree of two x's may pass it,
+        # since localizing drops the x-degree; the reference substitutes
         # eps * y_u(i) for x_i one term at a time in MultiPoly
-        exponent = st.one_of(st.integers(1, 3), st.integers(1, (1 << 15) - 1))
+        exponent = st.one_of(st.integers(1, 3), st.integers(1, (1 << FIELD_BITS - 1) - 1))
         others = [*(Var("y", j) for j in range(1, n + 1)), Var("z", 1), Var("z", 2), Var("q", 1), BETA]
         xs = st.dictionaries(st.sampled_from([Var("x", i) for i in range(1, n + 1)]), exponent, max_size=2)
         term = st.tuples(
-            xs.map(lambda d: d if sum(d.values()) < 1 << 15 else {v: e // 2 for v, e in d.items()}),
+            xs,
             st.dictionaries(st.sampled_from(others), exponent, max_size=3),
             st.integers(-5, 5).filter(bool),
         )
@@ -961,10 +961,23 @@ class TestLocalization:
     def test_localize_refuses_what_has_no_point(self):
         with pytest.raises(ValueError, match="past x2"):
             localize(xvar(3), identity(2), -1)
-        with pytest.raises(ValueError, match="1 << 15"):
-            localize(xvar(1) ** 40000, identity(2), -1)
+        # an exponent with its field's top bit, moved onto or added to a y
+        # field, could carry into the next field
+        top = 1 << FIELD_BITS - 1
+        for f in (xvar(1) ** top, xvar(1) * yvar(2) ** top, beta() ** top * xvar(2)):
+            with pytest.raises(ValueError, match=f"every exponent below 1 << {FIELD_BITS - 1}"):
+                localize(f, identity(2), -1)
         with pytest.raises(ValueError, match="eps"):
             localize(xvar(1), identity(2), 0)
+
+    def test_localize_drops_the_x_degree_before_it_looks_for_top_bits(self):
+        # every exponent is the largest localize takes, while the x-degree
+        # has its field's top bit; at the swap y1 gets x2's exponent on top
+        # of its own and fills its field to FIELD_MASK - 1
+        e = (1 << FIELD_BITS - 1) - 1
+        f = xvar(1) ** e * xvar(2) ** e
+        assert localize(f, identity(2), 1) == yvar(1) ** e * yvar(2) ** e
+        assert localize(f * yvar(1) ** e, from_word([1], 2), -1) == yvar(1) ** (2 * e) * yvar(2) ** e
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ideal", ["signed", "unsigned"])
@@ -1397,6 +1410,30 @@ def test_a_rank_that_is_not_an_int_is_refused(entry, value):
         RANK_PARAMETERS[entry](value)
 
 
+# the beta_form flag of the quantum seeds: a bool, and no value that
+# passes for one by its truth value
+FLAG_PARAMETERS = {
+    "quantum_top-beta_form": lambda flag: quantum_top(2, flag),
+    "gk_determinant-beta_form": lambda flag: gk_determinant(1, Var("y", 1), flag),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLAG_PARAMETERS))
+@settings(max_examples=15, deadline=None)
+@given(value=st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.none()))
+@example(value=1)
+@example(value=0)
+@example(value=0.0)
+@example(value="no")
+def test_a_flag_that_is_not_a_bool_is_refused(entry, value):
+    # True and False are taken; 1 is refused although True's seed, which
+    # shares its memo key, is cached by then
+    call = FLAG_PARAMETERS[entry]
+    assert call(True) != call(False)
+    with pytest.raises(ValueError, match="beta_form is a bool"):
+        call(value)
+
+
 @pytest.mark.parametrize(
     "check_id, oracle",
     [
@@ -1520,5 +1557,10 @@ class TestRelabelMoves:
                 assert f._moved(moves) == f.relabel(mapping)
 
     def test_moved_refuses_an_x_degree_past_the_field(self):
+        # x-degree FIELD_MASK + 1 is refused, FIELD_MASK is the largest kept
+        high = FIELD_MASK // 2 + 1
         with pytest.raises(ValueError, match="would pass"):
-            (yvar(1) ** 40000 * yvar(2) ** 30000)._moved(SWAP_XY_MOVES)
+            (yvar(1) ** high * yvar(2) ** (FIELD_MASK - high + 1))._moved(SWAP_XY_MOVES)
+        moved = (yvar(1) ** high * yvar(2) ** (FIELD_MASK - high))._moved(SWAP_XY_MOVES)
+        assert moved == xvar(1) ** high * xvar(2) ** (FIELD_MASK - high)
+        assert moved.degree("x") == FIELD_MASK

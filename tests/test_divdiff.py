@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from grothpoly._packing import Var
+from grothpoly._packing import BETA, FIELD_MASK, Var
 from grothpoly.divdiff import (
     DEL,
     PI_MINUS,
@@ -121,9 +121,9 @@ class TestSingleOperators:
         assert apply_op(PI_MINUS, 1, one()) == beta()
 
     def test_b_shift_past_the_field_is_refused(self):
-        # b^65535 times b used to carry into z1
-        top = beta() ** 65535
-        refused = "b would push an exponent past 65535"
+        # b^FIELD_MASK times b used to carry into z1
+        top = beta() ** FIELD_MASK
+        refused = f"b would push an exponent past {FIELD_MASK}"
         with pytest.raises(ValueError, match=refused):
             apply_op(PSI_PLUS, 1, top * xvar(1))
         with pytest.raises(ValueError, match=refused):
@@ -134,11 +134,15 @@ class TestSingleOperators:
         with pytest.raises(ValueError, match=refused):
             apply_op(PSI_PLUS, 1, top)
         assert apply_op(DEL, 1, top * xvar(1)) == top
+        # one b less is the largest power a deformed kind takes
+        below = beta() ** (FIELD_MASK - 1)
+        assert apply_op(PSI_PLUS, 1, below * xvar(1)).max_exponent(BETA) == FIELD_MASK
+        assert apply_op(PI_PLUS, 1, below) == -top
 
     def test_top_exponent_of_v_next_is_accepted(self):
         # pi+_1 y2^n = -sum_{p<n} y1^p y2^(n-1-p) - b sum_{p<=n} y1^p y2^(n-p):
         # v_{i+1} f is never formed, so no exponent passes the input's
-        n = 65535
+        n = FIELD_MASK
         g = apply_op(PI_PLUS, 1, yvar(2) ** n, "y")
         assert len(g) == 2 * n + 1
         assert set(g._t.values()) == {-1}

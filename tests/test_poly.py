@@ -200,30 +200,41 @@ def test_power_and_unary():
         f ** -1
 
 
+# two exponents that fill a field: LOW + HIGH is FIELD_MASK, the largest
+# exponent a field holds, and LOW + HIGH + 1 the first it cannot; HIGH has
+# the field's top bit, so a product of the two takes the field-by-field path
+HIGH = FIELD_MASK * 5 // 8
+LOW = FIELD_MASK - HIGH
+
+
 @pytest.mark.parametrize("base", [xvar(8), beta(), qvar(7)], ids=["x8", "b", "q7"])
 def test_power_past_the_field_is_refused(base):
-    # 65536 = FIELD_MASK + 1 used to wrap into the next field, silently
+    # FIELD_MASK + 1 used to wrap into the next field, silently
     with pytest.raises(ValueError):
-        base ** 65536
-    assert (base ** 65535).text() == base.text() + "^65535"
+        base ** (FIELD_MASK + 1)
+    assert (base ** FIELD_MASK).text() == base.text() + f"^{FIELD_MASK}"
 
 
 def test_power_checks_every_field_of_every_term():
-    f = one() + xvar(1) ** 3 * yvar(2) ** 30000
+    f = one() + xvar(1) ** 3 * yvar(2) ** (FIELD_MASK // 2)
     with pytest.raises(ValueError):
         f ** 3
+    # x1 and x2 fit at (FIELD_MASK + 1) // 2 each; the x-degree does not
+    quarter = (FIELD_MASK + 1) // 4
     with pytest.raises(ValueError):
-        (xvar(1) ** 20000 * xvar(2) ** 20000) ** 2  # x1 and x2 fit; the x-degree does not
-    assert (f ** 2).max_exponent(Var("y", 2)) == 60000
+        (xvar(1) ** quarter * xvar(2) ** quarter) ** 2
+    assert (f ** 2).max_exponent(Var("y", 2)) == FIELD_MASK - 1
+    square = (xvar(1) ** quarter * xvar(2) ** (quarter - 1)) ** 2
+    assert square == xvar(1) ** (2 * quarter) * xvar(2) ** (2 * quarter - 2)
 
 
 @pytest.mark.parametrize(
     "a, b",
     [
-        (yvar(1) ** 40000, yvar(1) ** 30000),  # printed y1^4464*y2
-        (beta() ** 40000, beta() ** 30000),  # printed b^4464*z1
-        (xvar(1) ** 40000, xvar(2) ** 30000),  # x1, x2 fit; the x-degree carried
-        (one() + zvar(2) ** 65535, one() + zvar(2)),  # the top field, not the top bit
+        (yvar(1) ** HIGH, yvar(1) ** (LOW + 1)),  # printed y2: y1 carried
+        (beta() ** HIGH, beta() ** (LOW + 1)),  # printed z1: b carried
+        (xvar(1) ** HIGH, xvar(2) ** (LOW + 1)),  # x1, x2 fit; the x-degree carried
+        (one() + zvar(2) ** FIELD_MASK, one() + zvar(2)),  # the top field, not the top bit
     ],
     ids=["y1", "b", "xdeg", "z2"],
 )
@@ -240,18 +251,18 @@ def test_product_past_the_field_is_refused(a, b):
 
 
 def test_product_up_to_the_field_is_exact():
-    assert yvar(1) ** 40000 * yvar(1) ** 25535 == yvar(1) ** 65535
-    big = (one() + beta() ** 40000) * (xvar(1) ** 30000 + yvar(2) ** 40000)
-    assert big * (one() + beta() ** 25535) == big + big * beta() ** 25535
+    assert yvar(1) ** HIGH * yvar(1) ** LOW == yvar(1) ** FIELD_MASK
+    big = (one() + beta() ** HIGH) * (xvar(1) ** (LOW + 1) + yvar(2) ** HIGH)
+    assert big * (one() + beta() ** LOW) == big + big * beta() ** LOW
 
 
 def test_pack_refuses_x_degree_past_the_field():
     with pytest.raises(ValueError):
-        pack({Var("x", 1): 40000, Var("x", 2): 30000})
+        pack({Var("x", 1): HIGH, Var("x", 2): LOW + 1})
     with pytest.raises(ValueError):
-        MultiPoly({Var("x", 1): 40000, Var("x", 2): 30000})
-    m = pack({Var("x", 1): 40000, Var("x", 2): 25535})  # x-degree exactly FIELD_MASK
-    assert MultiPoly._raw({m: 1}) == xvar(1) ** 40000 * xvar(2) ** 25535
+        MultiPoly({Var("x", 1): HIGH, Var("x", 2): LOW + 1})
+    m = pack({Var("x", 1): HIGH, Var("x", 2): LOW})  # x-degree exactly FIELD_MASK
+    assert MultiPoly._raw({m: 1}) == xvar(1) ** HIGH * xvar(2) ** LOW
 
 
 # every field near 0, where divisibility is likely, or anywhere below
@@ -296,7 +307,8 @@ def test_ylow_order_puts_y_then_b_then_q_then_z_from_the_lowest_slot():
     )
     assert [to_ylow(unit(v)) for v in order] == [1 << s * FIELD_BITS for s in range(len(order))]
     assert [from_ylow(1 << s * FIELD_BITS) for s in range(len(order))] == [unit(v) for v in order]
-    # a y-b monomial, as every localized value holds, is below 2**144
+    # a y-b monomial, as every localized value holds, is below
+    # 2**(9 * FIELD_BITS)
     full = pack({**{Var("y", i): FIELD_MASK for i in range(1, N_MAX + 1)}, BETA: FIELD_MASK})
     assert to_ylow(full) == (1 << 9 * FIELD_BITS) - 1
 
@@ -440,10 +452,8 @@ def test_relabel_keeps_the_x_degree_field():
 
 def test_relabel_refuses_x_degree_past_the_field():
     with pytest.raises(ValueError):
-        (yvar(1) ** 40000 * yvar(2) ** 30000).relabel(_swap("x", "y"))
-    assert (yvar(1) ** 40000 * yvar(2) ** 25535).relabel(_swap("x", "y")) == (
-        xvar(1) ** 40000 * xvar(2) ** 25535
-    )
+        (yvar(1) ** HIGH * yvar(2) ** (LOW + 1)).relabel(_swap("x", "y"))
+    assert (yvar(1) ** HIGH * yvar(2) ** LOW).relabel(_swap("x", "y")) == xvar(1) ** HIGH * xvar(2) ** LOW
 
 
 def test_beta_weighted_clears_the_x_degree_field():
@@ -453,13 +463,18 @@ def test_beta_weighted_clears_the_x_degree_field():
 
 @pytest.mark.parametrize(
     "p, cap",
-    [(beta() ** 65535, 1), (yvar(1), 70000)],
+    [(beta() ** FIELD_MASK, 1), (yvar(1), FIELD_MASK + 2)],
     ids=["b_full", "cap_too_large"],
 )
 def test_beta_weighted_refuses_b_past_the_field(p, cap):
-    # used to print z1 and b^4463*z1: b carried into z1
+    # used to print z1: b carried into z1
     with pytest.raises(ValueError):
         p.beta_weighted(cap, "y")
+
+
+def test_beta_weighted_fills_b_up_to_the_field():
+    assert (beta() ** (FIELD_MASK - 1)).beta_weighted(1, "y") == beta() ** FIELD_MASK
+    assert yvar(1).beta_weighted(FIELD_MASK + 1, "y") == beta() ** FIELD_MASK
 
 
 def test_text_rendering_goldens():

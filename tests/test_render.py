@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grothpoly import cli
-from grothpoly._packing import BETA, FIELD_MASK, N_MAX, Var
+from grothpoly._packing import BETA, FIELD_BITS, FIELD_MASK, N_MAX, Var
 from grothpoly.classical import family_table
 from grothpoly.perms import by_length, first_reduced_word
 from grothpoly import poly
@@ -79,7 +79,7 @@ ALL_VARS = (
     + [Var("q", i) for i in range(1, N_MAX)]
     + [Var(k, i) for k in ("x", "y", "z") for i in range(1, N_MAX + 1)]
 )
-EXPONENTS = st.one_of(st.just(1), st.just(2), st.integers(10, 1000), st.just(FIELD_MASK))
+EXPONENTS = st.one_of(st.just(1), st.just(2), st.integers(10, FIELD_MASK - 1), st.just(FIELD_MASK))
 COEFS = st.one_of(
     st.sampled_from([1, -1, 10**30, -(10**30)]),
     st.integers(-50, 50).filter(bool),
@@ -97,7 +97,7 @@ polys = st.lists(st.tuples(monomials, COEFS), max_size=12).map(MultiPoly.from_mo
 
 
 def _covering_poly() -> MultiPoly:
-    """Every variable at exponents 1, 2, 17 and 65535 (one x at a time at
+    """Every variable at exponents 1, 2, 17 and FIELD_MASK (one x at a time at
     the top), with coefficients ±1 and ±10**30, plus a constant term."""
     terms = [({}, -7)]
     for k, v in enumerate(ALL_VARS):
@@ -133,7 +133,7 @@ def test_covering_poly_matches_reference():
     # every kind and index shows up in each format
     text = f.text()
     assert all(v.name() in text for v in ALL_VARS)
-    assert "^65535" in text and "1000000000000000000000000000000" in text
+    assert f"^{FIELD_MASK}" in text and "1000000000000000000000000000000" in text
 
 
 _MEMOS = (poly._TEXT_GROUPS, poly._LATEX_GROUPS, poly._JSON_GROUPS)
@@ -159,8 +159,12 @@ def test_group_memos_stay_bounded(fs):
 def test_group_memos_stay_below_limit_on_many_groups():
     # more distinct x and y/z groups than the limit, at its real value
     limit = poly._GroupStrings.LIMIT
-    x1, y1 = Var("x", 1), Var("y", 1)
-    f = MultiPoly.from_monomials(({x1: e, y1: e}, e) for e in range(1, limit + 100))
+    # more groups than one field has values, so each e is spread over two
+    # variables in base 2^(FIELD_BITS - 1), keeping the x-degree in its field
+    base = 1 << FIELD_BITS - 1
+    x1, x2, y1, y2 = Var("x", 1), Var("x", 2), Var("y", 1), Var("y", 2)
+    spread = (divmod(e, base) for e in range(1, limit + 100))
+    f = MultiPoly.from_monomials(({x1: r, x2: q, y1: r, y2: q}, q * base + r) for q, r in spread)
     _assert_matches_reference(f)
     assert all(0 < len(memo) <= limit for memo in _MEMOS)
 

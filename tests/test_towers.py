@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import grothpoly
 from grothpoly import _termkernel_py as kernel
 from grothpoly import classical, cli
-from grothpoly._packing import BETA, FIELD_MASK, N_MAX, Var, kind_degree, pack, unit
+from grothpoly._packing import BETA, FIELD_MASK, N_MAX, TOP_BITS, Var, kind_degree, pack, unit
 from grothpoly.classical import (
     IDEALS,
     TOWERS,
@@ -38,7 +38,7 @@ from grothpoly.classical import (
 )
 from grothpoly.divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_perm
 from grothpoly.perms import all_perms, bruhat_lower, bruhat_upper, from_word, longest
-from grothpoly.poly import MultiPoly
+from grothpoly.poly import MultiPoly, or_monomials
 from grothpoly.cli import _FAMILIES
 from grothpoly.quantum import quantum_top
 from grothpoly.report import CHECKS, rank_caps, verify
@@ -213,6 +213,15 @@ def test_y_degree_is_exact_for_every_exponent_a_field_holds(exps, rest):
 
 # every table name: the TOWERS keys and their y=0 specialisations
 TABLE_NAMES = sorted(name for base in TOWERS for name in (base, base + "x"))
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_rank_4_tables_keep_every_field_below_its_top_bit(name):
+    # a field holds up to FIELD_MASK, and two fields below
+    # 1 << (FIELD_BITS - 1) add without a carry; every exponent and x-degree
+    # of a rank-4 table stays below that, so their products cannot carry
+    used = or_monomials(m for p in family_table(4, name).values() for m in p._t)
+    assert not used & TOP_BITS
 
 
 @functools.cache
