@@ -58,7 +58,20 @@ from .perms import (
     longest,
     transposition,
 )
-from .poly import MultiPoly, beta, const, dot, one, or_monomials, relabel_moves, xvar, yvar, zero, zvar
+from .poly import (
+    MultiPoly,
+    _check_product_fields,
+    beta,
+    const,
+    dot,
+    one,
+    or_monomials,
+    relabel_moves,
+    xvar,
+    yvar,
+    zero,
+    zvar,
+)
 from .report import Counterexample, check, check_rank
 
 # ---------------------------------------------------------------------------
@@ -297,6 +310,8 @@ def refuse_x_past(used: int, n: int) -> None:
         raise ValueError(f"an x past x{n} is above the rank {n}")
 
 
+_B_SHIFT = shift(BETA)
+
 # (n, x-monomial) -> mu of it at rank n, as a term map in b
 _MU_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -368,15 +383,23 @@ def pairing0(f: MultiPoly, g: MultiPoly, n: int) -> MultiPoly:
     N = n(n-1)/2, C(a, k) = 0 outside 0 <= k <= a, and mu = 0 when
     |m| > N.  No divided difference runs.  This is the one-pair case of
     _paired, which orthogonality calls with the whole G table.  Raises
-    ValueError on a rank that is not an int or is below 1, and if f or g
-    holds y, z, q or an x past x_n.
+    ValueError on a rank that is not an int or is below 1, if f or g
+    holds y, z, q or an x past x_n, and if a field of f*g, or its b times
+    the b^N a mu may add, would pass FIELD_MASK.
     """
     check_rank(n)
     used = or_monomials(f._t) | or_monomials(g._t)
     if used & (MASK_Y | MASK_Z | MASK_Q):
         raise ValueError("pairing0 expects polynomials in x and beta only")
     refuse_x_past(used, n)
+    _check_product_fields(f._t, g._t)
+    if _b_max(f._t) + _b_max(g._t) + n * (n - 1) // 2 > FIELD_MASK:
+        raise ValueError(f"pairing would push b past {FIELD_MASK}")
     return _paired(f, [g.split_x()], n)[0]
+
+
+def _b_max(t: dict[int, int]) -> int:
+    return max(((m >> _B_SHIFT) & FIELD_MASK for m in t), default=0)
 
 
 def expand_dual_basis(f: MultiPoly, n: int) -> dict[Permutation, MultiPoly]:
@@ -525,14 +548,22 @@ class NormalFormContext:
         return out
 
     def reduce(self, f: MultiPoly) -> MultiPoly:
-        """Normal form of f: no x_i appears with exponent above n - i."""
+        """Normal form of f: no x_i appears with exponent above n - i.
+        Raises ValueError if a y field of the result would pass FIELD_MASK."""
         nf = self._nf
+        # Every rule is homogeneous in x and y, so the normal form of an
+        # x-part has its y fields at most its x-degree.  With every field
+        # of f, the x-degree included, below 1 << (FIELD_BITS - 1) no add
+        # can carry; otherwise each one is checked.
+        checked = or_monomials(f._t) & TOP_BITS
         acc: dict[int, int] = {}
         for m, c in f._t.items():
             xp = m & MASK_X
             r = nf.get(xp)
             if r is None:
                 r = nf[xp] = self._x_normal_form(xp)
+            if checked:
+                _check_product_fields(r, {m - xp: c})
             kernel.addmul(acc, r, m - xp, c)
         return MultiPoly._raw(kernel.prune(acc))
 

@@ -322,6 +322,21 @@ class TestMonomialReduction:
             f = MultiPoly._raw({pack({Var("x", i): e for i, e in exps.items()}): 1})
             assert ctx.reduce(f) == _oracle_reduce(ctx, f)
 
+    def test_reduce_refuses_a_y_field_that_would_pass_the_mask(self):
+        # x1 reduces to y1 at rank 1 (unsigned), whose y1 field then adds
+        # to the rest's: FIELD_MASK is the largest kept, one more carries
+        # into y2
+        ctx = NormalFormContext(1, "unsigned")
+        assert ctx.reduce(xvar(1) * yvar(1) ** (FIELD_MASK - 1)) == yvar(1) ** FIELD_MASK
+        with pytest.raises(ValueError, match=f"past {FIELD_MASK}"):
+            ctx.reduce(xvar(1) * yvar(1) ** FIELD_MASK)
+        # x1^2 at rank 2 (signed) reduces to terms of y1-degree 1
+        ctx = NormalFormContext(2, "signed")
+        f = xvar(1) ** 2 * yvar(1) ** (FIELD_MASK - 1)
+        assert ctx.reduce(f) == _oracle_reduce(ctx, f)
+        with pytest.raises(ValueError, match=f"past {FIELD_MASK}"):
+            ctx.reduce(f * yvar(1))
+
 
 def _oracle_reduce(ctx: NormalFormContext, f: MultiPoly) -> MultiPoly:
     """Reduction by a heap over full packed monomials, one term at a time:
@@ -474,6 +489,22 @@ class TestDualBasis:
         # x_n itself is in range
         f = xvar(n) ** n * xvar(1)
         assert pairing0(f, one(), n) == scalar_product(f, one(), n)
+
+    def test_pairing_refuses_a_field_that_would_pass_the_mask(self):
+        # the x-parts of f and g add: x1^FIELD_MASK is the largest kept
+        assert pairing0(xvar(1) ** (FIELD_MASK - 1), xvar(1), 2) == zero()
+        with pytest.raises(ValueError, match=f"past {FIELD_MASK}"):
+            pairing0(xvar(1) ** FIELD_MASK, xvar(1), 2)
+        # so do their b parts, and a mu at rank n adds up to b^(n(n-1)/2)
+        n = 3
+        top = FIELD_MASK - n * (n - 1) // 2
+        f = beta() ** (top - 2)
+        assert pairing0(f, beta() ** 2, n) == scalar_product(f, beta() ** 2, n)
+        for f, g in ((beta() ** (top - 2), beta() ** 3), (beta() ** (top + 1), one())):
+            with pytest.raises(ValueError, match=f"past {FIELD_MASK}"):
+                pairing0(f, g, n)
+        with pytest.raises(ValueError, match=f"past {FIELD_MASK}"):
+            pairing0(beta() ** FIELD_MASK, one(), 2)
 
     def test_pairing_adjointness(self, rng):
         # <pi_w f, g> = <f, pi_{w^-1} g> for the quotient pairing
