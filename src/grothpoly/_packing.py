@@ -107,6 +107,16 @@ def unit(var: Var) -> int:
     return u
 
 
+def fields_mask(variables) -> int:
+    """OR of the field masks of the given variables: a monomial ANDs
+    nonzero with it iff it holds one of them.  An x variable's mask leaves
+    the xdeg field out."""
+    mask = 0
+    for var in variables:
+        mask |= FIELD_MASK << shift(var)
+    return mask
+
+
 def exponent(mono: int, var: Var) -> int:
     return (mono >> shift(var)) & FIELD_MASK
 

@@ -1,16 +1,26 @@
 """Term kernel: the package's only term-map implementation.
 
-The four functions below are the only hot loops in the package; everything
+The five functions below are the only hot loops in the package; everything
 else is orchestration.  A polynomial is a dict mapping packed monomials
 (see _packing) to nonzero int coefficients.  Callers reach these functions
 through this module object (``from . import _termkernel_py as kernel``).
 
-All functions treat their inputs as read-only except ``addmul``, which
-accumulates into its first argument and may leave explicit zeros behind
-(callers prune with ``prune`` once a ladder of accumulations is done),
-and ``prune``, which hands back its argument itself when it holds no
-zero: most accumulators hold none, and a scan of the values is cheaper
-than a copy.  Every caller owns the map it prunes and drops it after.
+All functions treat their inputs as read-only except ``addmul`` and
+``addmul_all``, which accumulate into their first argument and may leave
+explicit zeros behind (callers prune with ``prune`` once a ladder of
+accumulations is done), and ``prune``, which hands back its argument
+itself when it holds no zero: most accumulators hold none, and a scan of
+the values is cheaper than a copy.  Every caller owns the map it prunes
+and drops it after.
+
+``addmul_all`` is the batched ``addmul``: one call sums a whole ladder of
+(f, mono, coef) summands.  ``_at_point`` in classical uses it, since a
+localized member is the sum of one short rest per x-part (4.4 terms on
+average at n = 4), so the cost of a call per summand outweighs the adds.
+The 4-argument ``addmul`` stays for the callers that add one summand, or
+whose summands come one at a time out of a loop of their own: building a
+summand tuple for each costs more there than the call it saves.
+
 ``divdiff`` applies any of the five divided-difference operator kinds,
 d((1 + s*b*v_j) f) + t*b*f = (1 + s*b*v_i) d(f) + (t - s)*b*f, with one
 staircase per term, and returns a pruned map.
@@ -46,6 +56,19 @@ def addmul(acc: dict, f: dict, mono: int, coef: int) -> None:
         acc[k] = c * coef if v is None else v + c * coef
 
 
+def addmul_all(acc: dict, summands) -> None:
+    """acc += sum of coef * x^mono * f over the (f, mono, coef) summands,
+    in place.  Zeros may remain."""
+    get = acc.get
+    for f, mono, coef in summands:
+        if not coef:
+            continue
+        for m, c in f.items():
+            k = m + mono
+            v = get(k)
+            acc[k] = c * coef if v is None else v + c * coef
+
+
 def prune(acc: dict) -> dict:
     """Drop explicit zeros left behind by addmul ladders: acc itself if
     no value is 0, else a new map without them.  So the caller must own
@@ -79,16 +102,25 @@ def divdiff(f: dict, sh_i: int, sh_j: int, ui: int, uj: int, s: int, t: int, bu:
         d = ((m >> sh_i) & FIELD_MASK) - ((m >> sh_j) & FIELD_MASK)
         if not d:
             continue
-        # the staircase of (a, e) starts at m / v_j if a < e, ends there if a > e
-        k = m - uj
-        if d > 0:
-            k -= d * step
+        # a staircase of one step, |a - e| = 1, is the one term
+        # v_i^min(a, e) v_j^min(a, e) * r, signed by a - e: no loop
+        if d == 1:
+            k = m - ui
+        elif d == -1:
+            k, c = m - uj, -c
         else:
-            d, c = -d, -c
-        for _ in range(d):
-            v = get(k)
-            g[k] = c if v is None else v + c
-            k += step
+            # the staircase of (a, e) starts at m / v_j if a < e, ends there if a > e
+            k = m - uj
+            if d > 0:
+                k -= d * step
+            else:
+                d, c = -d, -c
+            for _ in range(d - 1):
+                v = get(k)
+                g[k] = c if v is None else v + c
+                k += step
+        v = get(k)
+        g[k] = c if v is None else v + c
     out = g
     if s:
         out = dict(g)

@@ -344,6 +344,11 @@ def _paired(f: MultiPoly, g_parts: Sequence[Mapping[int, MultiPoly]], n: int) ->
     L(c) = sum_a f_a(b) * mu(x^(a+c)) is built once for each x-part c
     that occurs in g_parts.  Each mu is memoised in _MU_CACHE.
     """
+    # unchecked adds: no field can carry.  Every map here holds b alone
+    # (split_x took the x-parts off), and a mu adds at most b^(n(n-1)/2).
+    # pairing0 refuses an f and g whose b fields with that could pass
+    # FIELD_MASK; orthogonality pairs the Hx and Gx tables at rank n <= 5,
+    # its hard cap, whose b fields are at most 10 and 4, with n(n-1)/2 <= 10
     f_parts = [(a, fa._t) for a, fa in f.split_x().items()]
     mus = _MU_CACHE
     functional: dict[int, dict[int, int]] = {}
@@ -533,7 +538,11 @@ class NormalFormContext:
                 # The packed order (x-degree, then x8..x1) is additive, so
                 # every rule's tail sorts strictly below its lead, also after
                 # multiplying by xp / lead: a popped x-part never comes back,
-                # and a staircase one is final.
+                # and a staircase one is final.  No field can carry in
+                # either add below: coef holds no x, so xp lands on empty
+                # fields, and every rule is homogeneous in x and y (with
+                # no b), so coef's y fields stay at most xmono's x-degree,
+                # itself a field
                 kernel.addmul(out, coef, xp, 1)
                 continue
             cof = xp - lead
@@ -602,15 +611,22 @@ def _at_point(
     """The x-parts of _x_parts, all in x_1..x_(u.n), at the point
     x_i = eps * y_u(i), as a y-low term map: each x-part becomes a signed
     y-monomial, memoised in images (one dict per point, shared by every
-    polynomial localized there), and its rest is added in one addmul."""
-    out: dict[int, int] = {}
+    polynomial localized there), and the rests are summed in one
+    addmul_all."""
+    summands = []
     for xp, rest in parts:
         image = images.get(xp)
         if image is None:
             ymono = sum(((xp >> _X_SHIFTS[i]) & FIELD_MASK) * _Y_UNITS[j] for i, j in enumerate(u))
             sign = -1 if eps < 0 and (xp >> XDEG_SHIFT) & 1 else 1
             image = images[xp] = (ymono, sign)
-        kernel.addmul(out, rest, *image)
+        summands.append((rest, *image))
+    out: dict[int, int] = {}
+    # unchecked: no field can carry.  _x_parts refused every field of the
+    # member at 1 << (FIELD_BITS - 1) or more, the x-degree aside, so a
+    # rest's y field and the x exponent an image moves onto it are each
+    # below that, and an image holds no b
+    kernel.addmul_all(out, summands)
     return kernel.prune(out)
 
 
@@ -707,6 +723,12 @@ def _times_images(
     nothing to apply."""
     if not t:
         return t
+    # unchecked adds: no field can carry.  pieri_double and involution
+    # call this at rank n <= 5, their hard cap, where t's fields are at
+    # most 20 (a member's x and y fields are at most 4 and its b at most
+    # 10; the Monk sum adds b^10 at most), and a side's binomials divide a
+    # fixed factor of b-degree n(n-1)/2 <= 10, so they add at most 10 to b
+    # and to each y field
     for (m, s), k in Counter(images).items():
         g = dict(t)
         for j in range(1, k + 1):
@@ -739,6 +761,11 @@ def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         q = c // gc
         k = m - glead
         out[k] = out.get(k, 0) + q
+        # unchecked: no field can carry.  Each divisor here is a binomial
+        # 1 + c*b*v, whose other term is 1 (_binomial_split), or divides f
+        # (det_bareiss's pivots, stability's ratio).  Then each k is a term
+        # of the quotient q, and k plus a monomial of g has each field at
+        # most that of f = q*g
         kernel.addmul(rem, g._t, k, -q)
         rem = {mm: cc for mm, cc in rem.items() if cc}
     return MultiPoly._raw(out)
@@ -1131,6 +1158,9 @@ def _check_interpolation(n: int, rng: random.Random) -> dict | None:
         acc: dict[int, int] = {}
         for t, c in f._t.items():
             xpart = t & MASK_X
+            # only a failing check draws trials, so the check costs nothing
+            # on the passing path
+            _check_product_fields(basis[xpart], {t - xpart: c})
             kernel.addmul(acc, basis[xpart], t - xpart, c)
         rhs = MultiPoly._raw(kernel.prune(acc))
         if lhs != rhs:

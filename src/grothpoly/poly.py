@@ -33,6 +33,7 @@ from ._packing import (
     TOP_BITS,
     XDEG_SHIFT,
     Var,
+    fields_mask,
     kind_degree,
     kind_mask,
     pack,
@@ -178,10 +179,11 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: int) -> "MultiPoly":
-        """c as a polynomial; raises ValueError if c is not an int."""
-        if not isinstance(c, int):
+        """c as a polynomial; raises ValueError if c is not an int, a bool
+        included."""
+        if type(c) is not int:
             raise ValueError(f"a coefficient is an int, not {c!r}")
-        return cls._raw({0: int(c)} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def variable(cls, var: Var) -> "MultiPoly":
@@ -189,15 +191,14 @@ class MultiPoly:
 
     @classmethod
     def from_monomials(cls, items: Iterable[tuple[Mapping[Var, int], int]]) -> "MultiPoly":
-        """The sum of c * monomial over the items; a c that is not an int
-        leaves a sum that is not, so one check at the end raises ValueError."""
+        """The sum of c * monomial over the items; raises ValueError on a c
+        that is not an int, a bool included."""
         acc: dict[int, int] = {}
         for exps, c in items:
+            if type(c) is not int:
+                raise ValueError(f"a coefficient is an int, not {c!r}")
             k = pack(dict(exps))
             acc[k] = acc.get(k, 0) + c
-        bad = [v for v in acc.values() if type(v) is not int]
-        if bad:
-            raise ValueError(f"a coefficient is an int, not {bad[0]!r}")
         return cls._raw({k: v for k, v in acc.items() if v})
 
     # -- basic queries ------------------------------------------------
@@ -312,13 +313,21 @@ class MultiPoly:
 
     def specialize(self, values: Mapping[Var, int]) -> "MultiPoly":
         """Substitute integers for the listed variables, b and q_i say;
-        raises ValueError on a value that is not an int."""
+        raises ValueError on a value that is not an int.  A variable sent
+        to 0 kills every term that holds it: those terms are dropped by
+        one mask test, and only the nonzero values are substituted."""
         bad = [value for value in values.values() if not isinstance(value, int)]
         if bad:
             raise ValueError(f"specialize substitutes ints, not {bad[0]!r}")
-        fields = [(shift(v), unit(v), value) for v, value in values.items()]
+        zeros = fields_mask(v for v, value in values.items() if not value)
+        fields = [(shift(v), unit(v), value) for v, value in values.items() if value]
+        if not fields:
+            # the kept terms are unchanged, so no two of them collide
+            return MultiPoly._raw({m: c for m, c in self._t.items() if not m & zeros})
         out: dict[int, int] = {}
         for m, c in self._t.items():
+            if m & zeros:
+                continue
             for sh, u, value in fields:
                 e = (m >> sh) & FIELD_MASK
                 if e:
@@ -425,7 +434,8 @@ def _coerce(v) -> "MultiPoly":
     if isinstance(v, MultiPoly):
         return v
     if isinstance(v, int):
-        return MultiPoly.constant(v)
+        # int(): a bool operand adds as 0 or 1, as it always has
+        return MultiPoly.constant(int(v))
     return NotImplemented
 
 

@@ -110,10 +110,13 @@ def check_caps(check_id: str, n: int, force: bool = False) -> None:
 
 
 def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
-    """Run one registered check at rank n; ranks above the default cap need force."""
+    """Run one registered check at rank n; ranks above the default cap need
+    force.  Raises ValueError on a seed that is not an int, a bool included."""
     import random  # not at module level: only a check draws from an rng
 
     check_caps(check_id, n, force)
+    if type(seed) is not int:
+        raise ValueError(f"a seed is an int, not {seed!r}")
     rng = random.Random(seed)
     start = time.perf_counter()
     try:

@@ -5,9 +5,11 @@ at small rank."""
 from __future__ import annotations
 
 import heapq
+import inspect
 import itertools
 import json
 import random
+import re
 from collections.abc import Mapping
 from math import prod
 from types import MappingProxyType
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import grothpoly
 from grothpoly import classical
 from grothpoly.classical import (
     _RECAST_YZ,
@@ -1463,6 +1466,92 @@ def test_a_flag_that_is_not_a_bool_is_refused(entry, value):
     assert call(True) != call(False)
     with pytest.raises(ValueError, match="beta_form is a bool"):
         call(value)
+
+
+# A valid call, as keyword arguments, of every entry of grothpoly.__all__
+# and every MultiPoly constructor that takes an int: a parameter annotated
+# int, an Iterable[int] or a Mapping[..., int].  The test below finds
+# those entries by their signatures, so a new one needs a row here.
+VALID_INT_CALLS = {
+    "MultiPoly": {"terms": {Var("x", 1): 2}},
+    "MultiPoly.constant": {"c": 3},
+    "MultiPoly.from_monomials": {"items": [({Var("x", 1): 2}, 3)]},
+    "NormalFormContext": {"n": 2},
+    "Permutation": {"oneline": [2, 1, 3]},
+    "Var": {"kind": "x", "index": 1},
+    "all_perms": {"n": 2},
+    "expand_dual_basis": {"f": xvar(1), "n": 2},
+    "from_word": {"word": [1], "n": 2},
+    "identity": {"n": 2},
+    "localize": {"f": xvar(1), "u": identity(2), "eps": -1},
+    "longest": {"n": 2},
+    "monk_expansion": {"w": identity(3), "k": 1},
+    "pairing0": {"f": xvar(1), "g": one(), "n": 2},
+    "quantize": {"f": xvar(1), "n": 2},
+    "qvar": {"i": 1},
+    "top_class": {"n": 2},
+    "verify": {"check_id": "closed_forms", "n": 2, "seed": 1},
+    "xvar": {"i": 1},
+    "yvar": {"i": 1},
+    "zvar": {"i": 1},
+}
+MULTIPOLY_CONSTRUCTORS = ("MultiPoly", "MultiPoly.constant", "MultiPoly.from_monomials", "MultiPoly.variable")
+
+
+def _entry(name: str):
+    obj = grothpoly
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _int_parameters(name: str) -> list[str]:
+    """The parameters of an entry whose annotation names int."""
+    return [
+        p.name
+        for p in inspect.signature(_entry(name)).parameters.values()
+        if re.search(r"\bint\b", str(p.annotation))
+    ]
+
+
+def _int_slots(value):
+    """(path, put) for each int inside a valid argument: put(bad) is a copy
+    of the argument with that int replaced by bad.  Lists, tuples and dict
+    values are entered; a Var or a Permutation is not."""
+    if type(value) is int:
+        yield "", lambda bad: bad
+    elif type(value) in (list, tuple):
+        for i, item in enumerate(value):
+            for path, put in _int_slots(item):
+                yield f"[{i}]{path}", lambda bad, i=i, put=put: type(value)((*value[:i], put(bad), *value[i + 1 :]))
+    elif type(value) is dict:
+        for key, item in value.items():
+            for path, put in _int_slots(item):
+                yield f"[{key}]{path}", lambda bad, key=key, put=put: {**value, key: put(bad)}
+
+
+def _int_cases():
+    for name, kwargs in sorted(VALID_INT_CALLS.items()):
+        for param in _int_parameters(name):
+            for path, put in _int_slots(kwargs[param]):
+                for bad in (True, 1.5, "1"):
+                    yield pytest.param(name, param, put, bad, id=f"{name}-{param}{path}-{bad!r}")
+
+
+def test_every_entry_taking_an_int_has_a_valid_call():
+    entries = [*grothpoly.__all__, *MULTIPOLY_CONSTRUCTORS]
+    taking_ints = {name for name in entries if callable(_entry(name)) and _int_parameters(name)}
+    assert taking_ints == set(VALID_INT_CALLS)
+    for name, kwargs in VALID_INT_CALLS.items():
+        _entry(name)(**kwargs)
+        assert all(any(_int_slots(kwargs[p])) for p in _int_parameters(name)), name
+
+
+@pytest.mark.parametrize("name, param, put, bad", _int_cases())
+def test_every_int_parameter_refuses_a_bool_a_float_and_a_str(name, param, put, bad):
+    kwargs = {**VALID_INT_CALLS[name], param: put(bad)}
+    with pytest.raises(ValueError):
+        _entry(name)(**kwargs)
 
 
 @pytest.mark.parametrize(

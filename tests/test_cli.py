@@ -787,3 +787,36 @@ class TestProcessExit:
             cli.run()
         assert exc.value.code == 0
         assert ended == []
+
+
+class TestCarryGate:
+    """tests/carry_gate.py wraps the term kernel from outside and stops a
+    request at the first map with a field that could carry."""
+
+    GATE = str(Path(__file__).with_name("carry_gate.py"))
+
+    def test_the_catalog_at_rank_3_keeps_every_field_below_the_top_bit(self):
+        r = subprocess.run(
+            [sys.executable, self.GATE, "verify", "--all", "--n", "3"],
+            capture_output=True, text=True, env=cli_env(), timeout=300,
+        )
+        assert r.returncode == 0, r.stderr
+        lines = [json.loads(line) for line in r.stdout.splitlines()]
+        assert len(lines) == len(CHECKS) and all(line["status"] == "pass" for line in lines)
+        # every wrapper saw calls, the batched localization included
+        assert "carry gate: no field reached 128" in r.stderr
+        assert " 0 calls" not in r.stderr and ", addmul_all 0" not in r.stderr
+
+    def test_a_field_at_the_top_bit_stops_the_request(self):
+        # x1^128 passes the power's own check (no field past 255), so only
+        # the gate can refuse it
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import carry_gate; carry_gate.install(); "
+            "from grothpoly.poly import xvar; xvar(1) ** 128"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code, str(Path(self.GATE).parent)],
+            capture_output=True, text=True, env=cli_env(), timeout=60,
+        )
+        assert r.returncode == 3
+        assert "holds a field of 128 or more" in r.stderr

@@ -19,6 +19,7 @@ from grothpoly.divdiff import (
     apply_perm,
     apply_word,
 )
+from grothpoly.classical import divexact
 from grothpoly.perms import all_perms, bruhat_lower, from_word, reduced_words
 from grothpoly.poly import MultiPoly, beta, one, xvar, yvar, zero
 
@@ -138,6 +139,36 @@ class TestSingleOperators:
         below = beta() ** (FIELD_MASK - 1)
         assert apply_op(PSI_PLUS, 1, below * xvar(1)).max_exponent(BETA) == FIELD_MASK
         assert apply_op(PI_PLUS, 1, below) == -top
+
+    @pytest.mark.parametrize("alphabet", ["x", "y"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_staircases_of_every_length_match_a_term_by_term_reference(self, kind, alphabet, rng):
+        # terms v_i^a v_j^e r with |a - e| = 0, 1, 2 and 3, the one-step
+        # staircases among them written without a loop; (a, e) and (e, a)
+        # on one r cancel in d, and the rests make other keys collide
+        s, t = {DEL: (0, 0), PI_PLUS: (1, 0), PI_MINUS: (-1, 0), PSI_PLUS: (1, 1), PSI_MINUS: (-1, -1)}[kind]
+        i = 2
+        vi, vj = Var(alphabet, i), Var(alphabet, i + 1)
+        other = "y" if alphabet == "x" else "x"
+        rests = [{}, {BETA: 1}, {Var(alphabet, 1): 2}, {Var(other, 3): 1, BETA: 2}]
+        items = []
+        for a in range(5):
+            for e in range(5):
+                if abs(a - e) <= 3:
+                    items += [({vi: a, vj: e, **r}, rng.choice((-2, -1, 1, 3))) for r in rests]
+        f = MultiPoly.from_monomials(items)
+        assert {abs(exps.get(vi, 0) - exps.get(vj, 0)) for exps, _ in f.monomials()} == {0, 1, 2, 3}
+        vi_p, vj_p = MultiPoly.variable(vi), MultiPoly.variable(vj)
+
+        def reference(term: MultiPoly) -> MultiPoly:
+            h = (one() + beta() * vj_p * s) * term
+            return divexact(h - s_i(i, h, alphabet), vi_p - vj_p) + beta() * term * t
+
+        # one term at a time, so no cancellation hides a wrong staircase
+        terms = [MultiPoly.from_monomials([(exps, c)]) for exps, c in f.monomials()]
+        for term in terms:
+            assert apply_op(kind, i, term, alphabet) == reference(term)
+        assert apply_op(kind, i, f, alphabet) == sum(map(reference, terms), zero())
 
     def test_top_exponent_of_v_next_is_accepted(self):
         # pi+_1 y2^n = -sum_{p<n} y1^p y2^(n-1-p) - b sum_{p<=n} y1^p y2^(n-p):

@@ -18,12 +18,14 @@ from grothpoly._packing import (
     MASK_X,
     N_MAX,
     NUM_SLOTS,
+    XDEG_SHIFT,
     Var,
     from_ylow,
     mono_divides,
     pack,
     to_ylow,
     unit,
+    unpack,
 )
 from grothpoly.poly import MultiPoly, beta, dot, one, qvar, xvar, yvar, zero, zvar
 
@@ -165,6 +167,41 @@ def test_kernel_addmul_zero_coef_is_noop():
     acc = {0: 3}
     kernel.addmul(acc, {0: 5, X1: 1}, X1, 0)
     assert acc == {0: 3}
+
+
+MONOS = st.sampled_from([0, X1, X1_SQ, pack({Var("y", 1): 1}), pack({BETA: 2, Var("q", 1): 1})])
+
+
+@st.composite
+def summand_lists(draw):
+    """(f, mono, coef) summands: coefficients 0 included, empty maps, and
+    some summands repeated with the opposite sign, so keys collide and
+    cancel to explicit zeros."""
+    out = [
+        (draw(polys())._t, draw(MONOS), draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    out += [(f, mono, -coef) for f, mono, coef in out if draw(st.booleans())]
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=200)
+@given(acc=polys(), summands=summand_lists())
+def test_kernel_addmul_all_folds_addmul(acc, summands):
+    folded = dict(acc._t)
+    for f, mono, coef in summands:
+        kernel.addmul(folded, f, mono, coef)
+    batched = dict(acc._t)
+    kernel.addmul_all(batched, iter(summands))
+    # the same terms, explicit zeros included, in the same order
+    assert list(batched.items()) == list(folded.items())
+
+
+def test_kernel_addmul_all_cancels_to_explicit_zeros():
+    acc: dict = {}
+    kernel.addmul_all(acc, [({0: 2, X1: 1}, X1, 3), ({}, X1, 5), ({X1: 7}, 0, 0), ({0: 6}, X1, -1)])
+    assert acc == {X1: 0, X1_SQ: 3}
+    assert kernel.prune(acc) == {X1_SQ: 3}
 
 
 @settings(max_examples=100)
@@ -425,6 +462,43 @@ def test_specializations():
     assert p.specialize({Var("q", 1): 0}) == (one() + beta() * xvar(1)) * xvar(2)
     assert p.negate_vars("b").negate_vars("b") == p
     assert p.set_zero("q") == (one() + beta() * xvar(1)) * xvar(2)
+
+
+def _specialized(p: MultiPoly, values: dict) -> MultiPoly:
+    """specialize term by term: each substituted exponent e becomes a
+    factor value**e, so a 0 (or False) kills the term."""
+    items = []
+    for exps, c in p.monomials():
+        for var, value in values.items():
+            c *= value ** exps.pop(var, 0)
+        items.append((exps, c))
+    return MultiPoly.from_monomials(items)
+
+
+@settings(max_examples=300)
+@given(
+    p=polys(max_terms=8),
+    values=st.dictionaries(
+        st.sampled_from(VARS), st.sampled_from([0, 0, False, 1, -1, 2, -3]), min_size=1, max_size=6
+    ),
+)
+def test_specialize_with_zeros_matches_the_general_path(p, values):
+    """Zero values drop terms by one mask test; the result is the one the
+    per-term substitution gives, x variables (and their x-degree field)
+    included."""
+    got = p.specialize(values)
+    assert got == _specialized(p, values)
+    assert 0 not in got._t.values()
+    # the x-degree field follows the x exponents that are left
+    assert all((m >> XDEG_SHIFT) == sum(e for v, e in unpack(m).items() if v.kind == "x") for m in got._t)
+
+
+def test_specialize_at_zero_drops_exactly_the_terms_holding_the_variable():
+    p = xvar(1) * yvar(2) + xvar(2) ** 2 + beta() * qvar(1) - 4
+    assert p.specialize({Var("x", 1): 0}) == xvar(2) ** 2 + beta() * qvar(1) - 4
+    assert p.specialize({Var("x", 2): False, BETA: 0}) == xvar(1) * yvar(2) - 4
+    assert p.specialize({Var("x", 2): 0, Var("q", 1): 2}) == xvar(1) * yvar(2) + beta() * 2 - 4
+    assert p.specialize({}) == p
 
 
 def _swap(k1: str, k2: str) -> dict[Var, Var]:
