@@ -9,6 +9,7 @@ import random
 import pytest
 
 from grothpoly._packing import BETA, FIELD_MASK, Var
+from grothpoly.classical import divexact
 from grothpoly.divdiff import (
     DEL,
     PI_MINUS,
@@ -19,7 +20,6 @@ from grothpoly.divdiff import (
     apply_perm,
     apply_word,
 )
-from grothpoly.classical import divexact
 from grothpoly.perms import all_perms, bruhat_lower, from_word, reduced_words
 from grothpoly.poly import MultiPoly, beta, one, xvar, yvar, zero
 
@@ -144,8 +144,8 @@ class TestSingleOperators:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_staircases_of_every_length_match_a_term_by_term_reference(self, kind, alphabet, rng):
         # terms v_i^a v_j^e r with |a - e| = 0, 1, 2 and 3, the one-step
-        # staircases among them written without a loop; (a, e) and (e, a)
-        # on one r cancel in d, and the rests make other keys collide
+        # staircases among them written without a loop; the staircases of
+        # (a, e) and (e, a) on one r land on the same keys
         s, t = {DEL: (0, 0), PI_PLUS: (1, 0), PI_MINUS: (-1, 0), PSI_PLUS: (1, 1), PSI_MINUS: (-1, -1)}[kind]
         i = 2
         vi, vj = Var(alphabet, i), Var(alphabet, i + 1)
