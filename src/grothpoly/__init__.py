@@ -5,7 +5,8 @@ x1..x8, y1..y8, z1..z8, the deformation scalar b and the quantum
 parameters q1..q7.  The classical families come from divided-difference
 towers over a product of linear forms, the quantum ones from towers over
 a product of tridiagonal determinants.  All term arithmetic runs through
-the five functions of the pure-Python kernel in _termkernel_py.
+the four functions of the pure-Python kernel in _termkernel_py; every
+checked product of two polynomials is one poly.dot over that kernel.
 """
 
 from ._packing import N_MAX, Var

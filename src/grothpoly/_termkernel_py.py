@@ -1,9 +1,12 @@
 """Term kernel: the package's only term-map implementation.
 
-The five functions below are the only hot loops in the package; everything
+The four functions below are the only hot loops in the package; everything
 else is orchestration.  A polynomial is a dict mapping packed monomials
 (see _packing) to nonzero int coefficients.  Callers reach these functions
 through this module object (``from . import _termkernel_py as kernel``).
+There is no product here: a product of two maps, or a sum of such
+products, is ``poly.dot``, which checks the fields and then makes one
+``addmul`` per term of the smaller factor.
 
 All functions treat their inputs as read-only except ``addmul`` and
 ``addmul_all``, which accumulate into their first argument and may leave
@@ -27,22 +30,6 @@ staircase per term, and returns a pruned map.
 """
 
 from ._packing import FIELD_MASK
-
-
-def mul(fa: dict, fb: dict) -> dict:
-    """Product of two term maps."""
-    if not fa or not fb:
-        return {}
-    if len(fa) > len(fb):
-        fa, fb = fb, fa
-    out: dict = {}
-    get = out.get
-    for ma, ca in fa.items():
-        for mb, cb in fb.items():
-            k = ma + mb
-            v = get(k)
-            out[k] = ca * cb if v is None else v + ca * cb
-    return prune(out)
 
 
 def addmul(acc: dict, f: dict, mono: int, coef: int) -> None:

@@ -268,8 +268,7 @@ class MultiPoly:
                 return MultiPoly._raw({})
             return MultiPoly._raw({m: c * other for m, c in self._t.items()})
         if isinstance(other, MultiPoly):
-            _check_product_fields(self._t, other._t)
-            return MultiPoly._raw(kernel.mul(self._t, other._t))
+            return dot(((self, other),))
         return NotImplemented
 
     __rmul__ = __mul__

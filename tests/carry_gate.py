@@ -65,7 +65,7 @@ def _gated(name: str, inner):
     return gated
 
 
-KERNEL_FUNCTIONS = ("mul", "addmul", "addmul_all", "prune", "divdiff")
+KERNEL_FUNCTIONS = ("addmul", "addmul_all", "prune", "divdiff")
 
 
 def install() -> None:

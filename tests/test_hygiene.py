@@ -312,7 +312,7 @@ UNCHECKED_KERNEL_ADDS = {
     "classical.py:divexact": 1,
     "classical.py:_check_pieri_double": 1,
 }
-KERNEL_ADDS = {"addmul", "addmul_all", "mul"}
+KERNEL_ADDS = {"addmul", "addmul_all"}
 
 
 def _outermost_functions(tree: ast.Module):
@@ -327,7 +327,7 @@ def _outermost_functions(tree: ast.Module):
 
 
 def _unchecked_kernel_adds(tree: ast.Module):
-    """(function, call) for each kernel.addmul, addmul_all or mul call not
+    """(function, call) for each kernel.addmul or addmul_all call not
     guarded: an addmul at the monomial 0 moves no monomial, and a function
     that calls _check_product_fields checks its fields."""
     for name, fn in _outermost_functions(tree):

@@ -129,20 +129,20 @@ def test_integer_evaluation_homomorphism(f, g):
 
 
 # ---------------------------------------------------------------------------
-# the term kernel, called directly
+# products, which go through dot, and the term kernel, called directly
 # ---------------------------------------------------------------------------
 
 X1 = pack({Var("x", 1): 1})
 X1_SQ = pack({Var("x", 1): 2})
 
 
-def test_kernel_mul_edge_cases():
-    a = {X1: 1, 0: 1}
-    b = {X1: 1, 0: -1}  # (x1 + 1)(x1 - 1): the x1 cross terms cancel
-    assert kernel.mul(a, b) == {X1_SQ: 1, 0: -1}
-    assert kernel.mul({}, a) == kernel.mul(a, {}) == {}
+def test_product_edge_cases():
+    a = MultiPoly._raw({X1: 1, 0: 1})
+    b = MultiPoly._raw({X1: 1, 0: -1})  # (x1 + 1)(x1 - 1): the x1 cross terms cancel
+    assert (a * b)._t == {X1_SQ: 1, 0: -1}
+    assert (zero() * a)._t == (a * zero())._t == {}
     big = 10**50  # Python ints: no truncation at 2^64
-    assert kernel.mul({X1: big}, {X1: -big}) == {X1_SQ: -big * big}
+    assert (MultiPoly._raw({X1: big}) * MultiPoly._raw({X1: -big}))._t == {X1_SQ: -big * big}
 
 
 @settings(max_examples=100)
