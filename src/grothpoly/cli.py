@@ -93,22 +93,22 @@ def _word_label(w: Permutation) -> str:
     return "".join(str(a) for a in word) if word else "id"
 
 
-# rank caps per family kind: (default, hard cap, table hard cap); --force-n
-# lifts the default up to the hard caps
-_RANK_CAPS = {"classical": (5, 6, 6), "quantum": (4, 5, 4)}
+# rank cap per family kind: compute takes any rank up to it, and table,
+# which builds all n! members, stops one rank below
+_RANK_CAPS = {"classical": 6, "quantum": 5}
 
 
 def _check_rank(args: SimpleNamespace, command: str) -> None:
-    """Rank bounds of compute and table, and the --q count the rank admits."""
-    check_rank(args.n)
+    """Rank bounds of compute and table, and the --q count the rank admits.
+    The caps come before check_rank, so a rank past N_MAX gets the cap's
+    wording."""
     kind = _FAMILIES[args.family][0]
-    default, hard, table_hard = _RANK_CAPS[kind]
-    if args.n > hard:
-        raise ValueError(f"{kind} families are capped at n={hard}")
-    if command == "table" and args.n > table_hard:
-        raise ValueError(f"{kind} table is capped at n={table_hard}")
-    if args.n > default and not args.force_n:
-        raise ValueError(f"{kind} families above n={default} need --force-n")
+    cap = _RANK_CAPS[kind]
+    if args.n > cap:
+        raise ValueError(f"{kind} families are capped at n={cap}")
+    if command == "table" and args.n >= cap:
+        raise ValueError(f"{kind} table is capped at n={cap - 1}")
+    check_rank(args.n)
     if args.q is not None and len(args.q) > args.n - 1:
         raise ValueError(f"--q got {len(args.q)} values, rank {args.n} has {args.n - 1}")
 
@@ -213,7 +213,6 @@ def _common(formats: tuple[str, ...]) -> dict:
         "--help": _HELP,
         "--n": (_int, None, "N", "rank (symmetric group S_n)"),
         "--format": (_choice(*formats), formats[0], "{" + ",".join(formats) + "}", f"default {formats[0]}"),
-        "--force-n": (None, False, "", "lift the default rank caps"),
     }
 
 
@@ -245,6 +244,7 @@ _COMMANDS = {
         "run identity checkers",
         {
             **_common(("json", "text")),
+            "--force-n": (None, False, "", "lift each check's default rank cap to its hard cap"),
             "--all": (None, False, "", "run the full catalog, clamped to default caps"),
             "--seed": (_int, 0, "SEED", "default 0"),
         },

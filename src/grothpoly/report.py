@@ -17,6 +17,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 
+from ._packing import N_MAX
 from .perms import Permutation, check_int_rank
 from .poly import MultiPoly
 
@@ -83,11 +84,14 @@ class VerificationReport(
 
 
 def check_rank(n: int) -> None:
-    """Refuse a rank that is not an int or is below 1, the one wording for
-    the library and the CLI."""
+    """Refuse a rank that is not an int, is below 1 or is past N_MAX (no
+    variable x_{N_MAX+1} exists), the one wording for the library and the
+    CLI."""
     check_int_rank(n)
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
+    if n > N_MAX:
+        raise ValueError(f"rank must be at most {N_MAX}, got {n}")
 
 
 def rank_caps(check_id: str) -> tuple[int, int]:
@@ -100,20 +104,26 @@ def rank_caps(check_id: str) -> tuple[int, int]:
 
 def check_caps(check_id: str, n: int, force: bool = False) -> None:
     """Refuse a rank check_id does not run at: below 1, above its hard cap,
-    or above its default cap without force."""
+    or above its default cap without force.  The hard cap is tested before
+    check_rank, so a rank past N_MAX gets the cap's wording."""
     soft, hard = rank_caps(check_id)
-    check_rank(n)
+    check_int_rank(n)
     if n > hard:
         raise ValueError(f"{check_id} is capped at n={hard}")
+    check_rank(n)
     if n > soft and not force:
         raise ValueError(f"{check_id} above n={soft} needs --force-n")
 
 
 def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> VerificationReport:
     """Run one registered check at rank n; ranks above the default cap need
-    force.  Raises ValueError on a seed that is not an int, a bool included."""
+    force.  Raises ValueError on a force that is not a bool, which "no" or 0
+    would pass for by truth value, and on a seed that is not an int, a bool
+    included."""
     import random  # not at module level: only a check draws from an rng
 
+    if type(force) is not bool:
+        raise ValueError(f"force is a bool, not {force!r}")
     check_caps(check_id, n, force)
     if type(seed) is not int:
         raise ValueError(f"a seed is an int, not {seed!r}")

@@ -1355,6 +1355,17 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
         pytest.param(lambda: eval_at_X(const(3), 0), "rank must be at least 1, got 0", id="eval_at_X-rank0"),
         pytest.param(lambda: quantize(const(3), 0), "rank must be at least 1, got 0", id="quantize-rank0"),
         pytest.param(lambda: quantize(one() + beta(), -1), "rank must be at least 1, got -1", id="quantize-neg1"),
+        # no x past x8 exists (N_MAX), so a rank past it is refused before
+        # any work: pairing0 would index past its tables, expand_dual_basis
+        # peel all 9! permutations and top_class not return; quantize and
+        # eval_at_X of an x-free polynomial would return it
+        pytest.param(lambda: pairing0(one(), one(), 9), "rank must be at most 8, got 9", id="pairing0-9"),
+        pytest.param(lambda: expand_dual_basis(one(), 9), "rank must be at most 8, got 9", id="expand_dual_basis-9"),
+        pytest.param(lambda: top_class(9), "rank must be at most 8, got 9", id="top_class-9"),
+        pytest.param(lambda: quantum_top(9), "rank must be at most 8, got 9", id="quantum_top-9"),
+        pytest.param(lambda: NormalFormContext(9), "rank must be at most 8, got 9", id="NormalFormContext-9"),
+        pytest.param(lambda: quantize(one() + beta(), 9), "rank must be at most 8, got 9", id="quantize-9"),
+        pytest.param(lambda: eval_at_X(const(3), 9), "rank must be at most 8, got 9", id="eval_at_X-9"),
         # coefficients and permutation entries are ints: nothing truncates
         # a float, and no float or bool reaches repr or a counterexample
         pytest.param(lambda: MultiPoly.constant(1.5), r"a coefficient is an int, not 1\.5", id="constant-float"),
@@ -1444,11 +1455,13 @@ def test_a_rank_that_is_not_an_int_is_refused(entry, value):
         RANK_PARAMETERS[entry](value)
 
 
-# the beta_form flag of the quantum seeds: a bool, and no value that
-# passes for one by its truth value
+# the beta_form flag of the quantum seeds and verify's force: a bool, and
+# no value that passes for one by its truth value.  entry -> (call, the
+# refusal naming the flag)
 FLAG_PARAMETERS = {
-    "quantum_top-beta_form": lambda flag: quantum_top(2, flag),
-    "gk_determinant-beta_form": lambda flag: gk_determinant(1, Var("y", 1), flag),
+    "quantum_top-beta_form": (lambda flag: quantum_top(2, flag), "beta_form is a bool"),
+    "gk_determinant-beta_form": (lambda flag: gk_determinant(1, Var("y", 1), flag), "beta_form is a bool"),
+    "verify-force": (lambda flag: verify("duality", 2, force=flag), "force is a bool"),
 }
 
 
@@ -1461,10 +1474,11 @@ FLAG_PARAMETERS = {
 @example(value="no")
 def test_a_flag_that_is_not_a_bool_is_refused(entry, value):
     # True and False are taken; 1 is refused although True's seed, which
-    # shares its memo key, is cached by then
-    call = FLAG_PARAMETERS[entry]
-    assert call(True) != call(False)
-    with pytest.raises(ValueError, match="beta_form is a bool"):
+    # shares its memo key, is cached by then (test_quantum.py holds that
+    # the two seeds differ)
+    call, message = FLAG_PARAMETERS[entry]
+    call(True), call(False)
+    with pytest.raises(ValueError, match=message):
         call(value)
 
 

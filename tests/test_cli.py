@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -149,6 +150,25 @@ class TestCompute:
         assert r.returncode == 0
         assert r.stdout.strip() == "y_{1} + x_{1}"
 
+    @pytest.mark.parametrize(
+        "argv, size, digest",
+        [
+            # the costliest compute request a cap accepts (~1 s)
+            (["compute", "--family", "bH", "--n", "5", "--word", ""], 1888987,
+             "abbe2b32939327ca1f3511c0505498fec835fd33a08ef7a5da95bc6ae15e0040"),
+            (["compute", "--family", "G", "--n", "6", "--word", "1"], 30386,
+             "4058d039f1732cedbc48d9791913734d295fc1257df36b8399640103a934fb84"),
+        ],
+        ids=["bH-5-id", "G-6-s1"],
+    )
+    def test_compute_at_each_cap_needs_no_flag(self, argv, size, digest, capsys):
+        # each kind's cap is open to compute without a flag, and prints the
+        # bytes recorded when rank 5 (quantum) and 6 (classical) stood
+        # behind --force-n
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
 
 class TestTable:
     def test_one_alphabet_schubert_rank2(self):
@@ -229,8 +249,9 @@ class TestVerify:
             (["closed_forms", "cauchy", "--n", "5", "--force-n"], "cauchy is capped at n=4"),
             (["closed_forms", "basis", "--n", "4"], "basis above n=3 needs --force-n"),
             (["--all", "--n", "0"], "rank must be at least 1, got 0"),
+            (["closed_forms", "basis", "--n", "9", "--force-n"], "closed_forms is capped at n=5"),
         ],
-        ids=["hard_cap", "default_cap", "rank_below_one"],
+        ids=["hard_cap", "default_cap", "rank_below_one", "past_n_max"],
     )
     def test_refusal_runs_no_check(self, argv, error, monkeypatch, capsys):
         # a cap anywhere in the request is refused before the checks ahead
@@ -407,18 +428,37 @@ class TestArgparse:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["table", "--family", "G", "--n", "9", "--force-n"],
-            ["table", "--family", "Sd", "--n", "7", "--force-n"],
-            ["compute", "--family", "Hx", "--word", "", "--n", "7", "--force-n"],
+            ["table", "--family", "G", "--n", "9"],
+            ["table", "--family", "Sd", "--n", "7"],
+            ["compute", "--family", "Hx", "--word", "", "--n", "7"],
+            ["compute", "--family", "G", "--word", "", "--n", "9"],
         ],
     )
-    def test_classical_hard_cap_holds_with_force_n(self, argv, capsys):
-        # refused before any table is built, so this returns at once
+    def test_classical_cap_holds(self, argv, capsys):
+        # refused before any table is built, so this returns at once; a
+        # rank past N_MAX gets the cap's wording, not check_rank's
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "classical families are capped at n=6"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--family", "G", "--n", "3", "--word", "1", "--force-n"],
+            ["compute", "--family", "bH", "--n", "5", "--word", "", "--force-n"],
+            ["table", "--family", "S", "--n", "2", "--force-n"],
+            ["table", "--family", "G", "--n", "6", "--force-n"],
+        ],
+    )
+    def test_force_n_is_an_option_of_verify_alone(self, argv, capsys):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "unrecognized arguments: --force-n"}
+        assert "--force-n" in cli._COMMANDS["verify"][1]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -441,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, fmt_choices) -> None:
         p.add_argument("--n", type=int, required=True, help="rank (symmetric group S_n)")
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
-        p.add_argument("--force-n", action="store_true", help="lift the default rank caps")
 
     def family(p: argparse.ArgumentParser) -> None:
         common(p, ("text", "json", "latex"))
@@ -461,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity checkers")
     common(v, ("json", "text"))
+    v.add_argument("--force-n", action="store_true", help="lift each check's default rank cap to its hard cap")
     v.add_argument("ids", nargs="*", help="identity ids (see README for the catalog)")
     v.add_argument("--all", action="store_true", help="run the full catalog, clamped to default caps")
     v.add_argument("--seed", type=int, default=0)
@@ -549,10 +589,14 @@ class TestParserParity:
             ["compute", "--n=3", "--family", "G", "--word", "1"],
             ["compute", "--fam", "G", "--wo", "1", "--n", "3"],
             ["compute", "--fam=G", "--wo=", "--n=3", "--form=latex", "--forc"],
+            ["compute", "--fam=G", "--wo=", "--n=3", "--fo=latex"],
             ["compute", "--f", "text", "--family", "G", "--n", "3", "--word", "1"],
-            [*_G3, "--word", "1", "--force-n=1"],
+            [*_G3, "--word", "1", "--force-n"],
+            ["verify", "--n", "3", "cauchy", "--force-n=1"],
+            ["verify", "--n=3", "--form=text", "--forc", "cauchy"],
             [*_G3, "--word", "1", "--help=x"],
-            [*_G3, "--word", "1", "--word", "2", "--n", "4", "--force-n", "--force-n"],
+            [*_G3, "--word", "1", "--word", "2", "--n", "4"],
+            ["verify", "--n", "3", "--n", "4", "--force-n", "--force-n", "cauchy"],
             [*_G3, "--word", ""],
             [*_G3, "--word", "1", "--beta", "-1"],
             [*_G3, "--word", "1", "--beta", "-1.5"],
@@ -638,19 +682,21 @@ class TestParserParity:
 
 
 class TestQuantumRankCaps:
-    """Quantum compute reaches n=5 behind --force-n; quantum table stops at 4."""
+    """Quantum compute reaches n=5; quantum table stops at 4."""
 
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["compute", "--family", "qG", "--word", "1", "--n", "5"],
-             "quantum families above n=4 need --force-n"),
-            (["compute", "--family", "qHx", "--perm", "1,2,3,4,5,6", "--n", "6", "--force-n"],
+            (["compute", "--family", "qHx", "--perm", "1,2,3,4,5,6", "--n", "6"],
              "quantum families are capped at n=5"),
-            (["table", "--family", "qS", "--n", "5", "--force-n"],
+            (["compute", "--family", "qG", "--word", "1", "--n", "9"],
+             "quantum families are capped at n=5"),
+            (["table", "--family", "qS", "--n", "5"],
              "quantum table is capped at n=4"),
             (["table", "--family", "bH", "--n", "5"],
              "quantum table is capped at n=4"),
+            (["table", "--family", "bH", "--n", "6"],
+             "quantum families are capped at n=5"),
         ],
     )
     def test_refusals(self, argv, error, capsys):
@@ -660,11 +706,11 @@ class TestQuantumRankCaps:
         assert out == ""
         assert json.loads(err) == {"error": error}
 
-    def test_rank5_compute_with_force_n_matches_table(self, capsys):
+    def test_rank5_compute_matches_table(self, capsys):
         from grothpoly.classical import family_table
         from grothpoly.perms import from_word
 
-        code = cli.main(["compute", "--family", "qG", "--word", "213", "--n", "5", "--force-n"])
+        code = cli.main(["compute", "--family", "qG", "--word", "213", "--n", "5"])
         out, _ = capsys.readouterr()
         assert code == 0
         assert out == family_table(5, "qG")[from_word([2, 1, 3], 5)].text() + "\n"
@@ -820,3 +866,37 @@ class TestCarryGate:
         )
         assert r.returncode == 3
         assert "holds a field of 128 or more" in r.stderr
+
+
+class TestPeakRss:
+    """tests/peak_rss.py runs one request in a child and fails it when the
+    child fails or peaks over the bound."""
+
+    RUNNER = str(Path(__file__).with_name("peak_rss.py"))
+
+    def run(self, *argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, self.RUNNER, *argv], capture_output=True, text=True, env=cli_env(), timeout=60
+        )
+
+    def test_a_request_under_the_bound_passes_its_output_through(self):
+        r = self.run("500", "--", "compute", "--family", "S", "--n", "2", "--word", "1")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "x1\n"
+        assert r.stderr.startswith("peak_rss: wall time ") and "(bound 500 MB)" in r.stderr
+
+    def test_a_request_over_the_bound_fails(self):
+        # no Python process fits in 1 MB
+        r = self.run("1", "--", "compute", "--family", "S", "--n", "2", "--word", "1")
+        assert r.returncode == 1
+        assert r.stdout == "x1\n"
+
+    def test_a_refused_request_keeps_its_exit_code(self):
+        r = self.run("500", "--", "table", "--family", "G", "--n", "6")
+        assert r.returncode == 2
+        assert '{"error": "classical table is capped at n=5"}' in r.stderr
+
+    def test_argv_without_the_separator_is_a_usage_error(self):
+        r = self.run("500", "compute")
+        assert r.returncode == 2
+        assert r.stderr.startswith("usage: peak_rss.py")

@@ -445,7 +445,7 @@ def test_quantum_stability_builds_each_base_family_once(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compute", "--family", "G", "--n", "6", "--word", "1", "--force-n"],
+        ["compute", "--family", "G", "--n", "6", "--word", "1"],
         ["compute", "--family", "Hx", "--n", "5", "--perm", "2,1,3,5,4"],
         ["compute", "--family", "S", "--n", "4", "--word", "", "--ideal", "x"],
         ["compute", "--family", "qGx", "--n", "4", "--word", "12", "--format", "json"],
@@ -494,23 +494,49 @@ def test_rank6_member_builds_no_table(monkeypatch):
     assert classical._TABLE_CACHE == {}
 
 
+def _record_operators(monkeypatch) -> list:
+    """Empty the table cache and record, without running, every operator
+    a family build applies."""
+    calls = []
+    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+    monkeypatch.setattr(classical, "apply_op", lambda *a: calls.append(a))
+    monkeypatch.setattr(classical, "apply_perm", lambda *a: calls.append(a))
+    return calls
+
+
 @pytest.mark.parametrize("q", ["x", "1,2,3,4,5"])
 @pytest.mark.parametrize(
     "argv",
     [
         ["table", "--family", "G", "--n", "5"],
-        ["compute", "--family", "bH", "--n", "5", "--force-n", "--word", ""],
+        ["compute", "--family", "bH", "--n", "5", "--word", ""],
     ],
 )
 def test_refused_q_does_no_work(argv, q, monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(classical, "_TABLE_CACHE", {})
-    monkeypatch.setattr(classical, "apply_op", lambda *a: calls.append(a))
-    monkeypatch.setattr(classical, "apply_perm", lambda *a: calls.append(a))
+    calls = _record_operators(monkeypatch)
     assert cli.main([*argv, "--q", q]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert list(json.loads(err)) == ["error"]
+    assert classical._TABLE_CACHE == {}
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "family, n, error",
+    [
+        ("G", 6, "classical table is capped at n=5"),
+        ("Sd", 6, "classical table is capped at n=5"),
+        ("bH", 5, "quantum table is capped at n=4"),
+    ],
+)
+def test_table_at_the_cap_does_no_work(family, n, error, monkeypatch, capsys):
+    # table builds all n! members, so it stops one rank below compute's cap
+    calls = _record_operators(monkeypatch)
+    assert cli.main(["table", "--family", family, "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": error}
     assert classical._TABLE_CACHE == {}
     assert calls == []
 
