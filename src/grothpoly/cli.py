@@ -11,6 +11,11 @@ cases stay short:
     qGx, qHx, qSx     quantum y=0 specializations
     bG, bH            the families built from the beta-form determinants
 
+Options are "--name value" or "--name=value".  With every option named
+in full, a value may begin with "-" (--q -1,0) and the verify ids may
+come in several runs; an abbreviated option (--fam G) is read as
+argparse reads it, without those two widenings.
+
 Exit codes: 0 success (verify: all pass), 1 verify found a failure,
 2 bad arguments.  Errors go to stderr as one JSON object per line.
 """
@@ -185,218 +190,130 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return 1 if failed else 0
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {text!r}") from None
-
-
-def _choice(*choices: str):
-    def choose(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
-        return text
-
-    return choose
-
-
-# option -> (converter, or None for a flag; default; metavar; help).  The
-# value of --some-name lands in the attribute some_name (see _dest); a
-# flag's default is False.  -h and --help print the usage and end the parse.
-_HELP = (None, False, "", "print this help and exit")
-
-
-def _common(formats: tuple[str, ...]) -> dict:
-    return {
-        "-h": _HELP,
-        "--help": _HELP,
-        "--n": (_int, None, "N", "rank (symmetric group S_n)"),
-        "--format": (_choice(*formats), formats[0], "{" + ",".join(formats) + "}", f"default {formats[0]}"),
-    }
-
-
+# option -> (converter, or None for a flag; choices, or None for any value;
+# default; help).  The value of --some-name lands in the attribute some_name.
 _FAMILY_OPTIONS = {
-    **_common(("text", "json", "latex")),
-    "--family": (_choice(*_FAMILIES), None, "FAMILY", "family token (see grothpoly --help)"),
-    "--beta": (_int, None, "B", "substitute an integer for b"),
-    "--q": (_parse_q, None, "Q1,Q2,...", "comma-separated integers for q1,q2,..."),
+    "--n": (int, None, None, "rank (symmetric group S_n)"),
+    "--format": (str, ("text", "json", "latex"), "text", "default text"),
+    "--family": (str, _FAMILIES, None, "family token (see grothpoly --help)"),
+    "--beta": (int, None, None, "substitute an integer for b"),
+    "--q": (_parse_q, None, None, "comma-separated integers for q1,q2,..."),
 }
 
 # command -> (help, options, required options, options of which exactly one
-# is given, attribute of the positionals or None)
+# is given).  verify alone takes positionals, the identity ids.
 _COMMANDS = {
     "compute": (
         "print one family member",
         {
             **_FAMILY_OPTIONS,
-            "--word": (str, None, "WORD", "reduced word as digits, empty for the identity"),
-            "--perm": (str, None, "PERM", "one-line permutation, e.g. 2,3,1"),
-            "--ideal": (_choice(*classical.IDEALS), None, "{" + ",".join(classical.IDEALS) + "}",
-                        "print the normal form mod this ideal"),
+            "--word": (str, None, None, "reduced word as digits, empty for the identity"),
+            "--perm": (str, None, None, "one-line permutation, e.g. 2,3,1"),
+            "--ideal": (str, classical.IDEALS, None, "print the normal form mod this ideal"),
         },
         ("--n", "--family"),
         ("--word", "--perm"),
-        None,
     ),
-    "table": ("print all n! members of a family", _FAMILY_OPTIONS, ("--n", "--family"), (), None),
+    "table": ("print all n! members of a family", _FAMILY_OPTIONS, ("--n", "--family"), ()),
     "verify": (
         "run identity checkers",
         {
-            **_common(("json", "text")),
-            "--force-n": (None, False, "", "lift each check's default rank cap to its hard cap"),
-            "--all": (None, False, "", "run the full catalog, clamped to default caps"),
-            "--seed": (_int, 0, "SEED", "default 0"),
+            "--n": (int, None, None, "rank (symmetric group S_n)"),
+            "--format": (str, ("json", "text"), "json", "default json"),
+            "--force-n": (None, None, False, "lift each check's default rank cap to its hard cap"),
+            "--all": (None, None, False, "run the full catalog, clamped to default caps"),
+            "--seed": (int, None, 0, "default 0"),
         },
         ("--n",),
         (),
-        "ids",
     ),
 }
-_TOP_OPTIONS = {"-h": _HELP, "--help": _HELP}
-
-
-def _dest(option: str) -> str:
-    return option[2:].replace("-", "_")
-
-
-def _lookup(token: str, options: dict) -> tuple[str, str | None] | None:
-    """The option a token names and the value it carries (after "=", or
-    run into a short option), None for a positional, or ("", None) for an
-    unknown option.  The exact name wins; else a long option may be named
-    by a unique prefix.  A token that looks like a negative number or holds
-    a space is a positional, as argparse reads it."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token.startswith("--"):
-        name, eq, value = token.partition("=")
-        if name not in options:
-            hits = [o for o in options if o.startswith(name)]
-            if len(hits) > 1:
-                raise ValueError(f"ambiguous option: {token} could match {', '.join(hits)}")
-            name = hits[0] if hits else ""
-        if name:
-            return name, value if eq else None
-    elif token[:2] in options:
-        return token[:2], token[2:] or None
-    whole, dot, frac = token[1:].partition(".")
-    negative_number = (not whole or whole.isdecimal()) and (frac.isdecimal() if dot else bool(whole))
-    return None if negative_number or " " in token else ("", None)
-
-
-def _usage(command: str) -> str:
-    _, options, required, one_of, positional = _COMMANDS[command]
-
-    def named(o: str) -> str:
-        metavar = options[o][2]
-        return f"{o} {metavar}" if metavar else o
-
-    words = [named(o) for o in required]
-    if one_of:
-        words.append("(" + " | ".join(named(o) for o in one_of) + ")")
-    optional = [o for o in options if o not in (*required, *one_of, *_TOP_OPTIONS)]
-    words += [f"[{named(o)}]" for o in optional]
-    if positional:
-        words.append("[ID ...]")
-    return f"grothpoly {command} " + " ".join(words)
-
-
-def _help(command: str | None) -> str:
-    if command is None:
-        usages = [_usage(c) for c in _COMMANDS]
-        return (
-            "usage: " + "\n       ".join(usages) + "\n\n" + __doc__.rstrip()
-            + "\n\ncommands:\n" + "".join(f"  {c:<9}{spec[0]}\n" for c, spec in _COMMANDS.items())
-            + "\n`grothpoly <command> --help` lists a command's options."
-        )
-    lines = [f"usage: {_usage(command)}", "", _COMMANDS[command][0], "", "options:"]
-    for o, (_, _, metavar, text) in _COMMANDS[command][1].items():
-        label = "-h, --help" if o == "--help" else f"{o} {metavar}".rstrip()
-        if o != "-h":
-            lines.append(f"  {label:<28}  {text}")
-    return "\n".join(lines)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace | None:
-    """The request argv names, or None once a -h/--help has printed usage.
-
-    Options are read as argparse reads them: "--name value" or
-    "--name=value", a unique prefix of a long option, the first "--" ends
-    the options.  Two inputs are read more widely: a value may begin with
-    "-" (so "--q -1,0" is one option), and the verify ids may come in
-    several runs between options.  A refused argv raises ValueError.
-    """
-    if not argv:
-        raise ValueError("the following arguments are required: command")
-    command, tokens = argv[0], argv[1:]
-    if command not in _COMMANDS:
-        found = _lookup(command, _TOP_OPTIONS)
-        if found and found[0] and found[1] is None:
-            print(_help(None))
-            return None
-        choices = ", ".join(map(repr, _COMMANDS))
-        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {choices})")
-    _, options, required, one_of, positional = _COMMANDS[command]
-    values = {_dest(o): default for o, (_, default, _, _) in options.items() if o not in _TOP_OPTIONS}
-    values["command"] = command
-    if positional:
-        values[positional] = []
-    given: set[str] = set()
-    extras: list[str] = []
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        i += 1
-        if token == "--":
-            # the rest are positionals; a command without any refuses the
-            # "--" too, as argparse does
-            if positional:
-                values[positional] += tokens[i:]
-            else:
-                extras += tokens[i - 1:]
+    """The request argv names, or None once -h or --help has printed the
+    usage; a refused argv raises ValueError.  The loop below reads an argv
+    whose options are all named in full, with each value valid and the
+    command's required options given, widened as the module docstring
+    says.  Every other argv, one to refuse included, goes to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _argparse(argv)
+    command, tokens = argv[0], iter(argv[1:])
+    _, options, required, one_of = _COMMANDS[command]
+    values = {o[2:].replace("-", "_"): default for o, (_, _, default, _) in options.items()}
+    ids = [] if command == "verify" else None
+    given = set()
+    for token in tokens:
+        if token == "--" and ids is not None:
+            ids += tokens  # the rest are ids, whatever they look like
             break
-        found = _lookup(token, options)
-        if found is None:
-            (values[positional] if positional else extras).append(token)
+        name, eq, value = token.partition("=")
+        if name not in options:
+            if ids is None or token[:1] == "-":
+                return _argparse(argv)
+            ids.append(token)
             continue
-        name, value = found
-        if not name:
-            extras.append(token)
-            continue
-        convert = options[name][0]
+        convert, choices, _, _ = options[name]
         if convert is None:
-            if value is not None:
-                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
-            if name in _TOP_OPTIONS:
-                # argparse refuses an ambiguous prefix anywhere before the
-                # first "--" ahead of printing help, whatever its position
-                for t in tokens[: tokens.index("--") if "--" in tokens else None]:
-                    _lookup(t, options)
-                print(_help(command))
-                return None
-            values[_dest(name)] = True
+            if eq:
+                return _argparse(argv)
+            value = True
         else:
-            if value is None:
-                if i == len(tokens) or tokens[i] == "--":
-                    raise ValueError(f"argument {name}: expected one argument")
-                value = tokens[i]
-                i += 1
+            if not eq and (value := next(tokens, "--")) == "--":
+                return _argparse(argv)
             try:
-                values[_dest(name)] = convert(value)
-            except ValueError as e:
-                raise ValueError(f"argument {name}: {e}") from None
-            clash = [o for o in one_of if o != name and o in given] if name in one_of else []
-            if clash:
-                raise ValueError(f"argument {name}: not allowed with argument {clash[0]}")
+                value = convert(value)
+            except ValueError:
+                return _argparse(argv)
+            if choices is not None and value not in choices:
+                return _argparse(argv)
+        values[name[2:].replace("-", "_")] = value
         given.add(name)
-    missing = [o for o in required if o not in given]
-    if missing:
-        raise ValueError("the following arguments are required: " + ", ".join(missing))
-    if one_of and not given.intersection(one_of):
-        raise ValueError("one of the arguments " + " ".join(one_of) + " is required")
-    if extras:
-        raise ValueError("unrecognized arguments: " + " ".join(extras))
-    return SimpleNamespace(**values)
+    if not given.issuperset(required) or len(given.intersection(one_of)) != bool(one_of):
+        return _argparse(argv)
+    if ids is not None:
+        values["ids"] = ids
+    return SimpleNamespace(command=command, **values)
+
+
+def _argparse(argv: list[str]) -> SimpleNamespace | None:
+    """argv as argparse reads it, the parser built from _COMMANDS: None once
+    -h or --help has printed the usage, ValueError for a refusal."""
+    import argparse  # not at module level: no argv the reader takes needs it
+
+    def refuse(message: str):
+        raise ValueError(message)
+
+    def q_values(text: str) -> list[int]:
+        # argparse words a ValueError from a converter as "invalid
+        # _parse_q value"; an ArgumentTypeError keeps _parse_q's wording
+        try:
+            return _parse_q(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    parser = argparse.ArgumentParser(
+        prog="grothpoly", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.error = refuse
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, options, required, one_of) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary, description=summary)
+        sub.error = refuse
+        group = sub.add_mutually_exclusive_group(required=True) if one_of else sub
+        for name, (convert, choices, default, text) in options.items():
+            add = (group if name in one_of else sub).add_argument
+            if convert is None:
+                add(name, action="store_true", help=text)
+            else:
+                convert = q_values if convert is _parse_q else convert
+                add(name, type=convert, choices=choices, default=default, required=name in required, help=text)
+        if command == "verify":
+            sub.add_argument("ids", nargs="*", help="identity ids (see README for the catalog)")
+    try:
+        return SimpleNamespace(**vars(parser.parse_args(argv)))
+    except SystemExit:  # -h or --help printed the usage
+        return None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,6 +17,8 @@ from collections.abc import Iterable
 from functools import cache
 from itertools import permutations as _itertools_perms
 
+from ._packing import N_MAX
+
 
 class Permutation(tuple):
     """A permutation of 1..n as the tuple of its one-line notation.
@@ -93,8 +95,8 @@ class Permutation(tuple):
 
     def embed(self, m: int) -> "Permutation":
         """Image under the standard inclusion fixing n+1..m; raises
-        ValueError on an m that is not an int or is below n."""
-        check_int_rank(m)
+        ValueError on an m that is not an int, is below n or is past N_MAX."""
+        check_max_rank(m)
         if m < len(self):
             raise ValueError("cannot embed into smaller rank")
         return _new(self + tuple(range(len(self) + 1, m + 1)))
@@ -118,21 +120,29 @@ def check_int_rank(n: int) -> None:
         raise ValueError(f"a rank is an int, not {n!r}")
 
 
-def identity(n: int) -> Permutation:
+def check_max_rank(n: int) -> None:
+    """Refuse a rank that is not an int or is past N_MAX (no variable
+    x_{N_MAX+1} exists) with ValueError, before any work is done."""
     check_int_rank(n)
+    if n > N_MAX:
+        raise ValueError(f"rank must be at most {N_MAX}, got {n}")
+
+
+def identity(n: int) -> Permutation:
+    check_max_rank(n)
     return _new(range(1, n + 1))
 
 
 def longest(n: int) -> Permutation:
     """The order-reversing permutation, the unique one of maximal length."""
-    check_int_rank(n)
+    check_max_rank(n)
     return _new(range(n, 0, -1))
 
 
 def transposition(i: int, j: int, n: int) -> Permutation:
     """The permutation of S_n swapping i and j; raises ValueError unless
-    i, j and n are ints (bools excluded) with 1 <= i < j <= n."""
-    check_int_rank(n)
+    i, j and n are ints (bools excluded) with 1 <= i < j <= n <= N_MAX."""
+    check_max_rank(n)
     bad = [v for v in (i, j) if type(v) is not int]
     if bad:
         raise ValueError(f"a transposed entry is an int, not {bad[0]!r}")
@@ -171,14 +181,14 @@ def _by_length(n: int) -> tuple[Permutation, ...]:
 def all_perms(n: int) -> list[Permutation]:
     """All of S_n in lexicographic one-line order: a new list each call,
     copied from one tuple built once per rank."""
-    check_int_rank(n)
+    check_max_rank(n)
     return list(_all_perms(n))
 
 
 def by_length(n: int) -> list[Permutation]:
     """All of S_n sorted by (length, one-line), the table order: a new
     list each call, copied from one tuple built once per rank."""
-    check_int_rank(n)
+    check_max_rank(n)
     return list(_by_length(n))
 
 

@@ -17,8 +17,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 
-from ._packing import N_MAX
-from .perms import Permutation, check_int_rank
+from .perms import Permutation, check_int_rank, check_max_rank
 from .poly import MultiPoly
 
 
@@ -87,11 +86,9 @@ def check_rank(n: int) -> None:
     """Refuse a rank that is not an int, is below 1 or is past N_MAX (no
     variable x_{N_MAX+1} exists), the one wording for the library and the
     CLI."""
-    check_int_rank(n)
+    check_max_rank(n)
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
-    if n > N_MAX:
-        raise ValueError(f"rank must be at most {N_MAX}, got {n}")
 
 
 def rank_caps(check_id: str) -> tuple[int, int]:

@@ -1366,6 +1366,14 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
         pytest.param(lambda: NormalFormContext(9), "rank must be at most 8, got 9", id="NormalFormContext-9"),
         pytest.param(lambda: quantize(one() + beta(), 9), "rank must be at most 8, got 9", id="quantize-9"),
         pytest.param(lambda: eval_at_X(const(3), 9), "rank must be at most 8, got 9", id="eval_at_X-9"),
+        # nor do the permutation entries build anything past it: by_length(9)
+        # would build all 362,880 permutations
+        pytest.param(lambda: identity(9), "rank must be at most 8, got 9", id="identity-9"),
+        pytest.param(lambda: longest(9), "rank must be at most 8, got 9", id="longest-9"),
+        pytest.param(lambda: transposition(1, 2, 9), "rank must be at most 8, got 9", id="transposition-9"),
+        pytest.param(lambda: all_perms(9), "rank must be at most 8, got 9", id="all_perms-9"),
+        pytest.param(lambda: by_length(9), "rank must be at most 8, got 9", id="by_length-9"),
+        pytest.param(lambda: identity(3).embed(9), "rank must be at most 8, got 9", id="embed-9"),
         # coefficients and permutation entries are ints: nothing truncates
         # a float, and no float or bool reaches repr or a counterexample
         pytest.param(lambda: MultiPoly.constant(1.5), r"a coefficient is an int, not 1\.5", id="constant-float"),

@@ -398,6 +398,25 @@ class TestArgparse:
         assert r.stdout.startswith("usage: grothpoly")
         assert r.stderr == ""
 
+    def test_q_refusal_keeps_its_wording(self, capsys):
+        # argparse reads the --q value "1,x"; its converter keeps the
+        # reader's wording, not argparse's "invalid _parse_q value"
+        code = cli.main([*_G3, "--word", "1", "--q", "1,x"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "argument --q: expects comma-separated integers, got '1,x'"}
+
+    def test_abbreviated_options_are_read_by_argparse(self, capsys):
+        assert cli.main(["compute", "--family", "G", "--word", "1", "--n", "3"]) == 0
+        full = capsys.readouterr()
+        assert cli.main(["compute", "--fam", "G", "--wo", "1", "--n", "3"]) == 0
+        assert capsys.readouterr() == full
+        assert cli.main(["verify", "-h"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: grothpoly verify")
+        assert err == ""
+
     def test_readme_cli_examples_run(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
         block = readme.read_text().split("## CLI", 1)[1].split("```", 2)[1]
@@ -540,12 +559,13 @@ def widened(argv: list[str]) -> list[str]:
     """argv in the form in which argparse reads what cli.parse_args reads
     under its two widenings: every value joined to its option by "=" (so it
     may begin with "-"), and the verify ids gathered behind one "--" at the
-    end.  A token moves to the ids only if argparse reads it as a
-    positional too."""
+    end.  Option names and prefixes resolve against the reference parser's
+    own option strings, and a token moves to the ids only if that parser
+    reads it as a positional."""
     command, tokens = argv[0], argv[1:]
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     reference = subparsers.choices[command]
-    options = cli._COMMANDS[command][1]
+    actions = reference._option_string_actions
     out, ids = [command], []
     i = 0
     while i < len(tokens):
@@ -554,10 +574,12 @@ def widened(argv: list[str]) -> list[str]:
         if token == "--":
             ids += tokens[i:]
             break
-        found = cli._lookup(token, options)
-        if found is None and reference._parse_optional(token) is None:
+        name, eq, _ = token.partition("=")
+        prefix_of = [o for o in actions if name.startswith("--") and o.startswith(name)]
+        hits = [name] if name in actions else prefix_of
+        if not hits and reference._parse_optional(token) is None:
             ids.append(token)
-        elif found and found[0] and found[1] is None and options[found[0]][0] and i < len(tokens):
+        elif len(hits) == 1 and not eq and actions[hits[0]].nargs != 0 and i < len(tokens):
             out.append(f"{token}={tokens[i]}")
             i += 1
         else:
@@ -580,8 +602,8 @@ _G3 = ["compute", "--family", "G", "--n", "3"]
 
 class TestParserParity:
     """cli.parse_args against the argparse parser it replaced.  Text run
-    into -h ("-hx") is left out: argparse 3.11 refuses it, 3.13 prints help,
-    and cli.parse_args refuses it."""
+    into -h ("-hx"), which argparse 3.11 refuses and 3.13 reads as help,
+    goes to the argparse of the running version."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -632,6 +654,7 @@ class TestParserParity:
             ["compute", "--n", "x", "--help"],
             ["compute", "--help", "--n", "x"],
             ["verify", "-h"],
+            ["verify", "-hx"],
             ["table", "--n", "3", "--", "-h"],
             ["--help"],
             ["-h"],
@@ -679,6 +702,14 @@ class TestParserParity:
         argv = ["verify", "cauchy", "--n", "2", "duality", "--seed", "1", "basis"]
         assert argparse_reads(argv) == "refused"
         assert cli_reads(argv)["ids"] == ["cauchy", "duality", "basis"]
+
+    def test_the_widenings_need_full_option_names(self):
+        # an abbreviation (--form, --fam) sends the argv to argparse, which
+        # reads the ids in one run only and "-1,0" as an option
+        argv = ["verify", "cauchy", "--n", "3", "duality", "--format", "text"]
+        assert cli_reads(argv)["ids"] == ["cauchy", "duality"]
+        assert cli_reads([*argv[:-2], "--form", "text"]) == "refused"
+        assert cli_reads(["table", "--fam", "qG", "--n", "3", "--q", "-1,0"]) == "refused"
 
 
 class TestQuantumRankCaps:
@@ -744,12 +775,29 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         "for fmt in ('text', 'latex', 'json'):\n"
         "    assert cli.main(['compute', '--family', 'qG', '--n', '3', '--word', '21', '--format', fmt]) == 0\n"
         "    assert cli.main(['table', '--family', 'H', '--n', '3', '--beta', '1', '--format', fmt]) == 0\n"
+        "    assert cli.main(['compute', '--family', 'G', '--n', '4', '--perm', '2,1,4,3', '--format', fmt,\n"
+        "                     '--ideal', 'signed']) == 0\n"
+        "    assert cli.main(['table', '--family', 'qG', '--n', '3', '--format', fmt, '--beta', '-1',\n"
+        "                     '--q=1,0']) == 0\n"
         "sys.stdout = out\n"
         + show
     )
     served = modules(serve) - bare
     assert "grothpoly.cli" in served
     assert not served & {"dataclasses", "inspect", *unused}
+
+    # a verify request writes JSON and draws from an rng, but its argv,
+    # like every argv perfbench builds, is read without argparse
+    verified = modules(
+        "import io, sys\n"
+        "from grothpoly import cli\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "assert cli.main(['verify', '--all', '--n', '2', '--seed', '1']) == 0\n"
+        "sys.stdout = out\n"
+        + show
+    ) - bare
+    assert "json" in verified
+    assert not verified & {"argparse", "gettext", "locale"}
 
     # typing, with the re, enum and contextlib it loads, costs a fresh
     # process several ms, and random (with math, bisect and _sha512) a few
