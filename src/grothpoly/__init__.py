@@ -9,6 +9,7 @@ the four functions of the pure-Python kernel in _termkernel_py; every
 checked product of two polynomials is one poly.dot over that kernel.
 """
 
+from . import checks  # registers the 23 checks of the verify catalog, in catalog order
 from ._packing import N_MAX, Var
 from .classical import (
     NormalFormContext,

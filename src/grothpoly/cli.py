@@ -28,9 +28,9 @@ from types import SimpleNamespace
 
 from . import classical
 from ._packing import BETA, Var
-from .perms import Permutation, by_length, first_reduced_word, from_word
+from .perms import Permutation, by_length, check_rank, first_reduced_word, from_word
 from .poly import MultiPoly
-from .report import CHECKS, check_caps, check_rank, rank_caps, verify
+from .report import CHECKS, check_caps, rank_caps, verify
 
 _FAMILIES = {
     # token -> (kind for the rank caps, table name, latex symbol)

@@ -128,6 +128,15 @@ def check_max_rank(n: int) -> None:
         raise ValueError(f"rank must be at most {N_MAX}, got {n}")
 
 
+def check_rank(n: int) -> None:
+    """Refuse a rank that is not an int, is below 1 or is past N_MAX (no
+    variable x_{N_MAX+1} exists), the one wording for the library and the
+    CLI."""
+    check_max_rank(n)
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
+
+
 def identity(n: int) -> Permutation:
     check_max_rank(n)
     return _new(range(1, n + 1))

@@ -312,10 +312,11 @@ class MultiPoly:
 
     def specialize(self, values: Mapping[Var, int]) -> "MultiPoly":
         """Substitute integers for the listed variables, b and q_i say;
-        raises ValueError on a value that is not an int.  A variable sent
-        to 0 kills every term that holds it: those terms are dropped by
-        one mask test, and only the nonzero values are substituted."""
-        bad = [value for value in values.values() if not isinstance(value, int)]
+        raises ValueError on a value that is not an int, a bool included.
+        A variable sent to 0 kills every term that holds it: those terms
+        are dropped by one mask test, and only the nonzero values are
+        substituted."""
+        bad = [value for value in values.values() if type(value) is not int]
         if bad:
             raise ValueError(f"specialize substitutes ints, not {bad[0]!r}")
         zeros = fields_mask(v for v, value in values.items() if not value)
@@ -385,8 +386,11 @@ class MultiPoly:
 
         Writing f = sum_J c_J * y^J, the result is sum_J c_J b^(cap-|J|):
         the b^cap-rescaled image of f at y_i = 1/b, computed without ever
-        leaving the polynomial ring.  Requires every |J| <= cap.
+        leaving the polynomial ring.  Requires every |J| <= cap; raises
+        ValueError on a cap that is not an int, a bool included.
         """
+        if type(cap) is not int:
+            raise ValueError(f"a clearing power is an int, not {cap!r}")
         mask = kind_mask(kind)
         out: dict[int, int] = {}
         for m, c in self._t.items():

@@ -1,7 +1,7 @@
 """Quantum families: q-deformed elementary symmetric polynomials, the
 tridiagonal determinants that generate them, the commuting operators X_j,
 the quantization map, and the quantum double Schubert / Grothendieck
-families with their identity checkers.
+families.
 
 The q-deformation enters through one recurrence,
 
@@ -22,30 +22,11 @@ from __future__ import annotations
 
 from functools import cache
 
-from ._packing import BETA, N_MAX, XDEG_SHIFT, Var, exponent, unit
-from .classical import (
-    SWAP_XY_MOVES,
-    TOWERS,
-    _cauchy_product,
-    _cauchy_mismatch,
-    _embedding_failure,
-    elementary,
-    expand_dual_basis,
-    family_member,
-    family_members,
-    family_table,
-    refuse_x_past,
-    top_class,
-)
+from ._packing import N_MAX, XDEG_SHIFT, Var, exponent, unit
+from .classical import TOWERS, family_member, refuse_x_past
 from .divdiff import DEL, PI_MINUS, PI_PLUS, PSI_MINUS, PSI_PLUS, apply_word
-from .perms import (
-    Permutation,
-    all_perms,
-    identity,
-    longest,
-)
+from .perms import Permutation, check_rank
 from .poly import MultiPoly, beta, dot, one, or_monomials, qvar, xvar, zero
-from .report import Counterexample, check, check_rank
 
 # ---------------------------------------------------------------------------
 # quantum elementary symmetric polynomials and their generating determinant
@@ -247,199 +228,3 @@ def bold_family(w: Permutation, kind: str) -> MultiPoly:
     if kind not in ("G", "H"):
         raise ValueError("kind must be G or H")
     return family_member(w.n, "b" + kind, w)
-
-
-# ---------------------------------------------------------------------------
-# identity checkers
-# ---------------------------------------------------------------------------
-
-
-@check("theorem1", hard=4)
-def _check_theorem1(n: int, rng: random.Random) -> dict | None:
-    got = eval_at_X(quantum_top(n), n)
-    expect = top_class(n)
-    if got != expect:
-        raise Counterexample(difference=got - expect)
-
-
-@check("corollary1", hard=4)
-def _check_corollary1(n: int, rng: random.Random) -> dict | None:
-    tables = {fam: family_table(n, fam) for fam in ("qS", "qH", "S", "H")}
-    for w in all_perms(n):
-        for qfam, cfam in (("qS", "S"), ("qH", "H")):
-            got = eval_at_X(tables[qfam][w], n)
-            expect = tables[cfam][w]
-            if got != expect:
-                raise Counterexample(family=qfam, w=w, difference=got - expect)
-
-
-@check("quantum_cauchy", soft=3, hard=4)
-def _check_quantum_cauchy(n: int, rng: random.Random) -> dict | None:
-    mismatch = _cauchy_mismatch(n, family_table(n, "qH"), quantum_top(n, beta_form=True))
-    if mismatch is not None:
-        lhs, rhs = mismatch
-        raise Counterexample(difference=lhs - rhs)
-
-
-@check("corollary2", hard=4)
-def _check_corollary2(n: int, rng: random.Random) -> dict | None:
-    # remark_id and classical_limit read the full qG table, so it is built
-    # here and qGx sliced from it, not cut from a second qG tower
-    family_table(n, "qG")
-    qgx = family_table(n, "qGx")
-    qhx = family_table(n, "qHx")
-    bgx = family_table(n, "bGx")
-    bhx = family_table(n, "bHx")
-    gxt = family_table(n, "Gx")
-    w0 = longest(n)
-    for w in all_perms(n):
-        if bhx[w] != qhx[w]:
-            raise Counterexample(bullet=1, w=w)
-        if bgx[w] != qgx[w]:
-            raise Counterexample(bullet=2, w=w)
-    # coefs[v][u] = eta(pi+_u Gx_{v w0}), one pi+ tower per v
-    coefs = {v: expand_dual_basis(gxt[v * w0], n) for v in all_perms(n)}
-    for w in all_perms(n):
-        acc = dot((coefs[v][w * w0], qhx[v]) for v in all_perms(n))
-        if acc != qgx[w]:
-            raise Counterexample(bullet=3, w=w, difference=acc - qgx[w])
-
-
-@check("remark_id", hard=4)
-def _check_remark_id(n: int, rng: random.Random) -> dict | None:
-    """The bottom of the isobaric tower against the beta-weighted top,
-    plus the alphabet-swap line.
-
-    The weighted value beta^{n(n-1)/2} * top(x, (1/beta,..)) is compared
-    against both rank-bottom members; which one it equals is a finding
-    (the displayed label and the operator it abbreviates disagree).  The
-    swap line H_id(x,y) <-> G_id(y,x) with beta negated is likewise
-    reported: tried with q in place, with q reversed, and if both fail
-    the q=0 limit must still hold (the classical swap duality).
-    """
-    qg_id = family_table(n, "qG")[identity(n)]
-    qh_id = family_table(n, "qH")[identity(n)]
-    cap = n * (n - 1) // 2
-    weighted = quantum_top(n).beta_weighted(cap, "y")
-    detail: dict = {}
-    if qg_id == weighted:
-        detail["weighted_member"] = "G"
-    elif qh_id == weighted:
-        detail["weighted_member"] = "H"
-    else:
-        raise Counterexample(part="beta_weighted", value=weighted)
-
-    swapped = qg_id.negate_vars("b")._moved(SWAP_XY_MOVES)
-    if qh_id == swapped:
-        detail["swap_q"] = "in place"
-    else:
-        flip = {Var("q", i): Var("q", n - i) for i in range(1, n)}
-        if qh_id == swapped.relabel(flip):
-            detail["swap_q"] = "reversed"
-        else:
-            qzero = {Var("q", i): 0 for i in range(1, n)}
-            if qh_id.specialize(qzero) != swapped.specialize(qzero):
-                raise Counterexample(part="swap at q=0", difference=qh_id - swapped)
-            detail["swap_q"] = "fails with q (q=0 limit holds)"
-    return detail
-
-
-def _random_x_poly(n: int, rng: random.Random, max_deg: int = 4) -> MultiPoly:
-    """Up to 6 random terms c * x^e in x_1..x_n, each of x-degree at most
-    max_deg and c in -3..3; a draw of larger degree is dropped before its
-    coefficient is drawn.  Each monomial is packed as the sum of its
-    exponents times the x units."""
-    units = [unit(Var("x", i)) for i in range(1, n + 1)]
-    terms: dict[int, int] = {}
-    for _ in range(rng.randint(1, 6)):
-        exps = [rng.randint(0, max_deg) for _ in units]
-        if sum(exps) > max_deg:
-            continue
-        m = sum(e * u for e, u in zip(exps, units))
-        terms[m] = terms.get(m, 0) + rng.randint(-3, 3)
-    return MultiPoly._raw({m: c for m, c in terms.items() if c})
-
-
-@check("quantization_props", hard=4)
-def _check_quantization_props(n: int, rng: random.Random) -> dict | None:
-    for k in range(1, n + 1):
-        for i in range(1, k + 1):
-            got = eval_at_X(quantum_elementary(k, i), n)
-            expect = elementary(i, [Var("x", t) for t in range(1, k + 1)])
-            if got != expect:
-                raise Counterexample(part="etilde", k=k, i=i)
-    roundtrips = 100 if n <= 3 else 20
-    for trial in range(roundtrips):
-        f = _random_x_poly(n, rng)
-        if eval_at_X(quantize(f, n), n) != f:
-            raise Counterexample(part="roundtrip", trial=trial, f=f)
-    for trial in range(10):
-        # multiplicativity against a symmetric factor: the quantization of
-        # f*g factors as the quantization of f (which lands on the e->e~
-        # rewrite) times the quantization of g
-        g = _random_x_poly(n, rng, max_deg=3)
-        f = zero()
-        for i in range(1, n + 1):
-            f = f + elementary(i, [Var("x", t) for t in range(1, n + 1)]) * rng.randint(-2, 2)
-        f = f + rng.randint(-2, 2)
-        if quantize(f * g, n) != quantize(f, n) * quantize(g, n):
-            raise Counterexample(part="lambda_multiplicative", trial=trial)
-    st = family_table(n, "Sx")
-    qs = family_table(n, "qSx")
-    for w in all_perms(n):
-        fq = quantize(st[w], n)
-        if fq != qs[w]:
-            raise Counterexample(part="schubert", w=w, difference=fq - qs[w])
-    return {"roundtrips": roundtrips}
-
-
-@check("commuting", hard=4)
-def _check_commuting(n: int, rng: random.Random) -> dict | None:
-    trials = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for _ in range(12):
-                f = _random_x_poly(n, rng, max_deg=5)
-                lhs = apply_X(i, apply_X(j, f, n), n)
-                rhs = apply_X(j, apply_X(i, f, n), n)
-                trials += 1
-                if lhs != rhs:
-                    raise Counterexample(i=i, j=j, f=f)
-    return {"assertions": trials}
-
-
-@check("classical_limit", hard=4)
-def _check_classical_limit(n: int, rng: random.Random) -> dict | None:
-    qzero = {Var("q", i): 0 for i in range(1, n)}
-    pairs = [("qS", "S"), ("qH", "H"), ("qG", "G"), ("qSx", "Sx"), ("qHx", "Hx"), ("qGx", "Gx")]
-    for qfam, cfam in pairs:
-        qt = family_table(n, qfam)
-        cf = family_table(n, cfam)
-        for w in all_perms(n):
-            if qt[w].specialize(qzero) != cf[w]:
-                raise Counterexample(family=qfam, w=w)
-    st = family_table(n, "S")
-    for w in all_perms(n):
-        if family_table(n, "qG")[w].specialize({**qzero, BETA: 0}) != st[w]:
-            raise Counterexample(family="qG at beta=0", w=w)
-    if quantum_top(n, beta_form=True).specialize(qzero) != _cauchy_product(n):
-        raise Counterexample(family="bold top")
-
-
-# embeds into rank n+1, and the quantum tables stop at 4
-@check("quantum_stability", soft=3, hard=3)
-def _check_quantum_stability(n: int, rng: random.Random) -> dict | None:
-    detail: dict = {}
-    # qSx, qHx and qGx are sliced from the qS, qH and qG members built here
-    embedded = [w.embed(n + 1) for w in all_perms(n)]
-    big = {fam: family_members(n + 1, fam, embedded) for fam in ("qS", "qH", "qG")}
-    big.update({fam + "x": {w: p.set_zero("y") for w, p in members.items()} for fam, members in big.items()})
-    for fam, members in big.items():
-        small = family_table(n, fam)
-        if _embedding_failure(small, members, n, "exact") is None:
-            detail[fam] = "exact"
-        elif _embedding_failure(small, members, n, "ratio") is None:
-            detail[fam] = "ratio"
-        else:
-            raise Counterexample(family=fam, mode="neither exact nor ratio")
-    return detail

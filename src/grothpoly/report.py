@@ -1,10 +1,12 @@
 """The identity-check registry, the one entry point that runs a check, and
 the report record it returns.
 
-A checker is registered with ``@check(id, soft=..., hard=...)``: ``soft`` is
-the default rank cap, ``hard`` the cap that ``force`` lifts it to.  The
-catalog order is definition order, classical checks first, because the
-quantum module imports the classical one.
+A checker is registered with ``@check(id, soft=..., hard=..., tables=...)``:
+``soft`` is the default rank cap, ``hard`` the cap that ``force`` lifts it
+to, and ``tables`` the rank-n families its body reads, in reading order.
+The checkers live in the checks module, and the catalog order is their
+order there.  ``verify`` builds a check's tables before it starts the
+check's timer, so a report's ``ms`` times the check's body alone.
 
 A checker passes by returning its detail (a JSON-ready dict, or None) and
 fails by raising ``Counterexample`` with the failure's fields as library
@@ -17,7 +19,8 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 
-from .perms import Permutation, check_int_rank, check_max_rank
+from .classical import family_table
+from .perms import Permutation, check_int_rank, check_rank
 from .poly import MultiPoly
 
 
@@ -30,18 +33,20 @@ class Counterexample(Exception):
 
 
 # fn(n, rng) -> detail or None, raising Counterexample to fail; soft the
-# default rank cap, hard the cap with force
-Check = namedtuple("Check", "fn soft hard")
+# default rank cap, hard the cap with force; tables the families fn reads
+# at rank n, built before it runs
+Check = namedtuple("Check", "fn soft hard tables", defaults=((),))
 
 
 CHECKS: dict[str, Check] = {}
 
 
-def check(check_id: str, soft: int = 4, hard: int = 5):
-    """Register the decorated checker under check_id with its rank caps."""
+def check(check_id: str, soft: int = 4, hard: int = 5, tables: tuple[str, ...] = ()):
+    """Register the decorated checker under check_id with its rank caps and
+    the rank-n family tables it reads."""
 
     def register(fn: Callable[[int, random.Random], dict | None]):
-        CHECKS[check_id] = Check(fn, soft, hard)
+        CHECKS[check_id] = Check(fn, soft, hard, tables)
         return fn
 
     return register
@@ -82,15 +87,6 @@ class VerificationReport(
         return f"{mark} {self.check_id} n={self.n} ({self.ms:.1f} ms){extra}"
 
 
-def check_rank(n: int) -> None:
-    """Refuse a rank that is not an int, is below 1 or is past N_MAX (no
-    variable x_{N_MAX+1} exists), the one wording for the library and the
-    CLI."""
-    check_max_rank(n)
-    if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
-
-
 def rank_caps(check_id: str) -> tuple[int, int]:
     """(default cap, forced cap) for one check id."""
     if check_id not in CHECKS:
@@ -116,7 +112,9 @@ def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> Verific
     """Run one registered check at rank n; ranks above the default cap need
     force.  Raises ValueError on a force that is not a bool, which "no" or 0
     would pass for by truth value, and on a seed that is not an int, a bool
-    included."""
+    included.  The check's tables are built after every refusal, so a
+    refused request builds nothing, and before the timer starts, so ms
+    times the check's body alone."""
     import random  # not at module level: only a check draws from an rng
 
     if type(force) is not bool:
@@ -125,9 +123,12 @@ def verify(check_id: str, n: int, seed: int = 0, force: bool = False) -> Verific
     if type(seed) is not int:
         raise ValueError(f"a seed is an int, not {seed!r}")
     rng = random.Random(seed)
+    c = CHECKS[check_id]
+    for family in c.tables:
+        family_table(n, family)
     start = time.perf_counter()
     try:
-        detail, counterexample = CHECKS[check_id].fn(n, rng), None
+        detail, counterexample = c.fn(n, rng), None
     except Counterexample as failure:
         detail, counterexample = None, failure.fields
     ms = (time.perf_counter() - start) * 1000.0

@@ -19,28 +19,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grothpoly
-from grothpoly import classical
-from grothpoly.classical import (
+from grothpoly import checks, classical
+from grothpoly.checks import (
     _RECAST_YZ,
     _RECAST_YZ_MOVES,
     _SWAP_YZ,
     _SWAP_YZ_MOVES,
-    IDEALS,
     SWAP_XY,
     SWAP_XY_MOVES,
-    NormalFormContext,
     _binomial_split,
     _cauchy_numerator,
     _cauchy_product,
-    _descent_tower,
     _embedding_failure,
     _monk_sides,
-    _mu,
     _random_quotient_poly,
     _staircase_packed,
-    complete_h,
     det_bareiss,
     divexact,
+    omega,
+    permute_y,
+)
+from grothpoly.classical import (
+    IDEALS,
+    NormalFormContext,
+    _descent_tower,
+    _mu,
+    complete_h,
     dual_grothendieck,
     dual_grothendieck_double,
     elementary,
@@ -52,9 +56,7 @@ from grothpoly.classical import (
     grothendieck_double,
     localize,
     monk_expansion,
-    omega,
     pairing0,
-    permute_y,
     schubert,
     schubert_double,
     top_class,
@@ -600,7 +602,7 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
     # quotient split into binomials applied one pass each; when the quotient
     # is refused it falls back to small[w] * big_id == big[w] * small_id
     n = 3
-    exact_quotient = classical.divexact
+    exact_quotient = checks.divexact
     divisions = []
 
     def divexact(f, g):
@@ -609,7 +611,7 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
             raise ArithmeticError("forced")
         return exact_quotient(f, g)
 
-    monkeypatch.setattr(classical, "divexact", divexact)
+    monkeypatch.setattr(checks, "divexact", divexact)
     passes = _calls(monkeypatch, "_times_images")
     small = family_table(n, family)
     big = family_members(n + 1, family, [v.embed(n + 1) for v in all_perms(n)])
@@ -630,10 +632,10 @@ def test_ratio_mode_finds_the_one_perturbed_member(family, path, monkeypatch):
 
 
 def _calls(monkeypatch, name: str) -> list[tuple]:
-    """The argument tuples of every later call of classical.<name>."""
+    """The argument tuples of every later call of checks.<name>."""
     calls: list[tuple] = []
-    real = getattr(classical, name)
-    monkeypatch.setattr(classical, name, lambda *args: calls.append(args) or real(*args))
+    real = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -660,7 +662,7 @@ def test_ratio_mode_with_a_quotient_that_is_no_binomial_product(family, monkeypa
             members[w.embed(n + 1)] *= one() - beta() * yvar(3)
         found = _embedding_failure(small, members, n, "ratio")
         with monkeypatch.context() as m:
-            m.setattr(classical, "divexact", refused)
+            m.setattr(checks, "divexact", refused)
             assert _embedding_failure(small, members, n, "ratio") == found == w
 
 
@@ -715,7 +717,8 @@ def test_forced_orthogonality_failure(n, w, perturb, counterexample, monkeypatch
     assert rep.detail is None
 
 
-CLASSICAL_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.classical"]
+# the classical checks come first in the catalog, the quantum ones from theorem1 on
+CLASSICAL_IDS = list(CHECKS)[: list(CHECKS).index("theorem1")]
 
 
 class TestCheckerCatalog:
@@ -1108,13 +1111,13 @@ class TestLocalization:
         expected = {"pieri_double": size * size, "involution": 2 * size * size}
         family_table(n, "H")
         calls = []
-        at_point = classical._at_point
+        at_point = checks._at_point
 
         def counted(*args):
             calls.append(args[1])
             return at_point(*args)
 
-        monkeypatch.setattr(classical, "_at_point", counted)
+        monkeypatch.setattr(checks, "_at_point", counted)
         for order in (["pieri_double", "involution"], ["involution", "pieri_double"]):
             for check_id in order:
                 calls.clear()
@@ -1293,7 +1296,7 @@ def test_binomial_split_matches_trying_every_binomial(n, rng):
 
 def test_binomial_split_returns_zero_unchanged(monkeypatch):
     calls = 0
-    divide = classical.divexact
+    divide = checks.divexact
 
     def counted(f, g):
         nonlocal calls
@@ -1301,7 +1304,7 @@ def test_binomial_split_returns_zero_unchanged(monkeypatch):
         assert calls < 1000, "_binomial_split kept dividing"
         return divide(f, g)
 
-    monkeypatch.setattr(classical, "divexact", counted)
+    monkeypatch.setattr(checks, "divexact", counted)
     assert _binomial_split(zero(), 3) == ([], zero())
     assert calls == 0
 
@@ -1323,7 +1326,7 @@ def test_passing_membership_checks_build_no_normal_form_context(check_id, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("a passing membership check reduced something")
 
-    monkeypatch.setattr(classical, "NormalFormContext", refuse)
+    monkeypatch.setattr(checks, "NormalFormContext", refuse)
     assert verify(check_id, 4).ok
 
 
@@ -1332,7 +1335,7 @@ def test_free_module_builds_no_normal_form_context(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("free_module reduced something")
 
-    monkeypatch.setattr(classical, "NormalFormContext", refuse)
+    monkeypatch.setattr(checks, "NormalFormContext", refuse)
     assert verify("free_module", 3).ok
     assert verify("free_module", 4, force=True).ok
 
@@ -1491,13 +1494,16 @@ def test_a_flag_that_is_not_a_bool_is_refused(entry, value):
 
 
 # A valid call, as keyword arguments, of every entry of grothpoly.__all__
-# and every MultiPoly constructor that takes an int: a parameter annotated
-# int, an Iterable[int] or a Mapping[..., int].  The test below finds
-# those entries by their signatures, so a new one needs a row here.
+# and every public MultiPoly constructor or method that takes an int: a
+# parameter annotated int, an Iterable[int] or a Mapping[..., int].  The
+# test below finds those entries by their signatures, so a new one needs a
+# row here.
 VALID_INT_CALLS = {
     "MultiPoly": {"terms": {Var("x", 1): 2}},
+    "MultiPoly.beta_weighted": {"self": yvar(1), "cap": 2},
     "MultiPoly.constant": {"c": 3},
     "MultiPoly.from_monomials": {"items": [({Var("x", 1): 2}, 3)]},
+    "MultiPoly.specialize": {"self": beta() * xvar(1), "values": {BETA: 2}},
     "NormalFormContext": {"n": 2},
     "Permutation": {"oneline": [2, 1, 3]},
     "Var": {"kind": "x", "index": 1},
@@ -1517,7 +1523,8 @@ VALID_INT_CALLS = {
     "yvar": {"i": 1},
     "zvar": {"i": 1},
 }
-MULTIPOLY_CONSTRUCTORS = ("MultiPoly", "MultiPoly.constant", "MultiPoly.from_monomials", "MultiPoly.variable")
+# MultiPoly itself and its public constructors and methods
+MULTIPOLY_ENTRIES = ["MultiPoly", *(f"MultiPoly.{name}" for name in vars(MultiPoly) if not name.startswith("_"))]
 
 
 def _entry(name: str):
@@ -1561,7 +1568,7 @@ def _int_cases():
 
 
 def test_every_entry_taking_an_int_has_a_valid_call():
-    entries = [*grothpoly.__all__, *MULTIPOLY_CONSTRUCTORS]
+    entries = [*grothpoly.__all__, *MULTIPOLY_ENTRIES]
     taking_ints = {name for name in entries if callable(_entry(name)) and _int_parameters(name)}
     assert taking_ints == set(VALID_INT_CALLS)
     for name, kwargs in VALID_INT_CALLS.items():

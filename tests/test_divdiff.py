@@ -9,7 +9,7 @@ import random
 import pytest
 
 from grothpoly._packing import BETA, FIELD_MASK, Var
-from grothpoly.classical import divexact
+from grothpoly.checks import divexact
 from grothpoly.divdiff import (
     DEL,
     PI_MINUS,

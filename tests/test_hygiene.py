@@ -1,9 +1,10 @@
 """Source hygiene: every name a library module imports is used by it,
 every function the library defines is called from the library, only
 the packing module knows the field layout, only poly ORs monomials, no
-check returns a verdict tuple, only report serialises a counterexample,
-one function builds family members, every console script names a
-function of the CLI, and every unchecked kernel add is listed.
+check returns a verdict tuple, only checks defines a check and no library
+module imports report, only report serialises a counterexample, one
+function builds family members, every console script names a function of
+the CLI, and every unchecked kernel add is listed.
 
 ``__init__.py`` is skipped by the import scan, since its imports are the
 package's re-exports.
@@ -217,6 +218,44 @@ def test_no_check_returns_a_verdict_tuple():
     assert found == []
 
 
+def test_only_checks_defines_checks():
+    """The verify catalog is the checks module, in its order; a check
+    defined in a library module would join the catalog as a side effect
+    of importing that module."""
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in MODULES
+        if p.name != "checks.py"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and _is_check(node)
+    ]
+    assert found == []
+
+
+# the modules above the library: the catalog, its registry and runner, and
+# the CLI (and __init__, which re-exports)
+ABOVE_THE_LIBRARY = {"checks.py", "report.py", "cli.py", "__init__.py"}
+
+
+def test_no_library_module_imports_report():
+    """The library (families, operators, kernel) knows nothing of the
+    check registry: no module below checks, report and cli imports from
+    report, so the rank checks it shares with them live in perms."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ABOVE_THE_LIBRARY:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name.rsplit(".", 1)[-1] for a in node.names if a.name.startswith("grothpoly")]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "report"]
+    assert found == []
+
+
 def test_only_report_serialises_counterexamples():
     """report.verify alone gives a counterexample its JSON form, so no
     other module calls .json_obj()."""
@@ -266,15 +305,17 @@ def _family_building(path: Path, tree: ast.Module):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "_descent_tower":
-                yield "calls _descent_tower", path.name
+                yield "calls _descent_tower", where
 
 
 def test_one_family_builder():
     """family_members alone turns a TOWERS entry into members: only it
     reads an entry of TOWERS (quantum registers its families with
     TOWERS.update), and with it the rule that slices a y=0 table from a
-    cached full one, only family_table writes the table cache, and only
-    classical builds descent towers.  A second builder, such as one of
+    cached full one, and only family_table writes the table cache.  A
+    descent tower is built by family_members, by expand_dual_basis (one
+    pi+ tower of its f) and by interpolation (one y-tower of each staircase
+    monomial), and nowhere else.  A second builder, such as one of
     embedded members with its own memo, or a second slice rule, shows up
     here."""
     found: dict[str, set[str]] = {}
@@ -284,7 +325,11 @@ def test_one_family_builder():
     assert found == {
         "reads TOWERS": {"classical.py:family_members"},
         "writes _TABLE_CACHE": {"classical.py:family_table"},
-        "calls _descent_tower": {"classical.py"},
+        "calls _descent_tower": {
+            "classical.py:family_members",
+            "classical.py:expand_dual_basis",
+            "checks.py:_check_interpolation",
+        },
     }
 
 
@@ -308,9 +353,9 @@ UNCHECKED_KERNEL_ADDS = {
     "classical.py:_paired": 2,
     "classical.py:NormalFormContext._x_normal_form": 2,
     "classical.py:_at_point": 1,
-    "classical.py:_times_images": 1,
-    "classical.py:divexact": 1,
-    "classical.py:_check_pieri_double": 1,
+    "checks.py:_times_images": 1,
+    "checks.py:divexact": 1,
+    "checks.py:_check_pieri_double": 1,
 }
 KERNEL_ADDS = {"addmul", "addmul_all"}
 

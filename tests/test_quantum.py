@@ -10,9 +10,17 @@ from types import MappingProxyType
 
 import pytest
 
-from grothpoly import classical, quantum
+from grothpoly import checks, classical
 from grothpoly._packing import BETA, N_MAX, Var, kind_degree, unpack
-from grothpoly.classical import elementary, expand_dual_basis, family_table, pairing0, top_class
+from grothpoly.checks import _random_x_poly
+from grothpoly.classical import (
+    NormalFormContext,
+    elementary,
+    expand_dual_basis,
+    family_table,
+    pairing0,
+    top_class,
+)
 from grothpoly.divdiff import DEL, apply_word
 from grothpoly.perms import (
     Permutation,
@@ -23,10 +31,10 @@ from grothpoly.perms import (
     from_word,
     identity,
     longest,
+    transposition,
 )
 from grothpoly.poly import MultiPoly, beta, dot, one, qvar, xvar, yvar, zero
 from grothpoly.quantum import (
-    _random_x_poly,
     apply_X,
     bold_family,
     eval_at_X,
@@ -380,6 +388,32 @@ def test_x_route_matches_the_per_part_references(n):
             assert apply_X(j, f, n) == _apply_X_reference(j, f, n)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_x_operators_satisfy_the_quantum_monk_rule(n):
+    # [FGP]'s quantum Monk rule, an oracle for apply_X that shares no code
+    # with it: mod the ideal of the symmetric functions in x,
+    # (X_1 + ... + X_k) S_w is the sum over a <= k < b of S_{w t_ab} where
+    # l(w t_ab) = l(w) + 1, and of q_a ... q_(b-1) S_{w t_ab} where
+    # l(w t_ab) = l(w) - 2(b - a) + 1
+    st = family_table(n, "Sx")
+    ctx = NormalFormContext(n, "x")
+    for w in all_perms(n):
+        for k in range(1, n):
+            lhs = zero()
+            for j in range(1, k + 1):
+                lhs = lhs + apply_X(j, st[w], n)
+            rhs = zero()
+            for a in range(1, k + 1):
+                for b in range(k + 1, n + 1):
+                    v = w * transposition(a, b, n)
+                    if v.length() == w.length() + 1:
+                        rhs = rhs + st[v]
+                    elif v.length() == w.length() - 2 * (b - a) + 1:
+                        q_ab = MultiPoly({Var("q", t): 1 for t in range(a, b)})
+                        rhs = rhs + q_ab * st[v]
+            assert ctx.reduce(lhs) == ctx.reduce(rhs), (w, k)
+
+
 class TestQuantization:
     def test_x_operator_basics(self):
         f = apply_X(1, apply_X(1, one(), 3), 3)
@@ -478,7 +512,8 @@ class TestQuantization:
             assert fq == st[w]
 
 
-QUANTUM_IDS = [cid for cid, c in CHECKS.items() if c.fn.__module__ == "grothpoly.quantum"]
+# the quantum checks follow the classical ones in the catalog, from theorem1 on
+QUANTUM_IDS = list(CHECKS)[list(CHECKS).index("theorem1") :]
 
 
 class TestQuantumCheckers:
@@ -513,7 +548,7 @@ class TestQuantumCheckers:
     # fail, so their failure paths are pinned by hand
 
     def test_forced_theorem1_failure(self, monkeypatch):
-        monkeypatch.setattr(quantum, "top_class", lambda n: top_class(n) + xvar(1))
+        monkeypatch.setattr(checks, "top_class", lambda n: top_class(n) + xvar(1))
         rep = verify("theorem1", 3)
         assert rep.status == "fail"
         assert json.dumps(rep.counterexample) == '{"difference": [{"coef": "-1", "monomial": {"x1": 1}}]}'
@@ -522,7 +557,7 @@ class TestQuantumCheckers:
     def test_forced_commuting_failure(self, monkeypatch):
         # X_1 followed by multiplication by x2 no longer commutes with X_2
         monkeypatch.setattr(
-            quantum, "apply_X", lambda j, f, n: apply_X(j, f, n) * (xvar(2) if j == 1 else one())
+            checks, "apply_X", lambda j, f, n: apply_X(j, f, n) * (xvar(2) if j == 1 else one())
         )
         rep = verify("commuting", 3)
         assert rep.status == "fail"

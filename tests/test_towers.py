@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 import sys
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 import grothpoly
 from grothpoly import _termkernel_py as kernel
-from grothpoly import classical, cli
+from grothpoly import checks, classical, cli
 from grothpoly._packing import BETA, FIELD_MASK, N_MAX, TOP_BITS, Var, kind_degree, pack, unit
 from grothpoly.classical import (
     IDEALS,
@@ -365,7 +366,7 @@ def test_member_builds_need_no_apply_perm(monkeypatch):
         raise AssertionError("a member build ran apply_perm")
 
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
-    monkeypatch.setattr(classical, "apply_perm", refuse)
+    monkeypatch.setattr(checks, "apply_perm", refuse)
     w = from_word([2, 1, 3], 4)
     for family in ("G", "Hx", "qG", "bHx"):
         assert family_member(4, family, w) == family_table(4, family)[w]
@@ -395,6 +396,40 @@ def test_swapped_operator_kinds_print_the_recorded_lines(monkeypatch):
     assert mismatches((2, 3)) == []
 
 
+@pytest.mark.parametrize("check_id", list(CHECKS))
+def test_each_check_declares_the_tables_its_body_reads(check_id, monkeypatch):
+    # verify builds a check's tables before its timer starts, so a table
+    # the body reads but does not declare would be built inside the body
+    # and timed with it
+    c = CHECKS[check_id]
+    added = []
+
+    def body(n, rng):
+        before = list(classical._TABLE_CACHE)
+        detail = c.fn(n, rng)
+        added.extend(key for key in classical._TABLE_CACHE if key not in before)
+        return detail
+
+    monkeypatch.setitem(CHECKS, check_id, c._replace(fn=body))
+    for n in range(2, min(4, c.soft) + 1):
+        monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+        assert verify(check_id, n).ok
+        assert added == []
+        assert list(classical._TABLE_CACHE) == [(n, family) for family in c.tables]
+
+
+@pytest.mark.parametrize("check_id", list(CHECKS))
+def test_each_check_declares_its_tables_in_reading_order(check_id, monkeypatch):
+    # run on an empty cache, a body builds each table it reads as it first
+    # reads it, so the declared tables are all it reads, in that order;
+    # verify building them in that order keeps every build the same
+    c = CHECKS[check_id]
+    for n in (2, 3):
+        monkeypatch.setattr(classical, "_TABLE_CACHE", {})
+        c.fn(n, random.Random(0))
+        assert list(classical._TABLE_CACHE) == [(n, family) for family in c.tables]
+
+
 @pytest.mark.parametrize("check_id", ["stability", "quantum_stability"])
 def test_stability_builds_no_table_of_the_next_rank(check_id, monkeypatch):
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
@@ -416,7 +451,7 @@ def test_stability_holds_one_family_of_embedded_members_at_a_time(monkeypatch):
         def __del__(self):
             live.discard(id(self))
 
-    real = classical.family_members
+    real = checks.family_members
 
     def tracked(n, family, ws):
         alive_at_build.append(len(live))
@@ -424,7 +459,7 @@ def test_stability_holds_one_family_of_embedded_members_at_a_time(monkeypatch):
         live.add(id(members))
         return members
 
-    monkeypatch.setattr(classical, "family_members", tracked)
+    monkeypatch.setattr(checks, "family_members", tracked)
     assert verify("stability", 3).ok
     assert alive_at_build == [0] * 6
 
@@ -500,7 +535,7 @@ def _record_operators(monkeypatch) -> list:
     calls = []
     monkeypatch.setattr(classical, "_TABLE_CACHE", {})
     monkeypatch.setattr(classical, "apply_op", lambda *a: calls.append(a))
-    monkeypatch.setattr(classical, "apply_perm", lambda *a: calls.append(a))
+    monkeypatch.setattr(checks, "apply_perm", lambda *a: calls.append(a))
     return calls
 
 
